@@ -54,6 +54,24 @@ _SCENARIO_FIELDS = {
 }
 _SOLVER_FIELDS = {"tolerance", "max_iterations", "scheme"}
 _WALL_FIELDS = {"sample_radius", "equality_tol", "step"}
+# the one solver; scenario files may still name it, and reports echo it
+_SCHEME = "gauss_seidel"
+_REQUIRED = object()
+
+
+def _field(cfg, key, kind, default=_REQUIRED, where="scenario"):
+    """``cfg[key]`` converted by ``kind``, or ``default`` when absent; a
+    missing required field or a failed conversion is a ScenarioError."""
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ScenarioError(f"{where} needs {key!r}")
+        return default
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"{where} field {key!r} must be {kind.__name__}, got "
+            f"{cfg[key]!r}") from None
 
 
 class Scenario:
@@ -63,35 +81,42 @@ class Scenario:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
         if cfg.get("schema") != 1:
             raise ScenarioError('scenario must declare "schema": 1')
-        if "group" not in cfg or "truncation_radius" not in cfg:
-            raise ScenarioError("scenario needs group and truncation_radius")
-        self.name = cfg.get("name", name)
-        self.group_cfg = cfg["group"]
-        self.presentation = Presentation.from_config(self.group_cfg)
-        self.truncation_radius = int(cfg["truncation_radius"])
-        self.base_radius = int(cfg.get("base_radius", 1))
-        self.neck_R = int(cfg.get("neck_R", 1))
-        self.net_delta = int(cfg.get("net_delta", 1))
+        self.name = _field(cfg, "name", str, name)
+        self.group_cfg = _field(cfg, "group", dict)
+        try:
+            self.presentation = Presentation.from_config(self.group_cfg)
+        except (KeyError, TypeError, ValueError) as ex:
+            raise ScenarioError(
+                f"cannot read group {self.group_cfg!r}: {ex!r}") from None
+        self.truncation_radius = _field(cfg, "truncation_radius", int)
+        self.base_radius = _field(cfg, "base_radius", int, 1)
+        self.neck_R = _field(cfg, "neck_R", int, 1)
+        self.net_delta = _field(cfg, "net_delta", int, 1)
         self.chi_spec = cfg.get("chi", None)
-        self.seed = int(cfg.get("seed", 0))
+        self.seed = _field(cfg, "seed", int, 0)
 
-        solver = dict(cfg.get("solver", {}))
+        solver = _field(cfg, "solver", dict, {})
         unknown = set(solver) - _SOLVER_FIELDS
         if unknown:
             raise ScenarioError(f"unknown solver fields: {sorted(unknown)}")
+        if solver.get("scheme", _SCHEME) != _SCHEME:
+            raise ScenarioError(
+                f"unknown solver scheme {solver['scheme']!r}; the only "
+                f"scheme is {_SCHEME!r}")
         self.solver = SolverConfig(
-            tolerance=float(solver.get("tolerance", 1e-9)),
-            max_iterations=int(solver.get("max_iterations", 10 ** 6)),
-            scheme=solver.get("scheme", "gauss_seidel"),
+            tolerance=_field(solver, "tolerance", float, 1e-9, "solver"),
+            max_iterations=_field(solver, "max_iterations", int, 10 ** 6,
+                                  "solver"),
         )
 
-        wall = dict(cfg.get("wall", {}))
+        wall = _field(cfg, "wall", dict, {})
         unknown = set(wall) - _WALL_FIELDS
         if unknown:
             raise ScenarioError(f"unknown wall fields: {sorted(unknown)}")
-        self.wall_sample_radius = int(wall.get("sample_radius", 3))
-        self.wall_equality_tol = float(wall.get("equality_tol", 1e-9))
-        self.wall_step = float(wall.get("step", 1e-3))
+        self.wall_sample_radius = _field(wall, "sample_radius", int, 3, "wall")
+        self.wall_equality_tol = _field(wall, "equality_tol", float, 1e-9,
+                                        "wall")
+        self.wall_step = _field(wall, "step", float, 1e-3, "wall")
 
         if not (self.truncation_radius > self.base_radius
                 and self.base_radius >= self.neck_R >= 1):
@@ -112,7 +137,7 @@ class Scenario:
             "solver": {
                 "tolerance": self.solver.tolerance,
                 "max_iterations": self.solver.max_iterations,
-                "scheme": self.solver.scheme,
+                "scheme": _SCHEME,
             },
             "wall": {
                 "sample_radius": self.wall_sample_radius,
@@ -162,6 +187,8 @@ def load_scenario(path, overrides=None):
             f"malformed scenario JSON at line {ex.lineno} column {ex.colno}: "
             f"{ex.msg}"
         )
+    if not isinstance(cfg, dict):
+        raise ScenarioError("scenario must be a JSON object")
     name = os.path.splitext(os.path.basename(path))[0]
     if overrides:
         cfg.update(overrides)
@@ -197,10 +224,7 @@ def _prepare(scn, stages):
     stages.start("build_truncation")
     t = build_truncation(scn.presentation, scn.truncation_radius)
     stages.stop()
-    stages.start("build_net")
-    net = build_net(t, scn.net_delta)
-    stages.stop()
-    return t, net
+    return t
 
 
 def _base_report(scn, t, command):
@@ -227,7 +251,7 @@ def _solve_stage(scn, t, stages, chi=None):
     stages.stop()
     lo, hi = h.interior_range()
     block = {
-        "scheme": scn.solver.scheme,
+        "scheme": _SCHEME,
         "tolerance": scn.solver.tolerance,
         "iterations": h.iterations,
         "residual": h.residual,
@@ -240,7 +264,7 @@ def _solve_stage(scn, t, stages, chi=None):
 
 
 def run_solve(scn, outdir, stages):
-    t, _ = _prepare(scn, stages)
+    t = _prepare(scn, stages)
     chi, h, block = _solve_stage(scn, t, stages)
     report = _base_report(scn, t, "solve")
     report["chi"] = {"base_radius": chi.base_radius,
@@ -255,7 +279,10 @@ def run_solve(scn, outdir, stages):
 
 
 def run_necks(scn, outdir, stages):
-    t, net = _prepare(scn, stages)
+    t = _prepare(scn, stages)
+    stages.start("build_net")
+    net = build_net(t, scn.net_delta)
+    stages.stop()
     chi = scn.resolve_chi(t)
     stages.start("special_sets")
     neck_report = special_sets(t, net, scn.neck_R, chi)
@@ -291,7 +318,10 @@ def run_necks(scn, outdir, stages):
 
 
 def run_gap(scn, outdir, stages):
-    t, net = _prepare(scn, stages)
+    t = _prepare(scn, stages)
+    stages.start("build_net")
+    net = build_net(t, scn.net_delta)
+    stages.stop()
     stages.start("resolve_chi")
     chis = scn.resolve_chi_list(t)
     stages.stop()
@@ -308,7 +338,7 @@ def run_gap(scn, outdir, stages):
 
 
 def run_tree(scn, outdir, stages):
-    t, _ = _prepare(scn, stages)
+    t = _prepare(scn, stages)
     chi, h, block = _solve_stage(scn, t, stages)
 
     stages.start("walls")

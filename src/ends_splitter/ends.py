@@ -41,42 +41,31 @@ def complement_components(t, removed):
     radius-r ball pass the ball of radius r - 1.
     """
     removed = np.asarray(removed, dtype=np.int64)
-    alive = np.ones(t.n, dtype=bool)
-    alive[removed] = False
-    removed_mask = ~alive
+    removed_mask = np.zeros(t.n, dtype=bool)
+    removed_mask[removed] = True
+    eu, ev, _ = t.edges()
+    labels = t.component_labels(~(removed_mask[eu] | removed_mask[ev]))
 
-    comp = np.full(t.n, -1, dtype=np.int64)
-    out = []
-    for seed in range(t.n):
-        if not alive[seed] or comp[seed] >= 0:
-            continue
-        members = _flood(t, seed, alive, comp, len(out))
-        unbounded = bool(t.shell_mask[members].any())
-        # vertices of the component adjacent to the removed set
-        touches = (removed_mask[t.nbr[members]] & (t.nbr[members] >= 0)).any(axis=1)
-        out.append(ComplementComponent(
-            removed=removed, members=members, unbounded=unbounded,
-            boundary_attachment=members[touches], id=len(out),
-        ))
-    return out
+    # adjacency is symmetric, so the vertices touching the removed set are
+    # exactly the surviving neighbors of removed vertices
+    touches = np.zeros(t.n, dtype=bool)
+    nb = t.nbr[removed].ravel()
+    touches[nb[nb >= 0]] = True
+    touches[removed] = False
 
-
-def _flood(t, seed, alive, comp, label):
-    comp[seed] = label
-    frontier = np.asarray([seed], dtype=np.int64)
-    collected = [frontier]
-    while len(frontier):
-        nxt = t.nbr[frontier].ravel()
-        nxt = nxt[nxt >= 0]
-        nxt = nxt[alive[nxt]]
-        nxt = nxt[comp[nxt] < 0]
-        if len(nxt) == 0:
-            break
-        nxt = np.unique(nxt)
-        comp[nxt] = label
-        collected.append(nxt)
-        frontier = nxt
-    return np.sort(np.concatenate(collected))
+    alive = np.flatnonzero(~removed_mask)
+    by_label = alive[np.argsort(labels[alive], kind="stable")]
+    bounds = np.flatnonzero(np.diff(labels[by_label])) + 1
+    groups = sorted(np.split(by_label, bounds) if len(alive) else [],
+                    key=lambda members: members[0])
+    return [
+        ComplementComponent(
+            removed=removed, members=members,
+            unbounded=bool(t.shell_mask[members].any()),
+            boundary_attachment=members[touches[members]], id=i,
+        )
+        for i, members in enumerate(groups)
+    ]
 
 
 @dataclass

@@ -452,6 +452,24 @@ class Truncation:
             self._caches["csr"] = a.tocsr()
         return self._caches["csr"]
 
+    def component_labels(self, edge_keep):
+        """Connected-component label per vertex of the graph on the edges
+        of ``edges()`` selected by the boolean mask ``edge_keep``.
+
+        Every vertex gets a label; one left without kept edges is its own
+        component.
+        """
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        eu, ev, _ = self.edges()
+        kept = np.flatnonzero(edge_keep)
+        # one direction per edge suffices for an undirected labeling
+        g = csr_matrix((np.ones(len(kept), dtype=np.int8),
+                        (eu[kept], ev[kept])), shape=(self.n, self.n))
+        _, labels = connected_components(g, directed=False)
+        return labels
+
     # -- the right action ----------------------------------------------------
 
     def right_mult_table(self, letter):

@@ -28,15 +28,12 @@ from .errors import (
 class SolverConfig:
     tolerance: float = 1e-9          # max mean-value defect on the interior
     max_iterations: int = 10 ** 6
-    scheme: str = "gauss_seidel"     # gauss_seidel | jacobi | conjugate_direction
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise EndsSplitterError("solver tolerance must be positive")
         if self.max_iterations < 1:
             raise EndsSplitterError("max_iterations must be >= 1")
-        if self.scheme not in ("gauss_seidel", "jacobi", "conjugate_direction"):
-            raise EndsSplitterError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
@@ -153,14 +150,15 @@ def solve_dirichlet(t, chi, cfg=None):
 
     adj = t.csr_adjacency()
     deg = t.degrees().astype(np.float64)
-    inter = t.interior_mask
-
-    if cfg.scheme == "conjugate_direction":
-        x, iters = _solve_cg(t, adj, deg, x, cfg)
-    elif cfg.scheme == "jacobi":
-        x, iters = _solve_jacobi(t, adj, deg, x, cfg)
-    else:
-        x, iters = _solve_gauss_seidel(t, adj, deg, x, cfg)
+    # Gauss-Seidel: sweep the color classes in turn, checking the defect
+    # every fourth sweep and after the last one
+    rows = [(adj[ids], deg[ids], ids) for ids in _color_classes(t)]
+    for iters in range(1, cfg.max_iterations + 1):
+        for a, d, ids in rows:
+            x[ids] = a.dot(x) / d
+        if ((iters % 4 == 0 or iters == cfg.max_iterations)
+                and mean_value_defect(t, x) <= cfg.tolerance):
+            break
 
     res = mean_value_defect(t, x)
     if res > cfg.tolerance:
@@ -171,75 +169,6 @@ def solve_dirichlet(t, chi, cfg=None):
     np.clip(x, 0.0, 1.0, out=x)
     return HarmonicField(truncation=t, values=x, boundary_spec=chi,
                          residual=res, iterations=iters)
-
-
-def _solve_gauss_seidel(t, adj, deg, x, cfg):
-    classes = _color_classes(t)
-    rows = [(adj[ids], deg[ids], ids) for ids in classes]
-    check_every = 4
-    for it in range(1, cfg.max_iterations + 1):
-        for a, d, ids in rows:
-            x[ids] = a.dot(x) / d
-        if it % check_every == 0 or it == cfg.max_iterations:
-            if mean_value_defect(t, x) <= cfg.tolerance:
-                return x, it
-    return x, cfg.max_iterations
-
-
-def _solve_jacobi(t, adj, deg, x, cfg):
-    inter = t.interior_mask
-    for it in range(1, cfg.max_iterations + 1):
-        means = adj.dot(x) / deg
-        new = np.where(inter, means, x)
-        x = new
-        if it % 4 == 0 or it == cfg.max_iterations:
-            if mean_value_defect(t, x) <= cfg.tolerance:
-                return x, it
-    return x, cfg.max_iterations
-
-
-def _solve_cg(t, adj, deg, x, cfg):
-    """Conjugate directions on the interior block of the Dirichlet system."""
-    inter = t.interior_ids()
-    n_i = len(inter)
-    sel = np.zeros(t.n, dtype=bool)
-    sel[inter] = True
-
-    def apply_l(u_full):
-        return deg * u_full - adj.dot(u_full)
-
-    # rhs: contributions of fixed shell values into interior rows
-    xb = x.copy()
-    xb[sel] = 0.0
-    rhs = -apply_l(xb)[inter]
-
-    u = x[inter].copy()
-    full = np.zeros(t.n)
-
-    def apply_a(ui):
-        full[:] = 0.0
-        full[inter] = ui
-        return apply_l(full)[inter]
-
-    r = rhs - apply_a(u)
-    p = r.copy()
-    rs = float(r @ r)
-    it = 0
-    tol_stop = cfg.tolerance * deg[inter].min() * 0.25
-    for it in range(1, min(cfg.max_iterations, 10 * n_i + 10) + 1):
-        ap = apply_a(p)
-        alpha = rs / float(p @ ap)
-        u += alpha * p
-        r -= alpha * ap
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) <= tol_stop or np.abs(r).max() <= tol_stop:
-            rs = rs_new
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    x = x.copy()
-    x[inter] = u
-    return x, it
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def indecomposable_regions(t, system):
     wall_mask = system.wall_edge_mask(t)
     keep = dom[eu] & dom[ev] & ~wall_mask
 
-    flood = _components(t, dom, eu[keep], ev[keep])
+    flood = t.component_labels(keep)
 
     ids = np.flatnonzero(dom)
     if system.walls:
@@ -293,21 +293,6 @@ def indecomposable_regions(t, system):
             id=lab, members=members, adjacent_walls=[],
             n_pieces=pieces.get(lab, 1)))
     return RegionDecomposition(labels=labels, regions=regions)
-
-
-def _components(t, dom, eu, ev):
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = t.n
-    data = np.ones(2 * len(eu), dtype=np.int8)
-    rows = np.concatenate([eu, ev])
-    cols = np.concatenate([ev, eu])
-    g = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    _, labels = connected_components(g, directed=False)
-    labels = labels.astype(np.int64)
-    labels[~dom] = -1
-    return labels
 
 
 @dataclass

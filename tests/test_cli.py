@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ends_splitter import cli
 
 import oracles
@@ -59,6 +61,32 @@ def test_malformed_json_reports_location(tmp_path, capsys):
 def test_unknown_fields_rejected(tmp_path, capsys):
     path = write_scenario(tmp_path, extra_knob=5)
     assert run("solve", path, tmp_path / "out") == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    {"truncation_radius": None},
+    {"solver": {"max_iterations": None}},
+    {"group": {"kind": "free"}},
+    {"solver": {"tolerance": "x"}},
+    {"solver": {"scheme": "jacobi"}},
+])
+def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
+    path = write_scenario(tmp_path, **overrides)
+    assert run("solve", path, tmp_path / "out") == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    msg = json.loads(lines[0])
+    assert msg["ok"] is False and msg["exit_code"] == 1
+    assert msg["error"] == "ScenarioError"
+
+
+def test_scenario_that_is_not_an_object_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert cli.main(["solve", "--scenario", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+    msg = json.loads(capsys.readouterr().out.strip())
+    assert msg["error"] == "ScenarioError"
 
 
 def test_bad_radius_ordering_rejected(tmp_path):

@@ -45,13 +45,26 @@ def test_removing_a_closed_ball_splits_at_its_sphere(t_f2_r6):
     assert len(comps) == 12
 
 
-def test_components_match_independent_flood_fill(t_z23_r8):
-    t = t_z23_r8
-    adj = oracles.adjacency_dict(t)
-    removed = t.word_ball([0], 2)
+def _assert_components_match_oracle(t, adj, removed):
+    """Members, unbounded flags and boundary attachments against a plain
+    flood fill over the adjacency dict."""
     ours = complement_components(t, removed)
     theirs = oracles.flood_components(adj, removed)
     assert [list(map(int, c.members)) for c in ours] == theirs
+    removed_set = set(map(int, removed))
+    shell = set(map(int, t.shell_ids()))
+    for c, members in zip(ours, theirs):
+        assert c.unbounded == any(v in shell for v in members)
+        attached = [v for v in members
+                    if any(w in removed_set for w in adj[v])]
+        assert list(map(int, c.boundary_attachment)) == attached
+    return ours
+
+
+def test_components_match_independent_flood_fill(t_z23_r8):
+    t = t_z23_r8
+    adj = oracles.adjacency_dict(t)
+    _assert_components_match_oracle(t, adj, t.word_ball([0], 2))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -62,9 +75,7 @@ def test_randomized_components_agree_with_oracle(seed, t_f2_r4, t_z23_r8):
     for _ in range(10):
         k = int(rng.integers(0, 8))
         removed = rng.choice(t.n, size=k, replace=False) if k else []
-        ours = complement_components(t, removed)
-        theirs = oracles.flood_components(adj, removed)
-        assert [list(map(int, c.members)) for c in ours] == theirs
+        ours = _assert_components_match_oracle(t, adj, removed)
         # partition property
         total = sum(len(c.members) for c in ours) + len(set(map(int, removed)))
         assert total == t.n
