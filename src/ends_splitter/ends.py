@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EndsSplitterError
+from .errors import EndsSplitterError, ScenarioError
 
 INFINITE_DIAMETER = -1   # profile sentinel: +infinity at window scale
 
@@ -181,12 +181,15 @@ def make_end_function(t, r, values_by_word=None, rule=None, default=None):
         for c in classes:
             values[c.id] = 1 if c.representative_word.startswith(gen) else 0
     else:
-        by_word = dict(values_by_word or {})
+        by_word = {w: _zero_or_one(v, f"chi value for {w!r}")
+                   for w, v in (values_by_word or {}).items()}
+        if default is not None:
+            default = _zero_or_one(default, "chi default")
         for c in classes:
             if c.representative_word in by_word:
-                values[c.id] = int(by_word.pop(c.representative_word))
+                values[c.id] = by_word.pop(c.representative_word)
             elif default is not None:
-                values[c.id] = int(default)
+                values[c.id] = default
             else:
                 raise EndsSplitterError(
                     f"no value for end class {c.representative_word!r} "
@@ -197,6 +200,14 @@ def make_end_function(t, r, values_by_word=None, rule=None, default=None):
                 f"chi names unknown end classes: {sorted(by_word)}"
             )
     return EndFunction(base_radius=r, classes=classes, values=values)
+
+
+def _zero_or_one(value, what):
+    # bools and floats such as 0.7 are refused rather than truncated by int()
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value in (0, 1)):
+        return int(value)
+    raise ScenarioError(f"{what} must be the integer 0 or 1, got {value!r}")
 
 
 def all_nonconstant_end_functions(t, r, limit=2 ** 16):

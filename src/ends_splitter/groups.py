@@ -30,6 +30,9 @@ from .errors import PresentationError
 _FREE_NAMES = "abcdfghijklmnopqr"
 _CYCLIC_NAMES = "stuvwxyz"
 
+# vertices per block of Truncation.word_blocks
+_WORD_BLOCK = 1 << 16
+
 
 class OutOfBall:
     """Sentinel value: a product left the truncation.  Not an error."""
@@ -415,6 +418,48 @@ class Truncation:
 
     def vertex(self, v):
         return Vertex(id=int(v), word=self.word(v))
+
+    def word_blocks(self):
+        """``(ids, words)`` pairs covering every vertex in id order: ``ids``
+        is a slice of at most ``_WORD_BLOCK`` consecutive ids and ``words``
+        the list of their ``word(v)``.
+
+        Words are rendered once each and not kept beyond their block,
+        except on the free tree, which keeps one sphere to build the next.
+        """
+        if self.presentation is None:
+            words = (f"v{v}" for v in range(self.n))
+        elif self.stored_words is not None:
+            words = map(self.presentation.engine().render, self.stored_words)
+        else:
+            words = self._free_tree_words()
+        for start in range(0, self.n, _WORD_BLOCK):
+            stop = min(start + _WORD_BLOCK, self.n)
+            yield slice(start, stop), list(
+                itertools.islice(words, stop - start))
+
+    def _free_tree_words(self):
+        # v == parent_letter[v] * parent[v] is already reduced on the free
+        # tree, so a word is its leading letter's name before its parent's
+        # word; spheres are contiguous id ranges, parents one sphere in
+        names = self.presentation.engine().letter_names
+        prev, prev_start = [""], 0
+        yield "e"
+        spheres = _sphere_slices(self.dist, np.arange(self.n))
+        next(spheres)                   # the identity's
+        for sphere in spheres:
+            lo, hi = sphere.start, sphere.stop
+            keep = hi < self.n          # the shell's words are never parents
+            cur = []
+            for a in range(lo, hi, _WORD_BLOCK):
+                b = min(a + _WORD_BLOCK, hi)
+                chunk = [names[l] + prev[p] for l, p in zip(
+                    self.parent_letter[a:b].tolist(),
+                    (self.parent[a:b] - prev_start).tolist())]
+                if keep:
+                    cur.extend(chunk)
+                yield from chunk
+            prev, prev_start = cur, lo
 
     def letter_id(self, letter):
         """Accepts a letter id or a one-character generator/inverse name."""

@@ -59,11 +59,13 @@ class HarmonicField:
         }
 
     def to_csv(self, path):
-        t = self.truncation
+        """One ``word,value`` row per vertex, in vertex-id order, streamed
+        a block of words at a time."""
+        line = "{},{:.17g}\n".format
         with open(path, "w") as fh:
             fh.write("word,value\n")
-            for v in range(t.n):
-                fh.write(f"{t.word(v)},{self.values[v]:.17g}\n")
+            for ids, words in self.truncation.word_blocks():
+                fh.writelines(map(line, words, self.values[ids].tolist()))
 
 
 @dataclass
@@ -428,15 +430,10 @@ def decay_profile(h, anchor_ids, component, theta):
     if len(touch) == 0:
         raise EndsSplitterError("component does not touch the anchor")
     dist = t.graph_distances_from(touch, allowed_mask=allowed)
-    dev = np.abs(h.values - theta)
-    by_distance = {}
-    for v in component.members:
-        d = int(dist[v])
-        if d < 0:
-            continue
-        cur = by_distance.get(d, 0.0)
-        if dev[v] > cur:
-            by_distance[d] = float(dev[v])
-        elif d not in by_distance:
-            by_distance[d] = cur
+    d = dist[component.members]
+    reached = component.members[d >= 0]
+    d = d[d >= 0]
+    best = np.zeros(int(d.max()) + 1)
+    np.maximum.at(best, d, np.abs(h.values[reached] - theta))
+    by_distance = {int(k): float(best[k]) for k in np.unique(d)}
     return DecayProfile(anchor=anchor_ids, theta=theta, by_distance=by_distance)

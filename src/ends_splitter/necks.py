@@ -310,18 +310,29 @@ class NeckReport:
         }
 
 
-def special_sets(t, net, R, chi, margin=None, check_structure=True):
+def _tree_masks(t, chi):
+    """Shell-trace masks on the free tree, None for every other group."""
+    if t.presentation is not None and t.presentation.kind == "free":
+        return _TreeTraceMasks(t, chi)
+    return None
+
+
+def special_sets(t, net, R, chi, margin=None, check_structure=True,
+                 survey=None, tree_masks=None):
     """Classify every neck of the survey and extract K, K_I, K_II.
 
     With no undecidable verdicts the structural checks run: K must be
     nonempty for nonconstant chi, and every unbounded complement component
     of the K_I-ball system must be a cluster.
+
+    ``survey`` (``find_necks(t, net, R, margin)``) and ``tree_masks``
+    (``_tree_masks(t, chi)``) are computed here unless the caller passes
+    the ones it holds.
     """
     chi.require_nonconstant()
-    survey = find_necks(t, net, R, margin=margin)
-    masks = None
-    if t.presentation is not None and t.presentation.kind == "free":
-        masks = _TreeTraceMasks(t, chi)
+    if survey is None:
+        survey = find_necks(t, net, R, margin=margin)
+    masks = tree_masks if tree_masks is not None else _tree_masks(t, chi)
 
     classes = {}
     k_ids, k1_ids, k2_ids = [], [], []
@@ -730,14 +741,15 @@ def energy_gap_estimate(t, net, R, chis, solver_cfg=None, margin=None):
     rows = []
     best_mu = 0.0
     min_energy = math.inf
+    # the neck survey does not depend on chi
+    survey = find_necks(t, net, R, margin=margin)
     for chi in chis:
         chi.require_nonconstant()
         h = solve_dirichlet(t, chi, solver_cfg)
         e_total = energy(h).total
-        report = special_sets(t, net, R, chi, margin=margin)
-        masks = None
-        if t.presentation is not None and t.presentation.kind == "free":
-            masks = _TreeTraceMasks(t, chi)
+        masks = _tree_masks(t, chi)
+        report = special_sets(t, net, R, chi, margin=margin, survey=survey,
+                              tree_masks=masks)
         mus = []
         for neck in report.survey.necks:
             if neck.center not in report.center_ids["K_I"]:

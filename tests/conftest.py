@@ -1,7 +1,12 @@
 import pytest
 
 from ends_splitter.ends import make_end_function
-from ends_splitter.groups import Presentation, build_net, build_truncation
+from ends_splitter.groups import (
+    Presentation,
+    build_net,
+    build_truncation,
+    path_truncation,
+)
 from ends_splitter.harmonic import solve_dirichlet
 
 
@@ -58,3 +63,21 @@ def net1_f2_r8(t_f2_r8):
 @pytest.fixture(scope="session")
 def net2_f2_r8(t_f2_r8):
     return build_net(t_f2_r8, 2)
+
+
+# one truncation per builder path: the closed-form free tree (two ranks),
+# the generic builder (a Z factor and two finite ones), no presentation
+_STREAM_CASES = {
+    "F2-r6": lambda: build_truncation(Presentation.free(2), 6),
+    "F3-r5": lambda: build_truncation(Presentation.free(3), 5),
+    "Z3*Z-r7": lambda: build_truncation(
+        Presentation.free_product_of_cyclics([3, 0]), 7),
+    "Z2*Z3-r12": lambda: build_truncation(
+        Presentation.free_product_of_cyclics([2, 3]), 12),
+    "path": lambda: path_truncation(20),
+}
+
+
+@pytest.fixture(scope="session", params=sorted(_STREAM_CASES))
+def stream_truncation(request):
+    return _STREAM_CASES[request.param]()

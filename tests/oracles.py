@@ -170,6 +170,39 @@ def dirichlet_energy(t, values):
     return total
 
 
+# -- per-vertex loops the package has vectorised ------------------------------
+
+def field_csv_per_vertex(h, path):
+    """``field.csv`` written one ``Truncation.word`` call per vertex."""
+    t = h.truncation
+    with open(path, "w") as fh:
+        fh.write("word,value\n")
+        for v in range(t.n):
+            fh.write(f"{t.word(v)},{h.values[v]:.17g}\n")
+
+
+def decay_profile(t, values, anchor_ids, members, theta):
+    """Max |value - theta| per distance inside ``members`` from the members
+    adjacent to ``anchor_ids``, one member at a time."""
+    adj = adjacency_dict(t)
+    anchors = set(int(v) for v in anchor_ids)
+    allowed = set(int(v) for v in members)
+    touch = [v for v in sorted(allowed) if any(w in anchors for w in adj[v])]
+    dist = bfs_distances(adj, touch, allowed)
+    by_distance = {}
+    for v in sorted(allowed):
+        if v not in dist:
+            continue
+        d = dist[v]
+        dev = abs(values[v] - theta)
+        cur = by_distance.get(d, 0.0)
+        if dev > cur:
+            by_distance[d] = float(dev)
+        elif d not in by_distance:
+            by_distance[d] = cur
+    return by_distance
+
+
 # -- one-sided branch decay recursion -----------------------------------------
 
 def branch_profile(branching, depth, root_value):

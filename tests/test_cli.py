@@ -69,6 +69,9 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     {"group": {"kind": "free"}},
     {"solver": {"tolerance": "x"}},
     {"solver": {"scheme": "jacobi"}},
+    {"chi": {"map": {"a": 1, "A": 0.7, "b": 0, "B": 0}}},
+    {"chi": {"map": {"a": 1, "A": [0]}}},
+    {"chi": {"map": {"a": 1}, "default": "x"}},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)

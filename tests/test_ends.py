@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ends_splitter.errors import EndsSplitterError
+from ends_splitter.errors import EndsSplitterError, ScenarioError
 from ends_splitter.ends import (
     INFINITE_DIAMETER,
     all_nonconstant_end_functions,
@@ -127,6 +127,25 @@ def test_end_function_totality_enforced(t_f2_r6):
         make_end_function(t_f2_r6, 1, values_by_word={"a": 1})
     with pytest.raises(EndsSplitterError, match="unknown end classes"):
         make_end_function(t_f2_r6, 1, values_by_word={"zz": 1}, default=0)
+
+
+@pytest.mark.parametrize("values, default", [
+    ({"a": 1, "A": 0.7, "b": 0, "B": 0}, None),
+    ({"a": 1, "A": [0]}, 0),
+    ({"a": True}, 0),
+    ({"a": "1"}, 0),
+    ({"a": 1}, 2),
+    ({"a": 1}, "x"),
+])
+def test_end_function_values_must_be_integer_0_or_1(t_f2_r6, values, default):
+    with pytest.raises(ScenarioError, match="integer 0 or 1"):
+        make_end_function(t_f2_r6, 1, values_by_word=values, default=default)
+
+
+def test_end_function_accepts_numpy_integers(t_f2_r6):
+    chi = make_end_function(t_f2_r6, 1, values_by_word={"a": np.int64(1)},
+                            default=np.int8(0))
+    assert chi.assignments_by_word() == {"a": 1, "A": 0, "b": 0, "B": 0}
 
 
 def test_first_letter_rule(t_f2_r6):

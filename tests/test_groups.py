@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ends_splitter import groups
 from ends_splitter.errors import PresentationError
 from ends_splitter.groups import (
     OUT_OF_BALL,
@@ -262,3 +263,20 @@ def test_path_truncation_shape():
     assert t.n == 7
     assert list(t.shell_ids()) == [0, 6]
     assert t.degrees().tolist() == [1, 2, 2, 2, 2, 2, 1]
+
+
+# -- streamed words -----------------------------------------------------------------
+
+def test_word_blocks_match_per_vertex_words(stream_truncation, monkeypatch):
+    # blocks of 7 cross sphere boundaries on every case
+    monkeypatch.setattr(groups, "_WORD_BLOCK", 7)
+    t = stream_truncation
+    ids, words = [], []
+    for block, ws in t.word_blocks():
+        assert block.start == len(ids)
+        assert block.stop - block.start == len(ws)
+        assert len(ws) == 7 or block.stop == t.n
+        ids.extend(range(block.start, block.stop))
+        words.extend(ws)
+    assert ids == list(range(t.n))
+    assert words == [t.word(v) for v in range(t.n)]

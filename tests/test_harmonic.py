@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ends_splitter import groups
 from ends_splitter.errors import MismatchedTruncations, NonConvergence
 from ends_splitter.ends import complement_components, make_end_function
-from ends_splitter.groups import build_truncation, group_ball, path_truncation
+from ends_splitter.groups import (
+    Presentation,
+    Truncation,
+    build_truncation,
+    group_ball,
+    path_truncation,
+)
 from ends_splitter.harmonic import (
     HarmonicField,
     PartialField,
@@ -388,3 +395,54 @@ def test_decay_attachment_row_bounded(h_first_letter_r8):
     prof = decay_profile(h_first_letter_r8, [0], branch, 1)
     assert 0 in prof.by_distance
     assert prof.by_distance[0] <= 1.0
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_decay_profile_matches_per_member_oracle_f2(h_first_letter_r8, theta):
+    h = h_first_letter_r8
+    for c in h.boundary_spec.classes:
+        prof = decay_profile(h, [0], c.component, theta)
+        assert prof.by_distance == oracles.decay_profile(
+            h.truncation, h.values, [0], c.component.members, theta)
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_decay_profile_matches_per_member_oracle_z2z3(theta):
+    t = build_truncation(Presentation.free_product_of_cyclics([2, 3]), 12)
+    chi = make_end_function(t, 2, rule="first_letter:s")
+    h = solve_dirichlet(t, chi)
+    anchor = np.flatnonzero(t.dist <= 1)
+    comps = complement_components(t, anchor)
+    assert len(comps) >= 2
+    for comp in comps:
+        prof = decay_profile(h, anchor, comp, theta)
+        assert prof.by_distance == oracles.decay_profile(
+            t, h.values, anchor, comp.members, theta)
+
+
+# -- field.csv ------------------------------------------------------------------------
+
+def test_to_csv_matches_per_vertex_oracle(stream_truncation, tmp_path,
+                                          monkeypatch):
+    monkeypatch.setattr(groups, "_WORD_BLOCK", 7)
+    t = stream_truncation
+    values = np.random.default_rng(5).random(t.n)
+    values[:4] = [0.0, 1.0, 0.25, 1e-17]
+    h = synthetic_field(t, values)
+    h.to_csv(tmp_path / "streamed.csv")
+    oracles.field_csv_per_vertex(h, tmp_path / "per_vertex.csv")
+    assert ((tmp_path / "streamed.csv").read_bytes()
+            == (tmp_path / "per_vertex.csv").read_bytes())
+
+
+def test_to_csv_on_free_tree_makes_no_word_calls(t_f2_r6, tmp_path,
+                                                 monkeypatch):
+    calls = []
+    word = Truncation.word
+    monkeypatch.setattr(Truncation, "word",
+                        lambda self, v: calls.append(v) or word(self, v))
+    h = synthetic_field(t_f2_r6, np.zeros(t_f2_r6.n))
+    h.to_csv(tmp_path / "field.csv")
+    assert calls == []
+    rows = (tmp_path / "field.csv").read_text().splitlines()
+    assert len(rows) == t_f2_r6.n + 1

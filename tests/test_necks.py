@@ -451,3 +451,41 @@ def test_energy_gap_bracket_exhaustive(t_f2_r6):
     for row in bracket.rows:
         assert 0 < row["mu"] <= row["energy"] + 1e-12
         assert row["k1_size"] <= row["kappa_bound"]
+
+
+def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
+                                                          monkeypatch):
+    from ends_splitter import necks
+    from ends_splitter.ends import all_nonconstant_end_functions
+
+    net = build_net(t_f2_r6, 2)
+    chis = all_nonconstant_end_functions(t_f2_r6, 1)[:5]
+    calls = []
+    find_necks = necks.find_necks
+
+    def counted_find_necks(*args, **kwargs):
+        calls.append("find_necks")
+        return find_necks(*args, **kwargs)
+
+    class CountedMasks(necks._TreeTraceMasks):
+        def __init__(self, t, chi):
+            calls.append("masks")
+            super().__init__(t, chi)
+
+    monkeypatch.setattr(necks, "find_necks", counted_find_necks)
+    monkeypatch.setattr(necks, "_TreeTraceMasks", CountedMasks)
+    bracket = energy_gap_estimate(t_f2_r6, net, 1, chis)
+    assert calls.count("find_necks") == 1
+    assert calls.count("masks") == len(chis)
+    monkeypatch.undo()
+
+    # each chi on its own: its own survey, flood-fill classification
+    for chi, row in zip(chis, bracket.rows):
+        h = solve_dirichlet(t_f2_r6, chi)
+        report = special_sets(t_f2_r6, net, 1, chi)
+        mus = [gap_certificate(h, neck, chi).mu
+               for neck in report.survey.necks
+               if neck.center in report.center_ids["K_I"]]
+        assert row["energy"] == energy(h).total
+        assert row["k1_size"] == len(report.K_I)
+        assert row["mu"] == max(mus)
