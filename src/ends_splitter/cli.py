@@ -42,6 +42,7 @@ from .walls import (
     action_on_tree,
     build_wall_tree,
     build_walls,
+    check_wall_settings,
     choose_threshold,
     indecomposable_regions,
     trichotomy,
@@ -124,6 +125,13 @@ class Scenario:
                 "need truncation_radius > base_radius >= neck_R >= 1, got "
                 f"{self.truncation_radius} / {self.base_radius} / {self.neck_R}"
             )
+        if self.net_delta < 1:
+            raise ScenarioError(f"need net_delta >= 1, got {self.net_delta}")
+        if not 0 <= self.wall_sample_radius <= self.truncation_radius:
+            raise ScenarioError(
+                "need 0 <= wall sample_radius <= truncation_radius, got "
+                f"{self.wall_sample_radius} / {self.truncation_radius}")
+        check_wall_settings(self.wall_step, self.wall_equality_tol)
 
     def echo(self):
         return {
@@ -343,17 +351,19 @@ def run_tree(scn, outdir, stages):
 
     stages.start("walls")
     sample = group_ball(t, scn.wall_sample_radius)
-    verdicts = [trichotomy(h, g, scn.wall_equality_tol) for g in sample]
+    maps = t.right_action_maps(sample)
+    verdicts = [trichotomy(h, g, scn.wall_equality_tol, img=img)
+                for g, img in zip(sample, maps)]
     cfg = choose_threshold(h, sample, equality_tol=scn.wall_equality_tol,
                            step=scn.wall_step,
-                           sample_radius=scn.wall_sample_radius)
-    system = build_walls(h, cfg, sample)
+                           sample_radius=scn.wall_sample_radius, maps=maps)
+    system = build_walls(h, cfg, sample, maps)
     stages.stop()
 
     stages.start("wall_tree")
     decomposition = indecomposable_regions(t, system)
     tree = build_wall_tree(t, system, decomposition)
-    action = action_on_tree(t, h, system, tree, sample)
+    action = action_on_tree(t, h, system, tree, sample, maps)
     stages.stop()
 
     report = _base_report(scn, t, "tree")
@@ -383,7 +393,7 @@ def run_tree(scn, outdir, stages):
 _RUNNERS = {"solve": run_solve, "necks": run_necks, "gap": run_gap,
             "tree": run_tree}
 
-_CONFIG_ERRORS = (ScenarioError, PresentationError, NoRegularValue, ValueError)
+_CONFIG_ERRORS = (ScenarioError, PresentationError, NoRegularValue)
 _NUMERIC_ERRORS = (NonConvergence,)
 _STRUCTURAL_ERRORS = (NotATree, CrossingWalls, NeckCoverageError,
                       DegenerateDrop)

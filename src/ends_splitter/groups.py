@@ -523,7 +523,6 @@ class Truncation:
         letter = self.letter_id(letter)
         key = ("rmul", letter)
         if key not in self._caches:
-            eng = self.presentation.engine()
             r = np.full(self.n, -1, dtype=np.int64)
             r[0] = self.nbr[0, letter]
             order = np.argsort(self.dist, kind="stable")[1:]
@@ -547,6 +546,22 @@ class Truncation:
             ok = out >= 0
             out[ok] = table[out[ok]]
         return out
+
+    def right_action_maps(self, elements):
+        """``rmul_ids(arange(n), g)`` for each element g, as int32.  The map
+        of g = l * w (l the first letter of g's geodesic) is one gather
+        from the map of w, built once even when w is not among elements."""
+        assert self.n < 2 ** 31
+        maps = {(): np.arange(self.n, dtype=np.int32)}
+
+        def of(letters):
+            if letters not in maps:
+                rest = of(letters[1:])
+                table = self.right_mult_table(letters[0])
+                maps[letters] = np.where(table >= 0, rest[table], -1)
+            return maps[letters]
+
+        return [of(tuple(g.letters())) for g in elements]
 
     def word_ball_paths(self, r):
         """Geodesic letter sequences for all nontrivial elements of length

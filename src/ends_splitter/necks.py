@@ -83,6 +83,7 @@ class NeckSurvey:
     cover_ok: bool
     cover_radius: int         # smallest R covering the window from this net
     window_distance: int
+    center_words: list = field(repr=False)    # t.word of each neck center
 
 
 def find_necks(t, net, R, margin=None):
@@ -116,7 +117,8 @@ def find_necks(t, net, R, margin=None):
         cover_radius = -1
     return NeckSurvey(R=R, margin=margin, necks=necks,
                       centers_considered=len(centers), cover_ok=cover_ok,
-                      cover_radius=cover_radius, window_distance=window)
+                      cover_radius=cover_radius, window_distance=window,
+                      center_words=[t.word(n.center) for n in necks])
 
 
 def _find_necks_generic(t, centers, R):
@@ -337,9 +339,8 @@ def special_sets(t, net, R, chi, margin=None, check_structure=True,
     classes = {}
     k_ids, k1_ids, k2_ids = [], [], []
     warnings = []
-    for neck in survey.necks:
+    for neck, word in zip(survey.necks, survey.center_words):
         cls = classify_neck(t, neck, chi, tree_masks=masks)
-        word = t.word(neck.center)
         classes[word] = cls.label()
         if cls.kind == "undecidable":
             warnings.append(f"undecidable neck at {word}")
@@ -371,11 +372,12 @@ def special_sets(t, net, R, chi, margin=None, check_structure=True,
                 "type-1 centers are invisible to this net"
             )
 
+    word_of = dict(zip((n.center for n in survey.necks), survey.center_words))
     report = NeckReport(
         R=R, chi_summary=chi.assignments_by_word(),
-        K=[t.word(v) for v in k_ids],
-        K_I=[t.word(v) for v in k1_ids],
-        K_II=[t.word(v) for v in k2_ids],
+        K=[word_of[v] for v in k_ids],
+        K_I=[word_of[v] for v in k1_ids],
+        K_II=[word_of[v] for v in k2_ids],
         classes=classes, warnings=warnings,
         cover_ok=survey.cover_ok, cover_radius=survey.cover_radius,
         center_ids={"K": k_ids, "K_I": k1_ids, "K_II": k2_ids},

@@ -13,12 +13,13 @@ shadow of minimality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossingWalls, EndsSplitterError, NoRegularValue, NotATree
-from .harmonic import pullback
+from .errors import (CrossingWalls, EndsSplitterError, NoRegularValue,
+                     NotATree, ScenarioError)
 
 RELATIONS = ("eq_h", "lt_h", "gt_h", "eq_one_minus_h", "lt_one_minus_h",
              "gt_one_minus_h")
@@ -43,15 +44,26 @@ class TrichotomyVerdict:
         return self.relation == "violation"
 
 
-def trichotomy(h, g, equality_tol=1e-9, pulled=None):
+def _pulled(h, g, img=None):
+    """Values and domain of the pullback v -> h(v * g), from g's id map
+    (built here when not given); values off the domain are 0."""
+    if img is None:
+        img = h.truncation.right_action_maps([g])[0]
+    dom = img >= 0
+    return np.where(dom, h.values[img], 0.0), dom
+
+
+def trichotomy(h, g, equality_tol=1e-9, pulled=None, img=None):
     """Classify the pullback of h along g against h and 1 - h pointwise on
-    the common domain.  ``pulled`` overrides the pullback (tests)."""
-    f = pulled if pulled is not None else pullback(h, g)
-    if not f.domain.any():
+    the common domain.  ``img`` is g's id map
+    (``Truncation.right_action_maps``), built here when not given;
+    ``pulled`` overrides the pullback (tests)."""
+    vals, dom = ((pulled.values, pulled.domain) if pulled is not None
+                 else _pulled(h, g, img))
+    if not dom.any():
         raise EndsSplitterError(f"pullback domain of {g} is empty")
-    dom = f.domain
     base = h.values[dom]
-    vals = f.values[dom]
+    vals = vals[dom]
     ids = np.flatnonzero(dom)
 
     failures = {}
@@ -81,14 +93,29 @@ def trichotomy(h, g, equality_tol=1e-9, pulled=None):
                              max_slack=float(failures[best]), witness=int(w))
 
 
+def check_wall_settings(step, equality_tol):
+    """ScenarioError unless step is finite and > 0 and equality_tol is
+    finite and >= 0; a zero step would retry 1/2 forever."""
+    if not (math.isfinite(step) and step > 0):
+        raise ScenarioError(f"wall step must be finite and > 0, got {step!r}")
+    if not (math.isfinite(equality_tol) and equality_tol >= 0):
+        raise ScenarioError(
+            f"wall equality_tol must be finite and >= 0, got {equality_tol!r}")
+
+
 def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
-                     sample_radius=None):
+                     sample_radius=None, maps=None):
     """Smallest t = 1/2 + k*step that keeps distance >= equality_tol from
-    every sampled pullback value; NoRegularValue if none below 0.6 works."""
+    every sampled pullback value; NoRegularValue if none below 0.6 works.
+    ``maps`` are the sample's id maps, built here when not given."""
+    check_wall_settings(step, equality_tol)
+    maps = h.truncation.right_action_maps(sample) if maps is None else maps
+    # only values within equality_tol of [0.5, 0.6] can block a candidate
+    lo, hi = 0.5 - equality_tol, 0.6 + equality_tol
     values = []
-    for g in sample:
-        f = pullback(h, g)
-        values.append(f.values[f.domain])
+    for img in maps:
+        vals = h.values[img[img >= 0]]
+        values.append(vals[(vals >= lo) & (vals <= hi)])
     allv = np.unique(np.concatenate(values))
     k = 1
     while True:
@@ -120,9 +147,6 @@ class Wall:
     def label(self):
         return self.labels[0]
 
-    def edge_key(self):
-        return tuple(self.edge_ids.tolist())
-
 
 @dataclass
 class WallSystem:
@@ -139,35 +163,36 @@ class WallSystem:
         return mask
 
 
-def common_domain(h, sample):
-    """Component of the basepoint inside the joint pullback domain."""
+def common_domain(h, maps):
+    """Component of the basepoint inside the joint pullback domain of the
+    sample whose id maps are ``maps``."""
     t = h.truncation
     dom = np.ones(t.n, dtype=bool)
-    for g in sample:
-        ids = t.rmul_ids(np.arange(t.n, dtype=np.int64), g)
-        dom &= ids >= 0
+    for img in maps:
+        dom &= img >= 0
     if not dom[0]:
         raise EndsSplitterError("the basepoint fell out of the sample domain")
     dist = t.graph_distances_from([0], allowed_mask=dom)
     return dist >= 0
 
 
-def build_walls(h, cfg, sample):
+def build_walls(h, cfg, sample, maps=None):
     """One wall per distinct crossing edge set over the sampled pullbacks,
-    restricted to the common valid domain."""
+    restricted to the common valid domain.  ``maps`` are the sample's id
+    maps, built here when not given."""
     t = h.truncation
-    dom = common_domain(h, sample)
+    maps = t.right_action_maps(sample) if maps is None else maps
+    dom = common_domain(h, maps)
     eu, ev, _ = t.edges()
     edom = dom[eu] & dom[ev]
 
     by_key = {}
     order = []
     empty = []
-    for g in sample:
-        f = pullback(h, g)
-        vals = f.values
+    for g, img in zip(sample, maps):
+        vals, fdom = _pulled(h, g, img)
         above = vals > cfg.threshold
-        crossing = edom & f.domain[eu] & f.domain[ev] & (above[eu] != above[ev])
+        crossing = edom & fdom[eu] & fdom[ev] & (above[eu] != above[ev])
         ids = np.flatnonzero(crossing)
         if len(ids) == 0:
             empty.append(str(g))
@@ -177,7 +202,7 @@ def build_walls(h, cfg, sample):
             by_key[key].labels.append(str(g))
             continue
         side = np.zeros(t.n, dtype=np.int8)
-        side[dom & f.domain] = np.where(above[dom & f.domain], 1, -1)
+        side[dom & fdom] = np.where(above[dom & fdom], 1, -1)
         wall = Wall(labels=[str(g)], edge_ids=ids, side=side)
         by_key[key] = wall
         order.append(key)
@@ -257,41 +282,35 @@ def indecomposable_regions(t, system):
     wall_mask = system.wall_edge_mask(t)
     keep = dom[eu] & dom[ev] & ~wall_mask
 
-    flood = t.component_labels(keep)
-
     ids = np.flatnonzero(dom)
-    if system.walls:
-        side_matrix = np.stack([w.side[ids] for w in system.walls], axis=1)
-    else:
-        side_matrix = np.zeros((len(ids), 1), dtype=np.int8)
-    _, inverse = np.unique(side_matrix, axis=0, return_inverse=True)
-
+    # side signature folded in one wall at a time and renumbered after
+    # each, so its codes stay below len(ids) for any number of walls
+    sig = np.zeros(len(ids), dtype=np.int64)
+    for w in system.walls:
+        _, sig = np.unique(3 * sig + (w.side[ids] + 1), return_inverse=True)
     # deterministic region ids ordered by smallest member
-    order = {}
-    for pos, v in enumerate(ids):
-        key = int(inverse[pos])
-        if key not in order:
-            order[key] = len(order)
+    _, first, sig = np.unique(sig, return_index=True, return_inverse=True)
+    region = np.argsort(np.argsort(first))[sig]
     labels = np.full(t.n, -1, dtype=np.int64)
-    labels[ids] = [order[int(k)] for k in inverse]
+    labels[ids] = region
+    n_regions = len(first)
 
     # each flood component must sit inside one signature class
-    pairs = {(int(flood[v]), int(labels[v])) for v in ids}
-    flood_ids = {f for f, _ in pairs}
-    if len(pairs) != len(flood_ids):
+    flood = t.component_labels(keep)[ids].astype(np.int64)
+    pairs = np.unique(flood * n_regions + region)
+    if len(pairs) != len(np.unique(flood)):
         raise CrossingWalls(
             "a wall separates vertices inside one wall-free component"
         )
 
-    pieces = {}
-    for f, s in pairs:
-        pieces[s] = pieces.get(s, 0) + 1
-    regions = []
-    for lab in range(len(order)):
-        members = np.flatnonzero(labels == lab)
-        regions.append(IndecomposableRegion(
-            id=lab, members=members, adjacent_walls=[],
-            n_pieces=pieces.get(lab, 1)))
+    pieces = np.bincount(pairs % n_regions, minlength=n_regions)
+    sizes = np.bincount(region, minlength=n_regions)
+    members = np.split(ids[np.argsort(region, kind="stable")],
+                       np.cumsum(sizes)[:-1])
+    regions = [IndecomposableRegion(id=lab, members=members[lab],
+                                    adjacent_walls=[],
+                                    n_pieces=int(pieces[lab]))
+               for lab in range(n_regions)]
     return RegionDecomposition(labels=labels, regions=regions)
 
 
@@ -417,142 +436,120 @@ class ActionReport:
         return out
 
 
-def action_on_tree(t, h, system, tree, sample):
+def action_on_tree(t, h, system, tree, sample, maps=None):
     """The sampled right action on regions and walls.
 
     Reports per-element region maps, wall images (equal / disjoint /
     out-of-window), sampled edge stabilizers, inversion and fixed-region
     probes, and whether the pullback's min/max shell traces are constant.
+    ``maps`` are the sample's id maps, built here when not given.  Walls
+    must be edge-disjoint, as ``build_wall_tree`` checks.
     """
-    eu, ev, _ = t.edges()
+    maps = t.right_action_maps(sample) if maps is None else maps
+    eu, ev, el = t.edges()
     labels = tree.region_of_vertex
-    edge_index = {}
-    for i, w in enumerate(system.walls):
-        for e in w.edge_ids:
-            edge_index[(int(eu[e]), int(ev[e]))] = i
+    n_regions = tree.n_nodes
+    in_regions = np.flatnonzero(labels >= 0)
+    source = labels[in_regions]
 
-    pair_index = {}
-    for e in range(len(eu)):
-        pair_index[(int(eu[e]), int(ev[e]))] = e
+    # the right action keeps edge letters: the edge (u, l*u) goes to
+    # (ug, l*ug), whose id is eid[ug, l]
+    inverse = np.array([t.presentation.engine().inverse_letter(l)
+                        for l in range(t.n_letters)])
+    eid = np.full(t.nbr.shape, -1, dtype=np.int32)
+    eid[eu, el] = eid[ev, inverse[el]] = np.arange(len(eu))
+    walls = system.walls
+    sizes = [len(w.edge_ids) for w in walls]
+    owner = np.full(len(eu), -1, dtype=np.int32)
+    for i, w in enumerate(walls):
+        owner[w.edge_ids] = i
+    edges = (np.concatenate([w.edge_ids for w in walls]) if walls
+             else np.zeros(0, dtype=np.int64))
+    bounds = np.cumsum([0] + sizes)
+    wu, wv, wl = eu[edges], ev[edges], el[edges]
 
     region_maps = {}
     wall_images = {}
     inversions = []
     h_wall = {}
-    stab_counts = [0] * len(system.walls)
+    stab_counts = [0] * len(walls)
     anomalies = []
     trace_const = {}
     region_splits = {}
 
-    full_ids = np.arange(t.n, dtype=np.int64)
-    for g in sample:
+    shell = t.shell_ids()
+    for g, img in zip(sample, maps):
         gname = str(g)
-        img = t.rmul_ids(full_ids, g)
 
         # region map by unanimous vote of in-window images; an image that
         # straddles walls outside the sampled family is recorded as a split
-        rmap = [-1] * tree.n_nodes
-        splits = 0
-        for r in tree.regions:
-            tgt = img[r.members]
-            tgt = tgt[tgt >= 0]
-            lab = np.unique(labels[tgt])
-            lab = lab[lab >= 0]
-            if len(lab) == 1:
-                rmap[r.id] = int(lab[0])
-            elif len(lab) > 1:
-                splits += 1
-        region_maps[gname] = rmap
-        region_splits[gname] = splits
+        moved = img[in_regions]
+        target = np.where(moved >= 0, labels[moved], -1)
+        hit = target >= 0
+        pairs = np.unique(source[hit] * n_regions + target[hit])
+        src, tgt = np.divmod(pairs, n_regions)
+        counts = np.bincount(src, minlength=n_regions)
+        single = counts[src] == 1
+        rmap = np.full(n_regions, -1)
+        rmap[src[single]] = tgt[single]
+        region_maps[gname] = rmap = rmap.tolist()
+        region_splits[gname] = int((counts > 1).sum())
 
-        # wall images
+        # wall images; an image pair that is no edge is an anomaly
+        iu, iv = img[wu], img[wv]
+        inside = (iu >= 0) & (iv >= 0)
+        onto = inside & (t.nbr[iu, wl] == iv)
+        keys = eid[iu, wl]
         outcomes = []
-        for i, w in enumerate(system.walls):
-            us, vs = eu[w.edge_ids], ev[w.edge_ids]
-            iu, iv = img[us], img[vs]
-            ok = (iu >= 0) & (iv >= 0)
-            if not ok.all():
+        for i, w in enumerate(walls):
+            part = slice(bounds[i], bounds[i + 1])
+            hits = owner[keys[part]]
+            j = int(hits[0])
+            if not onto[part].all():
+                if inside[part].all():
+                    anomalies.append(f"image of wall {w.label} under {gname} "
+                                     "leaves the edge set")
                 outcomes.append("out_of_window")
-                continue
-            keys = set()
-            missing = False
-            for a, b in zip(iu.tolist(), iv.tolist()):
-                key = (a, b) if (a, b) in pair_index else (b, a)
-                if key not in pair_index:
-                    missing = True
-                    break
-                keys.add(pair_index[key])
-            if missing:
-                anomalies.append(
-                    f"image of wall {w.label} under {gname} leaves the edge set"
-                )
-                outcomes.append("out_of_window")
-                continue
-            target = None
-            for j, w2 in enumerate(system.walls):
-                if keys == set(w2.edge_ids.tolist()):
-                    target = j
-                    break
-            if target is not None:
-                outcomes.append(f"wall_{target}")
-                if target == i:
+            elif (j >= 0 and (hits == j).all()
+                  and len(np.unique(keys[part])) == sizes[j]):
+                outcomes.append(f"wall_{j}")
+                if j == i:
                     stab_counts[i] += 1
                     # inversion probe: does g swap the two sides?
                     a, b = tree.incidence[i]
                     if rmap[a] == b and rmap[b] == a and a != b:
                         inversions.append((gname, i))
+            elif (hits >= 0).any():
+                outcomes.append("partial_overlap")
+                anomalies.append(
+                    f"image of wall {w.label} under {gname} partially "
+                    "overlaps another wall"
+                )
             else:
-                overlap = any(keys & set(w2.edge_ids.tolist())
-                              for w2 in system.walls)
-                outcomes.append("disjoint" if not overlap else "partial_overlap")
-                if overlap:
-                    anomalies.append(
-                        f"image of wall {w.label} under {gname} partially "
-                        "overlaps another wall"
-                    )
+                outcomes.append("disjoint")
         wall_images[gname] = outcomes
 
         # precise invariance of the base wall
-        base = set(system.walls[0].edge_ids.tolist()) if system.walls else set()
-        if system.walls:
-            us, vs = eu[system.walls[0].edge_ids], ev[system.walls[0].edge_ids]
-            iu, iv = img[us], img[vs]
-            if ((iu < 0) | (iv < 0)).any():
-                h_wall[gname] = "out_of_window"
-            else:
-                keys = set()
-                valid = True
-                for a, b in zip(iu.tolist(), iv.tolist()):
-                    key = (a, b) if (a, b) in pair_index else (b, a)
-                    if key not in pair_index:
-                        valid = False
-                        break
-                    keys.add(pair_index[key])
-                if not valid:
-                    h_wall[gname] = "out_of_window"
-                elif keys == base:
-                    h_wall[gname] = "equal"
-                elif keys & base:
-                    h_wall[gname] = "overlap"
-                else:
-                    h_wall[gname] = "disjoint"
+        if walls:
+            base = outcomes[0]
+            if base not in ("wall_0", "out_of_window"):
+                base = ("overlap" if (owner[keys[:sizes[0]]] == 0).any()
+                        else "disjoint")
+            h_wall[gname] = "equal" if base == "wall_0" else base
 
         # shell traces of min/max against h: constancy probe
-        f = pullback(h, g)
-        shell = t.shell_ids()
-        sh = shell[f.domain[shell]]
+        sh = shell[img[shell] >= 0]
         if len(sh):
-            mn = np.minimum(h.values[sh], f.values[sh])
-            mx = np.maximum(h.values[sh], f.values[sh])
+            pulled = h.values[img[sh]]
+            mn = np.minimum(h.values[sh], pulled)
+            mx = np.maximum(h.values[sh], pulled)
             trace_const[gname] = {
                 "min": bool(np.ptp(mn) <= 2 * system.config.equality_tol),
                 "max": bool(np.ptp(mx) <= 2 * system.config.equality_tol),
             }
 
-    fixed = []
-    for r in tree.regions:
-        if all(region_maps[str(g)][r.id] == r.id for g in sample):
-            fixed.append(r.id)
+    fixed = [r.id for r in tree.regions
+             if all(rmap[r.id] == r.id for rmap in region_maps.values())]
 
     return ActionReport(
         region_maps=region_maps, wall_images=wall_images,

@@ -9,6 +9,15 @@ from collections import deque
 
 import numpy as np
 
+from ends_splitter.errors import CrossingWalls, NoRegularValue
+from ends_splitter.harmonic import pullback
+from ends_splitter.walls import (
+    ActionReport,
+    IndecomposableRegion,
+    RegionDecomposition,
+    WallConfig,
+)
+
 
 # -- free group words as strings (inverse = uppercase) -----------------------
 
@@ -237,3 +246,238 @@ def parse_dot(text):
         nodes.add(a)
         nodes.add(b)
     return nodes, edges
+
+
+# -- the wall layer, one Python container at a time -----------------------------
+#
+# The package's wall code works on whole arrays: id maps shared across the
+# sample, a (vertex, letter) -> edge table, integer region signatures and a
+# filtered threshold search.  These compute the same results one pullback
+# and one dict entry at a time, as the reference the array code must match.
+
+def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
+                     sample_radius=None):
+    """Smallest t = 1/2 + k*step that keeps distance >= equality_tol from
+    every sampled pullback value; NoRegularValue if none below 0.6 works."""
+    values = []
+    for g in sample:
+        f = pullback(h, g)
+        values.append(f.values[f.domain])
+    allv = np.unique(np.concatenate(values))
+    k = 1
+    while True:
+        cand = 0.5 + k * step
+        if cand >= 0.6:
+            raise NoRegularValue(
+                "no threshold in (0.5, 0.6) stays clear of the sampled "
+                f"values at tolerance {equality_tol:.1e}"
+            )
+        lo = np.searchsorted(allv, cand - equality_tol, side="left")
+        hi = np.searchsorted(allv, cand + equality_tol, side="right")
+        if lo == hi:
+            return WallConfig(
+                threshold=float(cand),
+                sample_radius=sample_radius if sample_radius is not None
+                else max((g.length() for g in sample), default=0),
+                equality_tol=equality_tol, step=step,
+            )
+        k += 1
+
+
+def indecomposable_regions(t, system):
+    """Maximal vertex classes unseparated by any wall (side-signature
+    classes; such sets need not be connected).
+
+    The independent route deletes wall edges and floods; each of its
+    components must carry one signature, otherwise some wall separates
+    points no wall edge cuts apart and CrossingWalls is raised.  A
+    signature class spanning several flood components is a legitimately
+    disconnected region and is reported through ``n_pieces``.
+    """
+    eu, ev, _ = t.edges()
+    dom = system.domain
+    wall_mask = system.wall_edge_mask(t)
+    keep = dom[eu] & dom[ev] & ~wall_mask
+
+    flood = t.component_labels(keep)
+
+    ids = np.flatnonzero(dom)
+    if system.walls:
+        side_matrix = np.stack([w.side[ids] for w in system.walls], axis=1)
+    else:
+        side_matrix = np.zeros((len(ids), 1), dtype=np.int8)
+    _, inverse = np.unique(side_matrix, axis=0, return_inverse=True)
+
+    # deterministic region ids ordered by smallest member
+    order = {}
+    for pos, v in enumerate(ids):
+        key = int(inverse[pos])
+        if key not in order:
+            order[key] = len(order)
+    labels = np.full(t.n, -1, dtype=np.int64)
+    labels[ids] = [order[int(k)] for k in inverse]
+
+    # each flood component must sit inside one signature class
+    pairs = {(int(flood[v]), int(labels[v])) for v in ids}
+    flood_ids = {f for f, _ in pairs}
+    if len(pairs) != len(flood_ids):
+        raise CrossingWalls(
+            "a wall separates vertices inside one wall-free component"
+        )
+
+    pieces = {}
+    for f, s in pairs:
+        pieces[s] = pieces.get(s, 0) + 1
+    regions = []
+    for lab in range(len(order)):
+        members = np.flatnonzero(labels == lab)
+        regions.append(IndecomposableRegion(
+            id=lab, members=members, adjacent_walls=[],
+            n_pieces=pieces.get(lab, 1)))
+    return RegionDecomposition(labels=labels, regions=regions)
+
+
+def action_on_tree(t, h, system, tree, sample):
+    """The sampled right action on regions and walls.
+
+    Reports per-element region maps, wall images (equal / disjoint /
+    out-of-window), sampled edge stabilizers, inversion and fixed-region
+    probes, and whether the pullback's min/max shell traces are constant.
+    """
+    eu, ev, _ = t.edges()
+    labels = tree.region_of_vertex
+    edge_index = {}
+    for i, w in enumerate(system.walls):
+        for e in w.edge_ids:
+            edge_index[(int(eu[e]), int(ev[e]))] = i
+
+    pair_index = {}
+    for e in range(len(eu)):
+        pair_index[(int(eu[e]), int(ev[e]))] = e
+
+    region_maps = {}
+    wall_images = {}
+    inversions = []
+    h_wall = {}
+    stab_counts = [0] * len(system.walls)
+    anomalies = []
+    trace_const = {}
+    region_splits = {}
+
+    full_ids = np.arange(t.n, dtype=np.int64)
+    for g in sample:
+        gname = str(g)
+        img = t.rmul_ids(full_ids, g)
+
+        # region map by unanimous vote of in-window images; an image that
+        # straddles walls outside the sampled family is recorded as a split
+        rmap = [-1] * tree.n_nodes
+        splits = 0
+        for r in tree.regions:
+            tgt = img[r.members]
+            tgt = tgt[tgt >= 0]
+            lab = np.unique(labels[tgt])
+            lab = lab[lab >= 0]
+            if len(lab) == 1:
+                rmap[r.id] = int(lab[0])
+            elif len(lab) > 1:
+                splits += 1
+        region_maps[gname] = rmap
+        region_splits[gname] = splits
+
+        # wall images
+        outcomes = []
+        for i, w in enumerate(system.walls):
+            us, vs = eu[w.edge_ids], ev[w.edge_ids]
+            iu, iv = img[us], img[vs]
+            ok = (iu >= 0) & (iv >= 0)
+            if not ok.all():
+                outcomes.append("out_of_window")
+                continue
+            keys = set()
+            missing = False
+            for a, b in zip(iu.tolist(), iv.tolist()):
+                key = (a, b) if (a, b) in pair_index else (b, a)
+                if key not in pair_index:
+                    missing = True
+                    break
+                keys.add(pair_index[key])
+            if missing:
+                anomalies.append(
+                    f"image of wall {w.label} under {gname} leaves the edge set"
+                )
+                outcomes.append("out_of_window")
+                continue
+            target = None
+            for j, w2 in enumerate(system.walls):
+                if keys == set(w2.edge_ids.tolist()):
+                    target = j
+                    break
+            if target is not None:
+                outcomes.append(f"wall_{target}")
+                if target == i:
+                    stab_counts[i] += 1
+                    # inversion probe: does g swap the two sides?
+                    a, b = tree.incidence[i]
+                    if rmap[a] == b and rmap[b] == a and a != b:
+                        inversions.append((gname, i))
+            else:
+                overlap = any(keys & set(w2.edge_ids.tolist())
+                              for w2 in system.walls)
+                outcomes.append("disjoint" if not overlap else "partial_overlap")
+                if overlap:
+                    anomalies.append(
+                        f"image of wall {w.label} under {gname} partially "
+                        "overlaps another wall"
+                    )
+        wall_images[gname] = outcomes
+
+        # precise invariance of the base wall
+        base = set(system.walls[0].edge_ids.tolist()) if system.walls else set()
+        if system.walls:
+            us, vs = eu[system.walls[0].edge_ids], ev[system.walls[0].edge_ids]
+            iu, iv = img[us], img[vs]
+            if ((iu < 0) | (iv < 0)).any():
+                h_wall[gname] = "out_of_window"
+            else:
+                keys = set()
+                valid = True
+                for a, b in zip(iu.tolist(), iv.tolist()):
+                    key = (a, b) if (a, b) in pair_index else (b, a)
+                    if key not in pair_index:
+                        valid = False
+                        break
+                    keys.add(pair_index[key])
+                if not valid:
+                    h_wall[gname] = "out_of_window"
+                elif keys == base:
+                    h_wall[gname] = "equal"
+                elif keys & base:
+                    h_wall[gname] = "overlap"
+                else:
+                    h_wall[gname] = "disjoint"
+
+        # shell traces of min/max against h: constancy probe
+        f = pullback(h, g)
+        shell = t.shell_ids()
+        sh = shell[f.domain[shell]]
+        if len(sh):
+            mn = np.minimum(h.values[sh], f.values[sh])
+            mx = np.maximum(h.values[sh], f.values[sh])
+            trace_const[gname] = {
+                "min": bool(np.ptp(mn) <= 2 * system.config.equality_tol),
+                "max": bool(np.ptp(mx) <= 2 * system.config.equality_tol),
+            }
+
+    fixed = []
+    for r in tree.regions:
+        if all(region_maps[str(g)][r.id] == r.id for g in sample):
+            fixed.append(r.id)
+
+    return ActionReport(
+        region_maps=region_maps, wall_images=wall_images,
+        stabilizer_sizes=stab_counts, inversions=inversions,
+        h_wall_invariance=h_wall, fixed_regions=fixed,
+        boundary_trace_constant=trace_const, region_splits=region_splits,
+        anomalies=anomalies,
+    )

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -72,6 +75,14 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     {"chi": {"map": {"a": 1, "A": 0.7, "b": 0, "B": 0}}},
     {"chi": {"map": {"a": 1, "A": [0]}}},
     {"chi": {"map": {"a": 1}, "default": "x"}},
+    {"wall": {"step": -0.001}},
+    {"wall": {"step": float("nan")}},
+    {"wall": {"step": float("inf")}},
+    {"wall": {"equality_tol": -1e-9}},
+    {"wall": {"equality_tol": float("nan")}},
+    {"wall": {"sample_radius": -1}},
+    {"wall": {"sample_radius": 7}},
+    {"net_delta": 0},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
@@ -228,3 +239,55 @@ def test_free_product_scenario_roundtrip(tmp_path):
     assert run("necks", path, tmp_path / "out") == 0
     rep = json.loads((tmp_path / "out/scn/report.json").read_text())
     assert rep["necks"]["K"]
+
+
+def test_zero_wall_step_is_exit_1_not_a_hang(tmp_path):
+    # the threshold search used to retry 0.5 forever on a zero step
+    path = write_scenario(tmp_path,
+                          chi={"map": {"a": 1, "A": 1}, "default": 0},
+                          wall={"step": 0})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ends_splitter.cli", "tree", "--scenario",
+         path, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    msg = json.loads(proc.stdout.strip())
+    assert msg["error"] == "ScenarioError" and "step" in msg["message"]
+
+
+@pytest.mark.parametrize("wall", [{"step": -0.001}, {"step": float("nan")},
+                                  {"sample_radius": 7}])
+def test_bad_wall_settings_stop_tree_before_any_work(tmp_path, capsys,
+                                                     monkeypatch, wall):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the truncation was built")
+
+    monkeypatch.setattr(cli, "build_truncation", unreachable)
+    path = write_scenario(tmp_path, wall=wall)
+    assert run("tree", path, tmp_path / "out") == 1
+    msg = json.loads(capsys.readouterr().out.strip())
+    assert msg["error"] == "ScenarioError"
+
+
+def test_tree_builds_at_most_one_id_map_per_sample_element(tmp_path,
+                                                           monkeypatch):
+    from ends_splitter.groups import Truncation
+
+    gathers = []
+    table = Truncation.right_mult_table
+
+    def counted_table(self, letter):
+        gathers.append(letter)
+        return table(self, letter)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a product was computed outside the id maps")
+
+    monkeypatch.setattr(Truncation, "right_mult_table", counted_table)
+    monkeypatch.setattr(Truncation, "rmul_ids", forbidden)   # and pullback
+    path = write_scenario(tmp_path, wall={"sample_radius": 2})
+    assert run("tree", path, tmp_path / "out") == 0
+    rep = json.loads((tmp_path / "out/scn/report.json").read_text())
+    # one gather per element other than the identity
+    assert len(gathers) == rep["tree"]["sample_size"] - 1 == 16

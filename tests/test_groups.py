@@ -280,3 +280,38 @@ def test_word_blocks_match_per_vertex_words(stream_truncation, monkeypatch):
         words.extend(ws)
     assert ids == list(range(t.n))
     assert words == [t.word(v) for v in range(t.n)]
+
+
+@pytest.mark.parametrize("p,radius,sample_radius", [
+    (Presentation.free(2), 6, 3),
+    (Presentation.free(3), 4, 2),
+    (Presentation.free_product_of_cyclics([2, 3]), 10, 4),
+    (Presentation.free_product_of_cyclics([3, 0]), 6, 3),
+    (Presentation.free_product_of_cyclics([4, 5]), 6, 4),
+])
+def test_right_action_maps_match_per_element_products(p, radius,
+                                                      sample_radius):
+    t = build_truncation(p, radius)
+    sample = group_ball(t, sample_radius)
+    maps = t.right_action_maps(sample)
+    for g, img in zip(sample, maps):
+        assert img.dtype == np.int32
+        assert np.array_equal(img, t.rmul_ids(np.arange(t.n), g))
+    # a sample without the suffixes its maps are built from
+    far = [g for g in sample if g.length() == sample_radius][::3]
+    for g, img in zip(far, t.right_action_maps(far)):
+        assert np.array_equal(img, t.rmul_ids(np.arange(t.n), g))
+    # spot checks against word arithmetic: -1 exactly where some partial
+    # product along g's geodesic leaves the ball
+    eng = p.engine()
+    for g, img in list(zip(sample, maps))[::5]:
+        for v in range(0, t.n, max(1, t.n // 40)):
+            w = t.element(v).word
+            prods = [w]
+            for l in g.letters():
+                prods.append(eng.mul_letter_right(prods[-1], l))
+            if img[v] < 0:
+                assert max(map(eng.length, prods)) > t.radius
+            else:
+                assert max(map(eng.length, prods)) <= t.radius
+                assert t.element(int(img[v])).word == prods[-1]

@@ -489,3 +489,27 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
         assert row["energy"] == energy(h).total
         assert row["k1_size"] == len(report.K_I)
         assert row["mu"] == max(mus)
+
+
+def test_special_sets_reuse_the_survey_center_words(t_f2_r6, monkeypatch):
+    from ends_splitter.ends import all_nonconstant_end_functions
+    from ends_splitter.groups import Truncation
+
+    t = t_f2_r6
+    net = build_net(t, 2)
+    chis = all_nonconstant_end_functions(t, 1)[:4]
+    want = [special_sets(t, net, 1, chi).to_json_dict() for chi in chis]
+    survey = find_necks(t, net, 1)
+    assert survey.center_words == [t.word(n.center) for n in survey.necks]
+    rendered = []
+    word = Truncation.word
+
+    def counted_word(self, v):
+        rendered.append(int(v))
+        return word(self, v)
+
+    monkeypatch.setattr(Truncation, "word", counted_word)
+    got = [special_sets(t, net, 1, chi, survey=survey).to_json_dict()
+           for chi in chis]
+    assert got == want
+    assert rendered == []

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from ends_splitter.errors import CrossingWalls, NoRegularValue, NotATree
+from ends_splitter.errors import (
+    CrossingWalls,
+    NoRegularValue,
+    NotATree,
+    ScenarioError,
+)
 from ends_splitter.ends import make_end_function
-from ends_splitter.groups import build_truncation, group_ball
+from ends_splitter.groups import Presentation, build_truncation, group_ball
 from ends_splitter.harmonic import (
     HarmonicField,
     PartialField,
@@ -14,6 +19,7 @@ from ends_splitter.walls import (
     Wall,
     WallConfig,
     WallSystem,
+    WallTree,
     action_on_tree,
     assert_noncrossing,
     build_wall_tree,
@@ -123,6 +129,17 @@ def test_no_regular_value_when_tolerance_swamps(t_f2_r4):
                       residual=0.0, iterations=0)
     with pytest.raises(NoRegularValue):
         choose_threshold(h, [element(t_f2_r4, "e")], equality_tol=0.2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": 0.0}, {"step": -1e-3}, {"step": float("nan")},
+    {"step": float("inf")}, {"equality_tol": -1e-9},
+    {"equality_tol": float("nan")},
+])
+def test_threshold_refuses_bad_step_and_tolerance(h_first_letter_r8, kwargs):
+    t = h_first_letter_r8.truncation
+    with pytest.raises(ScenarioError):
+        choose_threshold(h_first_letter_r8, group_ball(t, 1), **kwargs)
 
 
 # -- walls ----------------------------------------------------------------------
@@ -362,3 +379,248 @@ def test_violation_counts_do_not_increase_with_radius(f2):
         counts[rho] = sum(
             1 for g in sample if trichotomy(h, g).is_violation())
     assert counts[8] <= counts[6]
+
+
+# -- the array code against its one-container-at-a-time oracles ------------------
+
+_ORACLE_CASES = {
+    "F2-r8": (Presentation.free(2), 8, 1, {"a": 1}),
+    "F3-r6": (Presentation.free(3), 6, 1, {"a": 1}),
+    "Z2*Z3-r14": (Presentation.free_product_of_cyclics([2, 3]), 14, 2,
+                  {"st": 1}),
+    "Z3*Z-r8": (Presentation.free_product_of_cyclics([3, 0]), 8, 1, {"t": 1}),
+    # walls that cross: regions are still compared, the tree is refused
+    "Z3*Z-r8-crossing": (Presentation.free_product_of_cyclics([3, 0]), 8, 1,
+                         {"s": 1}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_ORACLE_CASES))
+def oracle_case(request):
+    p, radius, base_radius, assignment = _ORACLE_CASES[request.param]
+    t = build_truncation(p, radius)
+    chi = make_end_function(t, base_radius, values_by_word=assignment,
+                            default=0)
+    h = solve_dirichlet(t, chi)
+    sample = group_ball(t, 2)
+    return t, h, sample, t.right_action_maps(sample)
+
+
+def assert_same_regions(got, want):
+    assert np.array_equal(got.labels, want.labels)
+    assert len(got.regions) == len(want.regions)
+    for a, b in zip(got.regions, want.regions):
+        assert (a.id, a.n_pieces, a.adjacent_walls) == \
+            (b.id, b.n_pieces, b.adjacent_walls)
+        assert np.array_equal(a.members, b.members)
+        assert a.members.dtype == b.members.dtype
+
+
+def test_id_maps_match_per_element_pullbacks(oracle_case):
+    t, h, sample, maps = oracle_case
+    for g, img in zip(sample, maps):
+        assert img.dtype == np.int32
+        assert np.array_equal(img, t.rmul_ids(np.arange(t.n), g))
+        p = pullback(h, g)
+        for with_maps in (trichotomy(h, g, img=img), trichotomy(h, g)):
+            assert with_maps == trichotomy(h, g, pulled=p)
+
+
+def test_threshold_and_walls_match_oracle(oracle_case):
+    t, h, sample, maps = oracle_case
+    cfg = choose_threshold(h, sample, sample_radius=2, maps=maps)
+    assert cfg == oracles.choose_threshold(h, sample, sample_radius=2)
+    assert cfg == choose_threshold(h, sample, sample_radius=2)
+    a = build_walls(h, cfg, sample, maps)
+    b = build_walls(h, cfg, sample)
+    assert np.array_equal(a.domain, b.domain)
+    assert a.empty_pullbacks == b.empty_pullbacks
+    assert [w.labels for w in a.walls] == [w.labels for w in b.walls]
+    for wa, wb in zip(a.walls, b.walls):
+        assert np.array_equal(wa.edge_ids, wb.edge_ids)
+        assert np.array_equal(wa.side, wb.side)
+
+
+def test_regions_and_action_match_oracle(oracle_case):
+    t, h, sample, maps = oracle_case
+    cfg = choose_threshold(h, sample, sample_radius=2, maps=maps)
+    system = build_walls(h, cfg, sample, maps)
+    got = indecomposable_regions(t, system)
+    want = oracles.indecomposable_regions(t, system)
+    assert_same_regions(got, want)
+    try:
+        tree = build_wall_tree(t, system, got)
+    except CrossingWalls:
+        with pytest.raises(CrossingWalls):
+            build_wall_tree(t, system, want)
+        return
+    build_wall_tree(t, system, want)
+    assert_same_regions(got, want)          # adjacency lists filled alike
+    action = action_on_tree(t, h, system, tree, sample, maps)
+    assert action == oracles.action_on_tree(t, h, system, tree, sample)
+    assert action == action_on_tree(t, h, system, tree, sample)
+    assert sum(action.region_splits.values()) > 0
+
+
+def test_regions_past_64_walls_match_oracle():
+    # 100 walls on a path: a side signature folded without renumbering
+    # would need 3**100 codes
+    from ends_splitter.groups import path_truncation
+    t = path_truncation(148)
+    rng = np.random.default_rng(5)
+    cuts = np.sort(rng.choice(t.n - 1, size=100, replace=False))
+    walls = []
+    for k, e in enumerate(cuts):
+        side = np.where(np.arange(t.n) <= e, -1, 1).astype(np.int8)
+        if k % 3 == 0:
+            side = -side
+        walls.append(Wall(labels=[f"w{k}"], edge_ids=np.array([e]),
+                          side=side))
+    system = WallSystem(config=WallConfig(threshold=0.5), walls=walls,
+                        domain=np.ones(t.n, dtype=bool), sample=[],
+                        empty_pullbacks=[])
+    got = indecomposable_regions(t, system)
+    assert len(got.regions) == 101
+    assert_same_regions(got, oracles.indecomposable_regions(t, system))
+
+
+def test_disconnected_region_counts_its_pieces():
+    # one wall cutting edges (1,2) and (3,4) of a path: {0,1} and {4} share
+    # the minus side, so one region has two pieces
+    from ends_splitter.groups import path_truncation
+    t = path_truncation(3)
+    wall = Wall(labels=["w"], edge_ids=np.array([1, 3]),
+                side=np.array([-1, -1, 1, 1, -1], dtype=np.int8))
+    system = WallSystem(config=WallConfig(threshold=0.5), walls=[wall],
+                        domain=np.ones(t.n, dtype=bool), sample=[],
+                        empty_pullbacks=[])
+    got = indecomposable_regions(t, system)
+    assert [r.members.tolist() for r in got.regions] == [[0, 1, 4], [2, 3]]
+    assert [r.n_pieces for r in got.regions] == [2, 1]
+    assert_same_regions(got, oracles.indecomposable_regions(t, system))
+
+
+@pytest.fixture(scope="module")
+def overlap_case(t_f2_r6):
+    """Hand-made edge-disjoint walls on F2 r6 whose images overlap
+    partially or leave the ball, on the regions of a real system."""
+    t = t_f2_r6
+    chi = make_end_function(t, 1, rule="first_letter:a")
+    h = solve_dirichlet(t, chi)
+    real_sample = group_ball(t, 1)
+    cfg = choose_threshold(h, real_sample, sample_radius=1)
+    dec = indecomposable_regions(t, build_walls(h, cfg, real_sample))
+
+    eu, ev, _ = t.edges()
+    index = {(int(u), int(v)): e for e, (u, v) in enumerate(zip(eu, ev))}
+
+    def edge(a, b):
+        u, v = sorted((t_index(t, a), t_index(t, b)))
+        return index[(u, v)]
+
+    walls = [
+        # its image under a is {a-aa, a-e}: it meets itself and the next
+        [edge("e", "a"), edge("e", "A")],
+        # its image under A is {e-a}, a part of the first
+        [edge("a", "aa")],
+        # on the shell side: images under a leave the ball
+        [edge("aaaaa", "aaaaaa")],
+        [edge("b", "bb"), edge("Ab", "b")],
+    ]
+    side = np.zeros(t.n, dtype=np.int8)
+    system = WallSystem(
+        config=cfg, domain=dec.labels >= 0, sample=[], empty_pullbacks=[],
+        walls=[Wall(labels=[f"w{i}"], edge_ids=np.array(sorted(e)), side=side)
+               for i, e in enumerate(walls)])
+    tree = WallTree(regions=dec.regions, walls=system.walls,
+                    incidence=[(0, 1)] * len(walls),
+                    region_of_vertex=dec.labels)
+    return t, h, system, tree, group_ball(t, 2)
+
+
+def t_index(t, word):
+    return next(v for v in range(t.n) if t.word(v) == word)
+
+
+def test_partial_overlaps_match_oracle(overlap_case):
+    t, h, system, tree, sample = overlap_case
+    action = action_on_tree(t, h, system, tree, sample)
+    assert action == oracles.action_on_tree(t, h, system, tree, sample)
+    assert action.wall_images["e"] == [f"wall_{i}" for i in range(4)]
+    assert action.wall_images["a"][:3] == [
+        "partial_overlap", "disjoint", "out_of_window"]
+    assert action.wall_images["A"][1] == "partial_overlap"
+    assert action.h_wall_invariance["a"] == "overlap"
+    assert action.h_wall_invariance["e"] == "equal"
+    assert any("partially overlaps" in m for m in action.anomalies)
+    assert sum(action.region_splits.values()) > 0
+
+
+def test_image_off_the_edge_set_is_an_anomaly(overlap_case):
+    # a vertex map that is no graph automorphism: swapping e and bb sends
+    # the edge e-a to the non-edge bb-a
+    t, h, system, tree, sample = overlap_case
+    img = np.arange(t.n, dtype=np.int32)
+    e, bb = t_index(t, "e"), t_index(t, "bb")
+    img[[e, bb]] = img[[bb, e]]
+    g = group_ball(t, 0)[0]
+    action = action_on_tree(t, h, system, tree, [g], [img])
+    assert action.wall_images["e"][0] == "out_of_window"
+    assert action.h_wall_invariance["e"] == "out_of_window"
+    assert action.anomalies[0] == "image of wall w0 under e leaves the edge set"
+
+
+@pytest.mark.parametrize("tol,step", [
+    (1e-9, 1e-3), (0.004, 0.01), (0.005, 0.01), (0.0, 0.01), (0.012, 0.01),
+])
+def test_threshold_at_window_edges_matches_oracle(t_f2_r4, tol, step):
+    # values exactly at 0.5 +- tol and 0.6 +- tol, at the ends of the first
+    # candidates' windows, and one float step outside the next window; the
+    # rest far below 0.5
+    sample = [element(t_f2_r4, "e")]
+    cands = 0.5 + np.arange(1, 101) * step
+    cands = cands[cands < 0.6]
+    chosen = []
+    for blocked in (0, 3, len(cands) - 1, len(cands)):
+        ends = [c - tol if k % 2 else c + tol
+                for k, c in enumerate(cands[:blocked])]
+        if blocked < len(cands):
+            c = cands[blocked]
+            ends += [np.nextafter(c - tol, 0.0), np.nextafter(c + tol, 1.0)]
+        vals = np.linspace(0.0, 0.3, t_f2_r4.n)
+        special = [0.5 - tol, 0.5 + tol, 0.6 - tol, 0.6 + tol] + ends
+        vals[:len(special)] = special
+        h = HarmonicField(truncation=t_f2_r4, values=vals, boundary_spec=None,
+                          residual=0.0, iterations=0)
+        try:
+            want = oracles.choose_threshold(h, sample, tol, step)
+        except NoRegularValue:
+            with pytest.raises(NoRegularValue):
+                choose_threshold(h, sample, tol, step)
+            chosen.append(None)
+            continue
+        assert choose_threshold(h, sample, tol, step) == want
+        chosen.append(want.threshold)
+    assert chosen[-1] is None
+    assert len(set(chosen)) >= 2
+
+
+def test_threshold_sees_values_within_tolerance_outside_0_5_to_0_6(t_f2_r4):
+    # equality_tol 0.012 exceeds the step 0.01: 0.499 blocks 0.51, and
+    # 0.601 blocks 0.59 once the values 0.5 + k * 0.01 - 0.012 block the rest
+    sample = [element(t_f2_r4, "e")]
+
+    def field(special):
+        vals = np.full(t_f2_r4.n, 0.2)
+        vals[:len(special)] = special
+        return HarmonicField(truncation=t_f2_r4, values=vals,
+                             boundary_spec=None, residual=0.0, iterations=0)
+
+    h = field([0.499])
+    cfg = choose_threshold(h, sample, 0.012, 0.01)
+    assert cfg == oracles.choose_threshold(h, sample, 0.012, 0.01)
+    assert cfg.threshold == pytest.approx(0.52)
+    h = field([0.5 + k * 0.01 - 0.012 for k in range(1, 9)] + [0.601])
+    for choose in (choose_threshold, oracles.choose_threshold):
+        with pytest.raises(NoRegularValue):
+            choose(h, sample, 0.012, 0.01)
