@@ -170,7 +170,8 @@ def make_end_function(t, r, values_by_word=None, rule=None, default=None):
     """Build an EndFunction from explicit per-class values or a named rule.
 
     ``values_by_word`` keys are representative vertex words; ``rule``
-    supports ``first_letter:<generator>``.
+    supports ``first_letter:<generator>``, for a generator or inverse
+    letter of the presentation.
     """
     classes = end_classes(t, r)
     values = {}
@@ -178,6 +179,9 @@ def make_end_function(t, r, values_by_word=None, rule=None, default=None):
         if not rule.startswith("first_letter:"):
             raise EndsSplitterError(f"unknown chi rule {rule!r}")
         gen = rule.split(":", 1)[1]
+        names = t.presentation.engine().letter_names if t.presentation else []
+        if gen not in names:
+            raise ScenarioError(f"chi rule {rule!r} names none of {names}")
         for c in classes:
             values[c.id] = 1 if c.representative_word.startswith(gen) else 0
     else:

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -369,7 +370,6 @@ class Truncation:
     parent: np.ndarray
     parent_letter: np.ndarray
     shell_mask: np.ndarray
-    stored_words: list | None = None
     _caches: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -400,15 +400,10 @@ class Truncation:
     def element(self, v):
         """Group element of vertex ``v`` in normal form."""
         eng = self.presentation.engine()
-        if self.stored_words is not None:
-            return Element(self.presentation, self.stored_words[v])
         w = eng.identity
-        letters = []
-        while v != 0:
-            letters.append(int(self.parent_letter[v]))
+        while v != 0:                   # v = parent_letter[v] * parent[v]
+            w = eng.mul_letter_right(w, int(self.parent_letter[v]))
             v = int(self.parent[v])
-        for l in letters:
-            w = eng.mul_letter_right(w, l)
         return Element(self.presentation, w)
 
     def word(self, v):
@@ -424,42 +419,40 @@ class Truncation:
         is a slice of at most ``_WORD_BLOCK`` consecutive ids and ``words``
         the list of their ``word(v)``.
 
-        Words are rendered once each and not kept beyond their block,
-        except on the free tree, which keeps one sphere to build the next.
+        Words are rendered once each; one sphere is kept to build the next.
         """
         if self.presentation is None:
             words = (f"v{v}" for v in range(self.n))
-        elif self.stored_words is not None:
-            words = map(self.presentation.engine().render, self.stored_words)
         else:
-            words = self._free_tree_words()
+            words = self._sphere_words()
         for start in range(0, self.n, _WORD_BLOCK):
             stop = min(start + _WORD_BLOCK, self.n)
             yield slice(start, stop), list(
                 itertools.islice(words, stop - start))
 
-    def _free_tree_words(self):
-        # v == parent_letter[v] * parent[v] is already reduced on the free
-        # tree, so a word is its leading letter's name before its parent's
-        # word; spheres are contiguous id ranges, parents one sphere in
-        names = self.presentation.engine().letter_names
-        prev, prev_start = [""], 0
+    def _sphere_words(self):
+        # v's word is its leading syllable's head before its parent's word,
+        # minus the parent's head when v's letter merges into that syllable;
+        # parents are one sphere in, and so are the states they hand on
+        _, child, cut, heads, _ = _syllables(self.presentation, self.radius)
+        prev, state = ["e"], np.zeros(1, dtype=np.intp)
         yield "e"
-        spheres = _sphere_slices(self.dist, np.arange(self.n))
-        next(spheres)                   # the identity's
-        for sphere in spheres:
-            lo, hi = sphere.start, sphere.stop
-            keep = hi < self.n          # the shell's words are never parents
+        for sphere in _spheres(self.dist)[1:]:
+            par = self.parent[sphere] - (sphere.start - len(prev))
+            pstate, letters = state[par], self.parent_letter[sphere]
+            state, cuts = child[pstate, letters], cut[pstate, letters]
             cur = []
-            for a in range(lo, hi, _WORD_BLOCK):
-                b = min(a + _WORD_BLOCK, hi)
-                chunk = [names[l] + prev[p] for l, p in zip(
-                    self.parent_letter[a:b].tolist(),
-                    (self.parent[a:b] - prev_start).tolist())]
-                if keep:
+            for a in range(0, len(par), _WORD_BLOCK):
+                b = a + _WORD_BLOCK
+                tails = [prev[p] for p in par[a:b].tolist()]
+                for i in np.flatnonzero(cuts[a:b]).tolist():
+                    tails[i] = tails[i][cuts[a + i]:]
+                chunk = [heads[s] + w
+                         for s, w in zip(state[a:b].tolist(), tails)]
+                if sphere.stop < self.n:    # the shell's words are never parents
                     cur.extend(chunk)
                 yield from chunk
-            prev, prev_start = cur, lo
+            prev = cur
 
     def letter_id(self, letter):
         """Accepts a letter id or a one-character generator/inverse name."""
@@ -525,16 +518,12 @@ class Truncation:
         if key not in self._caches:
             r = np.full(self.n, -1, dtype=np.int64)
             r[0] = self.nbr[0, letter]
-            order = np.argsort(self.dist, kind="stable")[1:]
             # v = parent_letter * parent, so v*l = parent_letter * (parent*l);
             # walk spheres outward so parents are resolved first
-            for start in _sphere_slices(self.dist, order):
-                ids = order[start]
+            for ids in _spheres(self.dist)[1:]:
                 rp = r[self.parent[ids]]
-                ok = rp >= 0
-                res = np.full(len(ids), -1, dtype=np.int64)
-                res[ok] = self.nbr[rp[ok], self.parent_letter[ids[ok]]]
-                r[ids] = res
+                r[ids] = np.where(
+                    rp >= 0, self.nbr[rp, self.parent_letter[ids]], -1)
             self._caches[key] = r
         return self._caches[key]
 
@@ -625,127 +614,123 @@ class Truncation:
         return dist
 
 
-def _sphere_slices(dist, order):
-    """Contiguous slices of ``order`` grouped by distance value."""
-    if len(order) == 0:
-        return
-    d = dist[order]
-    bounds = np.flatnonzero(np.diff(d)) + 1
-    start = 0
-    for b in itertools.chain(bounds, [len(order)]):
-        yield slice(start, b)
-        start = b
+def _spheres(dist):
+    """Id slices of equal distance (ids are breadth-first)."""
+    bounds = [0, *(np.flatnonzero(np.diff(dist)) + 1).tolist(), len(dist)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
 
+# Tables of the layout and the word renderer.  A vertex's state is the
+# leading syllable of its normal form (state 0: the identity), and for a
+# vertex v of state s and a letter l, tree[s, l] says whether l * v is v's
+# child, child[s, l] is that child's state and cut[s, l] how many leading
+# characters of v's word the child's word drops; heads[s] renders s.
+_Syllables = namedtuple("_Syllables", "tree child cut heads closing")
+
+
+@lru_cache(maxsize=None)
+def _syllables(p, radius):
+    """Layout tables for the ball of ``p`` of radius ``radius``, found by
+    a breadth-first walk over one-syllable words in letter order.
+
+    One element has two parents: the antipode s^(o/2) of a factor of even
+    order o >= 4, reached along both of its factor's chains.  As among
+    vertices, the first parent seen keeps it, which is the s side.  The
+    edges off the tree close the finite factors' cycles; ``closing`` lists
+    them as (state x, letter l, |x|, geodesic letters of l * x) with
+    |l * x| <= |x|, so both ends are built by sphere |x|.
+    """
+    eng = p.engine()
+    L = eng.n_letters
+    words, index = [eng.identity], {eng.identity: 0}
+    tree, child, cut, merged = [], [], [], set()
+    for s, x in enumerate(words):               # grows while walked
+        tree.append([False] * L)
+        child.append([0] * L)
+        cut.append([0] * L)
+        for l in range(L):
+            y = eng.mul_letter_left(l, x)
+            head = y[:1]
+            if (eng.length(y) != eng.length(x) + 1
+                    or eng.length(head) > radius or y in merged):
+                continue
+            if len(y) == 1:                     # l joins x's syllable (or e's)
+                merged.add(y)
+                cut[s][l] = len(eng.render(x))
+            if head not in index:
+                index[head] = len(words)
+                words.append(head)
+            tree[s][l] = True
+            child[s][l] = index[head]
+    closing = []
+    for s, x in enumerate(words):
+        for l in range(L):
+            y = eng.mul_letter_left(l, x)
+            if (len(y) != 1 or eng.length(y) > eng.length(x)
+                    or tree[index[y]][eng.inverse_letter(l)]):
+                continue
+            closing.append((s, l, eng.length(x), eng.letters_of(y)))
+    child = np.array(child, dtype=np.min_scalar_type(len(words)))
+    return _Syllables(np.array(tree, dtype=bool), child, np.array(cut),
+                      [eng.render(w) for w in words], closing)
+
+
 def build_truncation(p, radius):
     """The ball of the Cayley graph with full adjacency and a marked shell.
 
-    Vertex ids are contiguous breadth-first from the identity (id 0).
+    Vertex ids are contiguous breadth-first from the identity (id 0): the
+    children of a sphere come in (parent id, letter) order, and a vertex
+    reached from two parents is the child of the one seen first.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if not isinstance(p, Presentation):
         raise PresentationError(f"not a presentation: {p!r}")
-    if p.kind == "free":
-        return _build_free_tree(p, radius)
-    return _build_generic(p, radius)
+    syl = _syllables(p, radius)
+    L = p.engine().n_letters
+    inverse = np.array([p.engine().inverse_letter(l) for l in range(L)],
+                       dtype=np.int8)
 
-
-def _build_free_tree(p, radius):
-    """Closed-form breadth-first layout of the 2n-regular tree ball."""
-    L = 2 * p.rank
-    sphere_sizes = [1] + [L * (L - 1) ** (k - 1) for k in range(1, radius + 1)]
-    starts = np.concatenate([[0], np.cumsum(sphere_sizes)])
+    # sphere sizes from the state counts, so every array is allocated once
+    moves = np.zeros((len(syl.heads),) * 2, dtype=np.int64)
+    np.add.at(moves, (np.nonzero(syl.tree)[0], syl.child[syl.tree]), 1)
+    sizes = [int(np.linalg.matrix_power(moves, k)[0].sum())
+             for k in range(radius + 1)]
+    starts = np.cumsum([0] + sizes)
     n = int(starts[-1])
 
     nbr = np.full((n, L), -1, dtype=np.int64)
-    dist = np.zeros(n, dtype=np.int32)
+    dist = np.repeat(np.arange(radius + 1, dtype=np.int32), sizes)
     parent = np.full(n, -1, dtype=np.int64)
     parent_letter = np.zeros(n, dtype=np.int8)
+    fanout = syl.tree.sum(axis=1)
+    letter_grid = np.arange(L, dtype=np.int8)
+    state = np.zeros(1, dtype=syl.child.dtype)  # the previous sphere's
+    for k in range(1, radius + 1):
+        lo, hi, end = starts[k - 1:k + 2]
+        grows = syl.tree[state]                 # children in (parent, letter)
+        par = np.repeat(np.arange(lo, hi), fanout[state])
+        letters = np.broadcast_to(letter_grid, grows.shape)[grows]
+        nbr[lo:hi][grows] = np.arange(hi, end)
+        # the flat index of (child, inverse letter)
+        nbr.reshape(-1)[np.arange(hi * L, end * L, L) + inverse[letters]] = par
+        parent[hi:end], parent_letter[hi:end] = par, letters
+        state = syl.child[state][grows]
+        for x, l, depth, path in syl.closing:
+            v = w = hi + np.flatnonzero(state == x)
+            for _ in range(depth):              # down x's chain to its anchor
+                w = parent[w]
+            for m in path:                      # and up l * x's chain
+                w = nbr[w, m]
+            nbr[v, l], nbr[w, inverse[l]] = w, v
 
-    # letters l != m^1 in increasing order, for each incoming letter m
-    reduced = np.array(
-        [[l for l in range(L) if l != (m ^ 1)] for m in range(L)],
-        dtype=np.int8,
-    )
-
-    root_children = np.arange(1, L + 1, dtype=np.int64)
-    nbr[0, :] = root_children
-    nbr[root_children, np.arange(L) ^ 1] = 0
-    parent[root_children] = 0
-    parent_letter[root_children] = np.arange(L, dtype=np.int8)
-    dist[root_children] = 1
-
-    prev_ids = root_children
-    prev_inc = np.arange(L, dtype=np.int8)
-    for k in range(2, radius + 1):
-        m = len(prev_ids)
-        child_letters = reduced[prev_inc]                # (m, L-1)
-        child_ids = starts[k] + np.arange(m * (L - 1), dtype=np.int64)
-        child_ids = child_ids.reshape(m, L - 1)
-        nbr[prev_ids[:, None], child_letters] = child_ids
-        nbr[child_ids, child_letters ^ 1] = prev_ids[:, None]
-        flat = child_ids.ravel()
-        parent[flat] = np.repeat(prev_ids, L - 1)
-        parent_letter[flat] = child_letters.ravel()
-        dist[flat] = k
-        prev_ids = flat
-        prev_inc = child_letters.ravel()
-
-    shell = dist == radius
     return Truncation(
         presentation=p, radius=radius, nbr=nbr, dist=dist, parent=parent,
-        parent_letter=parent_letter, shell_mask=shell,
-    )
-
-
-def _build_generic(p, radius):
-    """Sphere-by-sphere normal-form enumeration; works for every built-in
-    presentation and doubles as the brute-force oracle for the tree
-    layout."""
-    eng = p.engine()
-    L = eng.n_letters
-
-    words = [eng.identity]
-    index = {eng.identity: 0}
-    dist_list = [0]
-    parent_list = [-1]
-    pletter_list = [0]
-
-    sphere = [eng.identity]
-    for k in range(1, radius + 1):
-        nxt = []
-        for w in sphere:
-            for l in range(L):
-                u = eng.mul_letter_left(l, w)
-                if eng.length(u) != k or u in index:
-                    continue
-                index[u] = len(words)
-                words.append(u)
-                dist_list.append(k)
-                parent_list.append(index[w])
-                pletter_list.append(l)
-                nxt.append(u)
-        sphere = nxt
-
-    n = len(words)
-    nbr = np.full((n, L), -1, dtype=np.int64)
-    for v, w in enumerate(words):
-        for l in range(L):
-            u = eng.mul_letter_left(l, w)
-            nbr[v, l] = index.get(u, -1)
-
-    dist = np.asarray(dist_list, dtype=np.int32)
-    return Truncation(
-        presentation=p, radius=radius, nbr=nbr, dist=dist,
-        parent=np.asarray(parent_list, dtype=np.int64),
-        parent_letter=np.asarray(pletter_list, dtype=np.int8),
-        shell_mask=dist == radius,
-        stored_words=words,
+        parent_letter=parent_letter, shell_mask=dist == radius,
     )
 
 
@@ -776,31 +761,17 @@ def path_truncation(n_interior):
 # ---------------------------------------------------------------------------
 
 def enumerate_elements(p, r):
-    """All group elements of word length <= r, deduplicated, breadth-first
-    with the fixed letter order (identity first)."""
-    eng = p.engine()
-    out = [Element(p, eng.identity)]
-    seen = {eng.identity}
-    sphere = [eng.identity]
-    for k in range(1, r + 1):
-        nxt = []
-        for w in sphere:
-            for l in range(eng.n_letters):
-                u = eng.mul_letter_left(l, w)
-                if eng.length(u) != k or u in seen:
-                    continue
-                seen.add(u)
-                out.append(Element(p, u))
-                nxt.append(u)
-        sphere = nxt
-    return out
+    """All group elements of word length <= r, breadth-first with the fixed
+    letter order (identity first): a ball's vertices in id order."""
+    return group_ball(build_truncation(p, max(r, 1)), r)
 
 
 def group_ball(t, r):
     """Elements of word length <= r, for action and pullback samples."""
     if r > t.radius:
         raise ValueError("sample radius exceeds the truncation radius")
-    return enumerate_elements(t.presentation, r)
+    n_r = int(np.searchsorted(t.dist, max(r, 0), side="right"))
+    return [t.element(v) for v in range(n_r)]
 
 
 def apply_generator(t, v, letter):
@@ -852,13 +823,9 @@ def _net_tree_delta2(t):
     # Trees have no same-sphere edges, so whole spheres are kept at once.
     blocked = np.zeros(t.n, dtype=bool)
     members = []
-    for sl in _sphere_slices(t.dist, np.arange(t.n)):
-        ids = np.arange(sl.start, sl.stop, dtype=np.int64)
-        keep = ids[~blocked[ids]]
-        if len(keep) == 0:
-            continue
-        members.append(keep)
-        nb = t.nbr[keep].ravel()
+    for sl in _spheres(t.dist):
+        members.append(sl.start + np.flatnonzero(~blocked[sl]))
+        nb = t.nbr[members[-1]]
         blocked[nb[nb >= 0]] = True
     return np.concatenate(members)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import (
     EndsSplitterError,
@@ -301,6 +300,7 @@ def spectral_gap(t, tol=1e-12, max_iterations=10 ** 4):
     eta with eta^2/4 below the Rayleigh quotient, so the reported pair is
     ordered by construction.
     """
+    from scipy.sparse.linalg import splu   # local: it slows the import
     inter = t.interior_ids()
     if len(inter) < 2:
         raise EndsSplitterError("need at least 2 interior vertices")

@@ -119,7 +119,7 @@ def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
     allv = np.unique(np.concatenate(values))
     k = 1
     while True:
-        cand = 0.5 + k * step
+        cand = _candidate(k, step)
         if cand >= 0.6:
             raise NoRegularValue(
                 "no threshold in (0.5, 0.6) stays clear of the sampled "
@@ -134,7 +134,31 @@ def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
                 else max((g.length() for g in sample), default=0),
                 equality_tol=equality_tol, step=step,
             )
-        k += 1
+        k = _past(allv[hi - 1], k, step, equality_tol)
+
+
+def _candidate(k, step):
+    try:
+        return 0.5 + k * step
+    except OverflowError:           # k beyond every float: past 0.6 too
+        return math.inf
+
+
+def _past(value, k, step, equality_tol):
+    """The first k' > k whose candidate reaches 0.6 or has its window above
+    ``value``, which blocks all candidates between.  Both tests only turn
+    true as k' grows: doubling and bisection take O(log k') tests."""
+    def past(j):
+        cand = _candidate(j, step)
+        return cand >= 0.6 or cand - equality_tol > value
+
+    lo, hi = k, k + 1
+    while not past(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
+    return hi
 
 
 @dataclass

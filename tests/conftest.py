@@ -65,8 +65,9 @@ def net2_f2_r8(t_f2_r8):
     return build_net(t_f2_r8, 2)
 
 
-# one truncation per builder path: the closed-form free tree (two ranks),
-# the generic builder (a Z factor and two finite ones), no presentation
+# every kind of syllable the layout and the word renderer meet: free
+# letters (two ranks), Z factors, odd and even finite orders (Z/4 and Z/6
+# have an antipode with two parents), three factors, and no presentation
 _STREAM_CASES = {
     "F2-r6": lambda: build_truncation(Presentation.free(2), 6),
     "F3-r5": lambda: build_truncation(Presentation.free(3), 5),
@@ -74,6 +75,10 @@ _STREAM_CASES = {
         Presentation.free_product_of_cyclics([3, 0]), 7),
     "Z2*Z3-r12": lambda: build_truncation(
         Presentation.free_product_of_cyclics([2, 3]), 12),
+    "Z4*Z5-r7": lambda: build_truncation(
+        Presentation.free_product_of_cyclics([4, 5]), 7),
+    "Z6*Z*Z2-r5": lambda: build_truncation(
+        Presentation.free_product_of_cyclics([6, 0, 2]), 5),
     "path": lambda: path_truncation(20),
 }
 

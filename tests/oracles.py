@@ -10,6 +10,7 @@ from collections import deque
 import numpy as np
 
 from ends_splitter.errors import CrossingWalls, NoRegularValue
+from ends_splitter.groups import Truncation
 from ends_splitter.harmonic import pullback
 from ends_splitter.walls import (
     ActionReport,
@@ -90,6 +91,55 @@ def z2z3_elements(radius):
                     nxt.append(u)
         frontier = nxt
     return seen
+
+
+# -- the breadth-first layout, one engine call per (vertex, letter) -----------
+
+def build_generic(p, radius):
+    """Sphere-by-sphere normal-form enumeration: breadth-first, fixed
+    letter order, first seen wins.  Returns the truncation and the
+    normal-form word of each vertex; the layout oracle for
+    ``groups.build_truncation``."""
+    eng = p.engine()
+    L = eng.n_letters
+
+    words = [eng.identity]
+    index = {eng.identity: 0}
+    dist_list = [0]
+    parent_list = [-1]
+    pletter_list = [0]
+
+    sphere = [eng.identity]
+    for k in range(1, radius + 1):
+        nxt = []
+        for w in sphere:
+            for l in range(L):
+                u = eng.mul_letter_left(l, w)
+                if eng.length(u) != k or u in index:
+                    continue
+                index[u] = len(words)
+                words.append(u)
+                dist_list.append(k)
+                parent_list.append(index[w])
+                pletter_list.append(l)
+                nxt.append(u)
+        sphere = nxt
+
+    n = len(words)
+    nbr = np.full((n, L), -1, dtype=np.int64)
+    for v, w in enumerate(words):
+        for l in range(L):
+            u = eng.mul_letter_left(l, w)
+            nbr[v, l] = index.get(u, -1)
+
+    dist = np.asarray(dist_list, dtype=np.int32)
+    t = Truncation(
+        presentation=p, radius=radius, nbr=nbr, dist=dist,
+        parent=np.asarray(parent_list, dtype=np.int64),
+        parent_letter=np.asarray(pletter_list, dtype=np.int8),
+        shell_mask=dist == radius,
+    )
+    return t, words
 
 
 # -- graph algorithms on adjacency dicts --------------------------------------

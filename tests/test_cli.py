@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ends_splitter import cli
 
@@ -83,6 +89,9 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     {"wall": {"sample_radius": -1}},
     {"wall": {"sample_radius": 7}},
     {"net_delta": 0},
+    {"chi": "first_letter:zz"},
+    {"chi": {"map": ["a"], "default": 0}},
+    {"truncation_radius": float("inf")},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
@@ -256,6 +265,22 @@ def test_zero_wall_step_is_exit_1_not_a_hang(tmp_path):
     assert msg["error"] == "ScenarioError" and "step" in msg["message"]
 
 
+def test_tiny_wall_step_returns(tmp_path):
+    # 0.5 + k * 1e-300 rounds to 0.5 for every k a loop could reach, while
+    # a sampled value within equality_tol of 0.5 blocks it
+    path = write_scenario(tmp_path,
+                          chi={"map": {"a": 1, "A": 1}, "default": 0},
+                          wall={"step": 1e-300})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ends_splitter.cli", "tree", "--scenario",
+         path, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env)
+    msg = json.loads(proc.stdout.strip())
+    assert proc.returncode in (0, 1, 2, 3)
+    assert msg["ok"] is (proc.returncode == 0)
+
+
 @pytest.mark.parametrize("wall", [{"step": -0.001}, {"step": float("nan")},
                                   {"sample_radius": 7}])
 def test_bad_wall_settings_stop_tree_before_any_work(tmp_path, capsys,
@@ -291,3 +316,87 @@ def test_tree_builds_at_most_one_id_map_per_sample_element(tmp_path,
     rep = json.loads((tmp_path / "out/scn/report.json").read_text())
     # one gather per element other than the identity
     assert len(gathers) == rep["tree"]["sample_size"] - 1 == 16
+
+
+# -- the exit-code contract on arbitrary scenarios -------------------------
+
+_GROUPS = st.one_of(
+    st.integers(2, 3).map(lambda rank: {"kind": "free", "rank": rank}),
+    st.lists(st.sampled_from([0, 2, 3, 4, "inf"]), min_size=2, max_size=3)
+    .filter(lambda orders: orders != [2, 2])
+    .map(lambda orders: {"kind": "free_product_cyclic", "orders": orders}),
+)
+# wrong types, nulls and out-of-range values for any field; no radius
+# above 6, so every ball stays small
+_ODD = st.sampled_from([None, "x", [], {}, True, -1, 0, 1, 6, 2.5, 1e-300,
+                        float("nan"), float("inf"), "first_letter:zz",
+                        "all", {"map": 1}])
+
+
+@st.composite
+def _valid_scenarios(draw):
+    group = draw(_GROUPS)
+    letters = "aAbB" if group["kind"] == "free" else "stT"
+    rules = [f"first_letter:{l}" for l in letters]
+    base = draw(st.sampled_from([1, 1, 2]))
+    radius = draw(st.sampled_from(range(base + 2, 6)))
+    chi = draw(st.one_of(
+        st.sampled_from(rules + ["all"]),
+        st.sampled_from(letters).map(
+            lambda l: {"map": {l: 1}, "default": 0}),
+        st.lists(st.sampled_from(rules), min_size=1, max_size=2),
+    ))
+    return {
+        "schema": 1, "group": group, "truncation_radius": radius,
+        "base_radius": base,
+        "neck_R": draw(st.sampled_from(range(1, base + 1))),
+        "net_delta": draw(st.sampled_from([1, 2, 3])), "chi": chi,
+        "solver": {"tolerance": draw(st.sampled_from([1e-9, 1e-6])),
+                   "max_iterations": 2000},
+        "wall": {"sample_radius": draw(st.sampled_from([0, 1, 2])),
+                 "step": draw(st.sampled_from([1e-3, 0.01])),
+                 "equality_tol": draw(st.sampled_from([1e-9, 0.0]))},
+        "seed": draw(st.sampled_from(range(10))),
+    }
+
+
+@st.composite
+def _scenarios(draw):
+    """A valid scenario with up to three fields, nested ones included,
+    dropped or replaced by an odd value, and sometimes an unknown field."""
+    cfg = draw(_valid_scenarios())
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        node, key = cfg, draw(st.sampled_from(sorted(cfg) + ["knob"]))
+        child = cfg.get(key)
+        while isinstance(child, (dict, list)) and child and draw(
+                st.booleans()):
+            node = child
+            key = draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+        if isinstance(node, dict) and draw(st.sampled_from([0, 0, 1])):
+            node.pop(key, None)
+        else:
+            node[key] = copy.deepcopy(draw(_ODD))
+    # "all" solves 2^classes - 2 problems: 4094 at base radius 2 on F2
+    if cfg.get("chi") == "all":
+        cfg["base_radius"] = 1
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(cli._RUNNERS)), cfg=_scenarios())
+def test_every_scenario_exits_0_to_3_with_one_json_line(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--scenario", path,
+                             "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["ok"] is (code == 0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,13 @@ def test_first_letter_rule(t_f2_r6):
     chi = make_end_function(t_f2_r6, 1, rule="first_letter:b")
     assert chi.assignments_by_word() == {"a": 0, "A": 0, "b": 1, "B": 0}
     assert chi.nonconstant
+
+
+@pytest.mark.parametrize("rule", ["first_letter:zz", "first_letter:s",
+                                  "first_letter:"])
+def test_first_letter_rule_refuses_unknown_generators(t_f2_r6, rule):
+    with pytest.raises(ScenarioError, match=re.escape(repr(rule))):
+        make_end_function(t_f2_r6, 1, rule=rule)
 
 
 def test_all_nonconstant_count(t_f2_r6):

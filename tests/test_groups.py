@@ -14,7 +14,6 @@ from ends_splitter.groups import (
     enumerate_elements,
     group_ball,
     path_truncation,
-    _build_generic,
 )
 
 import oracles
@@ -73,14 +72,29 @@ def test_rank3_sphere_sizes_match_enumeration():
         assert t.n == len(oracles.free_ball_words(3, rho))
 
 
-def test_fast_tree_layout_equals_generic_enumeration(f2):
-    for rho in (1, 3, 5):
-        fast = build_truncation(f2, rho)
-        slow = _build_generic(f2, rho)
-        assert np.array_equal(fast.nbr, slow.nbr)
-        assert np.array_equal(fast.dist, slow.dist)
-        assert np.array_equal(fast.parent, slow.parent)
-        assert np.array_equal(fast.parent_letter, slow.parent_letter)
+_FPC = Presentation.free_product_of_cyclics
+_LAYOUT_CASES = {
+    "F2-r6": (Presentation.free(2), 6),
+    "F3-r4": (Presentation.free(3), 4),
+    "Z3*Z-r8": (_FPC([3, 0]), 8),
+    "Z2*Z3-r12": (_FPC([2, 3]), 12),
+    "Z4*Z5-r8": (_FPC([4, 5]), 8),
+    "Z2*Z2*Z2-r6": (_FPC([2, 2, 2]), 6),
+    "Z6*Z*Z2-r6": (_FPC([6, 0, 2]), 6),
+    "Z*Z-r5": (_FPC([0, 0]), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_layout_equals_generic_enumeration(case):
+    p, rho = _LAYOUT_CASES[case]
+    fast = build_truncation(p, rho)
+    slow, words = oracles.build_generic(p, rho)
+    for name in ("nbr", "dist", "parent", "parent_letter", "shell_mask"):
+        ours, theirs = getattr(fast, name), getattr(slow, name)
+        assert ours.dtype == theirs.dtype, name
+        assert np.array_equal(ours, theirs), name
+    assert [fast.element(v).word for v in range(fast.n)] == words
 
 
 def test_z2z3_ball_matches_multiplication_table(z23):

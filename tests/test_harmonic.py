@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -326,6 +330,16 @@ def test_spectral_iteration_cap_raises(t_f2_r4):
     assert exc.value.iterations == 1
 
 
+def test_package_import_leaves_sparse_linalg_out():
+    # only spectral_gap needs splu, and importing it slows every command
+    code = ("import sys, ends_splitter; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_invalid_boundary_detected(t_f2_r4):
     from ends_splitter.ends import EndFunction, end_classes
     from ends_splitter.errors import InvalidBoundary
@@ -435,14 +449,15 @@ def test_to_csv_matches_per_vertex_oracle(stream_truncation, tmp_path,
             == (tmp_path / "per_vertex.csv").read_bytes())
 
 
-def test_to_csv_on_free_tree_makes_no_word_calls(t_f2_r6, tmp_path,
-                                                 monkeypatch):
+def test_to_csv_makes_no_word_calls(stream_truncation, tmp_path,
+                                    monkeypatch):
+    t = stream_truncation
     calls = []
     word = Truncation.word
     monkeypatch.setattr(Truncation, "word",
                         lambda self, v: calls.append(v) or word(self, v))
-    h = synthetic_field(t_f2_r6, np.zeros(t_f2_r6.n))
+    h = synthetic_field(t, np.zeros(t.n))
     h.to_csv(tmp_path / "field.csv")
     assert calls == []
     rows = (tmp_path / "field.csv").read_text().splitlines()
-    assert len(rows) == t_f2_r6.n + 1
+    assert len(rows) == t.n + 1

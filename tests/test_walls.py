@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ends_splitter.errors import (
     CrossingWalls,
@@ -624,3 +628,55 @@ def test_threshold_sees_values_within_tolerance_outside_0_5_to_0_6(t_f2_r4):
     for choose in (choose_threshold, oracles.choose_threshold):
         with pytest.raises(NoRegularValue):
             choose(h, sample, 0.012, 0.01)
+
+
+@st.composite
+def _threshold_cases(draw):
+    # a step, a tolerance and sampled values: free floats near [0.5, 0.6],
+    # window ends 0.5 + k * step +- tol, and runs of candidates themselves
+    step = draw(st.floats(1e-4, 0.05))
+    tol = draw(st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 0.02))
+    ends = st.tuples(st.integers(1, 600), st.sampled_from([-1, 0, 1])).map(
+        lambda kj: 0.5 + kj[0] * step + kj[1] * tol)
+    values = draw(st.lists(st.floats(0.45, 0.65) | ends, max_size=60))
+    start, length = draw(st.integers(1, 600)), draw(st.integers(0, 80))
+    values += [0.5 + k * step for k in range(start, start + length)]
+    return step, tol, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_threshold_cases())
+def test_threshold_jumps_match_the_one_candidate_oracle(t_f2_r4, case):
+    step, tol, special = case
+    vals = np.full(t_f2_r4.n, 0.2)
+    vals[:len(special)] = special
+    h = HarmonicField(truncation=t_f2_r4, values=vals, boundary_spec=None,
+                      residual=0.0, iterations=0)
+    sample = [group_ball(t_f2_r4, 0)[0]]
+    try:
+        want = oracles.choose_threshold(h, sample, tol, step)
+    except NoRegularValue:
+        with pytest.raises(NoRegularValue):
+            choose_threshold(h, sample, tol, step)
+        return
+    assert choose_threshold(h, sample, tol, step) == want
+
+
+@pytest.mark.parametrize("step", [1e-300, 1e-17, 5e-324])
+def test_tiny_step_jumps_past_a_blocking_value(t_f2_r4, step):
+    # 0.5 + k * step stays 0.5 for astronomically many k; the search jumps
+    # to the first candidate whose window clears 0.5, or finds none
+    vals = np.full(t_f2_r4.n, 0.2)
+    vals[0] = 0.5
+    h = HarmonicField(truncation=t_f2_r4, values=vals, boundary_spec=None,
+                      residual=0.0, iterations=0)
+    sample = [group_ball(t_f2_r4, 0)[0]]
+    try:
+        cfg = choose_threshold(h, sample, 1e-9, step)
+    except NoRegularValue:
+        # every float k * step stays below 0.1, so no candidate reaches 0.6
+        # and none before k overflows clears 0.5 + 1e-9
+        assert step * sys.float_info.max < 1e-9
+        return
+    assert cfg.threshold - 1e-9 > 0.5
+    assert np.nextafter(cfg.threshold, 0.0) - 1e-9 <= 0.5
