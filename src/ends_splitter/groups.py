@@ -695,8 +695,8 @@ def build_truncation(p, radius):
     inverse = np.array([p.engine().inverse_letter(l) for l in range(L)],
                        dtype=np.int8)
 
-    # sphere sizes from the state counts, so every array is allocated once
-    moves = np.zeros((len(syl.heads),) * 2, dtype=np.int64)
+    # sphere sizes up front, so arrays are allocated once; floats cannot wrap
+    moves = np.zeros((len(syl.heads),) * 2)
     np.add.at(moves, (np.nonzero(syl.tree)[0], syl.child[syl.tree]), 1)
     sizes = [int(np.linalg.matrix_power(moves, k)[0].sum())
              for k in range(radius + 1)]
