@@ -83,6 +83,10 @@ class Scenario:
         if cfg.get("schema") != 1:
             raise ScenarioError('scenario must declare "schema": 1')
         self.name = _field(cfg, "name", str, name)
+        # the name is the output directory under --out: one plain part
+        if self.name in ("", ".", "..") or set(self.name) & set("/\\\0"):
+            raise ScenarioError(
+                f"scenario name {self.name!r} must be one plain path part")
         self.group_cfg = _field(cfg, "group", dict)
         try:
             self.presentation = Presentation.from_config(self.group_cfg)
@@ -295,7 +299,9 @@ def run_necks(scn, outdir, stages):
     stages.start("build_net")
     net = build_net(t, scn.net_delta)
     stages.stop()
+    stages.start("resolve_chi")
     chi = scn.resolve_chi(t)
+    stages.stop()
     stages.start("special_sets")
     neck_report = special_sets(t, net, scn.neck_R, chi)
     stages.stop()

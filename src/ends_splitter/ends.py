@@ -154,7 +154,6 @@ class EndFunction:
         """Values transported to shell vertices through their end class."""
         key = "shell_values"
         if key not in self._caches:
-            table = self.class_of_vertex(t)
             vals = np.full(t.n, -1, dtype=np.int64)
             for c in self.classes:
                 vals[c.members] = self.values[c.id]

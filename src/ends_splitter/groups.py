@@ -508,6 +508,38 @@ class Truncation:
         _, labels = connected_components(g, directed=False)
         return labels
 
+    # -- the block tree -------------------------------------------------------
+
+    def blocks(self):
+        """``(anchor, block, cyclic)``, built once: the graph's blocks
+        (biconnected pieces), which make the Bass-Serre tree of the free
+        product.  A factor of order >= 3 spans cycles, cut where the ball
+        ends (``cyclic`` marks its letters); any other letter spans edges.
+        Each v != e lies in one block through its parent, numbered
+        ``block[v]`` (-1 at e), whose vertex nearest e is ``anchor[v]``;
+        every other block at v is anchored at v.
+        """
+        if "blocks" not in self._caches:
+            p, L = self.presentation, self.n_letters
+            first, cyclic = np.arange(L), np.zeros(L, dtype=bool)
+            if p is not None and p.kind == "free_product_cyclic":
+                letters = p.engine().letters    # each to its factor's first
+                first = np.array([letters.index((f, 1)) for f, _ in letters])
+                cyclic = np.array([p.orders[f] >= 3 for f, _ in letters])
+            lead = first[self.parent_letter]
+            anchor = self.parent.astype(np.int32)
+            for sl in _spheres(self.dist)[2:]:      # sphere 1 hangs off e
+                par = self.parent[sl]
+                same = (lead[par] == lead[sl]) & cyclic[lead[sl]]
+                anchor[sl] = np.where(same, anchor[par], par)
+            # a cycle is numbered by its member s * anchor, an edge by its
+            # far end
+            block = np.where(cyclic[lead], self.nbr[anchor, lead],
+                             np.arange(self.n)).astype(np.int32)
+            block[0] = -1
+            self._caches["blocks"] = (anchor, block, cyclic)
+        return self._caches["blocks"]
+
     # -- the right action ----------------------------------------------------
 
     def right_mult_table(self, letter):

@@ -24,26 +24,41 @@ import numpy as np
 
 from .errors import DegenerateDrop, EndsSplitterError, NeckCoverageError
 from .ends import complement_components, is_cluster
+from .groups import _spheres
 from .harmonic import energy
 
-_MIXED = 3
+# shell-trace bits: a chi-value 0 / 1 seen on the shell, and the shell itself
+CHI0, CHI1, SHELL = 1, 2, 4
+_VERDICT = (None, 0, 1, None)     # by the chi bits of a component's trace
 
 
-@dataclass
+@dataclass(slots=True)        # a survey holds one per component of every neck
 class NeckComponent:
+    """A complement component of a neck's ball: the cones of ``arc``, a
+    block arc, plus with ``up`` (a ball vertex of that block) != -1 all
+    outside the block's branch at its anchor, the identity's side."""
+
     seed: int                 # a component vertex adjacent to the removed ball
-    unbounded: bool
-    via_parent: bool = False  # tree fast path: component through the root side
-    members: np.ndarray | None = None
+    arc: tuple = ()
+    up: int = -1
+    unbounded: bool = True
+    _members: np.ndarray | None = field(default=None, repr=False)
+
+    def trace(self, masks):
+        """OR of the shell-trace bits of ``masks`` over the component."""
+        bits = int(masks.up[self.up]) if self.up >= 0 else 0
+        for v in self.arc:
+            bits |= int(masks.down[v])
+        return bits
 
     def materialize(self, t, removed_mask):
-        """Member ids, flooding from the seed when not stored."""
-        if self.members is not None:
-            return self.members
-        allowed = ~removed_mask
-        dist = t.graph_distances_from([self.seed], allowed_mask=allowed)
-        self.members = np.flatnonzero(dist >= 0)
-        return self.members
+        """Member ids, flooded from the seed on first use (by the gap
+        certificates, which share it across end functions)."""
+        if self._members is None:
+            dist = t.graph_distances_from([self.seed],
+                                          allowed_mask=~removed_mask)
+            self._members = np.flatnonzero(dist >= 0)
+        return self._members
 
 
 @dataclass
@@ -100,10 +115,12 @@ def find_necks(t, net, R, margin=None):
         )
     centers = net.member_ids[t.dist[net.member_ids] <= window]
 
-    if t.presentation is not None and t.presentation.kind == "free":
-        necks = _find_necks_tree(t, centers, R)
-    else:
-        necks = _find_necks_generic(t, centers, R)
+    masks = TraceMasks(t)
+    necks = []
+    for x in centers.tolist():
+        neck = Neck(center=x, R=R, components=_components(t, x, R, masks))
+        if neck.unbounded_count() >= 3:
+            necks.append(neck)
 
     in_window = t.dist <= window
     neck_centers = np.asarray([n.center for n in necks], dtype=np.int64)
@@ -121,126 +138,98 @@ def find_necks(t, net, R, margin=None):
                       center_words=[t.word(n.center) for n in necks])
 
 
-def _find_necks_generic(t, centers, R):
-    necks = []
-    for x in centers:
-        x = int(x)
-        removed = t.word_ball([x], R - 1)
-        comps = complement_components(t, removed)
-        parts = [NeckComponent(seed=int(c.members[0]), unbounded=c.unbounded,
-                               members=c.members) for c in comps]
-        neck = Neck(center=x, R=R, components=parts)
-        if neck.unbounded_count() >= 3:
-            necks.append(neck)
-    return necks
+def _components(t, x, R, masks):
+    """Complement components of the (R-1)-ball at x, by smallest member id.
 
-
-def _find_necks_tree(t, centers, R):
-    # on a tree every complement component hangs off one directed edge that
-    # crosses the sphere of radius R - 1 around the center
-    necks = []
-    for x in centers:
-        x = int(x)
-        parts = []
-        if R == 1:
-            for w in t.nbr[x]:
-                w = int(w)
-                if w < 0:
-                    continue
-                via_parent = (int(t.parent[x]) == w) if x != 0 else False
-                parts.append(NeckComponent(seed=w, unbounded=True,
-                                           via_parent=via_parent))
-        else:
-            for u, w in _boundary_edges_tree(t, x, R):
-                via_parent = int(t.parent[u]) == w
-                parts.append(NeckComponent(seed=w, unbounded=True,
-                                           via_parent=via_parent))
-        neck = Neck(center=x, R=R, components=parts)
-        if neck.unbounded_count() >= 3:
-            necks.append(neck)
-    return necks
-
-
-def _boundary_edges_tree(t, x, R):
-    """Directed edges (u, w) with d(x,u) = R-1 and d(x,w) = R."""
-    seen = {x}
-    frontier = [x]
-    for _ in range(R - 1):
-        nxt = []
-        for u in frontier:
-            for w in t.nbr[u]:
-                w = int(w)
-                if w >= 0 and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    out = []
-    for u in frontier:
-        for w in t.nbr[u]:
-            w = int(w)
-            if w >= 0 and w not in seen:
-                out.append((u, w))
-    return out
+    Each is one maximal arc of a block that meets the ball, found by
+    walking the block away from the ball from a vertex next to it, with
+    the cones hanging off the arc.  The arc through its block's anchor
+    holds the identity's side, and so member 0; any other arc's smallest
+    member is its own smallest vertex.
+    """
+    nbr, (anchor, _, cyclic) = t.nbr, t.blocks()
+    ball = set(t.word_ball([x], R - 1).tolist())
+    found, seen = [], set()
+    for b in ball:
+        for l, u in enumerate(nbr[b].tolist()):
+            if u < 0 or u in ball or u in seen:
+                continue
+            arc = [u]
+            if cyclic[l]:
+                w = int(nbr[u, l])
+                while w >= 0 and w not in ball:
+                    arc.append(w)
+                    w = int(nbr[w, l])
+            seen.update(arc)
+            # the block's vertex nearest e: b or u if one hangs off the other
+            a = (b if anchor[u] == b else u if anchor[b] == u
+                 else int(anchor[b]))
+            if a in arc:
+                arc.remove(a)
+                found.append((0, u, arc, b))
+            else:
+                found.append((min(arc), u, arc, -1))
+    found.sort()
+    comps = [NeckComponent(seed=u, arc=tuple(arc), up=up)
+             for _, u, arc, up in found]
+    for c in comps:
+        c.unbounded = bool(c.trace(masks) & SHELL)
+    return comps
 
 
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
 
-class _TreeTraceMasks:
-    """Two-bit shell-trace masks for every directed edge of a tree ball.
-
-    down[v]: chi-values seen by the shell of the subtree at v (away from
-    the root).  up[v]: values seen outside that subtree.  Bit 1 = value 0,
-    bit 2 = value 1.
+class TraceMasks:
+    """Shell-trace bits (SHELL, and CHI0 / CHI1 when chi is given) seen
+    from the block tree.  down[v]: bits of v's cone, which is v with
+    whatever hangs off it in the blocks anchored at v.  up[v]: bits
+    outside the branch of v's block at the block's anchor; 0 at e.
     """
 
-    def __init__(self, t, chi):
-        vals = chi.shell_values(t)
-        down = np.zeros(t.n, dtype=np.int8)
+    def __init__(self, t, chi=None):
+        anchor, block, _ = t.blocks()
+        own = np.zeros(t.n, dtype=np.int8)
         shell = t.shell_ids()
-        sv = vals[shell]
-        down[shell[sv == 0]] |= 1
-        down[shell[sv == 1]] |= 2
+        own[shell] = SHELL
+        if chi is not None:
+            vals = chi.shell_values(t)[shell]
+            own[shell[vals == 0]] |= CHI0
+            own[shell[vals == 1]] |= CHI1
+        spheres = _spheres(t.dist)[1:]
+        down = own.copy()
+        for sl in reversed(spheres):
+            np.bitwise_or.at(down, anchor[sl], down[sl])
 
-        order = np.argsort(t.dist, kind="stable")
-        spheres = []
-        d = t.dist[order]
-        bounds = np.flatnonzero(np.diff(d)) + 1
-        start = 0
-        for b in list(bounds) + [t.n]:
-            spheres.append(order[start:b])
-            start = b
-        for ids in reversed(spheres[1:]):
-            np.bitwise_or.at(down, t.parent[ids], down[ids])
-
-        # sibling-or via per-bit child counts at each parent
+        # per v != e, the bits of the other cones of its block (within), of
+        # the other blocks at its anchor (beside) and outside its cone
+        kids = slice(1, None)
+        block = block[kids]
+        branch = np.zeros(block.max() + 1, dtype=np.int8)
+        np.bitwise_or.at(branch, block, down[kids])
+        block_anchor = np.zeros(len(branch), dtype=block.dtype)
+        block_anchor[block] = anchor[kids]
+        within, beside, outside = np.zeros((3, t.n), dtype=np.int8)
+        within[kids] = _others(block, down[kids])
+        beside[kids] = _others(block_anchor, branch)[block]
         up = np.zeros(t.n, dtype=np.int8)
-        cnt0 = np.zeros(t.n, dtype=np.int64)
-        cnt1 = np.zeros(t.n, dtype=np.int64)
-        nonroot = np.arange(1, t.n)
-        np.add.at(cnt0, t.parent[nonroot], (down[nonroot] & 1) != 0)
-        np.add.at(cnt1, t.parent[nonroot], (down[nonroot] & 2) != 0)
-        for ids in spheres[1:]:
-            p = t.parent[ids]
-            sib0 = (cnt0[p] - ((down[ids] & 1) != 0)) >= 1
-            sib1 = (cnt1[p] - ((down[ids] & 2) != 0)) >= 1
-            up[ids] = up[p] | sib0.astype(np.int8) | (2 * sib1.astype(np.int8))
+        for sl in spheres:
+            a = anchor[sl]
+            up[sl] = outside[a] | own[a] | beside[sl]
+            outside[sl] = up[sl] | within[sl]
         self.down = down
         self.up = up
 
-    def component_mask(self, comp, center):
-        if comp.via_parent:
-            return int(self.up[center])
-        return int(self.down[comp.seed])
 
-
-def _verdict_from_mask(mask):
-    if mask == 1:
-        return 0
-    if mask == 2:
-        return 1
-    return None
+def _others(group, bits):
+    """OR of ``bits`` over the other elements of each element's group."""
+    out = np.zeros(len(group), dtype=np.int8)
+    for bit in (CHI0, CHI1, SHELL):
+        has = (bits & bit) != 0
+        count = np.bincount(group[has], minlength=group.max() + 1)
+        out[count[group] > has] |= bit
+    return out
 
 
 def classify_neck(t, neck, chi, tree_masks=None):
@@ -248,38 +237,17 @@ def classify_neck(t, neck, chi, tree_masks=None):
     the trustworthy window."""
     if not neck.trusted:
         return NeckClass(kind="undecidable")
-    verdicts = []
-    if (tree_masks is not None
-            and t.presentation is not None and t.presentation.kind == "free"):
-        for comp in neck.components:
-            if not comp.unbounded:
-                continue
-            mask = tree_masks.component_mask(comp, neck.center)
-            verdicts.append(_verdict_from_mask(mask))
-    else:
-        removed_mask = neck.removed_mask(t)
-        for comp in neck.components:
-            if not comp.unbounded:
-                continue
-            members = comp.materialize(t, removed_mask)
-            fake = _AdhocComponent(members=members, unbounded=True)
-            verdicts.append(is_cluster(t, chi, fake))
+    masks = tree_masks if tree_masks is not None else TraceMasks(t, chi)
+    # a cluster sees one chi-value on the shell
+    verdicts = [_VERDICT[c.trace(masks) & (CHI0 | CHI1)]
+                for c in neck.components if c.unbounded]
 
-    n_mixed = sum(1 for v in verdicts if v is None)
-    n0 = sum(1 for v in verdicts if v == 0)
-    n1 = sum(1 for v in verdicts if v == 1)
-    if n_mixed >= 2:
+    if verdicts.count(None) >= 2:
         return NeckClass(kind="special_type_2", verdicts=tuple(verdicts))
-    if n0 >= 1 and n1 >= 1:
+    if 0 in verdicts and 1 in verdicts:
         return NeckClass(kind="special_type_1", verdicts=tuple(verdicts))
-    theta = 0 if n0 >= 1 else 1
+    theta = 0 if 0 in verdicts else 1
     return NeckClass(kind="regular", theta=theta, verdicts=tuple(verdicts))
-
-
-@dataclass
-class _AdhocComponent:
-    members: np.ndarray
-    unbounded: bool
 
 
 @dataclass
@@ -312,13 +280,6 @@ class NeckReport:
         }
 
 
-def _tree_masks(t, chi):
-    """Shell-trace masks on the free tree, None for every other group."""
-    if t.presentation is not None and t.presentation.kind == "free":
-        return _TreeTraceMasks(t, chi)
-    return None
-
-
 def special_sets(t, net, R, chi, margin=None, check_structure=True,
                  survey=None, tree_masks=None):
     """Classify every neck of the survey and extract K, K_I, K_II.
@@ -328,13 +289,13 @@ def special_sets(t, net, R, chi, margin=None, check_structure=True,
     of the K_I-ball system must be a cluster.
 
     ``survey`` (``find_necks(t, net, R, margin)``) and ``tree_masks``
-    (``_tree_masks(t, chi)``) are computed here unless the caller passes
+    (``TraceMasks(t, chi)``) are computed here unless the caller passes
     the ones it holds.
     """
     chi.require_nonconstant()
     if survey is None:
         survey = find_necks(t, net, R, margin=margin)
-    masks = tree_masks if tree_masks is not None else _tree_masks(t, chi)
+    masks = tree_masks if tree_masks is not None else TraceMasks(t, chi)
 
     classes = {}
     k_ids, k1_ids, k2_ids = [], [], []
@@ -749,7 +710,7 @@ def energy_gap_estimate(t, net, R, chis, solver_cfg=None, margin=None):
         chi.require_nonconstant()
         h = solve_dirichlet(t, chi, solver_cfg)
         e_total = energy(h).total
-        masks = _tree_masks(t, chi)
+        masks = TraceMasks(t, chi)
         report = special_sets(t, net, R, chi, margin=margin, survey=survey,
                               tree_masks=masks)
         mus = []

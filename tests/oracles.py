@@ -9,6 +9,7 @@ from collections import deque
 
 import numpy as np
 
+from ends_splitter.ends import complement_components, is_cluster
 from ends_splitter.errors import CrossingWalls, NoRegularValue
 from ends_splitter.groups import Truncation
 from ends_splitter.harmonic import pullback
@@ -190,6 +191,25 @@ def bfs_distances(adj, sources, allowed=None):
             dist[w] = dist[v] + 1
             dq.append(w)
     return dist
+
+
+# -- the neck survey, one complement flood per center --------------------------
+
+def flood_neck_components(t, x, R):
+    """Complement components of the (R-1)-ball at x, ordered by smallest
+    member id; the oracle for ``necks.find_necks``."""
+    return complement_components(t, t.word_ball([int(x)], R - 1))
+
+
+def flood_neck_label(t, chi, comps):
+    """Cluster verdicts of the unbounded components and the class label
+    under the precedence order; the oracle for ``necks.classify_neck``."""
+    verdicts = [is_cluster(t, chi, c) for c in comps if c.unbounded]
+    if sum(v is None for v in verdicts) >= 2:
+        return verdicts, "special_type_2"
+    if 0 in verdicts and 1 in verdicts:
+        return verdicts, "special_type_1"
+    return verdicts, "regular_0" if 0 in verdicts else "regular_1"
 
 
 # -- dense Dirichlet solve -----------------------------------------------------

@@ -34,7 +34,7 @@ from ends_splitter.harmonic import (
 )
 from ends_splitter.necks import (
     PartitionParams,
-    _TreeTraceMasks,
+    TraceMasks,
     classify_neck,
     dual_graph,
     find_necks,
@@ -234,7 +234,7 @@ def test_criterion_7(r12):
     assert not report.warnings
 
     survey = report.survey
-    masks = _TreeTraceMasks(t, chi)
+    masks = TraceMasks(t, chi)
     cls_of = chi.class_of_vertex(t)
     classified = [(n, classify_neck(t, n, chi, tree_masks=masks))
                   for n in survey.necks]
@@ -259,7 +259,7 @@ def test_criterion_7(r12):
     # pairwise property on the full net at radius 8 where pairs exist
     t8 = build_truncation(Presentation.free(2), 8)
     chi8 = make_end_function(t8, 1, rule="first_letter:a")
-    masks8 = _TreeTraceMasks(t8, chi8)
+    masks8 = TraceMasks(t8, chi8)
     survey8 = find_necks(t8, build_net(t8, 1), 1)
     theta8 = {}
     for n in survey8.necks:
@@ -283,7 +283,7 @@ def test_criterion_8(f2, r12):
     net = build_net(t, 2)
     survey = find_necks(t, net, 1)
     neck = [n for n in survey.necks if n.center == 0][0]
-    masks = _TreeTraceMasks(t, chi)
+    masks = TraceMasks(t, chi)
     cert = gap_certificate(h, neck, chi, tree_masks=masks)
     assert cert.mu > 0
     assert cert.mu <= cert.region_energy + 1e-12
@@ -299,7 +299,7 @@ def test_criterion_8(f2, r12):
         h8 = solve_dirichlet(t8, chi8)
         energies.append(energy(h8).total)
         rep = special_sets(t8, net8, 1, chi8)
-        masks8 = _TreeTraceMasks(t8, chi8)
+        masks8 = TraceMasks(t8, chi8)
         best = 0.0
         for n in rep.survey.necks:
             if n.center not in rep.center_ids["K_I"]:

@@ -16,7 +16,7 @@ from ends_splitter import cli
 import oracles
 
 
-def write_scenario(tmp_path, name="scn", **overrides):
+def write_scenario(tmp_path, stem="scn", **overrides):
     cfg = {
         "schema": 1,
         "group": {"kind": "free", "rank": 2},
@@ -29,7 +29,7 @@ def write_scenario(tmp_path, name="scn", **overrides):
         "seed": 3,
     }
     cfg.update(overrides)
-    path = tmp_path / f"{name}.json"
+    path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -92,6 +92,13 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     {"chi": "first_letter:zz"},
     {"chi": {"map": ["a"], "default": 0}},
     {"truncation_radius": float("inf")},
+    {"name": "../escaped"},
+    {"name": ""},
+    {"name": "."},
+    {"name": ".."},
+    {"name": "a/b"},
+    {"name": "a\\b"},
+    {"name": "a\0b"},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
@@ -101,6 +108,8 @@ def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     msg = json.loads(lines[0])
     assert msg["ok"] is False and msg["exit_code"] == 1
     assert msg["error"] == "ScenarioError"
+    # nothing lands beside the scenario file, outside --out
+    assert set(os.listdir(tmp_path)) <= {"scn.json", "out"}
 
 
 def test_scenario_that_is_not_an_object_is_exit_1(tmp_path, capsys):
@@ -155,6 +164,14 @@ def test_necks_outputs(tmp_path):
     assert len(nodes) == rep["dual"]["nodes"]
     assert len(edges) == rep["dual"]["edges"]
     assert rep["dual"]["is_tree"]
+
+
+def test_necks_times_every_stage(tmp_path):
+    path = write_scenario(tmp_path)
+    assert run("necks", path, tmp_path / "out") == 0
+    timings = json.loads((tmp_path / "out/scn/timings.json").read_text())
+    assert set(timings) == {"build_truncation", "build_net", "resolve_chi",
+                            "special_sets", "dual_graph", "write_outputs"}
 
 
 def test_cover_failure_warns_but_succeeds(tmp_path, capsys):

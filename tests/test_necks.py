@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,18 @@ from ends_splitter.errors import (
     EndsSplitterError,
     NeckCoverageError,
 )
-from ends_splitter.ends import make_end_function
-from ends_splitter.groups import build_net, build_truncation
+from ends_splitter.ends import end_classes, make_end_function
+from ends_splitter.groups import (
+    Presentation,
+    build_net,
+    build_truncation,
+    path_truncation,
+)
 from ends_splitter.harmonic import energy, solve_dirichlet
 from ends_splitter.necks import (
+    SHELL,
     PartitionParams,
-    _TreeTraceMasks,
+    TraceMasks,
     classify_neck,
     dual_graph,
     dual_graph_dot,
@@ -25,6 +33,7 @@ from ends_splitter.necks import (
 )
 
 import oracles
+from test_groups import _LAYOUT_CASES
 
 
 def vertex_by_word(t, word):
@@ -91,31 +100,90 @@ def test_identity_neck_is_type1_and_b_neck_regular(t_f2_r6):
     assert cls_b.kind == "regular" and cls_b.theta == 0
 
 
+def _assert_masks_match_the_flood(t, chi):
+    net = build_net(t, 1)
+    survey = find_necks(t, net, 1)
+    masks = TraceMasks(t, chi)
+    assert survey.necks
+    for neck in survey.necks:
+        comps = oracles.flood_neck_components(t, neck.center, neck.R)
+        verdicts, label = oracles.flood_neck_label(t, chi, comps)
+        fast = classify_neck(t, neck, chi, tree_masks=masks)
+        assert list(fast.verdicts) == verdicts
+        assert fast.label() == label
+        # without masks passed in, the same classification from its own
+        assert classify_neck(t, neck, chi).label() == label
+
+
 @pytest.mark.parametrize("chi_spec", [
     {"rule": "first_letter:a"},
     {"values_by_word": {"a": 1, "b": 1}, "default": 0},
 ])
 def test_tree_masks_agree_with_floodfill_classification(t_f2_r6, chi_spec):
     chi = make_end_function(t_f2_r6, 1, **chi_spec)
-    net = build_net(t_f2_r6, 1)
-    survey = find_necks(t_f2_r6, net, 1)
-    masks = _TreeTraceMasks(t_f2_r6, chi)
-    for neck in survey.necks:
-        fast = classify_neck(t_f2_r6, neck, chi, tree_masks=masks)
-        slow = classify_neck(t_f2_r6, neck, chi, tree_masks=None)
-        assert fast.label() == slow.label()
+    _assert_masks_match_the_flood(t_f2_r6, chi)
 
 
 def test_tree_masks_agree_on_deeper_base_radius(t_f2_r6):
     chi = make_end_function(t_f2_r6, 2, values_by_word={"aa": 1, "bb": 1},
                             default=0)
-    net = build_net(t_f2_r6, 1)
-    survey = find_necks(t_f2_r6, net, 1)
-    masks = _TreeTraceMasks(t_f2_r6, chi)
-    for neck in survey.necks:
-        fast = classify_neck(t_f2_r6, neck, chi, tree_masks=masks)
-        slow = classify_neck(t_f2_r6, neck, chi, tree_masks=None)
-        assert fast.label() == slow.label()
+    _assert_masks_match_the_flood(t_f2_r6, chi)
+
+
+def _survey_chis(t):
+    """A first-letter chi at base radius 1 and a seeded mixed one at base
+    radius 2, which makes mixed (type-2) components."""
+    names = t.presentation.engine().letter_names
+    classes = end_classes(t, 2)
+    values = np.random.default_rng(len(classes)).integers(0, 2, len(classes))
+    values[:2] = 0, 1
+    return [make_end_function(t, 1, rule=f"first_letter:{names[0]}"),
+            make_end_function(t, 2, values_by_word={
+                c.representative_word: int(v)
+                for c, v in zip(classes, values)})]
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_block_tree_survey_matches_the_flood(case):
+    # margin 0 takes centers up to the shell's neighborhood, where the
+    # truncation cuts the cycles the components are read from
+    p, rho = _LAYOUT_CASES[case]
+    t = build_truncation(p, min(rho, 6))
+    chis = _survey_chis(t)
+    masks = [TraceMasks(t, chi) for chi in chis]
+    rng = np.random.default_rng(7)
+    for R in (1, 2, 3):
+        survey = find_necks(t, build_net(t, 1), R, margin=0)
+        necks = {n.center: n for n in survey.necks}
+        window = np.flatnonzero(t.dist <= survey.window_distance)
+        assert set(necks) <= set(window.tolist())
+        for x in rng.permutation(window)[:60].tolist():
+            comps = oracles.flood_neck_components(t, x, R)
+            assert (x in necks) == (sum(c.unbounded for c in comps) >= 3)
+            if x not in necks:
+                continue
+            neck = necks[x]
+            assert neck.unbounded_count() == sum(c.unbounded for c in comps)
+            assert len(neck.components) == len(comps)
+            removed = neck.removed_mask(t)
+            for ours, theirs in zip(neck.components, comps):
+                assert ours.unbounded == theirs.unbounded
+                assert np.array_equal(ours.materialize(t, removed),
+                                      theirs.members)
+            for chi, m in zip(chis, masks):
+                cls = classify_neck(t, neck, chi, tree_masks=m)
+                verdicts, label = oracles.flood_neck_label(t, chi, comps)
+                assert list(cls.verdicts) == verdicts, (t.word(x), R)
+                assert cls.label() == label
+
+
+def test_trace_masks_count_a_root_on_the_shell():
+    # the path stand-in has its root on the shell, unlike any ball of a
+    # group: everything outside the cone of vertex 1 is that root
+    t = path_truncation(4)
+    masks = TraceMasks(t)
+    assert masks.up[1] == SHELL and masks.down[1] == SHELL
+    assert masks.up[5] == SHELL and masks.down[5] == SHELL
 
 
 def test_two_branch_chi_has_singleton_k1(t_f2_r8, net1_f2_r8):
@@ -185,9 +253,7 @@ def test_z2z3_special_sets(t_z23_r10):
 
 def _classified_necks(t, chi, net, R):
     survey = find_necks(t, net, R)
-    masks = None
-    if t.presentation.kind == "free":
-        masks = _TreeTraceMasks(t, chi)
+    masks = TraceMasks(t, chi)
     return [(n, classify_neck(t, n, chi, tree_masks=masks))
             for n in survey.necks]
 
@@ -253,7 +319,7 @@ def test_type2_windows_contain_type1_centers(t_f2_r8, net1_f2_r8):
                             default=0)
     report = special_sets(t, net1_f2_r8, 1, chi)
     assert report.K_II
-    masks = _TreeTraceMasks(t, chi)
+    masks = TraceMasks(t, chi)
     survey = report.survey
     by_center = {n.center: n for n in survey.necks}
     k1 = set(report.center_ids["K_I"])
@@ -418,7 +484,7 @@ def test_disjoint_type1_certificates_have_disjoint_regions(t_f2_r8,
     a, b = k1
     assert necks_disjoint(t, a, b, 1)
     survey = report.survey
-    masks = _TreeTraceMasks(t, chi)
+    masks = TraceMasks(t, chi)
     certs = []
     for center in k1:
         neck = [n for n in survey.necks if n.center == center][0]
@@ -467,19 +533,20 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
         calls.append("find_necks")
         return find_necks(*args, **kwargs)
 
-    class CountedMasks(necks._TreeTraceMasks):
-        def __init__(self, t, chi):
-            calls.append("masks")
+    class CountedMasks(necks.TraceMasks):
+        def __init__(self, t, chi=None):
+            if chi is not None:     # the survey's own masks carry no chi
+                calls.append("masks")
             super().__init__(t, chi)
 
     monkeypatch.setattr(necks, "find_necks", counted_find_necks)
-    monkeypatch.setattr(necks, "_TreeTraceMasks", CountedMasks)
+    monkeypatch.setattr(necks, "TraceMasks", CountedMasks)
     bracket = energy_gap_estimate(t_f2_r6, net, 1, chis)
     assert calls.count("find_necks") == 1
     assert calls.count("masks") == len(chis)
     monkeypatch.undo()
 
-    # each chi on its own: its own survey, flood-fill classification
+    # each chi on its own: its own survey and its own masks
     for chi, row in zip(chis, bracket.rows):
         h = solve_dirichlet(t_f2_r6, chi)
         report = special_sets(t_f2_r6, net, 1, chi)
@@ -513,3 +580,32 @@ def test_special_sets_reuse_the_survey_center_words(t_f2_r6, monkeypatch):
            for chi in chis]
     assert got == want
     assert rendered == []
+
+
+def test_special_sets_floods_independently_of_the_centers(monkeypatch):
+    # the survey reads every neck off the block tree: the floods left are
+    # the structural check's, and no component keeps its members
+    from ends_splitter import ends, necks
+
+    t = build_truncation(Presentation.free_product_of_cyclics([3, 0]), 8)
+    chi = make_end_function(t, 1, values_by_word={"s": 0, "t": 1, "T": 0})
+    calls = []
+    flood = ends.complement_components
+
+    def counted_flood(*args, **kwargs):
+        calls.append(1)
+        return flood(*args, **kwargs)
+
+    monkeypatch.setattr(ends, "complement_components", counted_flood)
+    monkeypatch.setattr(necks, "complement_components", counted_flood)
+    floods, centers = [], []
+    for spacing in (1, 2):
+        calls.clear()
+        report = special_sets(t, build_net(t, spacing), 1, chi)
+        floods.append(len(calls))
+        centers.append(report.survey.centers_considered)
+        assert not any(isinstance(getattr(c, f.name), np.ndarray)
+                       for n in report.survey.necks for c in n.components
+                       for f in dataclasses.fields(c))
+    assert centers[0] > centers[1]
+    assert floods[0] == floods[1] <= 1
