@@ -191,10 +191,12 @@ class Scenario:
 
 def load_scenario(path, overrides=None):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}")
+    except (OSError, UnicodeDecodeError) as ex:
+        raise ScenarioError(f"cannot read scenario file {path}: {ex}")
     except json.JSONDecodeError as ex:
         raise ScenarioError(
             f"malformed scenario JSON at line {ex.lineno} column {ex.colno}: "
@@ -437,7 +439,10 @@ def main(argv=None):
     try:
         scn = load_scenario(args.scenario, overrides)
         outdir = os.path.join(outroot, scn.name)
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as ex:
+            raise ScenarioError(f"cannot create output directory: {ex}")
         report = _RUNNERS[args.command](scn, outdir, stages)
     except _CONFIG_ERRORS as ex:
         _emit_error(1, ex)

@@ -154,7 +154,7 @@ class EndFunction:
         """Values transported to shell vertices through their end class."""
         key = "shell_values"
         if key not in self._caches:
-            vals = np.full(t.n, -1, dtype=np.int64)
+            vals = np.full(t.n, -1, dtype=np.int8)
             for c in self.classes:
                 vals[c.members] = self.values[c.id]
             self._caches[key] = vals

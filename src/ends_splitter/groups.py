@@ -640,9 +640,8 @@ class Truncation:
             nxt = nxt[dist[nxt] < 0]
             if len(nxt) == 0:
                 break
-            nxt = np.unique(nxt)
             dist[nxt] = d
-            frontier = nxt
+            frontier = np.flatnonzero(dist == d)
         return dist
 
 

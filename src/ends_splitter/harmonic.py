@@ -59,12 +59,18 @@ class HarmonicField:
 
     def to_csv(self, path):
         """One ``word,value`` row per vertex, in vertex-id order, streamed
-        a block of words at a time."""
-        line = "{},{:.17g}\n".format
+        a block at a time, formatting each distinct bit pattern once."""
+        cell = ",{:.17g}\n".format
         with open(path, "w") as fh:
             fh.write("word,value\n")
             for ids, words in self.truncation.word_blocks():
-                fh.writelines(map(line, words, self.values[ids].tolist()))
+                bits, inv = np.unique(self.values[ids].view(np.uint64),
+                                      return_inverse=True)
+                cells = list(map(cell, bits.view(np.float64).tolist()))
+                rows = [None] * (2 * len(words))
+                rows[0::2] = words
+                rows[1::2] = map(cells.__getitem__, inv.tolist())
+                fh.write("".join(rows))
 
 
 @dataclass

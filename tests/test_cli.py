@@ -121,6 +121,39 @@ def test_scenario_that_is_not_an_object_is_exit_1(tmp_path, capsys):
     assert msg["error"] == "ScenarioError"
 
 
+def _scenario_directory(tmp_path):
+    (tmp_path / "scn.json").mkdir()
+    return str(tmp_path / "scn.json"), tmp_path / "out"
+
+
+def _scenario_not_utf8(tmp_path):
+    path = tmp_path / "scn.json"
+    path.write_bytes(b'{"schema": 1, "name": "caf\xe9"}')
+    return str(path), tmp_path / "out"
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "out").write_text("")
+    return write_scenario(tmp_path), tmp_path / "out"
+
+
+@pytest.mark.parametrize("setup, says", [
+    (_scenario_directory, "cannot read scenario file"),
+    (_scenario_not_utf8, "cannot read scenario file"),
+    (_out_is_a_file, "cannot create output directory"),
+], ids=["scenario-dir", "scenario-not-utf8", "out-is-a-file"])
+def test_file_errors_are_exit_1_with_one_json_line(tmp_path, capsys, setup,
+                                                   says):
+    path, out = setup(tmp_path)
+    assert run("solve", path, out) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    msg = json.loads(lines[0])
+    assert msg["ok"] is False and msg["exit_code"] == 1
+    assert msg["error"] == "ScenarioError"
+    assert says in msg["message"]
+
+
 def test_bad_radius_ordering_rejected(tmp_path):
     path = write_scenario(tmp_path, base_radius=9)
     assert run("solve", path, tmp_path / "out") == 1

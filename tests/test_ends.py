@@ -163,6 +163,18 @@ def test_first_letter_rule_refuses_unknown_generators(t_f2_r6, rule):
         make_end_function(t_f2_r6, 1, rule=rule)
 
 
+def test_shell_values_are_int8_class_values(t_f2_r6):
+    t = t_f2_r6
+    chi = make_end_function(t, 2, rule="first_letter:a")
+    vals = chi.shell_values(t)
+    assert vals.dtype == np.int8
+    want = np.full(t.n, -1)
+    for c in chi.classes:
+        want[c.members] = chi.values[c.id]
+    assert set(chi.values.values()) == {0, 1}
+    assert vals.tolist() == want.tolist()
+
+
 def test_all_nonconstant_count(t_f2_r6):
     fns = all_nonconstant_end_functions(t_f2_r6, 1)
     assert len(fns) == 14

@@ -242,6 +242,27 @@ def test_word_distance_matches_graph_bfs_on_tree(t_f2_r4):
         assert t.word_distance(u, v) == int(d[v])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_truncation(Presentation.free(2), 5),
+    lambda: build_truncation(Presentation.free_product_of_cyclics([3, 0]), 6),
+    lambda: build_truncation(Presentation.free_product_of_cyclics([4, 5]), 5),
+], ids=["F2-r5", "Z3*Z-r6", "Z4*Z5-r5"])
+def test_graph_distances_match_plain_bfs(make):
+    t = make()
+    adj = oracles.adjacency_dict(t)
+    rng = np.random.default_rng(8)
+    for trial in range(8):
+        # a repeated source in some trials; masks drop some sources
+        sources = rng.integers(0, t.n, size=1 + trial % 4)
+        mask = None if trial < 2 else rng.random(t.n) < 0.4 + 0.1 * trial
+        allowed = None if mask is None else set(np.flatnonzero(mask).tolist())
+        ref = oracles.bfs_distances(adj, sources.tolist(), allowed)
+        want = np.full(t.n, -1)
+        want[list(ref)] = list(ref.values())
+        got = t.graph_distances_from(sources, allowed_mask=mask)
+        assert got.tolist() == want.tolist()
+
+
 def test_net_delta1_is_everything(t_f2_r4):
     net = build_net(t_f2_r4, 1)
     assert net.size == t_f2_r4.n

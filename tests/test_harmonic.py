@@ -449,6 +449,27 @@ def test_to_csv_matches_per_vertex_oracle(stream_truncation, tmp_path,
             == (tmp_path / "per_vertex.csv").read_bytes())
 
 
+def test_to_csv_keeps_every_bit_pattern_apart(stream_truncation, tmp_path,
+                                              monkeypatch):
+    # blocks of 7 ids: 0..6, 7..13, 14..20
+    monkeypatch.setattr(groups, "_WORD_BLOCK", 7)
+    t = stream_truncation
+    assert t.n >= 21
+    values = np.random.default_rng(6).random(t.n)
+    x = 0.1
+    values[:6] = [0.0, -0.0, x, np.nextafter(x, 1), np.nextafter(x, 0),
+                  np.inf]
+    values[6:9] = 0.3                 # one value across a block boundary
+    values[9:11] = [-0.0, 0.0]
+    values[14:21] = 1 / 3             # a block of one value
+    h = synthetic_field(t, values)
+    h.to_csv(tmp_path / "streamed.csv")
+    oracles.field_csv_per_vertex(h, tmp_path / "per_vertex.csv")
+    streamed = (tmp_path / "streamed.csv").read_bytes()
+    assert streamed == (tmp_path / "per_vertex.csv").read_bytes()
+    assert b",-0\n" in streamed and b",inf\n" in streamed
+
+
 def test_to_csv_makes_no_word_calls(stream_truncation, tmp_path,
                                     monkeypatch):
     t = stream_truncation
