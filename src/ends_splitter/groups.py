@@ -31,7 +31,7 @@ from .errors import PresentationError
 _FREE_NAMES = "abcdfghijklmnopqr"
 _CYCLIC_NAMES = "stuvwxyz"
 
-# vertices per block of Truncation.word_blocks
+# vertices per block of Truncation.word_blocks and of _first_fit
 _WORD_BLOCK = 1 << 16
 
 
@@ -584,35 +584,38 @@ class Truncation:
 
         return [of(tuple(g.letters())) for g in elements]
 
-    def word_ball_paths(self, r):
-        """Geodesic letter sequences for all nontrivial elements of length
-        <= r, in a deterministic order."""
-        key = ("paths", r)
-        if key not in self._caches:
-            self._caches[key] = [
-                e.letters() for e in enumerate_elements(self.presentation, r)
-                if e.word
-            ]
-        return self._caches[key]
+    def left_translates(self, ids, r):
+        """``w * v`` for each id v (one row each) and each element w != e of
+        length <= r (one column each, in id order), -1 where the chase
+        leaves the ball.
+
+        The chase runs through the adjacency tables innermost letter first:
+        w * v = l * (w' * v) for w = l * w' with w' the parent of w, so each
+        sphere of w's is one gather from the sphere before.
+        """
+        ball = self
+        if r > self.radius:
+            key = ("ball", r)
+            if key not in self._caches:
+                self._caches[key] = build_truncation(self.presentation, r)
+            ball = self._caches[key]
+        stop = int(np.searchsorted(ball.dist, max(r, 0), side="right"))
+        out = np.empty((stop, len(ids)), dtype=np.int64)
+        out[0] = ids
+        for sl in _spheres(ball.dist[:stop])[1:]:
+            prev = out[ball.parent[sl]]
+            cur = self.nbr[prev, ball.parent_letter[sl, None]]
+            cur[prev < 0] = -1
+            out[sl] = cur
+        return out[1:].T
 
     def word_ball(self, center_ids, r):
         """Ids of the exact word-metric ball of radius r around a vertex
-        set, clipped to the truncation.
-
-        Balls around x are left translates {w * x : |w| <= r}, so the chase
-        runs through the adjacency tables, innermost letter first.
-        """
+        set, clipped to the truncation: balls around x are left translates
+        {w * x : |w| <= r}."""
         centers = np.atleast_1d(np.asarray(center_ids, dtype=np.int64))
-        if r <= 0:
-            return np.unique(centers)
-        pieces = [centers]
-        for path in self.word_ball_paths(r):
-            cur = centers.copy()
-            for l in reversed(path):
-                ok = cur >= 0
-                cur[ok] = self.nbr[cur[ok], l]
-            pieces.append(cur[cur >= 0])
-        return np.unique(np.concatenate(pieces))
+        near = self.left_translates(centers, r)
+        return np.unique(np.concatenate([centers, near[near >= 0]]))
 
     def word_distance(self, u, v):
         """Exact word-metric distance between two vertices (length of the
@@ -649,6 +652,36 @@ def _spheres(dist):
     """Id slices of equal distance (ids are breadth-first)."""
     bounds = [0, *(np.flatnonzero(np.diff(dist)) + 1).tolist(), len(dist)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _first_fit(t, rows, alive):
+    """The first-fit independent subset of the mask ``alive`` in id order,
+    as a mask: v joins unless a member u < v has v in the row of u.
+    ``rows(ids)`` returns those rows, one per id, padded with -1.
+
+    It settles one block of ids at a time, at most ``_WORD_BLOCK`` of one
+    sphere (which bounds the rows held at once), so smaller ids are settled
+    when a block starts.  Each round admits every open vertex of the block
+    that no smaller open vertex of the block can block; the smallest open
+    vertex always joins.  A block needs a second round only where rows
+    link ids inside it.
+    """
+    blocked, member = ~alive, np.zeros(t.n, dtype=bool)
+    for sl in _spheres(t.dist):
+        for a in range(sl.start, sl.stop, _WORD_BLOCK):
+            b = min(a + _WORD_BLOCK, sl.stop)
+            cand = a + np.flatnonzero(~blocked[a:b])
+            while len(cand):
+                row = rows(cand)
+                later = row > cand[:, None]
+                threat = np.zeros(b - a, dtype=bool)
+                threat[row[later & (row < b)] - a] = True
+                joins = ~threat[cand - a]
+                later[~joins] = False
+                member[cand[joins]] = blocked[cand[joins]] = True
+                blocked[row[later]] = True
+                cand = cand[~blocked[cand]]
+    return member
 
 
 # ---------------------------------------------------------------------------
@@ -817,10 +850,11 @@ def apply_generator(t, v, letter):
 
 @dataclass
 class Net:
-    """Greedy maximal delta-separated vertex set containing the identity.
+    """The first-fit delta-separated vertex set in id order: a vertex joins
+    unless an earlier member lies within word distance spacing - 1.
 
     Members are pairwise at word distance >= spacing, and every vertex is
-    within word distance spacing of a member.
+    within word distance spacing of a member.  The identity is a member.
     """
 
     spacing: int
@@ -835,51 +869,10 @@ class Net:
 def build_net(t, delta):
     if delta < 1:
         raise ValueError("net spacing must be >= 1")
-    if delta == 1:
-        members = np.arange(t.n, dtype=np.int64)
-        return Net(spacing=1, member_ids=members, covering_radius=0)
-
-    if t.presentation is not None and t.presentation.kind == "free" and delta == 2:
-        members = _net_tree_delta2(t)
-    else:
-        members = _net_greedy(t, delta)
-
+    # past the radius the identity's translates already cover the ball
+    r = min(delta - 1, t.radius)
+    members = np.flatnonzero(_first_fit(
+        t, lambda ids: t.left_translates(ids, r), np.ones(t.n, dtype=bool)))
     cover = t.graph_distances_from(members)
-    covering_radius = int(cover.max())
     return Net(spacing=delta, member_ids=members,
-               covering_radius=covering_radius)
-
-
-def _net_tree_delta2(t):
-    # Trees have no same-sphere edges, so whole spheres are kept at once.
-    blocked = np.zeros(t.n, dtype=bool)
-    members = []
-    for sl in _spheres(t.dist):
-        members.append(sl.start + np.flatnonzero(~blocked[sl]))
-        nb = t.nbr[members[-1]]
-        blocked[nb[nb >= 0]] = True
-    return np.concatenate(members)
-
-def _net_greedy(t, delta):
-    # Exact word-metric blocking: the ball around a kept member is its set
-    # of left translates, reached through the adjacency tables.
-    paths = t.word_ball_paths(delta - 1)
-    tables = []
-    for path in paths:
-        tab = np.arange(t.n, dtype=np.int64)
-        for l in reversed(path):
-            ok = tab >= 0
-            tab[ok] = t.nbr[tab[ok], l]
-        tables.append(tab)
-    block_matrix = np.stack(tables, axis=1) if tables else None
-
-    blocked = np.zeros(t.n, dtype=bool)
-    members = []
-    for v in range(t.n):
-        if blocked[v]:
-            continue
-        members.append(v)
-        if block_matrix is not None:
-            row = block_matrix[v]
-            blocked[row[row >= 0]] = True
-    return np.asarray(members, dtype=np.int64)
+               covering_radius=int(cover.max()))

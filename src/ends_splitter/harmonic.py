@@ -21,6 +21,7 @@ from .errors import (
     MismatchedTruncations,
     NonConvergence,
 )
+from .groups import _first_fit
 
 
 @dataclass
@@ -120,26 +121,22 @@ def mean_value_defect(t, values):
 
 
 def _color_classes(t):
-    """Independent interior vertex classes for sweep ordering.
-
-    Distance parity is the red-black split whenever the graph is bipartite;
-    otherwise fall back to greedy coloring in id order.
+    """Independent interior vertex classes for sweep ordering, built once
+    per truncation: the first-fit coloring in id order, whose class c is
+    the first-fit independent set of what classes < c leave.  On a
+    bipartite ball that is the red-black split by parity; the shell is
+    colored too, so a ball whose id 0 is a shell vertex keeps that order.
     """
-    inter = t.interior_ids()
-    parity = t.dist % 2
-    eu, ev, _ = t.edges()
-    if (parity[eu] != parity[ev]).all():
-        return [inter[parity[inter] == 0], inter[parity[inter] == 1]]
-    color = np.full(t.n, -1, dtype=np.int64)
-    for v in inter:
-        nb = t.nbr[v]
-        nb = nb[nb >= 0]
-        used = set(color[nb].tolist())
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    return [inter[color[inter] == c] for c in range(int(color.max()) + 1)]
+    if "sweep" not in t._caches:
+        alive, classes = np.ones(t.n, dtype=bool), []
+        while alive.any():
+            member = _first_fit(t, lambda v: np.take(t.nbr, v, axis=0), alive)
+            alive &= ~member
+            inter = np.flatnonzero(member & ~t.shell_mask)
+            if len(inter):
+                classes.append(inter)
+        t._caches["sweep"] = classes
+    return t._caches["sweep"]
 
 
 def solve_dirichlet(t, chi, cfg=None):
@@ -158,16 +155,16 @@ def solve_dirichlet(t, chi, cfg=None):
     adj = t.csr_adjacency()
     deg = t.degrees().astype(np.float64)
     # Gauss-Seidel: sweep the color classes in turn, checking the defect
-    # every fourth sweep and after the last one
+    # every fourth sweep and after the last one, so the loop ends on a check
     rows = [(adj[ids], deg[ids], ids) for ids in _color_classes(t)]
     for iters in range(1, cfg.max_iterations + 1):
         for a, d, ids in rows:
             x[ids] = a.dot(x) / d
-        if ((iters % 4 == 0 or iters == cfg.max_iterations)
-                and mean_value_defect(t, x) <= cfg.tolerance):
-            break
+        if iters % 4 == 0 or iters == cfg.max_iterations:
+            res = mean_value_defect(t, x)
+            if res <= cfg.tolerance:
+                break
 
-    res = mean_value_defect(t, x)
     if res > cfg.tolerance:
         raise NonConvergence(
             f"solver hit {iters} iterations with defect {res:.3e} above "

@@ -11,7 +11,7 @@ import numpy as np
 
 from ends_splitter.ends import complement_components, is_cluster
 from ends_splitter.errors import CrossingWalls, NoRegularValue
-from ends_splitter.groups import Truncation
+from ends_splitter.groups import Truncation, enumerate_elements
 from ends_splitter.harmonic import pullback
 from ends_splitter.walls import (
     ActionReport,
@@ -141,6 +141,73 @@ def build_generic(p, radius):
         shell_mask=dist == radius,
     )
     return t, words
+
+
+# -- left translates, nets and sweep classes, one vertex at a time ----------
+
+def path_translates(t, ids, r):
+    """``w * v`` for each id v and each element w != e of length <= r, in
+    id order, chasing w's geodesic letters innermost first; -1 where the
+    chase leaves the ball.  The oracle for ``Truncation.left_translates``."""
+    paths = [e.letters() for e in enumerate_elements(t.presentation, r)
+             if e.word] if r > 0 else []
+    out = np.empty((len(ids), len(paths)), dtype=np.int64)
+    for j, path in enumerate(paths):
+        cur = np.array(ids, dtype=np.int64)
+        for l in reversed(path):
+            ok = cur >= 0
+            cur[ok] = t.nbr[cur[ok], l]
+        out[:, j] = cur
+    return out
+
+
+def first_fit(table, alive):
+    """Members in id order: v joins unless a member u < v has v in
+    ``table[u]``.  The oracle for ``groups._first_fit``."""
+    blocked = np.zeros(len(table), dtype=bool)
+    members = []
+    for v in range(len(table)):
+        if not alive[v] or blocked[v]:
+            continue
+        members.append(v)
+        row = table[v]
+        blocked[row[row > v]] = True
+    return members
+
+
+def greedy_net(t, delta):
+    """Greedy delta-separated set in id order, blocking each member's
+    (delta - 1)-ball of left translates; the net oracle."""
+    block_matrix = path_translates(t, np.arange(t.n), delta - 1)
+    blocked = np.zeros(t.n, dtype=bool)
+    members = []
+    for v in range(t.n):
+        if blocked[v]:
+            continue
+        members.append(v)
+        row = block_matrix[v]
+        blocked[row[row >= 0]] = True
+    return np.asarray(members, dtype=np.int64)
+
+
+def color_classes(t):
+    """Interior sweep classes: the distance-parity split when the graph is
+    bipartite, else greedy coloring of the interior in id order."""
+    inter = t.interior_ids()
+    parity = t.dist % 2
+    eu, ev, _ = t.edges()
+    if (parity[eu] != parity[ev]).all():
+        return [inter[parity[inter] == 0], inter[parity[inter] == 1]]
+    color = np.full(t.n, -1, dtype=np.int64)
+    for v in inter:
+        nb = t.nbr[v]
+        nb = nb[nb >= 0]
+        used = set(color[nb].tolist())
+        c = 0
+        while c in used:
+            c += 1
+        color[v] = c
+    return [inter[color[inter] == c] for c in range(int(color.max()) + 1)]
 
 
 # -- graph algorithms on adjacency dicts --------------------------------------

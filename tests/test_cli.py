@@ -272,6 +272,16 @@ def test_structural_failure_is_exit_3(tmp_path, monkeypatch, capsys):
     assert msg["exit_code"] == 3
 
 
+@pytest.mark.parametrize("command", ["necks", "gap"])
+def test_net_spacing_past_the_ball_is_exit_0(tmp_path, capsys, command):
+    # a spacing past the radius nets the identity alone; it used to ask
+    # for the word ball of radius 44 first
+    path = write_scenario(tmp_path, net_delta=45)
+    assert run(command, path, tmp_path / "out") == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["ok"] is True
+
+
 def test_sparse_net_structural_failure_is_exit_3(tmp_path):
     path = write_scenario(
         tmp_path, base_radius=2, net_delta=2,

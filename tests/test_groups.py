@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,64 @@ def test_net_delta2_on_radius2_keeps_even_spheres(f2):
 def test_net_huge_delta_is_identity_alone(t_f2_r4):
     net = build_net(t_f2_r4, 2 * t_f2_r4.radius + 1)
     assert list(net.member_ids) == [0]
+
+
+def test_net_spacing_far_past_the_radius_is_identity_alone(t_f2_r4):
+    net = build_net(t_f2_r4, 10 ** 6)
+    assert net.member_ids.tolist() == [0]
+    assert net.covering_radius == t_f2_r4.radius
+
+
+@lru_cache(maxsize=None)
+def _layout_ball(case, radius=None):
+    p, rho = _LAYOUT_CASES[case]
+    return build_truncation(p, radius or rho)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_net_matches_greedy_oracle(case, delta):
+    t = _layout_ball(case)
+    net = build_net(t, delta)
+    assert net.member_ids.tolist() == oracles.greedy_net(t, delta).tolist()
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_net_past_the_radius_matches_greedy_oracle(case):
+    # the oracle blocks with a (delta - 1)-ball for every vertex of an
+    # r-ball, so r is the largest radius <= 4 keeping that table small
+    p, _ = _LAYOUT_CASES[case]
+    r = max(r for r in range(1, 5) if build_truncation(p, r).n
+            * build_truncation(p, 2 * r).n <= 3_000_000)
+    t = _layout_ball(case, r)
+    for delta in range(r + 1, 2 * r + 2):
+        net = build_net(t, delta)
+        assert net.member_ids.tolist() == oracles.greedy_net(
+            t, delta).tolist(), delta
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_left_translates_match_the_path_chase(case):
+    t = _layout_ball(case, min(_LAYOUT_CASES[case][1], 4))
+    ids = np.random.default_rng(5).integers(0, t.n, size=40)
+    for r in (0, 1, 2, 3, t.radius + 1):
+        got = t.left_translates(ids, r)
+        assert got.tolist() == oracles.path_translates(t, ids, r).tolist(), r
+
+
+@pytest.mark.parametrize("case", ["F2-r6", "Z3*Z-r8", "Z4*Z5-r8",
+                                  "Z6*Z*Z2-r6"])
+def test_first_fit_matches_the_per_vertex_loop(case):
+    t = _layout_ball(case)
+    rng = np.random.default_rng(17)
+    alive = rng.random(t.n) < 0.7
+    # the adjacency, a table that is not symmetric near the shell (even
+    # factor orders), and a random one
+    tables = [t.nbr, t.left_translates(np.arange(t.n), 2),
+              rng.integers(-1, t.n, size=(t.n, 3))]
+    for table in tables:
+        got = groups._first_fit(t, table.__getitem__, alive)
+        assert np.flatnonzero(got).tolist() == oracles.first_fit(table, alive)
 
 
 @pytest.mark.parametrize("delta", [2, 3])

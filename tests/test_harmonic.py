@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ends_splitter import groups
+from ends_splitter import groups, harmonic
 from ends_splitter.errors import MismatchedTruncations, NonConvergence
 from ends_splitter.ends import complement_components, make_end_function
 from ends_splitter.groups import (
@@ -33,6 +33,7 @@ from ends_splitter.harmonic import (
 )
 
 import oracles
+from test_groups import _LAYOUT_CASES
 
 
 def synthetic_field(t, values):
@@ -77,6 +78,44 @@ def test_gauss_seidel_matches_dense_oracle(t_f2_r6):
     exact = oracles.dense_dirichlet(t_f2_r6, bvals)
     h = solve_dirichlet(t_f2_r6, chi, SolverConfig())
     assert np.abs(h.values - exact).max() <= 1e-6
+
+
+def test_solve_computes_each_defect_once(t_f2_r6, monkeypatch):
+    # the defect is checked every fourth sweep and after the last one;
+    # the check that ends the loop gives the reported residual
+    calls = []
+    defect = harmonic.mean_value_defect
+
+    def counted(t, values):
+        calls.append(defect(t, values))
+        return calls[-1]
+
+    monkeypatch.setattr(harmonic, "mean_value_defect", counted)
+    chi = make_end_function(t_f2_r6, 1, rule="first_letter:a")
+    h = solve_dirichlet(t_f2_r6, chi)
+    assert h.iterations % 4 == 0
+    assert len(calls) == h.iterations // 4
+    assert h.residual == calls[-1]
+    calls.clear()
+    with pytest.raises(NonConvergence) as err:
+        solve_dirichlet(t_f2_r6, chi,
+                        SolverConfig(max_iterations=6, tolerance=1e-14))
+    assert len(calls) == 2                      # after sweeps 4 and 6
+    assert err.value.residual == calls[-1]
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda case=case: build_truncation(*_LAYOUT_CASES[case])
+      for case in sorted(_LAYOUT_CASES)],
+    *[lambda k=k: path_truncation(k) for k in (1, 2, 5, 20)],
+], ids=[*sorted(_LAYOUT_CASES), "path1", "path2", "path5", "path20"])
+def test_sweep_classes_match_the_coloring_oracle(make):
+    t = make()
+    ours = [c.tolist() for c in harmonic._color_classes(t)]
+    theirs = [c.tolist() for c in oracles.color_classes(t) if len(c)]
+    assert ours == theirs
+    assert all(ours)
+    assert harmonic._color_classes(t) is harmonic._color_classes(t)
 
 
 def test_every_nonconstant_chi_matches_dense_oracle_radius5(f2):
