@@ -237,9 +237,6 @@ class _Stages:
 
 def _prepare(scn, stages):
     stages.start("build_truncation")
-    # every command labels components: loading scipy's graph code before the
-    # ball, not amid the first edge pass, keeps 5 MB off the F2 r12 solve peak
-    import scipy.sparse.csgraph  # noqa: F401
     t = build_truncation(scn.presentation, scn.truncation_radius)
     stages.stop()
     return t

@@ -56,8 +56,8 @@ def complement_components(t, removed):
     alive = np.flatnonzero(~removed_mask)
     by_label = alive[np.argsort(labels[alive], kind="stable")]
     bounds = np.flatnonzero(np.diff(labels[by_label])) + 1
-    groups = sorted(np.split(by_label, bounds) if len(alive) else [],
-                    key=lambda members: members[0])
+    # a label is its component's smallest id, so groups come in that order
+    groups = np.split(by_label, bounds) if len(alive) else []
     return [
         ComplementComponent(
             removed=removed, members=members,

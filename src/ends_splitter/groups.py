@@ -492,21 +492,32 @@ class Truncation:
 
     def component_labels(self, edge_keep):
         """Connected-component label per vertex of the graph on the edges
-        of ``edges()`` selected by the boolean mask ``edge_keep``.
+        of ``edges()`` selected by the boolean mask ``edge_keep``: the
+        smallest vertex id of its component.
 
         Every vertex gets a label; one left without kept edges is its own
-        component.
+        component.  Hook and shortcut (Shiloach and Vishkin, J. Algorithms
+        3, 1982): each round hooks the larger label of every edge whose
+        ends still differ onto the smaller one, then jumps pointers until
+        every label is a root.  Labels only point to smaller ids, so no
+        cycle forms, and each round lowers some label, so the rounds end.
         """
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
         eu, ev, _ = self.edges()
-        kept = np.flatnonzero(edge_keep)
-        # one direction per edge suffices for an undirected labeling
-        g = csr_matrix((np.ones(len(kept), dtype=np.int8),
-                        (eu[kept], ev[kept])), shape=(self.n, self.n))
-        _, labels = connected_components(g, directed=False)
-        return labels
+        u, v = eu[edge_keep], ev[edge_keep]
+        labels = np.arange(self.n)
+        while True:
+            lu, lv = labels[u], labels[v]
+            open_ = lu != lv
+            if not open_.any():
+                return labels
+            # an edge whose ends share a label keeps sharing it
+            u, v, lu, lv = u[open_], v[open_], lu[open_], lv[open_]
+            np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+            while True:
+                up = labels[labels]
+                if np.array_equal(up, labels):
+                    break
+                labels = up
 
     # -- the block tree -------------------------------------------------------
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import (
     EndsSplitterError,
@@ -120,6 +119,20 @@ def mean_value_defect(t, values):
     return float(np.abs(values - means)[inter].max())
 
 
+def _sweep_defect(x, head, rows):
+    """``mean_value_defect`` of x right after a sweep over the color
+    classes ``rows``, given ``head``, class 0's next update.
+
+    Each class's defect is |update - x| over its ids.  The last class was
+    just updated from the same x in the same row order, so its defect is
+    exactly 0; the middle classes (none on a bipartite ball) are evaluated.
+    """
+    ids0 = rows[0][2]
+    return max([float(np.abs(head - x[ids0]).max())]
+               + [float(np.abs(a.dot(x) / d - x[ids]).max())
+                  for a, d, ids in rows[1:-1]])
+
+
 def _color_classes(t):
     """Independent interior vertex classes for sweep ordering, built once
     per truncation: the first-fit coloring in id order, whose class c is
@@ -155,13 +168,19 @@ def solve_dirichlet(t, chi, cfg=None):
     adj = t.csr_adjacency()
     deg = t.degrees().astype(np.float64)
     # Gauss-Seidel: sweep the color classes in turn, checking the defect
-    # every fourth sweep and after the last one, so the loop ends on a check
+    # every fourth sweep and after the last one, so the loop ends on a check.
+    # Class 0's update is computed at the end of the sweep before the one
+    # that writes it, where a check reads it too.
     rows = [(adj[ids], deg[ids], ids) for ids in _color_classes(t)]
+    a0, d0, ids0 = rows[0]
+    head = a0.dot(x) / d0
     for iters in range(1, cfg.max_iterations + 1):
-        for a, d, ids in rows:
+        x[ids0] = head
+        for a, d, ids in rows[1:]:
             x[ids] = a.dot(x) / d
+        head = a0.dot(x) / d0
         if iters % 4 == 0 or iters == cfg.max_iterations:
-            res = mean_value_defect(t, x)
+            res = _sweep_defect(x, head, rows)
             if res <= cfg.tolerance:
                 break
 
@@ -303,7 +322,9 @@ def spectral_gap(t, tol=1e-12, max_iterations=10 ** 4):
     eta with eta^2/4 below the Rayleigh quotient, so the reported pair is
     ordered by construction.
     """
-    from scipy.sparse.linalg import splu   # local: it slows the import
+    # local: only this function needs them, and scipy slows the import
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import splu
     inter = t.interior_ids()
     if len(inter) < 2:
         raise EndsSplitterError("need at least 2 interior vertices")

@@ -12,7 +12,12 @@ import numpy as np
 from ends_splitter.ends import complement_components, is_cluster
 from ends_splitter.errors import CrossingWalls, NoRegularValue
 from ends_splitter.groups import Truncation, enumerate_elements
-from ends_splitter.harmonic import pullback
+from ends_splitter.harmonic import (
+    _color_classes,
+    boundary_values,
+    mean_value_defect,
+    pullback,
+)
 from ends_splitter.walls import (
     ActionReport,
     IndecomposableRegion,
@@ -241,6 +246,18 @@ def flood_components(adj, removed):
     return comps
 
 
+def kept_edge_components(t, edge_keep):
+    """Components of the graph on the edges of ``t.edges()`` selected by
+    ``edge_keep``, flooded over an adjacency dict: sorted member lists in
+    smallest-member order."""
+    eu, ev, _ = t.edges()
+    adj = {v: [] for v in range(t.n)}
+    for u, v in zip(eu[edge_keep].tolist(), ev[edge_keep].tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    return flood_components(adj, [])
+
+
 def bfs_distances(adj, sources, allowed=None):
     dist = {}
     dq = deque()
@@ -303,6 +320,27 @@ def dense_dirichlet(t, boundary_values):
     full = np.array(boundary_values, dtype=float)
     full[inter] = sol
     return full
+
+
+def gauss_seidel_loop(t, chi, cfg):
+    """The Gauss-Seidel loop with a full ``mean_value_defect`` at every
+    check (every fourth sweep and after the last one).  Returns the
+    clipped values, the sweep count and the last defect, without raising
+    on nonconvergence."""
+    bvals = boundary_values(t, chi)
+    x = np.full(t.n, 0.5, dtype=np.float64)
+    x[t.shell_mask] = bvals[t.shell_mask].astype(np.float64)
+    adj = t.csr_adjacency()
+    deg = t.degrees().astype(np.float64)
+    rows = [(adj[ids], deg[ids], ids) for ids in _color_classes(t)]
+    for iters in range(1, cfg.max_iterations + 1):
+        for a, d, ids in rows:
+            x[ids] = a.dot(x) / d
+        if iters % 4 == 0 or iters == cfg.max_iterations:
+            res = mean_value_defect(t, x)
+            if res <= cfg.tolerance:
+                break
+    return np.clip(x, 0.0, 1.0), iters, res
 
 
 def dirichlet_energy(t, values):

@@ -207,6 +207,39 @@ def test_necks_times_every_stage(tmp_path):
                             "special_sets", "dual_graph", "write_outputs"}
 
 
+def _scipy_modules_after(tmp_path, commands, **overrides):
+    """The scipy modules loaded by a fresh interpreter that ran
+    ``commands`` on one scenario."""
+    path = write_scenario(tmp_path, **overrides)
+    code = ("import json, sys\n"
+            "from ends_splitter import cli\n"
+            f"for c in {commands!r}:\n"
+            f"    assert cli.main([c, '--scenario', {path!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] == 'scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("group, chi", [
+    ({"kind": "free", "rank": 2}, "first_letter:a"),
+    ({"kind": "free_product_cyclic", "orders": [3, 0]}, "first_letter:s"),
+], ids=["F2", "Z3*Z"])
+def test_necks_loads_no_scipy_module(tmp_path, group, chi):
+    assert _scipy_modules_after(tmp_path, ["necks"], group=group,
+                                chi=chi) == []
+
+
+def test_solving_commands_load_no_scipy_graph_or_linalg_code(tmp_path):
+    loaded = _scipy_modules_after(tmp_path, ["solve", "tree", "gap"])
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith(
+        ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"))]
+
+
 def test_cover_failure_warns_but_succeeds(tmp_path, capsys):
     path = write_scenario(tmp_path, net_delta=3)
     assert run("necks", path, tmp_path / "out") == 0

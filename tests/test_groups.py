@@ -341,6 +341,22 @@ def test_first_fit_matches_the_per_vertex_loop(case):
         assert np.flatnonzero(got).tolist() == oracles.first_fit(table, alive)
 
 
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_component_labels_match_the_flood(case):
+    # each component is labeled by its smallest member, the flood's first
+    t = _layout_ball(case)
+    m = t.n_edges()
+    rng = np.random.default_rng(11)
+    masks = [np.ones(m, dtype=bool), np.zeros(m, dtype=bool),
+             rng.random(m) < 0.3, rng.random(m) < 0.9]
+    for keep in masks:
+        labels = t.component_labels(keep)
+        comps = oracles.kept_edge_components(t, keep)
+        assert len(np.unique(labels)) == len(comps)
+        for members in comps:
+            assert (labels[members] == members[0]).all()
+
+
 @pytest.mark.parametrize("delta", [2, 3])
 def test_net_separation_and_cover(t_z23_r8, delta):
     t = t_z23_r8

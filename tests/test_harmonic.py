@@ -82,15 +82,17 @@ def test_gauss_seidel_matches_dense_oracle(t_f2_r6):
 
 def test_solve_computes_each_defect_once(t_f2_r6, monkeypatch):
     # the defect is checked every fourth sweep and after the last one;
-    # the check that ends the loop gives the reported residual
+    # the check that ends the loop gives the reported residual, and each
+    # check is the full mean-value defect of the swept values
     calls = []
-    defect = harmonic.mean_value_defect
+    defect = harmonic._sweep_defect
 
-    def counted(t, values):
-        calls.append(defect(t, values))
+    def counted(x, head, rows):
+        calls.append(defect(x, head, rows))
+        assert calls[-1] == harmonic.mean_value_defect(t_f2_r6, x)
         return calls[-1]
 
-    monkeypatch.setattr(harmonic, "mean_value_defect", counted)
+    monkeypatch.setattr(harmonic, "_sweep_defect", counted)
     chi = make_end_function(t_f2_r6, 1, rule="first_letter:a")
     h = solve_dirichlet(t_f2_r6, chi)
     assert h.iterations % 4 == 0
@@ -102,6 +104,45 @@ def test_solve_computes_each_defect_once(t_f2_r6, monkeypatch):
                         SolverConfig(max_iterations=6, tolerance=1e-14))
     assert len(calls) == 2                      # after sweeps 4 and 6
     assert err.value.residual == calls[-1]
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_sweep_defect_is_the_full_defect(case):
+    # for any x whose last class was just updated: random values put the
+    # largest defect in a middle class too, which converging solves do not
+    t = build_truncation(*_LAYOUT_CASES[case])
+    adj, deg = t.csr_adjacency(), t.degrees().astype(np.float64)
+    rows = [(adj[ids], deg[ids], ids) for ids in harmonic._color_classes(t)]
+    (a0, d0, _), (a, d, ids) = rows[0], rows[-1]
+    rng = np.random.default_rng(3)
+    for _ in range(8):
+        x = rng.random(t.n)
+        x[ids] = a.dot(x) / d
+        assert harmonic._sweep_defect(x, a0.dot(x) / d0, rows) == \
+            harmonic.mean_value_defect(t, x)
+
+
+@pytest.mark.parametrize("max_iterations, tolerance", [
+    (10 ** 6, 1e-9), (1, 1e-14), (6, 1e-14)])
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_solve_matches_the_full_defect_loop(case, max_iterations, tolerance):
+    # values, sweep count and residual are bit for bit those of the loop
+    # that evaluates every class at each check
+    t = build_truncation(*_LAYOUT_CASES[case])
+    name = t.presentation.engine().letter_names[0]
+    chi = make_end_function(t, 1, rule=f"first_letter:{name}")
+    cfg = SolverConfig(tolerance=tolerance, max_iterations=max_iterations)
+    values, iterations, residual = oracles.gauss_seidel_loop(t, chi, cfg)
+    if residual <= tolerance:
+        h = solve_dirichlet(t, chi, cfg)
+        assert h.values.view(np.uint64).tolist() == \
+            values.view(np.uint64).tolist()
+        assert (h.iterations, h.residual) == (iterations, residual)
+    else:
+        with pytest.raises(NonConvergence) as err:
+            solve_dirichlet(t, chi, cfg)
+        assert (err.value.iterations, err.value.residual) == \
+            (iterations, residual)
 
 
 @pytest.mark.parametrize("make", [
@@ -370,13 +411,14 @@ def test_spectral_iteration_cap_raises(t_f2_r4):
 
 
 def test_package_import_leaves_sparse_linalg_out():
-    # only spectral_gap needs splu, and importing it slows every command
+    # scipy is loaded only where a function needs it, and importing it
+    # slows every command
     code = ("import sys, ends_splitter; "
-            "print('scipy.sparse.linalg' in sys.modules)")
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_invalid_boundary_detected(t_f2_r4):
