@@ -14,19 +14,15 @@ from .ends import (
     EndFunction,
     all_nonconstant_end_functions,
     complement_components,
-    connectivity_phi,
     end_classes,
     is_cluster,
     make_end_function,
 )
 from .groups import (
-    OUT_OF_BALL,
     Element,
     Net,
     Presentation,
     Truncation,
-    Vertex,
-    apply_generator,
     build_net,
     build_truncation,
     group_ball,
@@ -64,13 +60,12 @@ from .walls import (
 )
 
 __all__ = [
-    "OUT_OF_BALL", "Element", "EndClass", "EndFunction", "HarmonicField",
-    "Net", "PartitionParams", "Presentation", "SolverConfig", "Truncation",
-    "Vertex", "WallConfig", "action_on_tree", "all_nonconstant_end_functions",
-    "apply_generator", "build_net", "build_truncation", "build_wall_tree",
-    "build_walls", "choose_threshold", "classify_neck",
-    "complement_components", "connectivity_phi", "decay_profile",
-    "dual_graph", "end_classes", "energy", "energy_form",
+    "Element", "EndClass", "EndFunction", "HarmonicField", "Net",
+    "PartitionParams", "Presentation", "SolverConfig", "Truncation",
+    "WallConfig", "action_on_tree", "all_nonconstant_end_functions",
+    "build_net", "build_truncation", "build_wall_tree", "build_walls",
+    "choose_threshold", "classify_neck", "complement_components",
+    "decay_profile", "dual_graph", "end_classes", "energy", "energy_form",
     "energy_gap_estimate", "find_necks", "gap_certificate", "group_ball",
     "indecomposable_regions", "is_cluster", "lattice_ops",
     "make_end_function", "partition_K", "path_truncation", "pullback",

@@ -1,5 +1,5 @@
-"""Ends at truncation scale: complement components, end classes, clusters,
-and the uniform connectivity function.
+"""Ends at truncation scale: complement components, end classes and
+clusters.
 
 A complement component is "unbounded" exactly when it touches the shell,
 the only finite certificate of escaping to infinity.  Ball-shaped removed
@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EndsSplitterError, ScenarioError
-
-INFINITE_DIAMETER = -1   # profile sentinel: +infinity at window scale
 
 
 @dataclass
@@ -249,172 +247,3 @@ def is_cluster(t, chi, component):
         return int(seen[0])
     return None
 
-
-def refine_end_classes(t, coarse, fine):
-    """Map each end class at the finer radius to the class containing it at
-    the coarser radius."""
-    mapping = {}
-    table = np.full(t.n, -1, dtype=np.int64)
-    for c in coarse:
-        table[c.members] = c.id
-    for f in fine:
-        owners = np.unique(table[f.members])
-        owners = owners[owners >= 0]
-        if len(owners) != 1:
-            raise EndsSplitterError("end classes failed to refine")
-        mapping[f.id] = int(owners[0])
-    return mapping
-
-
-# ---------------------------------------------------------------------------
-# Uniform connectivity
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PhiEntry:
-    R: int
-    r: int
-    value: int                  # INFINITE_DIAMETER encodes the sentinel
-    mode: str                   # "window-exact" or "sampled"
-    subsets_checked: int
-    witness: tuple = ()
-
-    @property
-    def is_infinite(self):
-        return self.value == INFINITE_DIAMETER
-
-
-@dataclass
-class ConnectivityProfile:
-    samples: dict = field(default_factory=dict)
-
-    def add(self, entry):
-        self.samples[entry.r] = entry
-
-    def finite_values(self):
-        return {r: e.value for r, e in self.samples.items()
-                if not e.is_infinite}
-
-
-def trace_diameter(t, removed_mask, component, trace_ids):
-    """Diameter of the trace through the component's own path metric,
-    avoiding shell vertices; INFINITE_DIAMETER when the trace only
-    reconnects through the shell (the path may continue beyond the
-    window)."""
-    if len(trace_ids) <= 1:
-        return 0
-    allowed = np.zeros(t.n, dtype=bool)
-    allowed[component.members] = True
-    allowed[t.shell_ids()] = False
-    allowed[trace_ids] = True
-    best = 0
-    for s in trace_ids:
-        d = t.graph_distances_from([int(s)], allowed_mask=allowed)
-        dt = d[trace_ids]
-        if (dt < 0).any():
-            return INFINITE_DIAMETER
-        best = max(best, int(dt.max()))
-    return best
-
-
-def phi_for_subset(t, member_ids, R):
-    """Max over complement components of the trace diameter for one subset
-    K; returns (value, per-component detail)."""
-    member_ids = np.asarray(member_ids, dtype=np.int64)
-    inner = t.word_ball(member_ids, R - 1)
-    outer_mask = np.zeros(t.n, dtype=bool)
-    outer_mask[t.word_ball(member_ids, R)] = True
-    removed_mask = np.zeros(t.n, dtype=bool)
-    removed_mask[inner] = True
-    comps = complement_components(t, inner)
-    worst = 0
-    for c in comps:
-        trace = c.members[outer_mask[c.members]]
-        dia = trace_diameter(t, removed_mask, c, trace)
-        if dia == INFINITE_DIAMETER:
-            return INFINITE_DIAMETER, len(comps)
-        worst = max(worst, dia)
-    return worst, len(comps)
-
-
-def connectivity_phi(t, net, R, r, exhaustive_limit=10 ** 4, seed=0,
-                     sample_count=200, window=None):
-    """One profile entry: sup over net subsets K with diam(K) <= r of the
-    worst trace diameter of complement components of B_R(K).
-
-    Runs exhaustively when the anchored subset family is small enough,
-    otherwise draws seeded samples and labels the entry accordingly.
-    """
-    if R < 1 or r < 0:
-        raise ValueError("need R >= 1 and r >= 0")
-    if window is None:
-        window = max(t.radius - (2 * R + r), 1)
-    members = net.member_ids[t.dist[net.member_ids] <= window]
-
-    # candidate subsets anchored at their smallest-id member
-    pools = []
-    total = 0
-    for anchor in members:
-        ball = set(int(x) for x in t.word_ball([int(anchor)], r))
-        pool = [int(m) for m in members if int(m) > int(anchor)
-                and int(m) in ball]
-        pools.append((int(anchor), pool))
-        total += 2 ** len(pool)
-        if total > exhaustive_limit:
-            break
-
-    rng = np.random.default_rng(seed)
-    best = 0
-    witness = ()
-    checked = 0
-
-    def consider(subset):
-        nonlocal best, witness, checked
-        if _word_diameter(t, subset) > r:
-            return False
-        value, _ = phi_for_subset(t, np.asarray(subset, dtype=np.int64), R)
-        checked += 1
-        if value == INFINITE_DIAMETER:
-            best = INFINITE_DIAMETER
-            witness = tuple(subset)
-            return True
-        if best != INFINITE_DIAMETER and value > best:
-            best = value
-            witness = tuple(subset)
-        return False
-
-    if total <= exhaustive_limit:
-        mode = "window-exact"
-        done = False
-        for anchor, pool in pools:
-            for k in range(0, len(pool) + 1):
-                for extra in itertools.combinations(pool, k):
-                    if consider((anchor,) + extra):
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-    else:
-        mode = "sampled"
-        for _ in range(sample_count):
-            anchor = int(rng.choice(members))
-            ball = t.word_ball([anchor], r)
-            ball = ball[np.isin(ball, members)]
-            k = int(rng.integers(0, min(len(ball), 6)))
-            pick = rng.choice(ball, size=k, replace=False) if k else []
-            subset = sorted({anchor, *[int(x) for x in pick]})
-            if consider(tuple(subset)):
-                break
-
-    return PhiEntry(R=R, r=r, value=best, mode=mode,
-                    subsets_checked=checked, witness=witness)
-
-
-def _word_diameter(t, ids):
-    worst = 0
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
-            worst = max(worst, t.word_distance(int(u), int(v)))
-    return worst

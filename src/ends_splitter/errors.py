@@ -34,10 +34,6 @@ class MismatchedTruncations(EndsSplitterError):
     """Two fields living on different truncations were combined."""
 
 
-class UndecidableNeck(EndsSplitterError):
-    """A neck classification cannot be trusted at this truncation window."""
-
-
 class DegenerateDrop(EndsSplitterError):
     """Gap certificate found no positive drop; upstream classification suspect."""
 

@@ -35,26 +35,6 @@ _CYCLIC_NAMES = "stuvwxyz"
 _WORD_BLOCK = 1 << 16
 
 
-class OutOfBall:
-    """Sentinel value: a product left the truncation.  Not an error."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OutOfBall"
-
-    def __bool__(self):
-        return False
-
-
-OUT_OF_BALL = OutOfBall()
-
-
 # ---------------------------------------------------------------------------
 # Presentations and word engines
 # ---------------------------------------------------------------------------
@@ -125,11 +105,6 @@ class Presentation:
                     orders.append(int(o))
             return cls.free_product_of_cyclics(orders)
         raise PresentationError(f"unknown presentation kind {kind!r}")
-
-    def to_config(self):
-        if self.kind == "free":
-            return {"kind": "free", "rank": self.rank}
-        return {"kind": "free_product_cyclic", "orders": list(self.orders)}
 
     def describe(self):
         if self.kind == "free":
@@ -343,12 +318,6 @@ class Element:
         return f"Element({self})"
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    word: str
-
-
 # ---------------------------------------------------------------------------
 # Truncations
 # ---------------------------------------------------------------------------
@@ -395,6 +364,16 @@ class Truncation:
             self._caches["deg"] = (self.nbr >= 0).sum(axis=1).astype(np.int64)
         return self._caches["deg"]
 
+    def spheres(self):
+        """Id slices of equal distance from e, built once: sphere k is
+        ``spheres()[k]`` (ids are breadth-first)."""
+        if "spheres" not in self._caches:
+            bounds = [0, *(np.flatnonzero(np.diff(self.dist)) + 1).tolist(),
+                      self.n]
+            self._caches["spheres"] = [slice(a, b)
+                                       for a, b in zip(bounds, bounds[1:])]
+        return self._caches["spheres"]
+
     # -- words and elements -------------------------------------------------
 
     def element(self, v):
@@ -410,9 +389,6 @@ class Truncation:
         if self.presentation is None:
             return f"v{v}"
         return str(self.element(v))
-
-    def vertex(self, v):
-        return Vertex(id=int(v), word=self.word(v))
 
     def word_blocks(self):
         """``(ids, words)`` pairs covering every vertex in id order: ``ids``
@@ -437,7 +413,7 @@ class Truncation:
         _, child, cut, heads, _ = _syllables(self.presentation, self.radius)
         prev, state = ["e"], np.zeros(1, dtype=np.intp)
         yield "e"
-        for sphere in _spheres(self.dist)[1:]:
+        for sphere in self.spheres()[1:]:
             par = self.parent[sphere] - (sphere.start - len(prev))
             pstate, letters = state[par], self.parent_letter[sphere]
             state, cuts = child[pstate, letters], cut[pstate, letters]
@@ -539,7 +515,7 @@ class Truncation:
                 cyclic = np.array([p.orders[f] >= 3 for f, _ in letters])
             lead = first[self.parent_letter]
             anchor = self.parent.astype(np.int32)
-            for sl in _spheres(self.dist)[2:]:      # sphere 1 hangs off e
+            for sl in self.spheres()[2:]:           # sphere 1 hangs off e
                 par = self.parent[sl]
                 same = (lead[par] == lead[sl]) & cyclic[lead[sl]]
                 anchor[sl] = np.where(same, anchor[par], par)
@@ -563,7 +539,7 @@ class Truncation:
             r[0] = self.nbr[0, letter]
             # v = parent_letter * parent, so v*l = parent_letter * (parent*l);
             # walk spheres outward so parents are resolved first
-            for ids in _spheres(self.dist)[1:]:
+            for ids in self.spheres()[1:]:
                 rp = r[self.parent[ids]]
                 r[ids] = np.where(
                     rp >= 0, self.nbr[rp, self.parent_letter[ids]], -1)
@@ -571,7 +547,8 @@ class Truncation:
         return self._caches[key]
 
     def rmul_ids(self, ids, element):
-        """Vectorized v -> v * g on an id array; -1 marks OutOfBall."""
+        """Vectorized v -> v * g on an id array; -1 where the product leaves
+        the ball."""
         out = np.asarray(ids, dtype=np.int64).copy()
         for l in element.letters():
             table = self.right_mult_table(l)
@@ -610,10 +587,10 @@ class Truncation:
             if key not in self._caches:
                 self._caches[key] = build_truncation(self.presentation, r)
             ball = self._caches[key]
-        stop = int(np.searchsorted(ball.dist, max(r, 0), side="right"))
-        out = np.empty((stop, len(ids)), dtype=np.int64)
+        spheres = ball.spheres()[:max(r, 0) + 1]
+        out = np.empty((spheres[-1].stop, len(ids)), dtype=np.int64)
         out[0] = ids
-        for sl in _spheres(ball.dist[:stop])[1:]:
+        for sl in spheres[1:]:
             prev = out[ball.parent[sl]]
             cur = self.nbr[prev, ball.parent_letter[sl, None]]
             cur[prev < 0] = -1
@@ -659,12 +636,6 @@ class Truncation:
         return dist
 
 
-def _spheres(dist):
-    """Id slices of equal distance (ids are breadth-first)."""
-    bounds = [0, *(np.flatnonzero(np.diff(dist)) + 1).tolist(), len(dist)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def _first_fit(t, rows, alive):
     """The first-fit independent subset of the mask ``alive`` in id order,
     as a mask: v joins unless a member u < v has v in the row of u.
@@ -678,7 +649,7 @@ def _first_fit(t, rows, alive):
     link ids inside it.
     """
     blocked, member = ~alive, np.zeros(t.n, dtype=bool)
-    for sl in _spheres(t.dist):
+    for sl in t.spheres():
         for a in range(sl.start, sl.stop, _WORD_BLOCK):
             b = min(a + _WORD_BLOCK, sl.stop)
             cand = a + np.flatnonzero(~blocked[a:b])
@@ -832,31 +803,14 @@ def path_truncation(n_interior):
 
 
 # ---------------------------------------------------------------------------
-# Group samples, generator action, nets
+# Group samples and nets
 # ---------------------------------------------------------------------------
-
-def enumerate_elements(p, r):
-    """All group elements of word length <= r, breadth-first with the fixed
-    letter order (identity first): a ball's vertices in id order."""
-    return group_ball(build_truncation(p, max(r, 1)), r)
-
 
 def group_ball(t, r):
     """Elements of word length <= r, for action and pullback samples."""
     if r > t.radius:
         raise ValueError("sample radius exceeds the truncation radius")
-    n_r = int(np.searchsorted(t.dist, max(r, 0), side="right"))
-    return [t.element(v) for v in range(n_r)]
-
-
-def apply_generator(t, v, letter):
-    """Right multiplication v -> v * letter; OUT_OF_BALL when the product
-    has word length beyond the truncation radius."""
-    if isinstance(v, Vertex):
-        v = v.id
-    table = t.right_mult_table(letter)
-    res = int(table[v])
-    return OUT_OF_BALL if res < 0 else res
+    return [t.element(v) for v in range(t.spheres()[max(r, 0)].stop)]
 
 
 @dataclass

@@ -47,16 +47,6 @@ class HarmonicField:
         vals = self.values[self.truncation.interior_mask]
         return float(vals.min()), float(vals.max())
 
-    def summary(self):
-        lo, hi = self.interior_range()
-        return {
-            "energy": energy(self).total,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "min_interior": lo,
-            "max_interior": hi,
-        }
-
     def to_csv(self, path):
         """One ``word,value`` row per vertex, in vertex-id order, streamed
         a block at a time, formatting each distinct bit pattern once."""
@@ -81,9 +71,6 @@ class PartialField:
     values: np.ndarray
     domain: np.ndarray               # boolean mask
     label: str = ""
-
-    def domain_size(self):
-        return int(self.domain.sum())
 
 
 def _domain_of(f):
@@ -201,7 +188,6 @@ def solve_dirichlet(t, chi, cfg=None):
 @dataclass
 class EnergyReport:
     total: float
-    per_region: dict | None = None
 
 
 def _edge_values(f):
@@ -212,24 +198,17 @@ def _edge_values(f):
     return eu, ev, keep
 
 
-def energy(f, edge_filter=None, per_region=None):
+def energy(f, edge_filter=None):
     """Dirichlet energy: sum over edges of the squared difference.
 
-    ``edge_filter`` restricts to a boolean edge mask; ``per_region`` maps
-    region names to edge masks for a partial-energy breakdown.
+    ``edge_filter`` restricts to a boolean edge mask.
     """
-    t = f.truncation
     eu, ev, keep = _edge_values(f)
     diffs = f.values[eu] - f.values[ev]
     sq = diffs * diffs
     if edge_filter is not None:
         keep = keep & edge_filter
-    total = float(sq[keep].sum())
-    regions = None
-    if per_region is not None:
-        regions = {name: float(sq[keep & mask].sum())
-                   for name, mask in per_region.items()}
-    return EnergyReport(total=total, per_region=regions)
+    return EnergyReport(total=float(sq[keep].sum()))
 
 
 def energy_form(u, v):
@@ -392,31 +371,6 @@ def _sweep_cut(t, inter, vec):
         in_set[v] = True
         best = min(best, boundary / vol)
     return float(best)
-
-
-def dirichlet_lambda1_radial_free(rank, radius):
-    """Ground Dirichlet eigenvalue of the free-group ball via the radial
-    reduction (the ground state is radial on a regular tree ball)."""
-    d = 2 * rank
-    m = radius   # interior radial indices 0..radius-1
-    mat = np.zeros((m, m))
-    for i in range(m):
-        mat[i, i] = d
-        if i > 0:
-            mat[i, i - 1] = -1.0
-        if i + 1 < m:
-            # the identity has d children, deeper vertices d - 1
-            mat[i, i + 1] = -float(d) if i == 0 else -(d - 1.0)
-    # sphere-count weights make the radial operator self-adjoint
-    w = np.ones(m)
-    for i in range(1, m):
-        w[i] = d * (d - 1) ** (i - 1)
-    s = np.sqrt(w)
-    sym = (mat / s[None, :]) * s[:, None]
-    if not np.allclose(sym, sym.T):
-        raise AssertionError("radial reduction lost self-adjointness")
-    vals = np.linalg.eigvalsh(sym)
-    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,6 @@ components.  Classification against an end function is by precedence:
 * special type 1 - otherwise, when both a 0-cluster and a 1-cluster
   component are present;
 * regular theta   - otherwise; every cluster component carries theta.
-
-Two necks are treated as overlapping when their interiors meet, i.e. the
-centers are within 2R - 1; tangency at a single sphere vertex carries no
-geometric content at this scale.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import numpy as np
 
 from .errors import DegenerateDrop, EndsSplitterError, NeckCoverageError
 from .ends import complement_components, is_cluster
-from .groups import _spheres
 from .harmonic import energy
 
 # shell-trace bits: a chi-value 0 / 1 seen on the shell, and the shell itself
@@ -66,7 +61,6 @@ class Neck:
     center: int
     R: int
     components: list
-    trusted: bool = True
 
     def unbounded_count(self):
         return sum(1 for c in self.components if c.unbounded)
@@ -79,7 +73,7 @@ class Neck:
 
 @dataclass
 class NeckClass:
-    kind: str                 # regular | special_type_1 | special_type_2 | undecidable
+    kind: str                 # regular | special_type_1 | special_type_2
     theta: int | None = None
     verdicts: tuple = ()      # per unbounded component: 0, 1, or None
 
@@ -197,7 +191,7 @@ class TraceMasks:
             vals = chi.shell_values(t)[shell]
             own[shell[vals == 0]] |= CHI0
             own[shell[vals == 1]] |= CHI1
-        spheres = _spheres(t.dist)[1:]
+        spheres = t.spheres()[1:]
         down = own.copy()
         for sl in reversed(spheres):
             np.bitwise_or.at(down, anchor[sl], down[sl])
@@ -233,10 +227,7 @@ def _others(group, bits):
 
 
 def classify_neck(t, neck, chi, tree_masks=None):
-    """The unique class under the precedence order, or undecidable outside
-    the trustworthy window."""
-    if not neck.trusted:
-        return NeckClass(kind="undecidable")
+    """The unique class under the precedence order."""
     masks = tree_masks if tree_masks is not None else TraceMasks(t, chi)
     # a cluster sees one chi-value on the shell
     verdicts = [_VERDICT[c.trace(masks) & (CHI0 | CHI1)]
@@ -280,13 +271,12 @@ class NeckReport:
         }
 
 
-def special_sets(t, net, R, chi, margin=None, check_structure=True,
-                 survey=None, tree_masks=None):
+def special_sets(t, net, R, chi, margin=None, survey=None, tree_masks=None):
     """Classify every neck of the survey and extract K, K_I, K_II.
 
-    With no undecidable verdicts the structural checks run: K must be
-    nonempty for nonconstant chi, and every unbounded complement component
-    of the K_I-ball system must be a cluster.
+    The structural checks follow: K must be nonempty for nonconstant chi,
+    and every unbounded complement component of the K_I-ball system must be
+    a cluster.
 
     ``survey`` (``find_necks(t, net, R, margin)``) and ``tree_masks``
     (``TraceMasks(t, chi)``) are computed here unless the caller passes
@@ -303,9 +293,7 @@ def special_sets(t, net, R, chi, margin=None, check_structure=True,
     for neck, word in zip(survey.necks, survey.center_words):
         cls = classify_neck(t, neck, chi, tree_masks=masks)
         classes[word] = cls.label()
-        if cls.kind == "undecidable":
-            warnings.append(f"undecidable neck at {word}")
-        elif cls.kind == "special_type_1":
+        if cls.kind == "special_type_1":
             k_ids.append(neck.center)
             k1_ids.append(neck.center)
         elif cls.kind == "special_type_2":
@@ -317,21 +305,19 @@ def special_sets(t, net, R, chi, margin=None, check_structure=True,
             f"radius from this net is {survey.cover_radius}"
         )
 
-    visible_complete = not any(w.startswith("undecidable") for w in warnings)
-    if check_structure and visible_complete:
-        if not k_ids:
-            raise NeckCoverageError(
-                "no special neck found for a nonconstant end function; the "
-                "net may be too sparse for the transition locus "
-                f"(spacing {net.spacing}, R {R})"
-            )
-        bad = _uncovered_cluster_components(t, chi, k1_ids, R)
-        if bad is not None:
-            raise NeckCoverageError(
-                "a component outside the type-1 ball system fails to "
-                f"cobound a cluster (witness vertex {t.word(bad)!r}); "
-                "type-1 centers are invisible to this net"
-            )
+    if not k_ids:
+        raise NeckCoverageError(
+            "no special neck found for a nonconstant end function; the net "
+            f"may be too sparse for the transition locus (spacing "
+            f"{net.spacing}, R {R})"
+        )
+    bad = _uncovered_cluster_components(t, chi, k1_ids, R)
+    if bad is not None:
+        raise NeckCoverageError(
+            "a component outside the type-1 ball system fails to cobound a "
+            f"cluster (witness vertex {t.word(bad)!r}); type-1 centers are "
+            "invisible to this net"
+        )
 
     word_of = dict(zip((n.center for n in survey.necks), survey.center_words))
     report = NeckReport(
@@ -361,15 +347,6 @@ def _uncovered_cluster_components(t, chi, k1_ids, R):
         if is_cluster(t, chi, comp) is None:
             return int(comp.members[0])
     return None
-
-
-def neck_overlap(t, x, y, R):
-    """Interiors-meet predicate for neck pairs."""
-    return t.word_distance(x, y) <= 2 * R - 1
-
-
-def necks_disjoint(t, x, y, R):
-    return t.word_distance(x, y) > 2 * R
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +442,8 @@ class DualGraph:
 def dual_graph(t, groups, R, phi_bound=None):
     """Nerve of the covering by group balls and complement components.
 
-    ``phi_bound`` is the measured connectivity value used by the
-    separation hypothesis; when supplied, ball gaps are checked against
-    it.
+    ``phi_bound`` is the connectivity bound of the separation hypothesis;
+    when supplied, ball gaps are checked against it.
     """
     groups = [list(map(int, g)) for g in groups]
     all_k = np.asarray([v for g in groups for v in g], dtype=np.int64)
@@ -559,17 +535,6 @@ class GapCertificate:
     region_energy: float
     x0: int
     x1: int
-
-    def summary(self, t):
-        return {
-            "neck_center": t.word(self.neck_center),
-            "x0": t.word(self.x0),
-            "x1": t.word(self.x1),
-            "drop": self.drop,
-            "path_length": len(self.witness_path) - 1,
-            "mu": self.mu,
-            "region_energy": self.region_energy,
-        }
 
 
 WITNESS_EPSILON = 0.1

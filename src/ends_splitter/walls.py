@@ -82,13 +82,10 @@ def trichotomy(h, g, equality_tol=1e-9, pulled=None, img=None):
                                      max_slack=failures[rel])
     best = min(RELATIONS, key=lambda r: failures[r])
     # witness: the vertex realizing the smallest relation's failure
+    diff = vals - (1.0 - base if "minus" in best else base)
     if best.startswith("eq"):
-        ref = base if best.endswith("_h") else 1.0 - base
-        w = ids[int(np.argmax(np.abs(vals - ref)))]
-    else:
-        ref = base if best.endswith("_h") and "minus" not in best else 1.0 - base
-        diff = vals - ref
-        w = ids[int(np.argmax(diff if best.startswith("lt") else -diff))]
+        diff = np.abs(diff)
+    w = ids[int(np.argmax(-diff if best.startswith("gt") else diff))]
     return TrichotomyVerdict(g=str(g), relation="violation",
                              max_slack=float(failures[best]), witness=int(w))
 

@@ -10,8 +10,12 @@ from collections import deque
 import numpy as np
 
 from ends_splitter.ends import complement_components, is_cluster
-from ends_splitter.errors import CrossingWalls, NoRegularValue
-from ends_splitter.groups import Truncation, enumerate_elements
+from ends_splitter.errors import (
+    CrossingWalls,
+    EndsSplitterError,
+    NoRegularValue,
+)
+from ends_splitter.groups import Truncation, build_truncation, group_ball
 from ends_splitter.harmonic import (
     _color_classes,
     boundary_values,
@@ -150,6 +154,12 @@ def build_generic(p, radius):
 
 # -- left translates, nets and sweep classes, one vertex at a time ----------
 
+def enumerate_elements(p, r):
+    """All group elements of word length <= r, breadth-first with the fixed
+    letter order (identity first): a ball's vertices in id order."""
+    return group_ball(build_truncation(p, max(r, 1)), r)
+
+
 def path_translates(t, ids, r):
     """``w * v`` for each id v and each element w != e of length <= r, in
     id order, chasing w's geodesic letters innermost first; -1 where the
@@ -277,6 +287,22 @@ def bfs_distances(adj, sources, allowed=None):
     return dist
 
 
+def refine_end_classes(t, coarse, fine):
+    """Map each end class at the finer radius to the class containing it at
+    the coarser radius."""
+    mapping = {}
+    table = np.full(t.n, -1, dtype=np.int64)
+    for c in coarse:
+        table[c.members] = c.id
+    for f in fine:
+        owners = np.unique(table[f.members])
+        owners = owners[owners >= 0]
+        if len(owners) != 1:
+            raise EndsSplitterError("end classes failed to refine")
+        mapping[f.id] = int(owners[0])
+    return mapping
+
+
 # -- the neck survey, one complement flood per center --------------------------
 
 def flood_neck_components(t, x, R):
@@ -320,6 +346,31 @@ def dense_dirichlet(t, boundary_values):
     full = np.array(boundary_values, dtype=float)
     full[inter] = sol
     return full
+
+
+def dirichlet_lambda1_radial_free(rank, radius):
+    """Ground Dirichlet eigenvalue of the free-group ball via the radial
+    reduction (the ground state is radial on a regular tree ball)."""
+    d = 2 * rank
+    m = radius   # interior radial indices 0..radius-1
+    mat = np.zeros((m, m))
+    for i in range(m):
+        mat[i, i] = d
+        if i > 0:
+            mat[i, i - 1] = -1.0
+        if i + 1 < m:
+            # the identity has d children, deeper vertices d - 1
+            mat[i, i + 1] = -float(d) if i == 0 else -(d - 1.0)
+    # sphere-count weights make the radial operator self-adjoint
+    w = np.ones(m)
+    for i in range(1, m):
+        w[i] = d * (d - 1) ** (i - 1)
+    s = np.sqrt(w)
+    sym = (mat / s[None, :]) * s[:, None]
+    if not np.allclose(sym, sym.T):
+        raise AssertionError("radial reduction lost self-adjointness")
+    vals = np.linalg.eigvalsh(sym)
+    return float(vals[0])
 
 
 def gauss_seidel_loop(t, chi, cfg):

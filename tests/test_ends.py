@@ -5,18 +5,15 @@ import pytest
 
 from ends_splitter.errors import EndsSplitterError, ScenarioError
 from ends_splitter.ends import (
-    INFINITE_DIAMETER,
     all_nonconstant_end_functions,
     complement_components,
-    connectivity_phi,
     end_classes,
     is_cluster,
     make_end_function,
-    refine_end_classes,
 )
-from ends_splitter.groups import build_net
 
 import oracles
+from oracles import refine_end_classes
 
 
 # -- complement components -------------------------------------------------------
@@ -228,59 +225,3 @@ def test_cluster_requires_unbounded(t_f2_r6):
     with pytest.raises(EndsSplitterError):
         is_cluster(t_f2_r6, chi, bounded[0])
 
-
-# -- connectivity function -----------------------------------------------------------
-
-def test_phi_is_zero_on_trees(t_f2_r6):
-    net = build_net(t_f2_r6, 1)
-    entry = connectivity_phi(t_f2_r6, net, R=1, r=0)
-    assert entry.value == 0
-    assert entry.mode == "window-exact"
-    entry2 = connectivity_phi(t_f2_r6, net, R=2, r=2, exhaustive_limit=500,
-                              seed=5)
-    assert entry2.value == 0
-
-
-def test_phi_exhaustive_matches_bruteforce_on_z2z3(t_z23_r10):
-    t = t_z23_r10
-    net = build_net(t, 2)
-    entry = connectivity_phi(t, net, R=2, r=4, exhaustive_limit=5000)
-    assert entry.mode == "window-exact"
-
-    # brute force: enumerate subsets of the window pool directly
-    import itertools
-    window = max(t.radius - (2 * 2 + 4), 1)
-    members = [int(v) for v in net.member_ids if t.dist[v] <= window]
-    best = 0
-    adj = oracles.adjacency_dict(t)
-    shell = set(int(v) for v in t.shell_ids())
-    for k in (1, 2, 3):
-        for subset in itertools.combinations(members, k):
-            if max((t.word_distance(u, v) for u in subset for v in subset),
-                   default=0) > 4:
-                continue
-            inner = set(int(x) for x in t.word_ball(np.array(subset), 1))
-            outer = set(int(x) for x in t.word_ball(np.array(subset), 2))
-            for comp in oracles.flood_components(adj, inner):
-                trace = [v for v in comp if v in outer]
-                if len(trace) <= 1:
-                    continue
-                allowed = (set(comp) - shell) | set(trace)
-                for s in trace:
-                    d = oracles.bfs_distances(adj, [s], allowed=allowed)
-                    if any(x not in d for x in trace):
-                        best = INFINITE_DIAMETER
-                    else:
-                        best = max(best, max(d[x] for x in trace))
-    assert entry.value == best
-
-
-def test_phi_monotone_in_r(t_z23_r10):
-    net = build_net(t_z23_r10, 2)
-    values = []
-    for r in (0, 1, 2):
-        e = connectivity_phi(t_z23_r10, net, R=1, r=r, exhaustive_limit=4000,
-                             window=3)
-        if not e.is_infinite:
-            values.append(e.value)
-    assert values == sorted(values)

@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from ends_splitter import groups
 from ends_splitter.errors import PresentationError
 from ends_splitter.groups import (
-    OUT_OF_BALL,
     Presentation,
-    apply_generator,
     build_net,
     build_truncation,
-    enumerate_elements,
     group_ball,
     path_truncation,
 )
 
 import oracles
+from oracles import enumerate_elements
 
 
 # -- presentations -------------------------------------------------------------
@@ -167,17 +165,17 @@ def test_truncation_invariants(t_f2_r4, t_z23_r8):
 
 def test_apply_generator_examples(t_f2_r4, z23):
     t = t_f2_r4
-    va = apply_generator(t, 0, "a")
+    va = int(t.right_mult_table("a")[0])
     assert t.word(va) == "a"
-    assert apply_generator(t, va, "A") == 0
+    assert t.right_mult_table("A")[va] == 0
 
     tz = build_truncation(z23, 3)
-    vs = apply_generator(tz, 0, "s")
-    assert apply_generator(tz, vs, "s") == 0
+    vs = int(tz.right_mult_table("s")[0])
+    assert tz.right_mult_table("s")[vs] == 0
 
     t3 = build_truncation(Presentation.free(2), 3)
     deep = int(np.flatnonzero(t3.dist == 3)[0])
-    assert apply_generator(t3, deep, "b") is OUT_OF_BALL
+    assert t3.right_mult_table("b")[deep] == -1
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,14 +186,14 @@ def test_apply_generator_inverse_roundtrip(v, letters):
     cur = v
     trail = []
     for l in letters:
-        nxt = apply_generator(t, cur, l)
-        if nxt is OUT_OF_BALL:
+        nxt = int(t.right_mult_table(l)[cur])
+        if nxt == -1:
             break
         trail.append(l)
         cur = nxt
     for l in reversed(trail):
-        cur = apply_generator(t, cur, eng.inverse_letter(l))
-        assert cur is not OUT_OF_BALL
+        cur = int(t.right_mult_table(eng.inverse_letter(l))[cur])
+        assert cur != -1
     assert cur == v
 
 
@@ -324,6 +322,30 @@ def test_left_translates_match_the_path_chase(case):
     for r in (0, 1, 2, 3, t.radius + 1):
         got = t.left_translates(ids, r)
         assert got.tolist() == oracles.path_translates(t, ids, r).tolist(), r
+
+
+@pytest.mark.parametrize("case", [*sorted(_LAYOUT_CASES), "path"])
+def test_ball_reads_need_only_the_sphere_table(case):
+    # a read per neck center that scans the distance array makes the neck
+    # survey quadratic; once the sphere table is built, none reads dist
+    if case == "path":
+        t = path_truncation(9)
+    else:
+        t = build_truncation(*_LAYOUT_CASES[case])
+    ids = np.random.default_rng(3).integers(0, t.n, size=5)
+    radii = sorted({0, 1, 2, t.radius})
+
+    def reads():
+        out = [t.left_translates(ids, r).tolist() for r in radii]
+        out += [t.word_ball(ids, r).tolist() for r in radii]
+        if t.presentation is not None:      # a path has no group elements
+            out += [[g.word for g in group_ball(t, r)] for r in radii]
+        return out
+
+    before = reads()
+    t.spheres()
+    t.dist = None
+    assert reads() == before
 
 
 @pytest.mark.parametrize("case", ["F2-r6", "Z3*Z-r8", "Z4*Z5-r8",

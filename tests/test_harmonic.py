@@ -22,7 +22,6 @@ from ends_splitter.harmonic import (
     PartialField,
     SolverConfig,
     decay_profile,
-    dirichlet_lambda1_radial_free,
     energy,
     energy_form,
     field_difference,
@@ -33,6 +32,7 @@ from ends_splitter.harmonic import (
 )
 
 import oracles
+from oracles import dirichlet_lambda1_radial_free
 from test_groups import _LAYOUT_CASES
 
 
@@ -257,10 +257,10 @@ def test_energy_per_region_partitions_total(h_first_letter_r8):
     t = h_first_letter_r8.truncation
     eu, ev, _ = t.edges()
     inner = (t.dist[eu] <= 4) & (t.dist[ev] <= 4)
-    rep = energy(h_first_letter_r8,
-                 per_region={"inner": inner, "outer": ~inner})
-    assert rep.per_region["inner"] + rep.per_region["outer"] == pytest.approx(
-        rep.total, abs=1e-12)
+    parts = [energy(h_first_letter_r8, edge_filter=m).total
+             for m in (inner, ~inner)]
+    assert sum(parts) == pytest.approx(energy(h_first_letter_r8).total,
+                                       abs=1e-12)
 
 
 def test_energy_form_equals_energy_on_diagonal(h_first_letter_r8):

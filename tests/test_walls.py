@@ -110,6 +110,22 @@ def test_violation_carries_witness(t_f2_r4):
     assert v.max_slack > 0
 
 
+def test_violation_witness_is_measured_against_one_minus_h(t_f2_r4):
+    # the pulled field is 1 - h except at vertices 1 and 5, so
+    # eq_one_minus_h fails least and its witness is one of those two
+    t = t_f2_r4
+    base = np.where(t.dist % 2 == 0, 0.25, 0.75)
+    h = HarmonicField(truncation=t, values=base, boundary_spec=None,
+                      residual=0.0, iterations=0)
+    vals = 1.0 - base
+    vals[1] += 0.0625
+    vals[5] -= 0.0625
+    v = trichotomy(h, element(t, "e"), pulled=synthetic(t, vals))
+    assert v.relation == "violation"
+    assert v.max_slack == 0.0625
+    assert v.witness in (1, 5)
+
+
 # -- thresholds -----------------------------------------------------------------
 
 def test_first_free_threshold_is_chosen(h_first_letter_r8):
