@@ -56,6 +56,7 @@ from .walls import (
     build_walls,
     choose_threshold,
     indecomposable_regions,
+    sample_images,
     trichotomy,
 )
 
@@ -69,6 +70,6 @@ __all__ = [
     "energy_gap_estimate", "find_necks", "gap_certificate", "group_ball",
     "indecomposable_regions", "is_cluster", "lattice_ops",
     "make_end_function", "partition_K", "path_truncation", "pullback",
-    "solve_dirichlet", "special_sets", "spectral_gap", "trichotomy",
-    "__version__",
+    "sample_images", "solve_dirichlet", "special_sets", "spectral_gap",
+    "trichotomy", "__version__",
 ]

@@ -45,7 +45,7 @@ from .walls import (
     check_wall_settings,
     choose_threshold,
     indecomposable_regions,
-    trichotomy,
+    sample_images,
     wall_tree_dot,
 )
 
@@ -360,19 +360,20 @@ def run_tree(scn, outdir, stages):
 
     stages.start("walls")
     sample = group_ball(t, scn.wall_sample_radius)
-    maps = t.right_action_maps(sample)
-    verdicts = [trichotomy(h, g, scn.wall_equality_tol, img=img)
-                for g, img in zip(sample, maps)]
+    # one pass over the full-ball maps; walls, regions and the action read
+    # what it keeps on the common domain
+    images = sample_images(h, sample, scn.wall_equality_tol)
+    verdicts = images.verdicts
     cfg = choose_threshold(h, sample, equality_tol=scn.wall_equality_tol,
                            step=scn.wall_step,
-                           sample_radius=scn.wall_sample_radius, maps=maps)
-    system = build_walls(h, cfg, sample, maps)
+                           sample_radius=scn.wall_sample_radius, maps=images)
+    system = build_walls(h, cfg, sample, images)
     stages.stop()
 
     stages.start("wall_tree")
     decomposition = indecomposable_regions(t, system)
     tree = build_wall_tree(t, system, decomposition)
-    action = action_on_tree(t, h, system, tree, sample, maps)
+    action = action_on_tree(t, h, system, tree, sample, images)
     stages.stop()
 
     report = _base_report(scn, t, "tree")

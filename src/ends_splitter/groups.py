@@ -455,16 +455,16 @@ class Truncation:
         return len(self.edges()[0])
 
     def csr_adjacency(self):
+        """The adjacency matrix in CSR form, each row's columns ascending;
+        built on every call, since no command keeps it."""
         from scipy.sparse import coo_matrix
 
-        if "csr" not in self._caches:
-            eu, ev, _ = self.edges()
-            data = np.ones(2 * len(eu))
-            rows = np.concatenate([eu, ev])
-            cols = np.concatenate([ev, eu])
-            a = coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
-            self._caches["csr"] = a.tocsr()
-        return self._caches["csr"]
+        eu, ev, _ = self.edges()
+        data = np.ones(2 * len(eu))
+        rows = np.concatenate([eu, ev])
+        cols = np.concatenate([ev, eu])
+        a = coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        return a.tocsr()
 
     def component_labels(self, edge_keep):
         """Connected-component label per vertex of the graph on the edges
@@ -530,12 +530,13 @@ class Truncation:
     # -- the right action ----------------------------------------------------
 
     def right_mult_table(self, letter):
-        """id table for v -> v * letter, -1 where the product leaves the
-        ball.  Built once per letter by walking spheres outward."""
+        """int32 id table for v -> v * letter, -1 where the product leaves
+        the ball.  Built once per letter by walking spheres outward."""
         letter = self.letter_id(letter)
         key = ("rmul", letter)
         if key not in self._caches:
-            r = np.full(self.n, -1, dtype=np.int64)
+            assert self.n < 2 ** 31
+            r = np.full(self.n, -1, dtype=np.int32)
             r[0] = self.nbr[0, letter]
             # v = parent_letter * parent, so v*l = parent_letter * (parent*l);
             # walk spheres outward so parents are resolved first
@@ -556,21 +557,38 @@ class Truncation:
             out[ok] = table[out[ok]]
         return out
 
-    def right_action_maps(self, elements):
-        """``rmul_ids(arange(n), g)`` for each element g, as int32.  The map
-        of g = l * w (l the first letter of g's geodesic) is one gather
-        from the map of w, built once even when w is not among elements."""
+    def right_action_stream(self, elements):
+        """``(i, rmul_ids(arange(n), elements[i]))`` as int32 for every i,
+        one element at a time.
+
+        The map of g = l * w (l the first letter of g's geodesic) is one
+        gather from the map of w.  Elements come in the order of their
+        geodesics read backwards, so each map extends one on a stack that
+        holds a single chain e, w, l * w, ...: at most one map per letter of
+        the longest element, plus e's.  A map is built once, and a caller
+        that drops each map before asking for the next holds no other.
+        """
         assert self.n < 2 ** 31
-        maps = {(): np.arange(self.n, dtype=np.int32)}
+        words = [tuple(reversed(g.letters())) for g in elements]
+        stack = [((), np.arange(self.n, dtype=np.int32))]
+        for i in sorted(range(len(words)), key=words.__getitem__):
+            word = words[i]
+            while word[:len(stack[-1][0])] != stack[-1][0]:
+                stack.pop()
+            for k in range(len(stack[-1][0]), len(word)):
+                rest = stack[-1][1]
+                table = self.right_mult_table(word[k])
+                stack.append((word[:k + 1],
+                              np.where(table >= 0, rest[table], -1)))
+            yield i, stack[-1][1]
 
-        def of(letters):
-            if letters not in maps:
-                rest = of(letters[1:])
-                table = self.right_mult_table(letters[0])
-                maps[letters] = np.where(table >= 0, rest[table], -1)
-            return maps[letters]
-
-        return [of(tuple(g.letters())) for g in elements]
+    def right_action_maps(self, elements):
+        """The maps of ``right_action_stream``, all held, in element
+        order."""
+        maps = [None] * len(elements)
+        for i, img in self.right_action_stream(elements):
+            maps[i] = img
+        return maps
 
     def left_translates(self, ids, r):
         """``w * v`` for each id v (one row each) and each element w != e of
@@ -615,7 +633,9 @@ class Truncation:
     def graph_distances_from(self, sources, allowed_mask=None):
         """BFS distances inside the truncation (induced metric when
         allowed_mask is given); -1 marks unreachable."""
-        dist = np.full(self.n, -1, dtype=np.int64)
+        # the slot past the ball answers for nbr's -1s as reached
+        dist = np.full(self.n + 1, -1, dtype=np.int64)
+        dist[self.n] = 0
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
         if allowed_mask is not None:
             sources = sources[allowed_mask[sources]]
@@ -625,15 +645,23 @@ class Truncation:
         while len(frontier):
             d += 1
             nxt = self.nbr[frontier].ravel()
-            nxt = nxt[nxt >= 0]
+            nxt = nxt[dist[nxt] < 0]
             if allowed_mask is not None:
                 nxt = nxt[allowed_mask[nxt]]
-            nxt = nxt[dist[nxt] < 0]
             if len(nxt) == 0:
                 break
-            dist[nxt] = d
-            frontier = np.flatnonzero(dist == d)
-        return dist
+            if 16 * len(nxt) > self.n:
+                # one scan of the ball costs less than deduplicating these
+                dist[nxt] = d
+                frontier = np.flatnonzero(dist == d)
+                continue
+            # the next frontier holds each new vertex once: the copy whose
+            # tag -2 - (its position) was written last
+            tags = -2 - np.arange(len(nxt))
+            dist[nxt] = tags
+            frontier = nxt[dist[nxt] == tags]
+            dist[frontier] = d
+        return dist[:-1]
 
 
 def _first_fit(t, rows, alive):

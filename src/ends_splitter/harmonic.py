@@ -121,22 +121,41 @@ def _sweep_defect(x, head, rows):
 
 
 def _color_classes(t):
-    """Independent interior vertex classes for sweep ordering, built once
-    per truncation: the first-fit coloring in id order, whose class c is
-    the first-fit independent set of what classes < c leave.  On a
-    bipartite ball that is the red-black split by parity; the shell is
-    colored too, so a ball whose id 0 is a shell vertex keeps that order.
+    """Independent interior vertex classes for sweep ordering: the
+    first-fit coloring in id order, whose class c is the first-fit
+    independent set of what classes < c leave.  On a bipartite ball that
+    is the red-black split by parity; the shell is colored too, so a ball
+    whose id 0 is a shell vertex keeps that order.
     """
-    if "sweep" not in t._caches:
-        alive, classes = np.ones(t.n, dtype=bool), []
-        while alive.any():
-            member = _first_fit(t, lambda v: np.take(t.nbr, v, axis=0), alive)
-            alive &= ~member
-            inter = np.flatnonzero(member & ~t.shell_mask)
-            if len(inter):
-                classes.append(inter)
-        t._caches["sweep"] = classes
-    return t._caches["sweep"]
+    alive, classes = np.ones(t.n, dtype=bool), []
+    while alive.any():
+        member = _first_fit(t, lambda v: np.take(t.nbr, v, axis=0), alive)
+        alive &= ~member
+        inter = np.flatnonzero(member & ~t.shell_mask)
+        if len(inter):
+            classes.append(inter)
+    return classes
+
+
+def _sweep_rows(t):
+    """``(a, d, ids)`` per color class, built once per truncation: the
+    class's adjacency rows ``a`` (CSR, each row's neighbours ascending, as
+    in ``csr_adjacency``, so sums run in the same order), its degrees
+    ``d`` and its ids."""
+    from scipy.sparse import csr_matrix
+
+    if "sweep_rows" not in t._caches:
+        deg = t.degrees()
+        rows = []
+        for ids in _color_classes(t):
+            nb = np.sort(t.nbr[ids], axis=1)
+            cols = nb[nb >= 0].astype(np.int32)
+            ptr = np.concatenate([[0], np.cumsum(deg[ids])])
+            a = csr_matrix((np.ones(len(cols)), cols, ptr),
+                           shape=(len(ids), t.n))
+            rows.append((a, deg[ids].astype(np.float64), ids))
+        t._caches["sweep_rows"] = rows
+    return t._caches["sweep_rows"]
 
 
 def solve_dirichlet(t, chi, cfg=None):
@@ -152,13 +171,11 @@ def solve_dirichlet(t, chi, cfg=None):
     x = np.full(t.n, 0.5, dtype=np.float64)
     x[shell] = bvals[shell].astype(np.float64)
 
-    adj = t.csr_adjacency()
-    deg = t.degrees().astype(np.float64)
     # Gauss-Seidel: sweep the color classes in turn, checking the defect
     # every fourth sweep and after the last one, so the loop ends on a check.
     # Class 0's update is computed at the end of the sweep before the one
     # that writes it, where a check reads it too.
-    rows = [(adj[ids], deg[ids], ids) for ids in _color_classes(t)]
+    rows = _sweep_rows(t)
     a0, d0, ids0 = rows[0]
     head = a0.dot(x) / d0
     for iters in range(1, cfg.max_iterations + 1):

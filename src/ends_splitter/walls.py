@@ -9,12 +9,16 @@ At a finite radius h is only approximately energy-minimizing, so failures
 of the pointwise trichotomy are recorded as data with their witnesses,
 never errors; their count shrinking under larger radii is the observable
 shadow of minimality.
+
+The sample's full-ball id maps are read in one pass (``sample_images``);
+walls, regions and the action then hold arrays on the common domain only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,37 +48,33 @@ class TrichotomyVerdict:
         return self.relation == "violation"
 
 
-def _pulled(h, g, img=None):
-    """Values and domain of the pullback v -> h(v * g), from g's id map
-    (built here when not given); values off the domain are 0."""
-    if img is None:
-        img = h.truncation.right_action_maps([g])[0]
-    dom = img >= 0
-    return np.where(dom, h.values[img], 0.0), dom
-
-
 def trichotomy(h, g, equality_tol=1e-9, pulled=None, img=None):
     """Classify the pullback of h along g against h and 1 - h pointwise on
     the common domain.  ``img`` is g's id map
     (``Truncation.right_action_maps``), built here when not given;
     ``pulled`` overrides the pullback (tests)."""
-    vals, dom = ((pulled.values, pulled.domain) if pulled is not None
-                 else _pulled(h, g, img))
-    if not dom.any():
+    if pulled is not None:
+        inside = pulled.domain
+        vals = pulled.values[inside]
+    else:
+        if img is None:
+            img = h.truncation.right_action_maps([g])[0]
+        inside = img >= 0
+        vals = h.values[img[inside]]
+    if not len(vals):
         raise EndsSplitterError(f"pullback domain of {g} is empty")
-    base = h.values[dom]
-    vals = vals[dom]
-    ids = np.flatnonzero(dom)
+    base = h.values[inside]
 
     failures = {}
-    for rel, ref in (("h", base), ("one_minus_h", 1.0 - base)):
-        diff = vals - ref
+    for rel in ("h", "one_minus_h"):
+        diff = vals - (1.0 - base if "minus" in rel else base)
         hi = float(diff.max())
         lo = float(diff.min())
-        failures[f"eq_{rel}"] = float(np.abs(diff).max())
+        failures[f"eq_{rel}"] = max(hi, -lo)
         # lt fails by the amount diff exceeds 0; gt symmetric
         failures[f"lt_{rel}"] = max(hi, 0.0) if lo < -equality_tol else np.inf
         failures[f"gt_{rel}"] = max(-lo, 0.0) if hi > equality_tol else np.inf
+        del diff                    # before the next one is made
 
     for rel in RELATIONS:
         if failures[rel] <= equality_tol:
@@ -85,7 +85,8 @@ def trichotomy(h, g, equality_tol=1e-9, pulled=None, img=None):
     diff = vals - (1.0 - base if "minus" in best else base)
     if best.startswith("eq"):
         diff = np.abs(diff)
-    w = ids[int(np.argmax(-diff if best.startswith("gt") else diff))]
+    w = np.flatnonzero(inside)[
+        int(np.argmax(-diff if best.startswith("gt") else diff))]
     return TrichotomyVerdict(g=str(g), relation="violation",
                              max_slack=float(failures[best]), witness=int(w))
 
@@ -100,20 +101,96 @@ def check_wall_settings(step, equality_tol):
             f"wall equality_tol must be finite and >= 0, got {equality_tol!r}")
 
 
+@dataclass
+class SampleImages:
+    """What walls, regions and the action read of the sample's right
+    action, taken in one pass over its full-ball id maps
+    (``sample_images``).  Only ``images`` has one array per element, and
+    each has the domain's length."""
+    equality_tol: float
+    verdicts: list              # trichotomy verdict per element
+    near: np.ndarray            # distinct values that can block a threshold
+    shell_traces: list          # per element: {min, max} constancy or None
+    domain: np.ndarray          # vertex mask the images are kept on
+    images: list                # per element: int32 id map on the domain's ids
+
+
+def sample_images(h, sample, equality_tol=1e-9, maps=None, domain=None):
+    """One pass over the sample's full-ball id maps, holding one chain of
+    them at a time (``Truncation.right_action_stream``) unless ``maps``
+    gives them all.  From each map it takes the element's trichotomy
+    verdict, its pulled values near [0.5, 0.6] for the threshold, its
+    shell-trace probe and its share of the joint domain.
+
+    The images are kept on ``domain``, by default the common domain of the
+    sample.  That domain is known only after the pass, but it lies inside
+    the joint domain of the maps seen so far, so each image is kept on
+    that joint domain and cut down as it shrinks.
+    """
+    t = h.truncation
+    shell = t.shell_ids()
+    lo, hi = 0.5 - equality_tol, 0.6 + equality_tol
+    verdicts, traces = [None] * len(sample), [None] * len(sample)
+    images, near = [None] * len(sample), [np.zeros(0)]
+    ids = np.arange(t.n) if domain is None else np.flatnonzero(domain)
+    for i, img in (enumerate(maps) if maps is not None
+                   else t.right_action_stream(sample)):
+        verdicts[i] = trichotomy(h, sample[i], equality_tol, img=img)
+        inside = img >= 0
+        vals = h.values[img[inside]]
+        near.append(vals[(vals >= lo) & (vals <= hi)])
+        traces[i] = _shell_trace(h, shell, img[shell], equality_tol)
+        if domain is None:
+            keep = inside[ids]
+            ids = ids[keep]
+            images = [k if k is None else k[keep] for k in images]
+        images[i] = img[ids]
+        del img, inside, vals       # free before the next map is built
+    if domain is None:
+        joint = np.zeros(t.n, dtype=bool)
+        joint[ids] = True
+        domain = common_domain(t, joint)
+        keep = domain[ids]
+        images = [k[keep] for k in images]
+    return SampleImages(equality_tol=equality_tol, verdicts=verdicts,
+                        near=np.unique(np.concatenate(near)),
+                        shell_traces=traces, domain=domain, images=images)
+
+
+def _shell_trace(h, shell, img, equality_tol):
+    """Whether min(h, pullback) and max(h, pullback) are constant on the
+    shell vertices that ``img`` (their images) keeps in the ball."""
+    sh = shell[img >= 0]
+    if not len(sh):
+        return None
+    pulled = h.values[img[img >= 0]]
+    mn = np.minimum(h.values[sh], pulled)
+    mx = np.maximum(h.values[sh], pulled)
+    return {"min": bool(np.ptp(mn) <= 2 * equality_tol),
+            "max": bool(np.ptp(mx) <= 2 * equality_tol)}
+
+
+def _images(h, sample, equality_tol, maps, domain=None):
+    """``maps`` if it is a ``SampleImages`` taken at ``equality_tol`` (and
+    on ``domain`` when given), else the sample's images taken here from
+    the full-ball maps ``maps`` or, when there are none, from a stream."""
+    if isinstance(maps, SampleImages):
+        if maps.equality_tol == equality_tol and (
+                domain is None or np.array_equal(maps.domain, domain)):
+            return maps
+        maps = None
+    return sample_images(h, sample, equality_tol, maps, domain)
+
+
 def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
                      sample_radius=None, maps=None):
     """Smallest t = 1/2 + k*step that keeps distance >= equality_tol from
     every sampled pullback value; NoRegularValue if none below 0.6 works.
-    ``maps`` are the sample's id maps, built here when not given."""
+    ``maps`` are the sample's ``SampleImages`` or full-ball id maps, taken
+    here when not given."""
     check_wall_settings(step, equality_tol)
-    maps = h.truncation.right_action_maps(sample) if maps is None else maps
     # only values within equality_tol of [0.5, 0.6] can block a candidate
-    lo, hi = 0.5 - equality_tol, 0.6 + equality_tol
-    values = []
-    for img in maps:
-        vals = h.values[img[img >= 0]]
-        values.append(vals[(vals >= lo) & (vals <= hi)])
-    allv = np.unique(np.concatenate(values))
+    allv = _images(h, sample, equality_tol, maps).near
     k = 1
     while True:
         cand = _candidate(k, step)
@@ -162,7 +239,7 @@ def _past(value, k, step, equality_tol):
 class Wall:
     labels: list                # group elements sharing this wall
     edge_ids: np.ndarray        # sorted indices into the edge arrays
-    side: np.ndarray            # int8 per vertex: +1 above, -1 below, 0 off-domain
+    side: np.ndarray            # int8 per domain id: +1 above, -1 below
 
     @property
     def label(self):
@@ -177,6 +254,15 @@ class WallSystem:
     sample: list
     empty_pullbacks: list       # g whose crossing set is empty in-window
 
+    @cached_property
+    def domain_ids(self):
+        return np.flatnonzero(self.domain)
+
+    def at(self, v):
+        """Positions of the domain vertices ``v`` in ``domain_ids``, which
+        index ``Wall.side``."""
+        return np.searchsorted(self.domain_ids, v)
+
     def wall_edge_mask(self, t):
         mask = np.zeros(t.n_edges(), dtype=bool)
         for w in self.walls:
@@ -184,47 +270,42 @@ class WallSystem:
         return mask
 
 
-def common_domain(h, maps):
-    """Component of the basepoint inside the joint pullback domain of the
-    sample whose id maps are ``maps``."""
-    t = h.truncation
-    dom = np.ones(t.n, dtype=bool)
-    for img in maps:
-        dom &= img >= 0
-    if not dom[0]:
+def common_domain(t, joint):
+    """Component of the basepoint inside the joint pullback domain mask
+    ``joint`` of a sample."""
+    if not joint[0]:
         raise EndsSplitterError("the basepoint fell out of the sample domain")
-    dist = t.graph_distances_from([0], allowed_mask=dom)
-    return dist >= 0
+    return t.graph_distances_from([0], allowed_mask=joint) >= 0
 
 
 def build_walls(h, cfg, sample, maps=None):
     """One wall per distinct crossing edge set over the sampled pullbacks,
-    restricted to the common valid domain.  ``maps`` are the sample's id
-    maps, built here when not given."""
+    restricted to the common valid domain.  ``maps`` are the sample's
+    ``SampleImages`` or full-ball id maps, taken here when not given."""
     t = h.truncation
-    maps = t.right_action_maps(sample) if maps is None else maps
-    dom = common_domain(h, maps)
+    images = _images(h, sample, cfg.equality_tol, maps)
+    dom = images.domain
+    ids = np.flatnonzero(dom)
     eu, ev, _ = t.edges()
-    edom = dom[eu] & dom[ev]
+    inner = np.flatnonzero(dom[eu] & dom[ev])
+    # the common domain lies in every pullback domain: images are >= 0
+    pu, pv = np.searchsorted(ids, eu[inner]), np.searchsorted(ids, ev[inner])
 
     by_key = {}
     order = []
     empty = []
-    for g, img in zip(sample, maps):
-        vals, fdom = _pulled(h, g, img)
-        above = vals > cfg.threshold
-        crossing = edom & fdom[eu] & fdom[ev] & (above[eu] != above[ev])
-        ids = np.flatnonzero(crossing)
-        if len(ids) == 0:
+    for g, img in zip(sample, images.images):
+        above = h.values[img] > cfg.threshold
+        crossing = inner[above[pu] != above[pv]]
+        if len(crossing) == 0:
             empty.append(str(g))
             continue
-        key = tuple(ids.tolist())
+        key = tuple(crossing.tolist())
         if key in by_key:
             by_key[key].labels.append(str(g))
             continue
-        side = np.zeros(t.n, dtype=np.int8)
-        side[dom & fdom] = np.where(above[dom & fdom], 1, -1)
-        wall = Wall(labels=[str(g)], edge_ids=ids, side=side)
+        side = np.where(above, 1, -1).astype(np.int8)
+        wall = Wall(labels=[str(g)], edge_ids=crossing, side=side)
         by_key[key] = wall
         order.append(key)
     walls = [by_key[k] for k in order]
@@ -262,7 +343,7 @@ def assert_noncrossing(t, system):
         for j, pts in enumerate(endpoint_ids):
             if i == j:
                 continue
-            sides = w1.side[pts]
+            sides = w1.side[system.at(pts)]
             if (sides > 0).any() and (sides < 0).any():
                 raise CrossingWalls(
                     f"wall {w1.label} separates points of wall "
@@ -303,12 +384,15 @@ def indecomposable_regions(t, system):
     wall_mask = system.wall_edge_mask(t)
     keep = dom[eu] & dom[ev] & ~wall_mask
 
-    ids = np.flatnonzero(dom)
-    # side signature folded in one wall at a time and renumbered after
-    # each, so its codes stay below len(ids) for any number of walls
+    ids = system.domain_ids
+    # side signature folded in one wall at a time in base 3, renumbered
+    # after every 20 walls: codes below len(ids) < 2**31 then grow by at
+    # most 3**20 < 2**32 before the next renumbering, so int64 never wraps
     sig = np.zeros(len(ids), dtype=np.int64)
-    for w in system.walls:
-        _, sig = np.unique(3 * sig + (w.side[ids] + 1), return_inverse=True)
+    for k, w in enumerate(system.walls, 1):
+        sig = 3 * sig + (w.side + 1)
+        if k % 20 == 0:
+            _, sig = np.unique(sig, return_inverse=True)
     # deterministic region ids ordered by smallest member
     _, first, sig = np.unique(sig, return_index=True, return_inverse=True)
     region = np.argsort(np.argsort(first))[sig]
@@ -364,8 +448,9 @@ def build_wall_tree(t, system, decomposition):
     incidence = []
     for w in system.walls:
         us, vs = eu[w.edge_ids], ev[w.edge_ids]
-        lo = np.where(w.side[us] < 0, us, vs)
-        hi = np.where(w.side[us] < 0, vs, us)
+        below = w.side[system.at(us)] < 0
+        lo = np.where(below, us, vs)
+        hi = np.where(below, vs, us)
         minus = np.unique(labels[lo])
         plus = np.unique(labels[hi])
         if len(minus) != 1 or len(plus) != 1:
@@ -463,31 +548,41 @@ def action_on_tree(t, h, system, tree, sample, maps=None):
     Reports per-element region maps, wall images (equal / disjoint /
     out-of-window), sampled edge stabilizers, inversion and fixed-region
     probes, and whether the pullback's min/max shell traces are constant.
-    ``maps`` are the sample's id maps, built here when not given.  Walls
-    must be edge-disjoint, as ``build_wall_tree`` checks.
+    ``maps`` are the sample's ``SampleImages`` or full-ball id maps, taken
+    here when not given.  Walls must be edge-disjoint, as
+    ``build_wall_tree`` checks.
     """
-    maps = t.right_action_maps(sample) if maps is None else maps
     eu, ev, el = t.edges()
     labels = tree.region_of_vertex
     n_regions = tree.n_nodes
-    in_regions = np.flatnonzero(labels >= 0)
-    source = labels[in_regions]
 
     # the right action keeps edge letters: the edge (u, l*u) goes to
-    # (ug, l*ug), whose id is eid[ug, l]
+    # (ug, l*ug).  Each wall edge is found from either end by its code
+    # u * L + l, so no table over the ball is needed.
+    L = t.n_letters
     inverse = np.array([t.presentation.engine().inverse_letter(l)
-                        for l in range(t.n_letters)])
-    eid = np.full(t.nbr.shape, -1, dtype=np.int32)
-    eid[eu, el] = eid[ev, inverse[el]] = np.arange(len(eu))
+                        for l in range(L)])
     walls = system.walls
     sizes = [len(w.edge_ids) for w in walls]
-    owner = np.full(len(eu), -1, dtype=np.int32)
-    for i, w in enumerate(walls):
-        owner[w.edge_ids] = i
     edges = (np.concatenate([w.edge_ids for w in walls]) if walls
              else np.zeros(0, dtype=np.int64))
+    owner = np.repeat(np.arange(len(walls)), sizes)
     bounds = np.cumsum([0] + sizes)
     wu, wv, wl = eu[edges], ev[edges], el[edges]
+    codes = np.concatenate([wu * L + wl, wv * L + inverse[wl]])
+    by_code = np.argsort(codes)
+    codes = codes[by_code]
+    code_edge = np.tile(edges, 2)[by_code]
+    code_owner = np.tile(owner, 2)[by_code]
+
+    # images are read on the domain and on the ends of the wall edges,
+    # which lie in the domain unless the walls were made by hand
+    view = system.domain.copy()
+    view[wu] = view[wv] = True
+    images = _images(h, sample, system.config.equality_tol, maps, view)
+    ids = np.flatnonzero(view)
+    source = labels[ids]
+    pu, pv = np.searchsorted(ids, wu), np.searchsorted(ids, wv)
 
     region_maps = {}
     wall_images = {}
@@ -498,15 +593,13 @@ def action_on_tree(t, h, system, tree, sample, maps=None):
     trace_const = {}
     region_splits = {}
 
-    shell = t.shell_ids()
-    for g, img in zip(sample, maps):
+    for g, img, trace in zip(sample, images.images, images.shell_traces):
         gname = str(g)
 
         # region map by unanimous vote of in-window images; an image that
         # straddles walls outside the sampled family is recorded as a split
-        moved = img[in_regions]
-        target = np.where(moved >= 0, labels[moved], -1)
-        hit = target >= 0
+        target = np.where(img >= 0, labels[img], -1)
+        hit = (source >= 0) & (target >= 0)
         pairs = np.unique(source[hit] * n_regions + target[hit])
         src, tgt = np.divmod(pairs, n_regions)
         counts = np.bincount(src, minlength=n_regions)
@@ -517,21 +610,25 @@ def action_on_tree(t, h, system, tree, sample, maps=None):
         region_splits[gname] = int((counts > 1).sum())
 
         # wall images; an image pair that is no edge is an anomaly
-        iu, iv = img[wu], img[wv]
+        iu, iv = img[pu], img[pv]
         inside = (iu >= 0) & (iv >= 0)
         onto = inside & (t.nbr[iu, wl] == iv)
-        keys = eid[iu, wl]
+        query = np.where(inside, iu.astype(np.int64) * L + wl, -1)
+        at = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+        found = codes[at] == query
+        keys = np.where(found, code_edge[at], -1)
+        hits = np.where(found, code_owner[at], -1)
         outcomes = []
         for i, w in enumerate(walls):
             part = slice(bounds[i], bounds[i + 1])
-            hits = owner[keys[part]]
-            j = int(hits[0])
+            mine = hits[part]
+            j = int(mine[0])
             if not onto[part].all():
                 if inside[part].all():
                     anomalies.append(f"image of wall {w.label} under {gname} "
                                      "leaves the edge set")
                 outcomes.append("out_of_window")
-            elif (j >= 0 and (hits == j).all()
+            elif (j >= 0 and (mine == j).all()
                   and len(np.unique(keys[part])) == sizes[j]):
                 outcomes.append(f"wall_{j}")
                 if j == i:
@@ -540,7 +637,7 @@ def action_on_tree(t, h, system, tree, sample, maps=None):
                     a, b = tree.incidence[i]
                     if rmap[a] == b and rmap[b] == a and a != b:
                         inversions.append((gname, i))
-            elif (hits >= 0).any():
+            elif (mine >= 0).any():
                 outcomes.append("partial_overlap")
                 anomalies.append(
                     f"image of wall {w.label} under {gname} partially "
@@ -554,20 +651,13 @@ def action_on_tree(t, h, system, tree, sample, maps=None):
         if walls:
             base = outcomes[0]
             if base not in ("wall_0", "out_of_window"):
-                base = ("overlap" if (owner[keys[:sizes[0]]] == 0).any()
+                base = ("overlap" if (hits[:sizes[0]] == 0).any()
                         else "disjoint")
             h_wall[gname] = "equal" if base == "wall_0" else base
 
         # shell traces of min/max against h: constancy probe
-        sh = shell[img[shell] >= 0]
-        if len(sh):
-            pulled = h.values[img[sh]]
-            mn = np.minimum(h.values[sh], pulled)
-            mx = np.maximum(h.values[sh], pulled)
-            trace_const[gname] = {
-                "min": bool(np.ptp(mn) <= 2 * system.config.equality_tol),
-                "max": bool(np.ptp(mx) <= 2 * system.config.equality_tol),
-            }
+        if trace is not None:
+            trace_const[gname] = trace
 
     fixed = [r.id for r in tree.regions
              if all(rmap[r.id] == r.id for rmap in region_maps.values())]

@@ -510,6 +510,40 @@ def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
         k += 1
 
 
+def build_walls(h, cfg, sample):
+    """The walls from whole-ball pullbacks, one element at a time: a list
+    of (labels, edge ids, side per domain vertex) for each distinct
+    crossing edge set, the common domain (the basepoint's component of
+    the joint pullback domain, by plain BFS) and the elements whose
+    crossing set is empty."""
+    t = h.truncation
+    pulled = [pullback(h, g) for g in sample]
+    joint = np.ones(t.n, dtype=bool)
+    for f in pulled:
+        joint &= f.domain
+    reach = bfs_distances(adjacency_dict(t), [0],
+                          set(np.flatnonzero(joint).tolist()))
+    domain = np.zeros(t.n, dtype=bool)
+    domain[list(reach)] = True
+    eu, ev, _ = t.edges()
+    walls, index, empty = [], {}, []
+    for g, f in zip(sample, pulled):
+        above = f.values > cfg.threshold
+        cut = tuple(e for e in range(len(eu))
+                    if domain[eu[e]] and domain[ev[e]]
+                    and above[eu[e]] != above[ev[e]])
+        if not cut:
+            empty.append(str(g))
+        elif cut in index:
+            walls[index[cut]][0].append(str(g))
+        else:
+            index[cut] = len(walls)
+            walls.append(([str(g)], list(cut),
+                          [1 if above[v] else -1
+                           for v in np.flatnonzero(domain)]))
+    return walls, domain, empty
+
+
 def indecomposable_regions(t, system):
     """Maximal vertex classes unseparated by any wall (side-signature
     classes; such sets need not be connected).
@@ -529,7 +563,8 @@ def indecomposable_regions(t, system):
 
     ids = np.flatnonzero(dom)
     if system.walls:
-        side_matrix = np.stack([w.side[ids] for w in system.walls], axis=1)
+        # sides are kept per domain vertex, in id order
+        side_matrix = np.stack([w.side for w in system.walls], axis=1)
     else:
         side_matrix = np.zeros((len(ids), 1), dtype=np.int8)
     _, inverse = np.unique(side_matrix, axis=0, return_inverse=True)

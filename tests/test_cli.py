@@ -1,11 +1,13 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -409,6 +411,58 @@ def test_tree_builds_at_most_one_id_map_per_sample_element(tmp_path,
     rep = json.loads((tmp_path / "out/scn/report.json").read_text())
     # one gather per element other than the identity
     assert len(gathers) == rep["tree"]["sample_size"] - 1 == 16
+
+
+def test_tree_holds_full_ball_maps_of_one_chain_only(tmp_path, monkeypatch):
+    # by work, not by RSS: with the cyclic collector off, follow every
+    # full-ball id map of the sample while tree runs on F2 r8
+    from scipy.sparse import issparse
+
+    from ends_splitter.groups import Truncation
+
+    stream = Truncation.right_action_stream
+    refs, alive, kept = [], [], {}
+
+    def followed(self, elements):
+        for i, img in stream(self, elements):
+            refs.append(weakref.ref(img))
+            alive.append(sum(r() is not None for r in refs))
+            yield i, img
+
+    def keep(name, fn):
+        def wrapper(*args, **kwargs):
+            kept[name] = out = fn(*args, **kwargs)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Truncation, "right_action_stream", followed)
+    for name in ("solve_dirichlet", "sample_images", "build_walls"):
+        monkeypatch.setattr(cli, name, keep(name, getattr(cli, name)))
+    path = write_scenario(tmp_path, truncation_radius=8,
+                          wall={"sample_radius": 2})
+    gc.disable()
+    try:
+        assert run("tree", path, tmp_path / "out") == 0
+        # at most one chain e, w, l * w of maps at once: fewer than the 4
+        # maps of sphere 1; none outlives the command
+        assert len(refs) == 17 and max(alive) == 3
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+    # every per-element array the walls keep has the common domain's length
+    images, system = kept["sample_images"], kept["build_walls"]
+    size = int(system.domain.sum())
+    assert images.domain is system.domain and size < images.domain.size
+    assert [len(img) for img in images.images] == [size] * 17
+    assert [len(w.side) for w in system.walls] == [size] * len(system.walls)
+
+    # the solver keeps its class rows, which cover the interior only, and
+    # no adjacency of the whole ball
+    t = kept["solve_dirichlet"].truncation
+    assert not [v for v in t._caches.values() if issparse(v)]
+    rows = [a for a, _, _ in t._caches["sweep_rows"]]
+    assert sum(a.shape[0] for a in rows) == len(t.interior_ids())
 
 
 # -- the exit-code contract on arbitrary scenarios -------------------------

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -448,3 +450,45 @@ def test_right_action_maps_match_per_element_products(p, radius,
             else:
                 assert max(map(eng.length, prods)) <= t.radius
                 assert t.element(int(img[v])).word == prods[-1]
+
+
+def test_right_action_maps_die_with_their_last_reference():
+    # no reference cycle holds the maps: with the cyclic collector off,
+    # a returned map is freed once the caller drops it, and so is every
+    # map built only as a step towards one
+    t = build_truncation(Presentation.free(2), 4)
+    far = [g for g in group_ball(t, 2) if g.length() == 2]
+    gc.disable()
+    try:
+        maps = t.right_action_maps(far)
+        refs = [weakref.ref(img) for img in maps]
+        kept = maps[0]
+        del maps
+        assert [r() is None for r in refs] == [False] + [True] * 11
+        del kept
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("p,radius,sample_radius", [
+    (Presentation.free(2), 6, 3),
+    (Presentation.free_product_of_cyclics([2, 3]), 10, 4),
+    (Presentation.free_product_of_cyclics([4, 5]), 6, 4),
+])
+def test_right_action_stream_holds_one_chain(p, radius, sample_radius):
+    # each element once, its map that of right_action_maps; a caller that
+    # drops each map holds at most one map per letter of the longest
+    # element, plus e's, and one table gather builds each map
+    t = build_truncation(p, radius)
+    sample = group_ball(t, sample_radius)
+    want = t.right_action_maps(sample)
+    seen, refs, alive = [], [], []
+    for i, img in t.right_action_stream(sample):
+        seen.append(i)
+        assert np.array_equal(img, want[i])
+        refs.append(weakref.ref(img))
+        del img
+        alive.append(sum(r() is not None for r in refs))
+    assert sorted(seen) == list(range(len(sample)))
+    assert max(alive) <= sample_radius + 1

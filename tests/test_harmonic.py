@@ -156,7 +156,17 @@ def test_sweep_classes_match_the_coloring_oracle(make):
     theirs = [c.tolist() for c in oracles.color_classes(t) if len(c)]
     assert ours == theirs
     assert all(ours)
-    assert harmonic._color_classes(t) is harmonic._color_classes(t)
+    # the solver's rows: built once, one per class, each the class's rows
+    # of the adjacency matrix, so its sums run in the same order
+    rows = harmonic._sweep_rows(t)
+    assert rows is harmonic._sweep_rows(t)
+    adj = t.csr_adjacency()
+    for (a, d, ids), c in zip(rows, ours, strict=True):
+        assert ids.tolist() == c
+        sub = adj[ids]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(sub, name)), name
+        assert np.array_equal(d, t.degrees()[ids])
 
 
 def test_every_nonconstant_chi_matches_dense_oracle_radius5(f2):

@@ -30,6 +30,7 @@ from ends_splitter.walls import (
     build_walls,
     choose_threshold,
     indecomposable_regions,
+    sample_images,
     trichotomy,
     wall_tree_dot,
 )
@@ -211,8 +212,9 @@ def test_each_wall_separates_its_sides(h_first_letter_r8):
         cut |= {(b, a) for a, b in cut}
         dom = np.flatnonzero(system.domain)
         allowed = set(map(int, dom))
-        plus = [v for v in allowed if w.side[v] > 0]
-        minus = [v for v in allowed if w.side[v] < 0]
+        # sides are kept per domain vertex, in id order
+        plus = [int(v) for v in dom[w.side > 0]]
+        minus = [int(v) for v in dom[w.side < 0]]
         # BFS from a plus vertex without using cut edges stays on one side
         seen = {plus[0]}
         stack = [plus[0]]
@@ -263,8 +265,9 @@ def test_region_count_matches_separation_closure(f2_small_system):
         return v
 
     for i, u in enumerate(dom):
-        for v in dom[i + 1:]:
-            if all(w.side[u] * w.side[v] >= 0 for w in system.walls):
+        for j, v in enumerate(dom[i + 1:], i + 1):
+            # sides are kept per domain vertex, in id order
+            if all(w.side[i] * w.side[j] >= 0 for w in system.walls):
                 parent[find(u)] = find(v)
     classes = len({find(v) for v in dom})
     assert classes == len(dec.regions)
@@ -459,6 +462,7 @@ def test_threshold_and_walls_match_oracle(oracle_case):
     for wa, wb in zip(a.walls, b.walls):
         assert np.array_equal(wa.edge_ids, wb.edge_ids)
         assert np.array_equal(wa.side, wb.side)
+        assert len(wa.side) == a.domain.sum()
 
 
 def test_regions_and_action_match_oracle(oracle_case):
@@ -480,6 +484,65 @@ def test_regions_and_action_match_oracle(oracle_case):
     assert action == oracles.action_on_tree(t, h, system, tree, sample)
     assert action == action_on_tree(t, h, system, tree, sample)
     assert sum(action.region_splits.values()) > 0
+
+
+@pytest.fixture(scope="module", params=sorted(_ORACLE_CASES))
+def solved_case(request):
+    p, radius, base_radius, assignment = _ORACLE_CASES[request.param]
+    t = build_truncation(p, radius)
+    chi = make_end_function(t, base_radius, values_by_word=assignment,
+                            default=0)
+    return t, solve_dirichlet(t, chi)
+
+
+@pytest.mark.parametrize("sample_radius", [1, 2, 3])
+def test_streamed_pass_matches_oracles_and_full_maps(solved_case,
+                                                     sample_radius):
+    # the tree command's path: one streamed pass, then walls, regions and
+    # the action on the common domain only
+    t, h = solved_case
+    sample = group_ball(t, sample_radius)
+    maps = t.right_action_maps(sample)
+    images = sample_images(h, sample)
+    full = sample_images(h, sample, maps=maps)
+    assert images.verdicts == full.verdicts == [
+        trichotomy(h, g, pulled=pullback(h, g)) for g in sample]
+    assert np.array_equal(images.near, full.near)
+    assert images.shell_traces == full.shell_traces
+    assert np.array_equal(images.domain, full.domain)
+    ids = np.flatnonzero(images.domain)
+    for img, got, m in zip(images.images, full.images, maps):
+        assert img.dtype == np.int32 and len(img) == len(ids)
+        assert np.array_equal(img, m[ids]) and np.array_equal(got, img)
+
+    cfg = choose_threshold(h, sample, sample_radius=sample_radius,
+                           maps=images)
+    assert cfg == oracles.choose_threshold(h, sample,
+                                           sample_radius=sample_radius)
+    system = build_walls(h, cfg, sample, images)
+    want, domain, empty = oracles.build_walls(h, cfg, sample)
+    assert np.array_equal(system.domain, domain)
+    assert system.empty_pullbacks == empty
+    assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
+            for w in system.walls] == want
+    whole = build_walls(h, cfg, sample, maps)
+    assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
+            for w in whole.walls] == want
+
+    got = indecomposable_regions(t, system)
+    assert_same_regions(got, oracles.indecomposable_regions(t, system))
+    assert_same_regions(got, indecomposable_regions(t, whole))
+    try:
+        tree = build_wall_tree(t, system, got)
+    except CrossingWalls:
+        with pytest.raises(CrossingWalls):
+            build_wall_tree(t, whole, indecomposable_regions(t, whole))
+        return
+    ref = build_wall_tree(t, whole, indecomposable_regions(t, whole))
+    assert (tree.incidence, tree.n_nodes) == (ref.incidence, ref.n_nodes)
+    action = action_on_tree(t, h, system, tree, sample, images)
+    assert action == oracles.action_on_tree(t, h, system, tree, sample)
+    assert action == action_on_tree(t, h, whole, ref, sample, maps)
 
 
 def test_regions_past_64_walls_match_oracle():
@@ -547,7 +610,7 @@ def overlap_case(t_f2_r6):
         [edge("aaaaa", "aaaaaa")],
         [edge("b", "bb"), edge("Ab", "b")],
     ]
-    side = np.zeros(t.n, dtype=np.int8)
+    side = np.zeros(int((dec.labels >= 0).sum()), dtype=np.int8)
     system = WallSystem(
         config=cfg, domain=dec.labels >= 0, sample=[], empty_pullbacks=[],
         walls=[Wall(labels=[f"w{i}"], edge_ids=np.array(sorted(e)), side=side)
