@@ -648,13 +648,6 @@ class Truncation:
             nxt = nxt[dist[nxt] < 0]
             if allowed_mask is not None:
                 nxt = nxt[allowed_mask[nxt]]
-            if len(nxt) == 0:
-                break
-            if 16 * len(nxt) > self.n:
-                # one scan of the ball costs less than deduplicating these
-                dist[nxt] = d
-                frontier = np.flatnonzero(dist == d)
-                continue
             # the next frontier holds each new vertex once: the copy whose
             # tag -2 - (its position) was written last
             tags = -2 - np.arange(len(nxt))

@@ -48,17 +48,18 @@ class TrichotomyVerdict:
         return self.relation == "violation"
 
 
-def trichotomy(h, g, equality_tol=1e-9, pulled=None, img=None):
+def trichotomy(h, g, equality_tol=1e-9, pulled=None, inside=None,
+               vals=None):
     """Classify the pullback of h along g against h and 1 - h pointwise on
-    the common domain.  ``img`` is g's id map
-    (``Truncation.right_action_maps``), built here when not given;
-    ``pulled`` overrides the pullback (tests)."""
+    the common domain.  ``inside`` is the mask of g's pullback domain and
+    ``vals`` the pulled values there, read from g's id map
+    (``Truncation.right_action_maps``) when not given; ``pulled``
+    overrides the pullback (tests)."""
     if pulled is not None:
         inside = pulled.domain
         vals = pulled.values[inside]
-    else:
-        if img is None:
-            img = h.truncation.right_action_maps([g])[0]
+    elif vals is None:
+        img = h.truncation.right_action_maps([g])[0]
         inside = img >= 0
         vals = h.values[img[inside]]
     if not len(vals):
@@ -115,18 +116,24 @@ class SampleImages:
     images: list                # per element: int32 id map on the domain's ids
 
 
-def sample_images(h, sample, equality_tol=1e-9, maps=None, domain=None):
+def sample_images(h, sample, equality_tol=1e-9, maps=None):
     """One pass over the sample's full-ball id maps, holding one chain of
     them at a time (``Truncation.right_action_stream``) unless ``maps``
     gives them all.  From each map it takes the element's trichotomy
     verdict, its pulled values near [0.5, 0.6] for the threshold, its
     shell-trace probe and its share of the joint domain.
 
-    The images are kept on ``domain``, by default the common domain of the
-    sample.  That domain is known only after the pass, but it lies inside
-    the joint domain of the maps seen so far, so each image is kept on
-    that joint domain and cut down as it shrinks.
+    The images are kept on the common domain of the sample.  That domain
+    is known only after the pass, but it lies inside the joint domain of
+    the maps seen so far, so each image is kept on that joint domain and
+    cut down as it shrinks.
     """
+    return _sample_images(h, sample, equality_tol, maps)
+
+
+def _sample_images(h, sample, equality_tol, maps, domain=None):
+    """``sample_images``, with the images kept on the vertex mask
+    ``domain`` instead when it is given."""
     t = h.truncation
     shell = t.shell_ids()
     lo, hi = 0.5 - equality_tol, 0.6 + equality_tol
@@ -135,9 +142,10 @@ def sample_images(h, sample, equality_tol=1e-9, maps=None, domain=None):
     ids = np.arange(t.n) if domain is None else np.flatnonzero(domain)
     for i, img in (enumerate(maps) if maps is not None
                    else t.right_action_stream(sample)):
-        verdicts[i] = trichotomy(h, sample[i], equality_tol, img=img)
         inside = img >= 0
         vals = h.values[img[inside]]
+        verdicts[i] = trichotomy(h, sample[i], equality_tol, inside=inside,
+                                 vals=vals)
         near.append(vals[(vals >= lo) & (vals <= hi)])
         traces[i] = _shell_trace(h, shell, img[shell], equality_tol)
         if domain is None:
@@ -171,15 +179,18 @@ def _shell_trace(h, shell, img, equality_tol):
 
 
 def _images(h, sample, equality_tol, maps, domain=None):
-    """``maps`` if it is a ``SampleImages`` taken at ``equality_tol`` (and
-    on ``domain`` when given), else the sample's images taken here from
-    the full-ball maps ``maps`` or, when there are none, from a stream."""
-    if isinstance(maps, SampleImages):
-        if maps.equality_tol == equality_tol and (
-                domain is None or np.array_equal(maps.domain, domain)):
-            return maps
-        maps = None
-    return sample_images(h, sample, equality_tol, maps, domain)
+    """``maps`` if it is a ``SampleImages``, which must be taken at
+    ``equality_tol`` (and on ``domain`` when given), else the sample's
+    images taken here from the full-ball maps ``maps`` or, when there are
+    none, from a stream."""
+    if not isinstance(maps, SampleImages):
+        return _sample_images(h, sample, equality_tol, maps, domain)
+    if maps.equality_tol != equality_tol:
+        raise ValueError(f"sample images taken at equality_tol "
+                         f"{maps.equality_tol!r}, not {equality_tol!r}")
+    if domain is not None and not np.array_equal(maps.domain, domain):
+        raise ValueError("sample images kept on another domain")
+    return maps
 
 
 def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
@@ -258,10 +269,12 @@ class WallSystem:
     def domain_ids(self):
         return np.flatnonzero(self.domain)
 
-    def at(self, v):
-        """Positions of the domain vertices ``v`` in ``domain_ids``, which
-        index ``Wall.side``."""
-        return np.searchsorted(self.domain_ids, v)
+    def side_at(self, wall, v):
+        """``wall``'s side at the vertices ``v``, 0 off the domain."""
+        inside = self.domain[v]
+        out = np.zeros(len(v), dtype=np.int8)
+        out[inside] = wall.side[np.searchsorted(self.domain_ids, v[inside])]
+        return out
 
     def wall_edge_mask(self, t):
         mask = np.zeros(t.n_edges(), dtype=bool)
@@ -343,7 +356,7 @@ def assert_noncrossing(t, system):
         for j, pts in enumerate(endpoint_ids):
             if i == j:
                 continue
-            sides = w1.side[system.at(pts)]
+            sides = system.side_at(w1, pts)
             if (sides > 0).any() and (sides < 0).any():
                 raise CrossingWalls(
                     f"wall {w1.label} separates points of wall "
@@ -448,7 +461,9 @@ def build_wall_tree(t, system, decomposition):
     incidence = []
     for w in system.walls:
         us, vs = eu[w.edge_ids], ev[w.edge_ids]
-        below = w.side[system.at(us)] < 0
+        if not (system.domain[us] & system.domain[vs]).all():
+            raise NotATree(f"wall {w.label} has edges leaving the domain")
+        below = system.side_at(w, us) < 0
         lo = np.where(below, us, vs)
         hi = np.where(below, vs, us)
         minus = np.unique(labels[lo])

@@ -445,7 +445,9 @@ def test_id_maps_match_per_element_pullbacks(oracle_case):
         assert img.dtype == np.int32
         assert np.array_equal(img, t.rmul_ids(np.arange(t.n), g))
         p = pullback(h, g)
-        for with_maps in (trichotomy(h, g, img=img), trichotomy(h, g)):
+        inside = img >= 0
+        on_map = trichotomy(h, g, inside=inside, vals=h.values[img[inside]])
+        for with_maps in (on_map, trichotomy(h, g)):
             assert with_maps == trichotomy(h, g, pulled=p)
 
 
@@ -583,6 +585,30 @@ def test_disconnected_region_counts_its_pieces():
     assert_same_regions(got, oracles.indecomposable_regions(t, system))
 
 
+def test_walls_leaving_the_domain_read_side_0_off_it():
+    # path 0-...-7 with 4 and 7 off the domain: wall b's edge 3-4 leaves
+    # it, and wall a, whose minus side holds 5, reads side 0 at 4
+    from ends_splitter.groups import path_truncation
+    t = path_truncation(6)
+    assert t.n == 8
+    domain = np.array([1, 1, 1, 1, 0, 1, 1, 0], dtype=bool)
+    wall_a = Wall(labels=["a"], edge_ids=np.array([1]),
+                  side=np.array([-1, -1, 1, 1, -1, -1], dtype=np.int8))
+    wall_b = Wall(labels=["b"], edge_ids=np.array([3]),
+                  side=np.array([-1, -1, -1, -1, 1, 1], dtype=np.int8))
+    system = WallSystem(config=WallConfig(threshold=0.5),
+                        walls=[wall_a, wall_b], domain=domain, sample=[],
+                        empty_pullbacks=[])
+    assert system.side_at(wall_a, np.array([3, 4, 5, 7])).tolist() == \
+        [1, 0, -1, 0]
+    assert_noncrossing(t, system)
+    dec = indecomposable_regions(t, system)
+    assert [r.members.tolist() for r in dec.regions] == \
+        [[0, 1], [2, 3], [5, 6]]
+    with pytest.raises(NotATree, match="wall b has edges leaving"):
+        build_wall_tree(t, system, dec)
+
+
 @pytest.fixture(scope="module")
 def overlap_case(t_f2_r6):
     """Hand-made edge-disjoint walls on F2 r6 whose images overlap
@@ -651,6 +677,17 @@ def test_image_off_the_edge_set_is_an_anomaly(overlap_case):
     assert action.wall_images["e"][0] == "out_of_window"
     assert action.h_wall_invariance["e"] == "out_of_window"
     assert action.anomalies[0] == "image of wall w0 under e leaves the edge set"
+
+
+def test_images_on_another_domain_or_tolerance_are_refused(overlap_case):
+    # the shell wall leaves the common domain, so the action needs images
+    # on more than the sample's own pass keeps
+    t, h, system, tree, sample = overlap_case
+    images = sample_images(h, sample, system.config.equality_tol)
+    with pytest.raises(ValueError, match="another domain"):
+        action_on_tree(t, h, system, tree, sample, images)
+    with pytest.raises(ValueError, match="equality_tol"):
+        choose_threshold(h, sample, equality_tol=1e-6, maps=images)
 
 
 @pytest.mark.parametrize("tol,step", [
