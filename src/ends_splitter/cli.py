@@ -58,21 +58,25 @@ _WALL_FIELDS = {"sample_radius", "equality_tol", "step"}
 # the one solver; scenario files may still name it, and reports echo it
 _SCHEME = "gauss_seidel"
 _REQUIRED = object()
+# the JSON types each kind of field accepts; a bool is never a number
+_JSON_TYPES = {str: str, dict: dict, int: int, float: (int, float)}
 
 
 def _field(cfg, key, kind, default=_REQUIRED, where="scenario"):
-    """``cfg[key]`` converted by ``kind``, or ``default`` when absent; a
-    missing required field or a failed conversion is a ScenarioError."""
+    """``cfg[key]`` as ``kind``, or ``default`` when absent; a missing
+    required field or a value of another JSON type is a ScenarioError."""
     if key not in cfg:
         if default is _REQUIRED:
             raise ScenarioError(f"{where} needs {key!r}")
         return default
-    try:
-        return kind(cfg[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(
-            f"{where} field {key!r} must be {kind.__name__}, got "
-            f"{cfg[key]!r}") from None
+    value = cfg[key]
+    if isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:       # an integer past every float
+            pass
+    raise ScenarioError(
+        f"{where} field {key!r} must be {kind.__name__}, got {value!r}")
 
 
 class Scenario:
@@ -364,16 +368,15 @@ def run_tree(scn, outdir, stages):
     # what it keeps on the common domain
     images = sample_images(h, sample, scn.wall_equality_tol)
     verdicts = images.verdicts
-    cfg = choose_threshold(h, sample, equality_tol=scn.wall_equality_tol,
-                           step=scn.wall_step,
-                           sample_radius=scn.wall_sample_radius, maps=images)
-    system = build_walls(h, cfg, sample, images)
+    cfg = choose_threshold(images, step=scn.wall_step,
+                           sample_radius=scn.wall_sample_radius)
+    system = build_walls(h, cfg, images)
     stages.stop()
 
     stages.start("wall_tree")
     decomposition = indecomposable_regions(t, system)
     tree = build_wall_tree(t, system, decomposition)
-    action = action_on_tree(t, h, system, tree, sample, images)
+    action = action_on_tree(t, system, tree, images)
     stages.stop()
 
     report = _base_report(scn, t, "tree")

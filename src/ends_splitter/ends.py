@@ -20,10 +20,8 @@ from .errors import EndsSplitterError, ScenarioError
 
 @dataclass
 class ComplementComponent:
-    removed: np.ndarray
     members: np.ndarray
     unbounded: bool
-    boundary_attachment: np.ndarray
     id: int = 0
 
     @property
@@ -44,24 +42,14 @@ def complement_components(t, removed):
     eu, ev, _ = t.edges()
     labels = t.component_labels(~(removed_mask[eu] | removed_mask[ev]))
 
-    # adjacency is symmetric, so the vertices touching the removed set are
-    # exactly the surviving neighbors of removed vertices
-    touches = np.zeros(t.n, dtype=bool)
-    nb = t.nbr[removed].ravel()
-    touches[nb[nb >= 0]] = True
-    touches[removed] = False
-
     alive = np.flatnonzero(~removed_mask)
     by_label = alive[np.argsort(labels[alive], kind="stable")]
     bounds = np.flatnonzero(np.diff(labels[by_label])) + 1
     # a label is its component's smallest id, so groups come in that order
     groups = np.split(by_label, bounds) if len(alive) else []
     return [
-        ComplementComponent(
-            removed=removed, members=members,
-            unbounded=bool(t.shell_mask[members].any()),
-            boundary_attachment=members[touches[members]], id=i,
-        )
+        ComplementComponent(members=members,
+                            unbounded=bool(t.shell_mask[members].any()), id=i)
         for i, members in enumerate(groups)
     ]
 

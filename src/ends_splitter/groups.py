@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -95,15 +96,12 @@ class Presentation:
     def from_config(cls, cfg):
         kind = cfg.get("kind")
         if kind == "free":
-            return cls.free(int(cfg["rank"]))
+            return cls.free(_integer(cfg["rank"]))
         if kind == "free_product_cyclic":
-            orders = []
-            for o in cfg["orders"]:
-                if o in (0, None, "inf"):
-                    orders.append(0)
-                else:
-                    orders.append(int(o))
-            return cls.free_product_of_cyclics(orders)
+            # 0, null and "inf" all name Z
+            return cls.free_product_of_cyclics(
+                [0 if o is None or o == "inf" else _integer(o)
+                 for o in cfg["orders"]])
         raise PresentationError(f"unknown presentation kind {kind!r}")
 
     def describe(self):
@@ -114,6 +112,13 @@ class Presentation:
 
     def engine(self):
         return _engine_for(self)
+
+
+def _integer(value):
+    # bools, floats and strings are refused rather than truncated by int()
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 @lru_cache(maxsize=None)
@@ -582,14 +587,6 @@ class Truncation:
                               np.where(table >= 0, rest[table], -1)))
             yield i, stack[-1][1]
 
-    def right_action_maps(self, elements):
-        """The maps of ``right_action_stream``, all held, in element
-        order."""
-        maps = [None] * len(elements)
-        for i, img in self.right_action_stream(elements):
-            maps[i] = img
-        return maps
-
     def left_translates(self, ids, r):
         """``w * v`` for each id v (one row each) and each element w != e of
         length <= r (one column each, in id order), -1 where the chase
@@ -845,7 +842,6 @@ class Net:
 
     spacing: int
     member_ids: np.ndarray
-    covering_radius: int
 
     @property
     def size(self):
@@ -859,6 +855,4 @@ def build_net(t, delta):
     r = min(delta - 1, t.radius)
     members = np.flatnonzero(_first_fit(
         t, lambda ids: t.left_translates(ids, r), np.ones(t.n, dtype=bool)))
-    cover = t.graph_distances_from(members)
-    return Net(spacing=delta, member_ids=members,
-               covering_radius=int(cover.max()))
+    return Net(spacing=delta, member_ids=members)

@@ -226,11 +226,11 @@ def _others(group, bits):
     return out
 
 
-def classify_neck(t, neck, chi, tree_masks=None):
-    """The unique class under the precedence order."""
-    masks = tree_masks if tree_masks is not None else TraceMasks(t, chi)
+def classify_neck(t, neck, chi, tree_masks):
+    """The unique class under the precedence order, read from chi's
+    ``TraceMasks``."""
     # a cluster sees one chi-value on the shell
-    verdicts = [_VERDICT[c.trace(masks) & (CHI0 | CHI1)]
+    verdicts = [_VERDICT[c.trace(tree_masks) & (CHI0 | CHI1)]
                 for c in neck.components if c.unbounded]
 
     if verdicts.count(None) >= 2:
@@ -540,7 +540,7 @@ class GapCertificate:
 WITNESS_EPSILON = 0.1
 
 
-def gap_certificate(h, neck, chi, tree_masks=None):
+def gap_certificate(h, neck, chi, tree_masks):
     """A positive lower bound on the energy h spends crossing a type-1
     neck.
 

@@ -10,8 +10,9 @@ of the pointwise trichotomy are recorded as data with their witnesses,
 never errors; their count shrinking under larger radii is the observable
 shadow of minimality.
 
-The sample's full-ball id maps are read in one pass (``sample_images``);
-walls, regions and the action then hold arrays on the common domain only.
+The sample's full-ball id maps are read in one pass (``sample_images``),
+whose ``SampleImages`` is the one input of the threshold, the walls and the
+action; they hold arrays on the common domain only.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import (CrossingWalls, EndsSplitterError, NoRegularValue,
                      NotATree, ScenarioError)
+from .harmonic import pullback
 
 RELATIONS = ("eq_h", "lt_h", "gt_h", "eq_one_minus_h", "lt_one_minus_h",
              "gt_one_minus_h")
@@ -48,20 +50,14 @@ class TrichotomyVerdict:
         return self.relation == "violation"
 
 
-def trichotomy(h, g, equality_tol=1e-9, pulled=None, inside=None,
-               vals=None):
+def trichotomy(h, g, equality_tol=1e-9, inside=None, vals=None):
     """Classify the pullback of h along g against h and 1 - h pointwise on
     the common domain.  ``inside`` is the mask of g's pullback domain and
-    ``vals`` the pulled values there, read from g's id map
-    (``Truncation.right_action_maps``) when not given; ``pulled``
-    overrides the pullback (tests)."""
-    if pulled is not None:
-        inside = pulled.domain
-        vals = pulled.values[inside]
-    elif vals is None:
-        img = h.truncation.right_action_maps([g])[0]
-        inside = img >= 0
-        vals = h.values[img[inside]]
+    ``vals`` the pulled values there, read from ``pullback`` when not
+    given."""
+    if vals is None:
+        pulled = pullback(h, g)
+        inside, vals = pulled.domain, pulled.values[pulled.domain]
     if not len(vals):
         raise EndsSplitterError(f"pullback domain of {g} is empty")
     base = h.values[inside]
@@ -109,6 +105,7 @@ class SampleImages:
     (``sample_images``).  Only ``images`` has one array per element, and
     each has the domain's length."""
     equality_tol: float
+    sample: list                # the elements, in the order of the lists below
     verdicts: list              # trichotomy verdict per element
     near: np.ndarray            # distinct values that can block a threshold
     shell_traces: list          # per element: {min, max} constancy or None
@@ -116,53 +113,48 @@ class SampleImages:
     images: list                # per element: int32 id map on the domain's ids
 
 
-def sample_images(h, sample, equality_tol=1e-9, maps=None):
+def sample_images(h, sample, equality_tol=1e-9):
     """One pass over the sample's full-ball id maps, holding one chain of
-    them at a time (``Truncation.right_action_stream``) unless ``maps``
-    gives them all.  From each map it takes the element's trichotomy
-    verdict, its pulled values near [0.5, 0.6] for the threshold, its
-    shell-trace probe and its share of the joint domain.
+    them at a time (``Truncation.right_action_stream``).  From each map it
+    takes the element's trichotomy verdict, its pulled values near
+    [0.5, 0.6] for the threshold, its shell-trace probe and its share of
+    the joint domain.
 
     The images are kept on the common domain of the sample.  That domain
     is known only after the pass, but it lies inside the joint domain of
     the maps seen so far, so each image is kept on that joint domain and
     cut down as it shrinks.
     """
-    return _sample_images(h, sample, equality_tol, maps)
-
-
-def _sample_images(h, sample, equality_tol, maps, domain=None):
-    """``sample_images``, with the images kept on the vertex mask
-    ``domain`` instead when it is given."""
     t = h.truncation
     shell = t.shell_ids()
     lo, hi = 0.5 - equality_tol, 0.6 + equality_tol
     verdicts, traces = [None] * len(sample), [None] * len(sample)
     images, near = [None] * len(sample), [np.zeros(0)]
-    ids = np.arange(t.n) if domain is None else np.flatnonzero(domain)
-    for i, img in (enumerate(maps) if maps is not None
-                   else t.right_action_stream(sample)):
+    ids = np.arange(t.n)
+    for i, img in t.right_action_stream(sample):
         inside = img >= 0
         vals = h.values[img[inside]]
         verdicts[i] = trichotomy(h, sample[i], equality_tol, inside=inside,
                                  vals=vals)
         near.append(vals[(vals >= lo) & (vals <= hi)])
         traces[i] = _shell_trace(h, shell, img[shell], equality_tol)
-        if domain is None:
-            keep = inside[ids]
-            ids = ids[keep]
-            images = [k if k is None else k[keep] for k in images]
+        keep = inside[ids]
+        ids = ids[keep]
+        images = [k if k is None else k[keep] for k in images]
         images[i] = img[ids]
         del img, inside, vals       # free before the next map is built
-    if domain is None:
-        joint = np.zeros(t.n, dtype=bool)
-        joint[ids] = True
-        domain = common_domain(t, joint)
-        keep = domain[ids]
-        images = [k[keep] for k in images]
-    return SampleImages(equality_tol=equality_tol, verdicts=verdicts,
+    joint = np.zeros(t.n, dtype=bool)
+    joint[ids] = True
+    if not joint[0]:
+        raise EndsSplitterError("the basepoint fell out of the sample domain")
+    # the common domain: the basepoint's component of the joint domain
+    domain = t.graph_distances_from([0], allowed_mask=joint) >= 0
+    keep = domain[ids]
+    return SampleImages(equality_tol=equality_tol, sample=list(sample),
+                        verdicts=verdicts,
                         near=np.unique(np.concatenate(near)),
-                        shell_traces=traces, domain=domain, images=images)
+                        shell_traces=traces, domain=domain,
+                        images=[k[keep] for k in images])
 
 
 def _shell_trace(h, shell, img, equality_tol):
@@ -178,30 +170,14 @@ def _shell_trace(h, shell, img, equality_tol):
             "max": bool(np.ptp(mx) <= 2 * equality_tol)}
 
 
-def _images(h, sample, equality_tol, maps, domain=None):
-    """``maps`` if it is a ``SampleImages``, which must be taken at
-    ``equality_tol`` (and on ``domain`` when given), else the sample's
-    images taken here from the full-ball maps ``maps`` or, when there are
-    none, from a stream."""
-    if not isinstance(maps, SampleImages):
-        return _sample_images(h, sample, equality_tol, maps, domain)
-    if maps.equality_tol != equality_tol:
-        raise ValueError(f"sample images taken at equality_tol "
-                         f"{maps.equality_tol!r}, not {equality_tol!r}")
-    if domain is not None and not np.array_equal(maps.domain, domain):
-        raise ValueError("sample images kept on another domain")
-    return maps
-
-
-def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
-                     sample_radius=None, maps=None):
+def choose_threshold(images, step=1e-3, sample_radius=None):
     """Smallest t = 1/2 + k*step that keeps distance >= equality_tol from
-    every sampled pullback value; NoRegularValue if none below 0.6 works.
-    ``maps`` are the sample's ``SampleImages`` or full-ball id maps, taken
-    here when not given."""
+    every pulled value of the sample ``images``; NoRegularValue if none
+    below 0.6 works."""
+    equality_tol = images.equality_tol
     check_wall_settings(step, equality_tol)
     # only values within equality_tol of [0.5, 0.6] can block a candidate
-    allv = _images(h, sample, equality_tol, maps).near
+    allv = images.near
     k = 1
     while True:
         cand = _candidate(k, step)
@@ -216,7 +192,7 @@ def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
             return WallConfig(
                 threshold=float(cand),
                 sample_radius=sample_radius if sample_radius is not None
-                else max((g.length() for g in sample), default=0),
+                else max((g.length() for g in images.sample), default=0),
                 equality_tol=equality_tol, step=step,
             )
         k = _past(allv[hi - 1], k, step, equality_tol)
@@ -262,7 +238,6 @@ class WallSystem:
     config: WallConfig
     walls: list
     domain: np.ndarray          # common valid domain (component of basepoint)
-    sample: list
     empty_pullbacks: list       # g whose crossing set is empty in-window
 
     @cached_property
@@ -283,20 +258,13 @@ class WallSystem:
         return mask
 
 
-def common_domain(t, joint):
-    """Component of the basepoint inside the joint pullback domain mask
-    ``joint`` of a sample."""
-    if not joint[0]:
-        raise EndsSplitterError("the basepoint fell out of the sample domain")
-    return t.graph_distances_from([0], allowed_mask=joint) >= 0
-
-
-def build_walls(h, cfg, sample, maps=None):
-    """One wall per distinct crossing edge set over the sampled pullbacks,
-    restricted to the common valid domain.  ``maps`` are the sample's
-    ``SampleImages`` or full-ball id maps, taken here when not given."""
+def build_walls(h, cfg, images):
+    """One wall per distinct crossing edge set over the pulled fields of
+    the sample ``images``, on their common domain."""
+    if images.equality_tol != cfg.equality_tol:
+        raise ValueError(f"sample images taken at equality_tol "
+                         f"{images.equality_tol!r}, not {cfg.equality_tol!r}")
     t = h.truncation
-    images = _images(h, sample, cfg.equality_tol, maps)
     dom = images.domain
     ids = np.flatnonzero(dom)
     eu, ev, _ = t.edges()
@@ -307,7 +275,7 @@ def build_walls(h, cfg, sample, maps=None):
     by_key = {}
     order = []
     empty = []
-    for g, img in zip(sample, images.images):
+    for g, img in zip(images.sample, images.images):
         above = h.values[img] > cfg.threshold
         crossing = inner[above[pu] != above[pv]]
         if len(crossing) == 0:
@@ -322,7 +290,7 @@ def build_walls(h, cfg, sample, maps=None):
         by_key[key] = wall
         order.append(key)
     walls = [by_key[k] for k in order]
-    return WallSystem(config=cfg, walls=walls, domain=dom, sample=sample,
+    return WallSystem(config=cfg, walls=walls, domain=dom,
                       empty_pullbacks=empty)
 
 
@@ -448,6 +416,14 @@ class WallTree:
         return len(self.walls)
 
 
+def _refuse_walls_off_the_domain(system, eu, ev):
+    """NotATree for the first wall with an edge leaving the domain."""
+    dom = system.domain
+    for w in system.walls:
+        if not (dom[eu[w.edge_ids]] & dom[ev[w.edge_ids]]).all():
+            raise NotATree(f"wall {w.label} has edges leaving the domain")
+
+
 def build_wall_tree(t, system, decomposition):
     """Incidence of regions and walls, with the tree checks.
 
@@ -458,11 +434,10 @@ def build_wall_tree(t, system, decomposition):
     labels = decomposition.labels
     eu, ev, _ = t.edges()
     assert_noncrossing(t, system)
+    _refuse_walls_off_the_domain(system, eu, ev)
     incidence = []
     for w in system.walls:
         us, vs = eu[w.edge_ids], ev[w.edge_ids]
-        if not (system.domain[us] & system.domain[vs]).all():
-            raise NotATree(f"wall {w.label} has edges leaving the domain")
         below = system.side_at(w, us) < 0
         lo = np.where(below, us, vs)
         hi = np.where(below, vs, us)
@@ -557,17 +532,20 @@ class ActionReport:
         return out
 
 
-def action_on_tree(t, h, system, tree, sample, maps=None):
-    """The sampled right action on regions and walls.
+def action_on_tree(t, system, tree, images):
+    """The sampled right action on regions and walls, read from the
+    ``images`` of the sample the walls come from.
 
     Reports per-element region maps, wall images (equal / disjoint /
     out-of-window), sampled edge stabilizers, inversion and fixed-region
     probes, and whether the pullback's min/max shell traces are constant.
-    ``maps`` are the sample's ``SampleImages`` or full-ball id maps, taken
-    here when not given.  Walls must be edge-disjoint, as
-    ``build_wall_tree`` checks.
+    Walls must be edge-disjoint and lie on the domain, as
+    ``build_wall_tree`` checks; a wall leaving the domain is NotATree.
     """
+    if not np.array_equal(images.domain, system.domain):
+        raise ValueError("sample images kept on another domain")
     eu, ev, el = t.edges()
+    _refuse_walls_off_the_domain(system, eu, ev)
     labels = tree.region_of_vertex
     n_regions = tree.n_nodes
 
@@ -590,12 +568,7 @@ def action_on_tree(t, h, system, tree, sample, maps=None):
     code_edge = np.tile(edges, 2)[by_code]
     code_owner = np.tile(owner, 2)[by_code]
 
-    # images are read on the domain and on the ends of the wall edges,
-    # which lie in the domain unless the walls were made by hand
-    view = system.domain.copy()
-    view[wu] = view[wv] = True
-    images = _images(h, sample, system.config.equality_tol, maps, view)
-    ids = np.flatnonzero(view)
+    ids = system.domain_ids
     source = labels[ids]
     pu, pv = np.searchsorted(ids, wu), np.searchsorted(ids, wv)
 
@@ -608,7 +581,8 @@ def action_on_tree(t, h, system, tree, sample, maps=None):
     trace_const = {}
     region_splits = {}
 
-    for g, img, trace in zip(sample, images.images, images.shell_traces):
+    for g, img, trace in zip(images.sample, images.images,
+                             images.shell_traces):
         gname = str(g)
 
         # region map by unanimous vote of in-window images; an image that

@@ -474,6 +474,17 @@ def parse_dot(text):
     return nodes, edges
 
 
+# -- the right action, all maps held ------------------------------------------
+
+def right_action_maps(t, elements):
+    """The maps of ``Truncation.right_action_stream``, all held at once, in
+    element order."""
+    maps = [None] * len(elements)
+    for i, img in t.right_action_stream(elements):
+        maps[i] = img
+    return maps
+
+
 # -- the wall layer, one Python container at a time -----------------------------
 #
 # The package's wall code works on whole arrays: id maps shared across the

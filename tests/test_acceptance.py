@@ -49,6 +49,7 @@ from ends_splitter.walls import (
     build_walls,
     choose_threshold,
     indecomposable_regions,
+    sample_images,
     trichotomy,
 )
 
@@ -331,15 +332,15 @@ def test_criterion_9(f2):
                "monotone in radius")
 def test_criterion_10(f2, r12):
     t, chi, h, _ = r12
-    sample = group_ball(t, 2)
-    verdicts = [trichotomy(h, g) for g in sample]
-    cfg = choose_threshold(h, sample, sample_radius=2)
-    system = build_walls(h, cfg, sample)
+    images = sample_images(h, group_ball(t, 2))
+    verdicts = images.verdicts
+    cfg = choose_threshold(images, sample_radius=2)
+    system = build_walls(h, cfg, images)
     assert_noncrossing(t, system)
     dec = indecomposable_regions(t, system)
     tree = build_wall_tree(t, system, dec)
     assert tree.n_edges == tree.n_nodes - 1
-    action = action_on_tree(t, h, system, tree, sample)
+    action = action_on_tree(t, system, tree, images)
     for g, outcome in action.h_wall_invariance.items():
         assert outcome in ("equal", "disjoint", "out_of_window")
     assert action.inversions == []

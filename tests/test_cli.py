@@ -101,6 +101,19 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     {"name": "a/b"},
     {"name": "a\\b"},
     {"name": "a\0b"},
+    # integer fields take JSON integers only, float fields JSON numbers only
+    {"truncation_radius": 12.7},
+    {"truncation_radius": "10"},
+    {"neck_R": "1"},
+    {"seed": True},
+    {"base_radius": 1.9},
+    {"solver": {"max_iterations": 1e6}},
+    {"solver": {"tolerance": True}},
+    {"wall": {"step": "0.001"}},
+    {"group": {"kind": "free", "rank": 2.5}},
+    {"group": {"kind": "free", "rank": True}},
+    {"group": {"kind": "free_product_cyclic", "orders": [3, 2.0]}},
+    {"group": {"kind": "free_product_cyclic", "orders": [False, 3]}},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
@@ -177,6 +190,25 @@ def test_rerun_is_byte_identical_across_threads(tmp_path):
     fa = (tmp_path / "o1/scn/field.csv").read_bytes()
     fb = (tmp_path / "o2/scn/field.csv").read_bytes()
     assert fa == fb
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+
+@pytest.mark.parametrize("command,name,files", [
+    ("tree", "tree-f2-r8", ("tree.dot", "action.json")),
+    ("tree", "tree-z3z-r8", ("tree.dot", "action.json")),
+    ("tree", "tree-z2z3-r14", ("tree.dot", "action.json")),
+    ("necks", "necks-z3z-r8", ("necks.json", "dual.dot")),
+])
+def test_outputs_match_the_golden_files(tmp_path, command, name, files):
+    # none of these files holds a float, so their bytes do not depend on
+    # the numpy build
+    scenario = os.path.join(GOLDEN, f"{name}.json")
+    assert run(command, scenario, tmp_path) == 0
+    for f in files:
+        with open(os.path.join(GOLDEN, name, f), "rb") as fh:
+            assert (tmp_path / name / f).read_bytes() == fh.read(), f
 
 
 def test_radius_override(tmp_path):

@@ -91,10 +91,12 @@ def test_identity_neck_is_type1_and_b_neck_regular(t_f2_r6):
     net = build_net(t_f2_r6, 1)
     survey = find_necks(t_f2_r6, net, 1)
     by_center = {n.center: n for n in survey.necks}
-    cls_e = classify_neck(t_f2_r6, by_center[0], chi)
+    masks = TraceMasks(t_f2_r6, chi)
+    cls_e = classify_neck(t_f2_r6, by_center[0], chi, tree_masks=masks)
     assert cls_e.kind == "special_type_1"
     b_id = vertex_by_word(t_f2_r6, "b")
-    cls_b = classify_neck(t_f2_r6, by_center[b_id], chi)
+    cls_b = classify_neck(t_f2_r6, by_center[b_id], chi,
+                          tree_masks=masks)
     assert cls_b.kind == "regular" and cls_b.theta == 0
 
 
@@ -109,8 +111,6 @@ def _assert_masks_match_the_flood(t, chi):
         fast = classify_neck(t, neck, chi, tree_masks=masks)
         assert list(fast.verdicts) == verdicts
         assert fast.label() == label
-        # without masks passed in, the same classification from its own
-        assert classify_neck(t, neck, chi).label() == label
 
 
 @pytest.mark.parametrize("chi_spec", [
@@ -430,7 +430,7 @@ def test_certificate_on_identity_neck(h_first_letter_r8, net2_f2_r8):
     chi = h.boundary_spec
     survey = find_necks(t, net2_f2_r8, 1)
     neck = [n for n in survey.necks if n.center == 0][0]
-    cert = gap_certificate(h, neck, chi)
+    cert = gap_certificate(h, neck, chi, tree_masks=TraceMasks(t, chi))
     assert cert.mu > 0
     assert cert.drop >= 0.8
     assert cert.mu <= cert.region_energy + 1e-12
@@ -451,7 +451,8 @@ def test_flat_field_yields_degenerate_drop(t_f2_r8, net2_f2_r8):
     survey = find_necks(t_f2_r8, net2_f2_r8, 1)
     neck = [n for n in survey.necks if n.center == 0][0]
     with pytest.raises(DegenerateDrop):
-        gap_certificate(flat, neck, chi)
+        gap_certificate(flat, neck, chi,
+                        tree_masks=TraceMasks(t_f2_r8, chi))
 
 
 def test_certificate_rejects_regular_neck(h_first_letter_r8, net1_f2_r8):
@@ -461,7 +462,8 @@ def test_certificate_rejects_regular_neck(h_first_letter_r8, net1_f2_r8):
     b_id = vertex_by_word(t, "b")
     neck = [n for n in survey.necks if n.center == b_id][0]
     with pytest.raises(EndsSplitterError):
-        gap_certificate(h, neck, h.boundary_spec)
+        gap_certificate(h, neck, h.boundary_spec,
+                        tree_masks=TraceMasks(t, h.boundary_spec))
 
 
 def test_disjoint_type1_certificates_have_disjoint_regions(t_f2_r8,
@@ -542,7 +544,8 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
     for chi, row in zip(chis, bracket.rows):
         h = solve_dirichlet(t_f2_r6, chi)
         report = special_sets(t_f2_r6, net, 1, chi)
-        mus = [gap_certificate(h, neck, chi).mu
+        masks = TraceMasks(t_f2_r6, chi)
+        mus = [gap_certificate(h, neck, chi, tree_masks=masks).mu
                for neck in report.survey.necks
                if neck.center in report.center_ids["K_I"]]
         assert row["energy"] == energy(h).total

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -13,12 +14,7 @@ from ends_splitter.errors import (
 )
 from ends_splitter.ends import make_end_function
 from ends_splitter.groups import Presentation, build_truncation, group_ball
-from ends_splitter.harmonic import (
-    HarmonicField,
-    PartialField,
-    pullback,
-    solve_dirichlet,
-)
+from ends_splitter.harmonic import HarmonicField, pullback, solve_dirichlet
 from ends_splitter.walls import (
     Wall,
     WallConfig,
@@ -46,10 +42,25 @@ def element(t, word):
     raise KeyError(word)
 
 
-def synthetic(t, values, domain=None):
-    dom = np.ones(t.n, dtype=bool) if domain is None else domain
-    return PartialField(truncation=t, values=np.asarray(values, float),
-                        domain=dom, label="synthetic")
+def on_the_ball(values):
+    """``trichotomy``'s ``inside`` and ``vals`` for a pulled field defined
+    on the whole ball."""
+    return {"inside": np.ones(len(values), dtype=bool),
+            "vals": np.asarray(values, float)}
+
+
+def threshold(h, sample, equality_tol=1e-9, step=1e-3, sample_radius=None):
+    """``choose_threshold`` on the images of ``sample``."""
+    return choose_threshold(sample_images(h, sample, equality_tol), step,
+                            sample_radius)
+
+
+def walls_of(h, sample, sample_radius=None):
+    """The sample's images and its walls at the threshold chosen on them,
+    as the tree command takes them."""
+    images = sample_images(h, sample)
+    cfg = choose_threshold(images, sample_radius=sample_radius)
+    return images, build_walls(h, cfg, images)
 
 
 # -- trichotomy ----------------------------------------------------------------
@@ -93,8 +104,7 @@ def test_all_radius1_verdicts_match_pointwise_scan(h_first_letter_r8):
 def test_synthetic_complement_detects_eq_one_minus_h(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    k = synthetic(t, 1.0 - h.values)
-    v = trichotomy(h, element(t, "e"), pulled=k)
+    v = trichotomy(h, element(t, "e"), **on_the_ball(1.0 - h.values))
     assert v.relation == "eq_one_minus_h"
 
 
@@ -105,7 +115,7 @@ def test_violation_carries_witness(t_f2_r4):
     vals = h.values.copy()
     vals[0] = h.values[0] + 0.3
     vals[1] = h.values[1] - 0.3
-    v = trichotomy(h, element(t_f2_r4, "e"), pulled=synthetic(t_f2_r4, vals))
+    v = trichotomy(h, element(t_f2_r4, "e"), **on_the_ball(vals))
     assert v.relation == "violation"
     assert v.witness in (0, 1)
     assert v.max_slack > 0
@@ -121,7 +131,7 @@ def test_violation_witness_is_measured_against_one_minus_h(t_f2_r4):
     vals = 1.0 - base
     vals[1] += 0.0625
     vals[5] -= 0.0625
-    v = trichotomy(h, element(t, "e"), pulled=synthetic(t, vals))
+    v = trichotomy(h, element(t, "e"), **on_the_ball(vals))
     assert v.relation == "violation"
     assert v.max_slack == 0.0625
     assert v.witness in (1, 5)
@@ -131,7 +141,7 @@ def test_violation_witness_is_measured_against_one_minus_h(t_f2_r4):
 
 def test_first_free_threshold_is_chosen(h_first_letter_r8):
     t = h_first_letter_r8.truncation
-    cfg = choose_threshold(h_first_letter_r8, group_ball(t, 1))
+    cfg = threshold(h_first_letter_r8, group_ball(t, 1))
     assert cfg.threshold == pytest.approx(0.501)
 
 
@@ -139,7 +149,7 @@ def test_threshold_skips_crowded_values(t_f2_r4):
     vals = np.full(t_f2_r4.n, 0.501)
     h = HarmonicField(truncation=t_f2_r4, values=vals, boundary_spec=None,
                       residual=0.0, iterations=0)
-    cfg = choose_threshold(h, [element(t_f2_r4, "e")])
+    cfg = threshold(h, [element(t_f2_r4, "e")])
     assert cfg.threshold == pytest.approx(0.502)
 
 
@@ -149,7 +159,7 @@ def test_no_regular_value_when_tolerance_swamps(t_f2_r4):
     h = HarmonicField(truncation=t_f2_r4, values=vals, boundary_spec=None,
                       residual=0.0, iterations=0)
     with pytest.raises(NoRegularValue):
-        choose_threshold(h, [element(t_f2_r4, "e")], equality_tol=0.2)
+        threshold(h, [element(t_f2_r4, "e")], equality_tol=0.2)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -160,7 +170,7 @@ def test_no_regular_value_when_tolerance_swamps(t_f2_r4):
 def test_threshold_refuses_bad_step_and_tolerance(h_first_letter_r8, kwargs):
     t = h_first_letter_r8.truncation
     with pytest.raises(ScenarioError):
-        choose_threshold(h_first_letter_r8, group_ball(t, 1), **kwargs)
+        threshold(h_first_letter_r8, group_ball(t, 1), **kwargs)
 
 
 # -- walls ----------------------------------------------------------------------
@@ -168,9 +178,7 @@ def test_threshold_refuses_bad_step_and_tolerance(h_first_letter_r8, kwargs):
 def test_identity_sample_gives_one_wall(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    sample = group_ball(t, 0)
-    cfg = choose_threshold(h, sample, sample_radius=0)
-    system = build_walls(h, cfg, sample)
+    _, system = walls_of(h, group_ball(t, 0), sample_radius=0)
     assert len(system.walls) == 1
     eu, ev, _ = t.edges()
     e = system.walls[0].edge_ids
@@ -183,8 +191,7 @@ def test_duplicate_pullbacks_share_a_wall(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
     e = element(t, "e")
-    cfg = choose_threshold(h, [e], sample_radius=0)
-    system = build_walls(h, cfg, [e, e])
+    _, system = walls_of(h, [e, e], sample_radius=0)
     assert len(system.walls) == 1
     assert system.walls[0].labels == ["e", "e"]
 
@@ -192,9 +199,7 @@ def test_duplicate_pullbacks_share_a_wall(h_first_letter_r8):
 def test_walls_pairwise_noncrossing(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    sample = group_ball(t, 2)
-    cfg = choose_threshold(h, sample, sample_radius=2)
-    system = build_walls(h, cfg, sample)
+    _, system = walls_of(h, group_ball(t, 2), sample_radius=2)
     assert len(system.walls) == 17
     assert_noncrossing(t, system)
 
@@ -202,9 +207,7 @@ def test_walls_pairwise_noncrossing(h_first_letter_r8):
 def test_each_wall_separates_its_sides(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    sample = group_ball(t, 1)
-    cfg = choose_threshold(h, sample, sample_radius=1)
-    system = build_walls(h, cfg, sample)
+    _, system = walls_of(h, group_ball(t, 1), sample_radius=1)
     adj = oracles.adjacency_dict(t)
     eu, ev, _ = t.edges()
     for w in system.walls:
@@ -234,7 +237,7 @@ def test_no_walls_one_region(t_f2_r4):
     h = solve_dirichlet(t_f2_r4, chi)
     system = WallSystem(config=WallConfig(threshold=0.501), walls=[],
                         domain=np.ones(t_f2_r4.n, dtype=bool),
-                        sample=[], empty_pullbacks=[])
+                        empty_pullbacks=[])
     dec = indecomposable_regions(t_f2_r4, system)
     assert len(dec.regions) == 1
     assert dec.regions[0].size == t_f2_r4.n
@@ -243,9 +246,7 @@ def test_no_walls_one_region(t_f2_r4):
 def test_one_wall_two_regions(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    sample = group_ball(t, 0)
-    cfg = choose_threshold(h, sample, sample_radius=0)
-    system = build_walls(h, cfg, sample)
+    _, system = walls_of(h, group_ball(t, 0), sample_radius=0)
     dec = indecomposable_regions(t, system)
     assert len(dec.regions) == 2
     tree = build_wall_tree(t, system, dec)
@@ -278,9 +279,7 @@ def f2_small_system(f2):
     t = build_truncation(f2, 5)
     chi = make_end_function(t, 1, rule="first_letter:a")
     h = solve_dirichlet(t, chi)
-    sample = group_ball(t, 2)
-    cfg = choose_threshold(h, sample, sample_radius=2)
-    system = build_walls(h, cfg, sample)
+    _, system = walls_of(h, group_ball(t, 2), sample_radius=2)
     dec = indecomposable_regions(t, system)
     return t, system, dec
 
@@ -299,9 +298,7 @@ def test_randomized_end_data_trees_or_logged_diagnostics(t_f2_r6):
     diagnostics = 0
     for chi in all_nonconstant_end_functions(t_f2_r6, 1):
         h = solve_dirichlet(t_f2_r6, chi)
-        sample = group_ball(t_f2_r6, 1)
-        cfg = choose_threshold(h, sample, sample_radius=1)
-        system = build_walls(h, cfg, sample)
+        _, system = walls_of(h, group_ball(t_f2_r6, 1), sample_radius=1)
         try:
             dec = indecomposable_regions(t_f2_r6, system)
             tree = build_wall_tree(t_f2_r6, system, dec)
@@ -325,8 +322,7 @@ def test_crossing_walls_detected(t_f2_r4):
     wall_b = Wall(labels=["b"], edge_ids=np.array([0, 2]), side=side_b)
     system = WallSystem(config=WallConfig(threshold=0.5),
                         walls=[wall_a, wall_b],
-                        domain=np.ones(4, dtype=bool), sample=[],
-                        empty_pullbacks=[])
+                        domain=np.ones(4, dtype=bool), empty_pullbacks=[])
     with pytest.raises(CrossingWalls):
         assert_noncrossing(t, system)
     with pytest.raises((CrossingWalls, NotATree)):
@@ -349,13 +345,11 @@ def f2_action(f2):
     t = build_truncation(f2, 8)
     chi = make_end_function(t, 1, rule="first_letter:a")
     h = solve_dirichlet(t, chi)
-    sample = group_ball(t, 2)
-    cfg = choose_threshold(h, sample, sample_radius=2)
-    system = build_walls(h, cfg, sample)
+    images, system = walls_of(h, group_ball(t, 2), sample_radius=2)
     dec = indecomposable_regions(t, system)
     tree = build_wall_tree(t, system, dec)
-    action = action_on_tree(t, h, system, tree, sample)
-    return t, h, system, tree, action, sample
+    action = action_on_tree(t, system, tree, images)
+    return t, h, system, tree, action, images.sample
 
 
 def test_identity_acts_trivially(f2_action):
@@ -426,7 +420,7 @@ def oracle_case(request):
                             default=0)
     h = solve_dirichlet(t, chi)
     sample = group_ball(t, 2)
-    return t, h, sample, t.right_action_maps(sample)
+    return t, h, sample, sample_images(h, sample)
 
 
 def assert_same_regions(got, want):
@@ -440,37 +434,36 @@ def assert_same_regions(got, want):
 
 
 def test_id_maps_match_per_element_pullbacks(oracle_case):
-    t, h, sample, maps = oracle_case
-    for g, img in zip(sample, maps):
+    t, h, sample, images = oracle_case
+    maps = oracles.right_action_maps(t, sample)
+    for g, img, verdict in zip(sample, maps, images.verdicts):
         assert img.dtype == np.int32
         assert np.array_equal(img, t.rmul_ids(np.arange(t.n), g))
         p = pullback(h, g)
         inside = img >= 0
+        assert np.array_equal(inside, p.domain)
         on_map = trichotomy(h, g, inside=inside, vals=h.values[img[inside]])
-        for with_maps in (on_map, trichotomy(h, g)):
-            assert with_maps == trichotomy(h, g, pulled=p)
+        assert on_map == trichotomy(h, g) == verdict
 
 
 def test_threshold_and_walls_match_oracle(oracle_case):
-    t, h, sample, maps = oracle_case
-    cfg = choose_threshold(h, sample, sample_radius=2, maps=maps)
+    t, h, sample, images = oracle_case
+    cfg = choose_threshold(images, sample_radius=2)
     assert cfg == oracles.choose_threshold(h, sample, sample_radius=2)
-    assert cfg == choose_threshold(h, sample, sample_radius=2)
-    a = build_walls(h, cfg, sample, maps)
-    b = build_walls(h, cfg, sample)
-    assert np.array_equal(a.domain, b.domain)
-    assert a.empty_pullbacks == b.empty_pullbacks
-    assert [w.labels for w in a.walls] == [w.labels for w in b.walls]
-    for wa, wb in zip(a.walls, b.walls):
-        assert np.array_equal(wa.edge_ids, wb.edge_ids)
-        assert np.array_equal(wa.side, wb.side)
-        assert len(wa.side) == a.domain.sum()
+    system = build_walls(h, cfg, images)
+    want, domain, empty = oracles.build_walls(h, cfg, sample)
+    assert np.array_equal(system.domain, domain)
+    assert system.empty_pullbacks == empty
+    assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
+            for w in system.walls] == want
+    for w in system.walls:
+        assert len(w.side) == system.domain.sum()
 
 
 def test_regions_and_action_match_oracle(oracle_case):
-    t, h, sample, maps = oracle_case
-    cfg = choose_threshold(h, sample, sample_radius=2, maps=maps)
-    system = build_walls(h, cfg, sample, maps)
+    t, h, sample, images = oracle_case
+    cfg = choose_threshold(images, sample_radius=2)
+    system = build_walls(h, cfg, images)
     got = indecomposable_regions(t, system)
     want = oracles.indecomposable_regions(t, system)
     assert_same_regions(got, want)
@@ -482,9 +475,8 @@ def test_regions_and_action_match_oracle(oracle_case):
         return
     build_wall_tree(t, system, want)
     assert_same_regions(got, want)          # adjacency lists filled alike
-    action = action_on_tree(t, h, system, tree, sample, maps)
+    action = action_on_tree(t, system, tree, images)
     assert action == oracles.action_on_tree(t, h, system, tree, sample)
-    assert action == action_on_tree(t, h, system, tree, sample)
     assert sum(action.region_splits.values()) > 0
 
 
@@ -504,47 +496,42 @@ def test_streamed_pass_matches_oracles_and_full_maps(solved_case,
     # the action on the common domain only
     t, h = solved_case
     sample = group_ball(t, sample_radius)
-    maps = t.right_action_maps(sample)
+    maps = oracles.right_action_maps(t, sample)
     images = sample_images(h, sample)
-    full = sample_images(h, sample, maps=maps)
-    assert images.verdicts == full.verdicts == [
-        trichotomy(h, g, pulled=pullback(h, g)) for g in sample]
-    assert np.array_equal(images.near, full.near)
-    assert images.shell_traces == full.shell_traces
-    assert np.array_equal(images.domain, full.domain)
+    assert images.sample == sample
+    assert images.verdicts == [trichotomy(h, g) for g in sample]
+    tol = images.equality_tol
+    pulled = np.concatenate([h.values[m[m >= 0]] for m in maps])
+    assert np.array_equal(images.near, np.unique(
+        pulled[(pulled >= 0.5 - tol) & (pulled <= 0.6 + tol)]))
     ids = np.flatnonzero(images.domain)
-    for img, got, m in zip(images.images, full.images, maps):
+    for img, m in zip(images.images, maps):
         assert img.dtype == np.int32 and len(img) == len(ids)
-        assert np.array_equal(img, m[ids]) and np.array_equal(got, img)
+        assert np.array_equal(img, m[ids])
 
-    cfg = choose_threshold(h, sample, sample_radius=sample_radius,
-                           maps=images)
+    cfg = choose_threshold(images, sample_radius=sample_radius)
     assert cfg == oracles.choose_threshold(h, sample,
                                            sample_radius=sample_radius)
-    system = build_walls(h, cfg, sample, images)
+    system = build_walls(h, cfg, images)
     want, domain, empty = oracles.build_walls(h, cfg, sample)
     assert np.array_equal(system.domain, domain)
     assert system.empty_pullbacks == empty
     assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
             for w in system.walls] == want
-    whole = build_walls(h, cfg, sample, maps)
-    assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
-            for w in whole.walls] == want
 
     got = indecomposable_regions(t, system)
-    assert_same_regions(got, oracles.indecomposable_regions(t, system))
-    assert_same_regions(got, indecomposable_regions(t, whole))
+    want = oracles.indecomposable_regions(t, system)
+    assert_same_regions(got, want)
     try:
         tree = build_wall_tree(t, system, got)
     except CrossingWalls:
         with pytest.raises(CrossingWalls):
-            build_wall_tree(t, whole, indecomposable_regions(t, whole))
+            build_wall_tree(t, system, want)
         return
-    ref = build_wall_tree(t, whole, indecomposable_regions(t, whole))
+    ref = build_wall_tree(t, system, want)
     assert (tree.incidence, tree.n_nodes) == (ref.incidence, ref.n_nodes)
-    action = action_on_tree(t, h, system, tree, sample, images)
+    action = action_on_tree(t, system, tree, images)
     assert action == oracles.action_on_tree(t, h, system, tree, sample)
-    assert action == action_on_tree(t, h, whole, ref, sample, maps)
 
 
 def test_regions_past_64_walls_match_oracle():
@@ -562,8 +549,7 @@ def test_regions_past_64_walls_match_oracle():
         walls.append(Wall(labels=[f"w{k}"], edge_ids=np.array([e]),
                           side=side))
     system = WallSystem(config=WallConfig(threshold=0.5), walls=walls,
-                        domain=np.ones(t.n, dtype=bool), sample=[],
-                        empty_pullbacks=[])
+                        domain=np.ones(t.n, dtype=bool), empty_pullbacks=[])
     got = indecomposable_regions(t, system)
     assert len(got.regions) == 101
     assert_same_regions(got, oracles.indecomposable_regions(t, system))
@@ -577,8 +563,7 @@ def test_disconnected_region_counts_its_pieces():
     wall = Wall(labels=["w"], edge_ids=np.array([1, 3]),
                 side=np.array([-1, -1, 1, 1, -1], dtype=np.int8))
     system = WallSystem(config=WallConfig(threshold=0.5), walls=[wall],
-                        domain=np.ones(t.n, dtype=bool), sample=[],
-                        empty_pullbacks=[])
+                        domain=np.ones(t.n, dtype=bool), empty_pullbacks=[])
     got = indecomposable_regions(t, system)
     assert [r.members.tolist() for r in got.regions] == [[0, 1, 4], [2, 3]]
     assert [r.n_pieces for r in got.regions] == [2, 1]
@@ -597,7 +582,7 @@ def test_walls_leaving_the_domain_read_side_0_off_it():
     wall_b = Wall(labels=["b"], edge_ids=np.array([3]),
                   side=np.array([-1, -1, -1, -1, 1, 1], dtype=np.int8))
     system = WallSystem(config=WallConfig(threshold=0.5),
-                        walls=[wall_a, wall_b], domain=domain, sample=[],
+                        walls=[wall_a, wall_b], domain=domain,
                         empty_pullbacks=[])
     assert system.side_at(wall_a, np.array([3, 4, 5, 7])).tolist() == \
         [1, 0, -1, 0]
@@ -612,52 +597,47 @@ def test_walls_leaving_the_domain_read_side_0_off_it():
 @pytest.fixture(scope="module")
 def overlap_case(t_f2_r6):
     """Hand-made edge-disjoint walls on F2 r6 whose images overlap
-    partially or leave the ball, on the regions of a real system."""
+    partially, on the regions of a real system at sample radius 2."""
     t = t_f2_r6
     chi = make_end_function(t, 1, rule="first_letter:a")
     h = solve_dirichlet(t, chi)
-    real_sample = group_ball(t, 1)
-    cfg = choose_threshold(h, real_sample, sample_radius=1)
-    dec = indecomposable_regions(t, build_walls(h, cfg, real_sample))
-
-    eu, ev, _ = t.edges()
-    index = {(int(u), int(v)): e for e, (u, v) in enumerate(zip(eu, ev))}
-
-    def edge(a, b):
-        u, v = sorted((t_index(t, a), t_index(t, b)))
-        return index[(u, v)]
-
+    images, real = walls_of(h, group_ball(t, 2), sample_radius=2)
+    dec = indecomposable_regions(t, real)
     walls = [
         # its image under a is {a-aa, a-e}: it meets itself and the next
-        [edge("e", "a"), edge("e", "A")],
+        [edge(t, "e", "a"), edge(t, "e", "A")],
         # its image under A is {e-a}, a part of the first
-        [edge("a", "aa")],
-        # on the shell side: images under a leave the ball
-        [edge("aaaaa", "aaaaaa")],
-        [edge("b", "bb"), edge("Ab", "b")],
+        [edge(t, "a", "aa")],
+        [edge(t, "b", "bb"), edge(t, "Ab", "b")],
     ]
-    side = np.zeros(int((dec.labels >= 0).sum()), dtype=np.int8)
-    system = WallSystem(
-        config=cfg, domain=dec.labels >= 0, sample=[], empty_pullbacks=[],
-        walls=[Wall(labels=[f"w{i}"], edge_ids=np.array(sorted(e)), side=side)
-               for i, e in enumerate(walls)])
+    system = dataclasses.replace(real, walls=[
+        Wall(labels=[f"w{i}"], edge_ids=np.array(sorted(e)),
+             side=np.zeros(len(real.domain_ids), dtype=np.int8))
+        for i, e in enumerate(walls)])
     tree = WallTree(regions=dec.regions, walls=system.walls,
                     incidence=[(0, 1)] * len(walls),
                     region_of_vertex=dec.labels)
-    return t, h, system, tree, group_ball(t, 2)
+    return t, h, system, tree, images
 
 
 def t_index(t, word):
     return next(v for v in range(t.n) if t.word(v) == word)
 
 
+def edge(t, a, b):
+    """The id of the edge between the vertices of words ``a`` and ``b``."""
+    eu, ev, _ = t.edges()
+    u, v = sorted((t_index(t, a), t_index(t, b)))
+    return int(np.flatnonzero((eu == u) & (ev == v))[0])
+
+
 def test_partial_overlaps_match_oracle(overlap_case):
-    t, h, system, tree, sample = overlap_case
-    action = action_on_tree(t, h, system, tree, sample)
-    assert action == oracles.action_on_tree(t, h, system, tree, sample)
-    assert action.wall_images["e"] == [f"wall_{i}" for i in range(4)]
-    assert action.wall_images["a"][:3] == [
-        "partial_overlap", "disjoint", "out_of_window"]
+    t, h, system, tree, images = overlap_case
+    action = action_on_tree(t, system, tree, images)
+    assert action == oracles.action_on_tree(t, h, system, tree,
+                                            images.sample)
+    assert action.wall_images["e"] == [f"wall_{i}" for i in range(3)]
+    assert action.wall_images["a"][:2] == ["partial_overlap", "disjoint"]
     assert action.wall_images["A"][1] == "partial_overlap"
     assert action.h_wall_invariance["a"] == "overlap"
     assert action.h_wall_invariance["e"] == "equal"
@@ -665,29 +645,44 @@ def test_partial_overlaps_match_oracle(overlap_case):
     assert sum(action.region_splits.values()) > 0
 
 
+def test_action_refuses_a_wall_leaving_the_domain(overlap_case):
+    # the shell wall aaaaa-aaaaaa lies outside the common domain, where the
+    # sample's images hold nothing
+    t, h, system, tree, images = overlap_case
+    shell = Wall(labels=["shell"],
+                 edge_ids=np.array([edge(t, "aaaaa", "aaaaaa")]),
+                 side=system.walls[0].side)
+    off = dataclasses.replace(system, walls=system.walls + [shell])
+    with pytest.raises(NotATree, match="wall shell has edges leaving"):
+        action_on_tree(t, off, tree, images)
+
+
 def test_image_off_the_edge_set_is_an_anomaly(overlap_case):
     # a vertex map that is no graph automorphism: swapping e and bb sends
     # the edge e-a to the non-edge bb-a
-    t, h, system, tree, sample = overlap_case
+    t, h, system, tree, images = overlap_case
     img = np.arange(t.n, dtype=np.int32)
     e, bb = t_index(t, "e"), t_index(t, "bb")
     img[[e, bb]] = img[[bb, e]]
-    g = group_ball(t, 0)[0]
-    action = action_on_tree(t, h, system, tree, [g], [img])
+    swap = dataclasses.replace(
+        images, sample=group_ball(t, 0), verdicts=[None],
+        shell_traces=[None], images=[img[system.domain_ids]])
+    action = action_on_tree(t, system, tree, swap)
     assert action.wall_images["e"][0] == "out_of_window"
     assert action.h_wall_invariance["e"] == "out_of_window"
     assert action.anomalies[0] == "image of wall w0 under e leaves the edge set"
 
 
 def test_images_on_another_domain_or_tolerance_are_refused(overlap_case):
-    # the shell wall leaves the common domain, so the action needs images
-    # on more than the sample's own pass keeps
-    t, h, system, tree, sample = overlap_case
-    images = sample_images(h, sample, system.config.equality_tol)
+    # the images of a smaller sample are kept on a larger domain, and a
+    # threshold chosen at another tolerance is not one of these images
+    t, h, system, tree, images = overlap_case
+    other = sample_images(h, group_ball(t, 1), images.equality_tol)
     with pytest.raises(ValueError, match="another domain"):
-        action_on_tree(t, h, system, tree, sample, images)
+        action_on_tree(t, system, tree, other)
+    cfg = dataclasses.replace(system.config, equality_tol=1e-6)
     with pytest.raises(ValueError, match="equality_tol"):
-        choose_threshold(h, sample, equality_tol=1e-6, maps=images)
+        build_walls(h, cfg, images)
 
 
 @pytest.mark.parametrize("tol,step", [
@@ -716,10 +711,10 @@ def test_threshold_at_window_edges_matches_oracle(t_f2_r4, tol, step):
             want = oracles.choose_threshold(h, sample, tol, step)
         except NoRegularValue:
             with pytest.raises(NoRegularValue):
-                choose_threshold(h, sample, tol, step)
+                threshold(h, sample, tol, step)
             chosen.append(None)
             continue
-        assert choose_threshold(h, sample, tol, step) == want
+        assert threshold(h, sample, tol, step) == want
         chosen.append(want.threshold)
     assert chosen[-1] is None
     assert len(set(chosen)) >= 2
@@ -737,11 +732,11 @@ def test_threshold_sees_values_within_tolerance_outside_0_5_to_0_6(t_f2_r4):
                              boundary_spec=None, residual=0.0, iterations=0)
 
     h = field([0.499])
-    cfg = choose_threshold(h, sample, 0.012, 0.01)
+    cfg = threshold(h, sample, 0.012, 0.01)
     assert cfg == oracles.choose_threshold(h, sample, 0.012, 0.01)
     assert cfg.threshold == pytest.approx(0.52)
     h = field([0.5 + k * 0.01 - 0.012 for k in range(1, 9)] + [0.601])
-    for choose in (choose_threshold, oracles.choose_threshold):
+    for choose in (threshold, oracles.choose_threshold):
         with pytest.raises(NoRegularValue):
             choose(h, sample, 0.012, 0.01)
 
@@ -773,9 +768,9 @@ def test_threshold_jumps_match_the_one_candidate_oracle(t_f2_r4, case):
         want = oracles.choose_threshold(h, sample, tol, step)
     except NoRegularValue:
         with pytest.raises(NoRegularValue):
-            choose_threshold(h, sample, tol, step)
+            threshold(h, sample, tol, step)
         return
-    assert choose_threshold(h, sample, tol, step) == want
+    assert threshold(h, sample, tol, step) == want
 
 
 @pytest.mark.parametrize("step", [1e-300, 1e-17, 5e-324])
@@ -788,7 +783,7 @@ def test_tiny_step_jumps_past_a_blocking_value(t_f2_r4, step):
                       residual=0.0, iterations=0)
     sample = [group_ball(t_f2_r4, 0)[0]]
     try:
-        cfg = choose_threshold(h, sample, 1e-9, step)
+        cfg = threshold(h, sample, 1e-9, step)
     except NoRegularValue:
         # every float k * step stays below 0.1, so no candidate reaches 0.6
         # and none before k overflows clears 0.5 + 1e-9
