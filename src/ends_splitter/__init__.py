@@ -50,7 +50,6 @@ from .necks import (
     special_sets,
 )
 from .walls import (
-    WallConfig,
     action_on_tree,
     build_wall_tree,
     build_walls,
@@ -63,7 +62,7 @@ from .walls import (
 __all__ = [
     "Element", "EndClass", "EndFunction", "HarmonicField", "Net",
     "PartitionParams", "Presentation", "SolverConfig", "Truncation",
-    "WallConfig", "action_on_tree", "all_nonconstant_end_functions",
+    "action_on_tree", "all_nonconstant_end_functions",
     "build_net", "build_truncation", "build_wall_tree", "build_walls",
     "choose_threshold", "classify_neck", "complement_components",
     "decay_profile", "dual_graph", "end_classes", "energy", "energy_form",

@@ -34,6 +34,7 @@ from .necks import (
     dual_graph,
     dual_graph_dot,
     energy_gap_estimate,
+    find_necks,
     PartitionParams,
     partition_K,
     special_sets,
@@ -44,7 +45,6 @@ from .walls import (
     build_walls,
     check_wall_settings,
     choose_threshold,
-    indecomposable_regions,
     sample_images,
     wall_tree_dot,
 )
@@ -306,7 +306,7 @@ def run_necks(scn, outdir, stages):
     chi = scn.resolve_chi(t)
     stages.stop()
     stages.start("special_sets")
-    neck_report = special_sets(t, net, scn.neck_R, chi)
+    neck_report = special_sets(t, find_necks(t, net, scn.neck_R), chi)
     stages.stop()
 
     stages.start("dual_graph")
@@ -367,30 +367,27 @@ def run_tree(scn, outdir, stages):
     # one pass over the full-ball maps; walls, regions and the action read
     # what it keeps on the common domain
     images = sample_images(h, sample, scn.wall_equality_tol)
-    verdicts = images.verdicts
-    cfg = choose_threshold(images, step=scn.wall_step,
-                           sample_radius=scn.wall_sample_radius)
-    system = build_walls(h, cfg, images)
+    threshold = choose_threshold(images, scn.wall_step)
+    system = build_walls(h, images, threshold)
     stages.stop()
 
     stages.start("wall_tree")
-    decomposition = indecomposable_regions(t, system)
-    tree = build_wall_tree(t, system, decomposition)
-    action = action_on_tree(t, system, tree, images)
+    tree = build_wall_tree(t, system)
+    action = action_on_tree(t, tree)
     stages.stop()
 
     report = _base_report(scn, t, "tree")
     report["solve"] = block
     report["tree"] = {
-        "threshold": cfg.threshold,
+        "threshold": threshold,
         "sample_radius": scn.wall_sample_radius,
         "sample_size": len(sample),
         "walls": tree.n_edges,
         "regions": tree.n_nodes,
         "is_tree": True,
         "empty_pullbacks": system.empty_pullbacks,
-        "trichotomy": {v.g: v.relation for v in verdicts},
-        "violations": sum(1 for v in verdicts if v.is_violation()),
+        "trichotomy": {v.g: v.relation for v in images.verdicts},
+        "violations": sum(1 for v in images.verdicts if v.is_violation()),
         "inversions": len(action.inversions),
         "fixed_regions": action.fixed_regions,
     }

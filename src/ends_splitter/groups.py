@@ -590,24 +590,20 @@ class Truncation:
     def left_translates(self, ids, r):
         """``w * v`` for each id v (one row each) and each element w != e of
         length <= r (one column each, in id order), -1 where the chase
-        leaves the ball.
+        leaves the ball.  r must not exceed the radius.
 
         The chase runs through the adjacency tables innermost letter first:
         w * v = l * (w' * v) for w = l * w' with w' the parent of w, so each
         sphere of w's is one gather from the sphere before.
         """
-        ball = self
         if r > self.radius:
-            key = ("ball", r)
-            if key not in self._caches:
-                self._caches[key] = build_truncation(self.presentation, r)
-            ball = self._caches[key]
-        spheres = ball.spheres()[:max(r, 0) + 1]
+            raise ValueError("translate radius exceeds the truncation radius")
+        spheres = self.spheres()[:max(r, 0) + 1]
         out = np.empty((spheres[-1].stop, len(ids)), dtype=np.int64)
         out[0] = ids
         for sl in spheres[1:]:
-            prev = out[ball.parent[sl]]
-            cur = self.nbr[prev, ball.parent_letter[sl, None]]
+            prev = out[self.parent[sl]]
+            cur = self.nbr[prev, self.parent_letter[sl, None]]
             cur[prev < 0] = -1
             out[sl] = cur
         return out[1:].T

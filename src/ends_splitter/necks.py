@@ -86,7 +86,7 @@ class NeckClass:
 @dataclass
 class NeckSurvey:
     R: int
-    margin: int
+    spacing: int              # the net's spacing
     necks: list
     centers_considered: int
     cover_ok: bool
@@ -126,7 +126,7 @@ def find_necks(t, net, R, margin=None):
     else:
         cover_ok = False
         cover_radius = -1
-    return NeckSurvey(R=R, margin=margin, necks=necks,
+    return NeckSurvey(R=R, spacing=net.spacing, necks=necks,
                       centers_considered=len(centers), cover_ok=cover_ok,
                       cover_radius=cover_radius, window_distance=window,
                       center_words=[t.word(n.center) for n in necks])
@@ -226,11 +226,11 @@ def _others(group, bits):
     return out
 
 
-def classify_neck(t, neck, chi, tree_masks):
+def classify_neck(neck, masks):
     """The unique class under the precedence order, read from chi's
     ``TraceMasks``."""
     # a cluster sees one chi-value on the shell
-    verdicts = [_VERDICT[c.trace(tree_masks) & (CHI0 | CHI1)]
+    verdicts = [_VERDICT[c.trace(masks) & (CHI0 | CHI1)]
                 for c in neck.components if c.unbounded]
 
     if verdicts.count(None) >= 2:
@@ -252,9 +252,10 @@ class NeckReport:
     warnings: list
     cover_ok: bool
     cover_radius: int
+    center_ids: dict = field(repr=False)
+    survey: NeckSurvey = field(repr=False)
+    masks: TraceMasks = field(repr=False)     # chi's, for the certificates
     kappa_bound: float | None = None
-    center_ids: dict = field(default_factory=dict, repr=False)
-    survey: NeckSurvey | None = field(default=None, repr=False)
 
     def to_json_dict(self):
         return {
@@ -271,27 +272,24 @@ class NeckReport:
         }
 
 
-def special_sets(t, net, R, chi, margin=None, survey=None, tree_masks=None):
-    """Classify every neck of the survey and extract K, K_I, K_II.
+def special_sets(t, survey, chi):
+    """Classify every neck of ``survey`` (``find_necks``) against chi and
+    extract K, K_I, K_II.  The report keeps chi's ``TraceMasks`` for the
+    gap certificates.
 
     The structural checks follow: K must be nonempty for nonconstant chi,
     and every unbounded complement component of the K_I-ball system must be
     a cluster.
-
-    ``survey`` (``find_necks(t, net, R, margin)``) and ``tree_masks``
-    (``TraceMasks(t, chi)``) are computed here unless the caller passes
-    the ones it holds.
     """
     chi.require_nonconstant()
-    if survey is None:
-        survey = find_necks(t, net, R, margin=margin)
-    masks = tree_masks if tree_masks is not None else TraceMasks(t, chi)
+    R = survey.R
+    masks = TraceMasks(t, chi)
 
     classes = {}
     k_ids, k1_ids, k2_ids = [], [], []
     warnings = []
     for neck, word in zip(survey.necks, survey.center_words):
-        cls = classify_neck(t, neck, chi, tree_masks=masks)
+        cls = classify_neck(neck, masks)
         classes[word] = cls.label()
         if cls.kind == "special_type_1":
             k_ids.append(neck.center)
@@ -309,7 +307,7 @@ def special_sets(t, net, R, chi, margin=None, survey=None, tree_masks=None):
         raise NeckCoverageError(
             "no special neck found for a nonconstant end function; the net "
             f"may be too sparse for the transition locus (spacing "
-            f"{net.spacing}, R {R})"
+            f"{survey.spacing}, R {R})"
         )
     bad = _uncovered_cluster_components(t, chi, k1_ids, R)
     if bad is not None:
@@ -328,7 +326,7 @@ def special_sets(t, net, R, chi, margin=None, survey=None, tree_masks=None):
         classes=classes, warnings=warnings,
         cover_ok=survey.cover_ok, cover_radius=survey.cover_radius,
         center_ids={"K": k_ids, "K_I": k1_ids, "K_II": k2_ids},
-        survey=survey,
+        survey=survey, masks=masks,
     )
     return report
 
@@ -393,23 +391,16 @@ def partition_K(t, K_ids, params):
             if dist[i][j] <= params.D:
                 labels[find(i)] = find(j)
 
+    # member positions per group, groups in order of their first position
     by_root = {}
     for i in range(n):
         by_root.setdefault(find(i), []).append(i)
-    groups = [sorted(K[i] for i in members)
-              for root, members in sorted(by_root.items(),
-                                          key=lambda kv: min(kv[1]))]
+    members = list(by_root.values())
+    groups = [sorted(K[i] for i in idx) for idx in members]
 
-    diam = []
-    for g in groups:
-        idx = [K.index(v) for v in g]
-        diam.append(max((dist[i][j] for i in idx for j in idx), default=0))
-    gaps = []
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            ia = [K.index(v) for v in groups[a]]
-            ib = [K.index(v) for v in groups[b]]
-            gaps.append(min(dist[i][j] for i in ia for j in ib))
+    diam = [max(dist[i][j] for i in idx for j in idx) for idx in members]
+    gaps = [min(dist[i][j] for i in ia for j in ib)
+            for a, ia in enumerate(members) for ib in members[a + 1:]]
     min_gap = min(gaps) if gaps else None
     return Partition(
         groups=groups, within_diameters=diam, min_between_gap=min_gap,
@@ -426,8 +417,6 @@ class DualGraph:
     edges: list                # (k index, c index)
     is_tree: bool
     connected: bool
-    cycle_witness: list | None
-    separation_checked: bool
     separation_ok: bool | None
 
     @property
@@ -477,16 +466,12 @@ def dual_graph(t, groups, R, phi_bound=None):
             i = parent[i]
         return i
 
-    cycle = None
     for i, j in edges:
-        a, b = find(i), find(n_k + j)
-        if a == b:
-            cycle = [i, n_k + j]
-        else:
-            parent[a] = b
-    roots = {find(i) for i in range(n_k + n_c)}
-    connected = len(roots) == 1
-    is_tree = connected and cycle is None and len(edges) == n_k + n_c - 1
+        parent[find(i)] = find(n_k + j)
+    connected = len({find(i) for i in range(n_k + n_c)}) == 1
+    # edges are distinct pairs: connected with one edge fewer than nodes
+    # is a tree
+    is_tree = connected and len(edges) == n_k + n_c - 1
 
     separation_ok = None
     if phi_bound is not None:
@@ -502,8 +487,6 @@ def dual_graph(t, groups, R, phi_bound=None):
         c_sizes=[int(c.size) for c in comps],
         c_unbounded=[bool(c.unbounded) for c in comps],
         edges=edges, is_tree=is_tree, connected=connected,
-        cycle_witness=cycle,
-        separation_checked=phi_bound is not None,
         separation_ok=separation_ok,
     )
 
@@ -540,7 +523,7 @@ class GapCertificate:
 WITNESS_EPSILON = 0.1
 
 
-def gap_certificate(h, neck, chi, tree_masks):
+def gap_certificate(h, neck, masks):
     """A positive lower bound on the energy h spends crossing a type-1
     neck.
 
@@ -549,7 +532,7 @@ def gap_certificate(h, neck, chi, tree_masks):
     the mean-value drop against the edges near the path.
     """
     t = h.truncation
-    cls = classify_neck(t, neck, chi, tree_masks=tree_masks)
+    cls = classify_neck(neck, masks)
     if cls.kind != "special_type_1":
         raise EndsSplitterError(
             f"gap certificates need a type-1 neck, got {cls.label()}"
@@ -661,7 +644,7 @@ class GapBracket:
         }
 
 
-def energy_gap_estimate(t, net, R, chis, solver_cfg=None, margin=None):
+def energy_gap_estimate(t, net, R, chis, solver_cfg=None):
     """Bracket [certified_mu, min energy] for the window-scale energy gap
     over a family of end functions."""
     from .harmonic import solve_dirichlet
@@ -670,20 +653,15 @@ def energy_gap_estimate(t, net, R, chis, solver_cfg=None, margin=None):
     best_mu = 0.0
     min_energy = math.inf
     # the neck survey does not depend on chi
-    survey = find_necks(t, net, R, margin=margin)
+    survey = find_necks(t, net, R)
     for chi in chis:
         chi.require_nonconstant()
         h = solve_dirichlet(t, chi, solver_cfg)
         e_total = energy(h).total
-        masks = TraceMasks(t, chi)
-        report = special_sets(t, net, R, chi, margin=margin, survey=survey,
-                              tree_masks=masks)
-        mus = []
-        for neck in report.survey.necks:
-            if neck.center not in report.center_ids["K_I"]:
-                continue
-            cert = gap_certificate(h, neck, chi, tree_masks=masks)
-            mus.append(cert.mu)
+        report = special_sets(t, survey, chi)
+        k1 = set(report.center_ids["K_I"])
+        mus = [gap_certificate(h, neck, report.masks).mu
+               for neck in survey.necks if neck.center in k1]
         mu = max(mus) if mus else 0.0
         kappa = e_total / min(mus) if mus else None
         rows.append({

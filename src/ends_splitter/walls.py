@@ -11,8 +11,10 @@ never errors; their count shrinking under larger radii is the observable
 shadow of minimality.
 
 The sample's full-ball id maps are read in one pass (``sample_images``),
-whose ``SampleImages`` is the one input of the threshold, the walls and the
-action; they hold arrays on the common domain only.
+whose ``SampleImages`` hold arrays on the common domain only.  Each stage
+after it takes what the stage before returned: the threshold and the
+walls read the images, the tree reads the walls, which hold the images,
+and the action reads the tree.
 """
 
 from __future__ import annotations
@@ -29,14 +31,6 @@ from .harmonic import pullback
 
 RELATIONS = ("eq_h", "lt_h", "gt_h", "eq_one_minus_h", "lt_one_minus_h",
              "gt_one_minus_h")
-
-
-@dataclass
-class WallConfig:
-    threshold: float
-    sample_radius: int = 3
-    equality_tol: float = 1e-9
-    step: float = 1e-3
 
 
 @dataclass
@@ -112,6 +106,10 @@ class SampleImages:
     domain: np.ndarray          # vertex mask the images are kept on
     images: list                # per element: int32 id map on the domain's ids
 
+    @cached_property
+    def domain_ids(self):
+        return np.flatnonzero(self.domain)
+
 
 def sample_images(h, sample, equality_tol=1e-9):
     """One pass over the sample's full-ball id maps, holding one chain of
@@ -170,7 +168,7 @@ def _shell_trace(h, shell, img, equality_tol):
             "max": bool(np.ptp(mx) <= 2 * equality_tol)}
 
 
-def choose_threshold(images, step=1e-3, sample_radius=None):
+def choose_threshold(images, step=1e-3):
     """Smallest t = 1/2 + k*step that keeps distance >= equality_tol from
     every pulled value of the sample ``images``; NoRegularValue if none
     below 0.6 works."""
@@ -189,12 +187,7 @@ def choose_threshold(images, step=1e-3, sample_radius=None):
         lo = np.searchsorted(allv, cand - equality_tol, side="left")
         hi = np.searchsorted(allv, cand + equality_tol, side="right")
         if lo == hi:
-            return WallConfig(
-                threshold=float(cand),
-                sample_radius=sample_radius if sample_radius is not None
-                else max((g.length() for g in images.sample), default=0),
-                equality_tol=equality_tol, step=step,
-            )
+            return float(cand)
         k = _past(allv[hi - 1], k, step, equality_tol)
 
 
@@ -235,20 +228,16 @@ class Wall:
 
 @dataclass
 class WallSystem:
-    config: WallConfig
+    images: SampleImages        # the sample the walls come from, not a copy
     walls: list
-    domain: np.ndarray          # common valid domain (component of basepoint)
     empty_pullbacks: list       # g whose crossing set is empty in-window
-
-    @cached_property
-    def domain_ids(self):
-        return np.flatnonzero(self.domain)
 
     def side_at(self, wall, v):
         """``wall``'s side at the vertices ``v``, 0 off the domain."""
-        inside = self.domain[v]
+        inside = self.images.domain[v]
         out = np.zeros(len(v), dtype=np.int8)
-        out[inside] = wall.side[np.searchsorted(self.domain_ids, v[inside])]
+        out[inside] = wall.side[np.searchsorted(self.images.domain_ids,
+                                                v[inside])]
         return out
 
     def wall_edge_mask(self, t):
@@ -258,15 +247,11 @@ class WallSystem:
         return mask
 
 
-def build_walls(h, cfg, images):
+def build_walls(h, images, threshold):
     """One wall per distinct crossing edge set over the pulled fields of
     the sample ``images``, on their common domain."""
-    if images.equality_tol != cfg.equality_tol:
-        raise ValueError(f"sample images taken at equality_tol "
-                         f"{images.equality_tol!r}, not {cfg.equality_tol!r}")
     t = h.truncation
-    dom = images.domain
-    ids = np.flatnonzero(dom)
+    dom, ids = images.domain, images.domain_ids
     eu, ev, _ = t.edges()
     inner = np.flatnonzero(dom[eu] & dom[ev])
     # the common domain lies in every pullback domain: images are >= 0
@@ -276,7 +261,7 @@ def build_walls(h, cfg, images):
     order = []
     empty = []
     for g, img in zip(images.sample, images.images):
-        above = h.values[img] > cfg.threshold
+        above = h.values[img] > threshold
         crossing = inner[above[pu] != above[pv]]
         if len(crossing) == 0:
             empty.append(str(g))
@@ -290,8 +275,7 @@ def build_walls(h, cfg, images):
         by_key[key] = wall
         order.append(key)
     walls = [by_key[k] for k in order]
-    return WallSystem(config=cfg, walls=walls, domain=dom,
-                      empty_pullbacks=empty)
+    return WallSystem(images=images, walls=walls, empty_pullbacks=empty)
 
 
 def assert_noncrossing(t, system):
@@ -344,12 +328,6 @@ class IndecomposableRegion:
         return len(self.members)
 
 
-@dataclass
-class RegionDecomposition:
-    labels: np.ndarray           # per vertex, -1 off the domain
-    regions: list
-
-
 def indecomposable_regions(t, system):
     """Maximal vertex classes unseparated by any wall (side-signature
     classes; such sets need not be connected).
@@ -358,14 +336,13 @@ def indecomposable_regions(t, system):
     components must carry one signature, otherwise some wall separates
     points no wall edge cuts apart and CrossingWalls is raised.  A
     signature class spanning several flood components is a legitimately
-    disconnected region and is reported through ``n_pieces``.
+    disconnected region and is reported through ``n_pieces``.  Returns
+    the region label per vertex (-1 off the domain) and the regions.
     """
     eu, ev, _ = t.edges()
-    dom = system.domain
-    wall_mask = system.wall_edge_mask(t)
-    keep = dom[eu] & dom[ev] & ~wall_mask
+    dom, ids = system.images.domain, system.images.domain_ids
+    keep = dom[eu] & dom[ev] & ~system.wall_edge_mask(t)
 
-    ids = system.domain_ids
     # side signature folded in one wall at a time in base 3, renumbered
     # after every 20 walls: codes below len(ids) < 2**31 then grow by at
     # most 3**20 < 2**32 before the next renumbering, so int64 never wraps
@@ -397,13 +374,13 @@ def indecomposable_regions(t, system):
                                     adjacent_walls=[],
                                     n_pieces=int(pieces[lab]))
                for lab in range(n_regions)]
-    return RegionDecomposition(labels=labels, regions=regions)
+    return labels, regions
 
 
 @dataclass
 class WallTree:
+    system: WallSystem           # its walls are the tree's edges
     regions: list
-    walls: list
     incidence: list              # per wall: (minus region id, plus region id)
     region_of_vertex: np.ndarray
 
@@ -413,28 +390,24 @@ class WallTree:
 
     @property
     def n_edges(self):
-        return len(self.walls)
+        return len(self.system.walls)
 
 
-def _refuse_walls_off_the_domain(system, eu, ev):
-    """NotATree for the first wall with an edge leaving the domain."""
-    dom = system.domain
+def build_wall_tree(t, system):
+    """The indecomposable regions of ``system`` and their incidence with
+    its walls, with the tree checks.
+
+    Every wall must lie on the domain and touch exactly two regions (its
+    sides); the graph must be connected and satisfy the Euler count, and
+    an independent union-find pass must find no cycle.
+    """
+    labels, regions = indecomposable_regions(t, system)
+    eu, ev, _ = t.edges()
+    assert_noncrossing(t, system)
+    dom = system.images.domain
     for w in system.walls:
         if not (dom[eu[w.edge_ids]] & dom[ev[w.edge_ids]]).all():
             raise NotATree(f"wall {w.label} has edges leaving the domain")
-
-
-def build_wall_tree(t, system, decomposition):
-    """Incidence of regions and walls, with the tree checks.
-
-    Every wall must touch exactly two regions (its sides); the graph must
-    be connected and satisfy the Euler count, and an independent union-find
-    pass must find no cycle.
-    """
-    labels = decomposition.labels
-    eu, ev, _ = t.edges()
-    assert_noncrossing(t, system)
-    _refuse_walls_off_the_domain(system, eu, ev)
     incidence = []
     for w in system.walls:
         us, vs = eu[w.edge_ids], ev[w.edge_ids]
@@ -450,10 +423,10 @@ def build_wall_tree(t, system, decomposition):
             )
         incidence.append((int(minus[0]), int(plus[0])))
         w_idx = len(incidence) - 1
-        decomposition.regions[int(minus[0])].adjacent_walls.append(w_idx)
-        decomposition.regions[int(plus[0])].adjacent_walls.append(w_idx)
+        regions[int(minus[0])].adjacent_walls.append(w_idx)
+        regions[int(plus[0])].adjacent_walls.append(w_idx)
 
-    n = len(decomposition.regions)
+    n = len(regions)
     parent = list(range(n))
 
     def find(i):
@@ -475,9 +448,8 @@ def build_wall_tree(t, system, decomposition):
             f"wall graph disconnected or Euler count failed "
             f"({len(incidence)} edges, {n} nodes)"
         )
-    return WallTree(regions=decomposition.regions, walls=system.walls,
-                    incidence=incidence,
-                    region_of_vertex=decomposition.labels)
+    return WallTree(system=system, regions=regions, incidence=incidence,
+                    region_of_vertex=labels)
 
 
 def wall_tree_dot(tree):
@@ -485,7 +457,7 @@ def wall_tree_dot(tree):
     for r in tree.regions:
         lines.append(f'  r{r.id} [shape=ellipse, label="R{r.id} ({r.size})"];')
     for i, (a, b) in enumerate(tree.incidence):
-        label = "|".join(tree.walls[i].labels)
+        label = "|".join(tree.system.walls[i].labels)
         lines.append(f'  r{a} -- r{b} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -497,11 +469,11 @@ def wall_tree_dot(tree):
 
 @dataclass
 class ActionReport:
-    region_maps: dict            # g -> list (region -> region, -1 off-window)
+    region_maps: dict            # g -> list (region -> region, -1 if unmapped)
     wall_images: dict            # g -> list of per-wall outcomes
     stabilizer_sizes: list       # per wall: sampled stabilizer cardinality
     inversions: list             # (g, wall) pairs with swapped sides
-    h_wall_invariance: dict      # g -> equal | disjoint | out_of_window
+    h_wall_invariance: dict      # g -> equal | overlap | disjoint
     fixed_regions: list          # regions fixed by every sampled g
     boundary_trace_constant: dict  # g -> {min: bool, max: bool}
     region_splits: dict          # g -> count of regions straddling unsampled walls
@@ -525,27 +497,25 @@ class ActionReport:
                 for r in tree.regions
             ]
             out["edges"] = [
-                {"wall": "|".join(tree.walls[i].labels),
+                {"wall": "|".join(tree.system.walls[i].labels),
                  "regions": [a, b]}
                 for i, (a, b) in enumerate(tree.incidence)
             ]
         return out
 
 
-def action_on_tree(t, system, tree, images):
-    """The sampled right action on regions and walls, read from the
-    ``images`` of the sample the walls come from.
+def action_on_tree(t, tree):
+    """The sampled right action on regions and walls, read from the images
+    of the sample the tree's walls come from.
 
-    Reports per-element region maps, wall images (equal / disjoint /
-    out-of-window), sampled edge stabilizers, inversion and fixed-region
-    probes, and whether the pullback's min/max shell traces are constant.
-    Walls must be edge-disjoint and lie on the domain, as
-    ``build_wall_tree`` checks; a wall leaving the domain is NotATree.
+    Reports per-element region maps, wall images (a wall, a partial
+    overlap, or disjoint), sampled edge stabilizers, inversion and
+    fixed-region probes, and whether the pullback's min/max shell traces
+    are constant.  The walls lie on the domain, as ``build_wall_tree``
+    checks, and every image of a domain vertex lies in the ball.
     """
-    if not np.array_equal(images.domain, system.domain):
-        raise ValueError("sample images kept on another domain")
+    images, walls = tree.system.images, tree.system.walls
     eu, ev, el = t.edges()
-    _refuse_walls_off_the_domain(system, eu, ev)
     labels = tree.region_of_vertex
     n_regions = tree.n_nodes
 
@@ -555,7 +525,6 @@ def action_on_tree(t, system, tree, images):
     L = t.n_letters
     inverse = np.array([t.presentation.engine().inverse_letter(l)
                         for l in range(L)])
-    walls = system.walls
     sizes = [len(w.edge_ids) for w in walls]
     edges = (np.concatenate([w.edge_ids for w in walls]) if walls
              else np.zeros(0, dtype=np.int64))
@@ -568,9 +537,9 @@ def action_on_tree(t, system, tree, images):
     code_edge = np.tile(edges, 2)[by_code]
     code_owner = np.tile(owner, 2)[by_code]
 
-    ids = system.domain_ids
+    ids = images.domain_ids
     source = labels[ids]
-    pu, pv = np.searchsorted(ids, wu), np.searchsorted(ids, wv)
+    pu = np.searchsorted(ids, wu)
 
     region_maps = {}
     wall_images = {}
@@ -587,8 +556,8 @@ def action_on_tree(t, system, tree, images):
 
         # region map by unanimous vote of in-window images; an image that
         # straddles walls outside the sampled family is recorded as a split
-        target = np.where(img >= 0, labels[img], -1)
-        hit = (source >= 0) & (target >= 0)
+        target = labels[img]
+        hit = target >= 0
         pairs = np.unique(source[hit] * n_regions + target[hit])
         src, tgt = np.divmod(pairs, n_regions)
         counts = np.bincount(src, minlength=n_regions)
@@ -598,11 +567,8 @@ def action_on_tree(t, system, tree, images):
         region_maps[gname] = rmap = rmap.tolist()
         region_splits[gname] = int((counts > 1).sum())
 
-        # wall images; an image pair that is no edge is an anomaly
-        iu, iv = img[pu], img[pv]
-        inside = (iu >= 0) & (iv >= 0)
-        onto = inside & (t.nbr[iu, wl] == iv)
-        query = np.where(inside, iu.astype(np.int64) * L + wl, -1)
+        # wall images: the image of the edge (u, l*u) is (ug, l*ug)
+        query = img[pu].astype(np.int64) * L + wl
         at = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
         found = codes[at] == query
         keys = np.where(found, code_edge[at], -1)
@@ -612,13 +578,8 @@ def action_on_tree(t, system, tree, images):
             part = slice(bounds[i], bounds[i + 1])
             mine = hits[part]
             j = int(mine[0])
-            if not onto[part].all():
-                if inside[part].all():
-                    anomalies.append(f"image of wall {w.label} under {gname} "
-                                     "leaves the edge set")
-                outcomes.append("out_of_window")
-            elif (j >= 0 and (mine == j).all()
-                  and len(np.unique(keys[part])) == sizes[j]):
+            if (j >= 0 and (mine == j).all()
+                    and len(np.unique(keys[part])) == sizes[j]):
                 outcomes.append(f"wall_{j}")
                 if j == i:
                     stab_counts[i] += 1
@@ -638,11 +599,9 @@ def action_on_tree(t, system, tree, images):
 
         # precise invariance of the base wall
         if walls:
-            base = outcomes[0]
-            if base not in ("wall_0", "out_of_window"):
-                base = ("overlap" if (hits[:sizes[0]] == 0).any()
-                        else "disjoint")
-            h_wall[gname] = "equal" if base == "wall_0" else base
+            h_wall[gname] = ("equal" if outcomes[0] == "wall_0"
+                             else "overlap" if (hits[:sizes[0]] == 0).any()
+                             else "disjoint")
 
         # shell traces of min/max against h: constancy probe
         if trace is not None:

@@ -22,12 +22,7 @@ from ends_splitter.harmonic import (
     mean_value_defect,
     pullback,
 )
-from ends_splitter.walls import (
-    ActionReport,
-    IndecomposableRegion,
-    RegionDecomposition,
-    WallConfig,
-)
+from ends_splitter.walls import ActionReport, IndecomposableRegion
 
 
 # -- free group words as strings (inverse = uppercase) -----------------------
@@ -492,8 +487,7 @@ def right_action_maps(t, elements):
 # filtered threshold search.  These compute the same results one pullback
 # and one dict entry at a time, as the reference the array code must match.
 
-def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
-                     sample_radius=None):
+def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3):
     """Smallest t = 1/2 + k*step that keeps distance >= equality_tol from
     every sampled pullback value; NoRegularValue if none below 0.6 works."""
     values = []
@@ -512,16 +506,11 @@ def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3,
         lo = np.searchsorted(allv, cand - equality_tol, side="left")
         hi = np.searchsorted(allv, cand + equality_tol, side="right")
         if lo == hi:
-            return WallConfig(
-                threshold=float(cand),
-                sample_radius=sample_radius if sample_radius is not None
-                else max((g.length() for g in sample), default=0),
-                equality_tol=equality_tol, step=step,
-            )
+            return float(cand)
         k += 1
 
 
-def build_walls(h, cfg, sample):
+def build_walls(h, threshold, sample):
     """The walls from whole-ball pullbacks, one element at a time: a list
     of (labels, edge ids, side per domain vertex) for each distinct
     crossing edge set, the common domain (the basepoint's component of
@@ -539,7 +528,7 @@ def build_walls(h, cfg, sample):
     eu, ev, _ = t.edges()
     walls, index, empty = [], {}, []
     for g, f in zip(sample, pulled):
-        above = f.values > cfg.threshold
+        above = f.values > threshold
         cut = tuple(e for e in range(len(eu))
                     if domain[eu[e]] and domain[ev[e]]
                     and above[eu[e]] != above[ev[e]])
@@ -563,10 +552,11 @@ def indecomposable_regions(t, system):
     components must carry one signature, otherwise some wall separates
     points no wall edge cuts apart and CrossingWalls is raised.  A
     signature class spanning several flood components is a legitimately
-    disconnected region and is reported through ``n_pieces``.
+    disconnected region and is reported through ``n_pieces``.  Returns
+    the region label per vertex (-1 off the domain) and the regions.
     """
     eu, ev, _ = t.edges()
-    dom = system.domain
+    dom = system.images.domain
     wall_mask = system.wall_edge_mask(t)
     keep = dom[eu] & dom[ev] & ~wall_mask
 
@@ -606,16 +596,17 @@ def indecomposable_regions(t, system):
         regions.append(IndecomposableRegion(
             id=lab, members=members, adjacent_walls=[],
             n_pieces=pieces.get(lab, 1)))
-    return RegionDecomposition(labels=labels, regions=regions)
+    return labels, regions
 
 
-def action_on_tree(t, h, system, tree, sample):
+def action_on_tree(t, h, tree, sample):
     """The sampled right action on regions and walls.
 
     Reports per-element region maps, wall images (equal / disjoint /
     out-of-window), sampled edge stabilizers, inversion and fixed-region
     probes, and whether the pullback's min/max shell traces are constant.
     """
+    system = tree.system
     eu, ev, _ = t.edges()
     labels = tree.region_of_vertex
     edge_index = {}
@@ -737,8 +728,8 @@ def action_on_tree(t, h, system, tree, sample):
             mn = np.minimum(h.values[sh], f.values[sh])
             mx = np.maximum(h.values[sh], f.values[sh])
             trace_const[gname] = {
-                "min": bool(np.ptp(mn) <= 2 * system.config.equality_tol),
-                "max": bool(np.ptp(mx) <= 2 * system.config.equality_tol),
+                "min": bool(np.ptp(mn) <= 2 * system.images.equality_tol),
+                "max": bool(np.ptp(mx) <= 2 * system.images.equality_tol),
             }
 
     fixed = []

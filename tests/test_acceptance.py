@@ -48,7 +48,6 @@ from ends_splitter.walls import (
     build_wall_tree,
     build_walls,
     choose_threshold,
-    indecomposable_regions,
     sample_images,
     trichotomy,
 )
@@ -229,7 +228,7 @@ def test_criterion_6(f2, r12):
 def test_criterion_7(r12):
     t, chi, h, _ = r12
     net = build_net(t, 2)
-    report = special_sets(t, net, 1, chi)
+    report = special_sets(t, find_necks(t, net, 1), chi)
     assert report.K_I == ["e"]
     assert report.K_II == []
     assert not report.warnings
@@ -237,7 +236,7 @@ def test_criterion_7(r12):
     survey = report.survey
     masks = TraceMasks(t, chi)
     cls_of = chi.class_of_vertex(t)
-    classified = [(n, classify_neck(t, n, chi, tree_masks=masks))
+    classified = [(n, classify_neck(n, masks))
                   for n in survey.necks]
     theta_of = {}
     for n, c in classified:
@@ -264,7 +263,7 @@ def test_criterion_7(r12):
     survey8 = find_necks(t8, build_net(t8, 1), 1)
     theta8 = {}
     for n in survey8.necks:
-        c = classify_neck(t8, n, chi8, tree_masks=masks8)
+        c = classify_neck(n, masks8)
         if c.kind == "regular":
             theta8[n.center] = c.theta
     pairs = 0
@@ -285,7 +284,7 @@ def test_criterion_8(f2, r12):
     survey = find_necks(t, net, 1)
     neck = [n for n in survey.necks if n.center == 0][0]
     masks = TraceMasks(t, chi)
-    cert = gap_certificate(h, neck, chi, tree_masks=masks)
+    cert = gap_certificate(h, neck, masks)
     assert cert.mu > 0
     assert cert.mu <= cert.region_energy + 1e-12
     assert cert.region_energy <= energy(h).total + 1e-12
@@ -299,13 +298,12 @@ def test_criterion_8(f2, r12):
     for chi8 in all_nonconstant_end_functions(t8, 1):
         h8 = solve_dirichlet(t8, chi8)
         energies.append(energy(h8).total)
-        rep = special_sets(t8, net8, 1, chi8)
-        masks8 = TraceMasks(t8, chi8)
+        rep = special_sets(t8, find_necks(t8, net8, 1), chi8)
         best = 0.0
         for n in rep.survey.necks:
             if n.center not in rep.center_ids["K_I"]:
                 continue
-            c = gap_certificate(h8, n, chi8, tree_masks=masks8)
+            c = gap_certificate(h8, n, rep.masks)
             assert 0 < c.mu <= energy(h8).total + 1e-12
             best = max(best, c.mu)
         assert best > 0
@@ -334,15 +332,13 @@ def test_criterion_10(f2, r12):
     t, chi, h, _ = r12
     images = sample_images(h, group_ball(t, 2))
     verdicts = images.verdicts
-    cfg = choose_threshold(images, sample_radius=2)
-    system = build_walls(h, cfg, images)
+    system = build_walls(h, images, choose_threshold(images))
     assert_noncrossing(t, system)
-    dec = indecomposable_regions(t, system)
-    tree = build_wall_tree(t, system, dec)
+    tree = build_wall_tree(t, system)
     assert tree.n_edges == tree.n_nodes - 1
-    action = action_on_tree(t, system, tree, images)
+    action = action_on_tree(t, tree)
     for g, outcome in action.h_wall_invariance.items():
-        assert outcome in ("equal", "disjoint", "out_of_window")
+        assert outcome in ("equal", "disjoint")
     assert action.inversions == []
 
     violations_12 = sum(1 for v in verdicts if v.is_violation())

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ends_splitter import cli
+from ends_splitter import cli, walls
 
 import oracles
 
@@ -332,7 +332,7 @@ def test_structural_failure_is_exit_3(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise CrossingWalls("synthetic crossing")
 
-    monkeypatch.setattr(cli, "indecomposable_regions", boom)
+    monkeypatch.setattr(walls, "indecomposable_regions", boom)
     path = write_scenario(tmp_path)
     assert run("tree", path, tmp_path / "out") == 3
     msg = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -484,8 +484,8 @@ def test_tree_holds_full_ball_maps_of_one_chain_only(tmp_path, monkeypatch):
 
     # every per-element array the walls keep has the common domain's length
     images, system = kept["sample_images"], kept["build_walls"]
-    size = int(system.domain.sum())
-    assert images.domain is system.domain and size < images.domain.size
+    size = int(images.domain.sum())
+    assert system.images is images and size < images.domain.size
     assert [len(img) for img in images.images] == [size] * 17
     assert [len(w.side) for w in system.walls] == [size] * len(system.walls)
 

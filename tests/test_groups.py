@@ -322,9 +322,21 @@ def test_net_past_the_radius_matches_greedy_oracle(case):
 def test_left_translates_match_the_path_chase(case):
     t = _layout_ball(case, min(_LAYOUT_CASES[case][1], 4))
     ids = np.random.default_rng(5).integers(0, t.n, size=40)
-    for r in (0, 1, 2, 3, t.radius + 1):
+    for r in (0, 1, 2, 3, t.radius):
         got = t.left_translates(ids, r)
         assert got.tolist() == oracles.path_translates(t, ids, r).tolist(), r
+
+
+@pytest.mark.parametrize("case", ["F2-r6", "Z2*Z3-r12"])
+def test_translates_past_the_radius_are_refused(case):
+    # as for group_ball: no larger ball is built behind the caller's back
+    t = _layout_ball(case, 3)
+    for read in (t.left_translates, t.word_ball):
+        with pytest.raises(ValueError, match="exceeds the truncation radius"):
+            read([0, 1], t.radius + 1)
+        assert read([0, 1], t.radius).size
+    assert not [v for v in t._caches.values()
+                if isinstance(v, groups.Truncation)]
 
 
 @pytest.mark.parametrize("case", [*sorted(_LAYOUT_CASES), "path"])

@@ -34,6 +34,11 @@ import oracles
 from test_groups import _LAYOUT_CASES
 
 
+def special(t, net, R, chi):
+    """``special_sets`` on the neck survey of ``net`` at R."""
+    return special_sets(t, find_necks(t, net, R), chi)
+
+
 def vertex_by_word(t, word):
     for v in range(t.n):
         if t.word(v) == word:
@@ -92,11 +97,10 @@ def test_identity_neck_is_type1_and_b_neck_regular(t_f2_r6):
     survey = find_necks(t_f2_r6, net, 1)
     by_center = {n.center: n for n in survey.necks}
     masks = TraceMasks(t_f2_r6, chi)
-    cls_e = classify_neck(t_f2_r6, by_center[0], chi, tree_masks=masks)
+    cls_e = classify_neck(by_center[0], masks)
     assert cls_e.kind == "special_type_1"
     b_id = vertex_by_word(t_f2_r6, "b")
-    cls_b = classify_neck(t_f2_r6, by_center[b_id], chi,
-                          tree_masks=masks)
+    cls_b = classify_neck(by_center[b_id], masks)
     assert cls_b.kind == "regular" and cls_b.theta == 0
 
 
@@ -108,7 +112,7 @@ def _assert_masks_match_the_flood(t, chi):
     for neck in survey.necks:
         comps = oracles.flood_neck_components(t, neck.center, neck.R)
         verdicts, label = oracles.flood_neck_label(t, chi, comps)
-        fast = classify_neck(t, neck, chi, tree_masks=masks)
+        fast = classify_neck(neck, masks)
         assert list(fast.verdicts) == verdicts
         assert fast.label() == label
 
@@ -169,7 +173,7 @@ def test_block_tree_survey_matches_the_flood(case):
                 assert np.array_equal(ours.materialize(t, removed),
                                       theirs.members)
             for chi, m in zip(chis, masks):
-                cls = classify_neck(t, neck, chi, tree_masks=m)
+                cls = classify_neck(neck, m)
                 verdicts, label = oracles.flood_neck_label(t, chi, comps)
                 assert list(cls.verdicts) == verdicts, (t.word(x), R)
                 assert cls.label() == label
@@ -189,14 +193,14 @@ def test_two_branch_chi_has_singleton_k1(t_f2_r8, net1_f2_r8):
     # exactly one type-1 center even with every vertex in the net
     chi = make_end_function(t_f2_r8, 1, values_by_word={"a": 1, "b": 1},
                             default=0)
-    report = special_sets(t_f2_r8, net1_f2_r8, 1, chi)
+    report = special(t_f2_r8, net1_f2_r8, 1, chi)
     assert report.K_I == ["e"]
     assert report.K_II == []
 
 
 def test_special_sets_with_r_net(t_f2_r8, net2_f2_r8):
     chi = make_end_function(t_f2_r8, 1, rule="first_letter:a")
-    report = special_sets(t_f2_r8, net2_f2_r8, 1, chi)
+    report = special(t_f2_r8, net2_f2_r8, 1, chi)
     assert report.K_I == ["e"]
     assert report.K_II == []
     assert report.cover_ok
@@ -212,7 +216,7 @@ def test_special_sets_with_full_net_sees_both_transition_endpoints(
         t_f2_r8, net1_f2_r8):
     # with spacing 1 both endpoints of the 0/1 transition edge qualify
     chi = make_end_function(t_f2_r8, 1, rule="first_letter:a")
-    report = special_sets(t_f2_r8, net1_f2_r8, 1, chi)
+    report = special(t_f2_r8, net1_f2_r8, 1, chi)
     assert sorted(report.K_I) == ["a", "e"]
     assert report.K_II == []
 
@@ -220,7 +224,7 @@ def test_special_sets_with_full_net_sees_both_transition_endpoints(
 def test_suffix2_scenario_has_type2_locus(t_f2_r8, net1_f2_r8):
     chi = make_end_function(t_f2_r8, 2, values_by_word={"aa": 1, "bb": 1},
                             default=0)
-    report = special_sets(t_f2_r8, net1_f2_r8, 1, chi)
+    report = special(t_f2_r8, net1_f2_r8, 1, chi)
     assert sorted(report.K_I) == ["a", "b"]
     assert report.K_II == ["e"]
 
@@ -229,13 +233,13 @@ def test_sparse_net_missing_the_locus_raises(t_f2_r8, net2_f2_r8):
     chi = make_end_function(t_f2_r8, 2, values_by_word={"aa": 1, "bb": 1},
                             default=0)
     with pytest.raises(NeckCoverageError):
-        special_sets(t_f2_r8, net2_f2_r8, 1, chi)
+        special(t_f2_r8, net2_f2_r8, 1, chi)
 
 
 def test_z2z3_special_sets(t_z23_r10):
     chi = make_end_function(t_z23_r10, 1, values_by_word={"s": 1, "t": 0})
     net = build_net(t_z23_r10, 1)
-    report = special_sets(t_z23_r10, net, 2, chi)
+    report = special(t_z23_r10, net, 2, chi)
     assert report.K
     assert not report.warnings
 
@@ -245,7 +249,7 @@ def test_z2z3_special_sets(t_z23_r10):
 def _classified_necks(t, chi, net, R):
     survey = find_necks(t, net, R)
     masks = TraceMasks(t, chi)
-    return [(n, classify_neck(t, n, chi, tree_masks=masks))
+    return [(n, classify_neck(n, masks))
             for n in survey.necks]
 
 
@@ -309,7 +313,7 @@ def test_type2_windows_contain_type1_centers(t_f2_r8, net1_f2_r8):
     t = t_f2_r8
     chi = make_end_function(t, 3, values_by_word={"aaa": 1, "bbb": 1},
                             default=0)
-    report = special_sets(t, net1_f2_r8, 1, chi)
+    report = special(t, net1_f2_r8, 1, chi)
     assert report.K_II
     masks = TraceMasks(t, chi)
     survey = report.survey
@@ -318,7 +322,7 @@ def test_type2_windows_contain_type1_centers(t_f2_r8, net1_f2_r8):
     assert k1
     for c2 in report.center_ids["K_II"]:
         neck = by_center[c2]
-        cls = classify_neck(t, neck, chi, tree_masks=masks)
+        cls = classify_neck(neck, masks)
         removed_mask = neck.removed_mask(t)
         unbounded = [c for c in neck.components if c.unbounded]
         for comp, verdict in zip(unbounded, cls.verdicts):
@@ -430,7 +434,7 @@ def test_certificate_on_identity_neck(h_first_letter_r8, net2_f2_r8):
     chi = h.boundary_spec
     survey = find_necks(t, net2_f2_r8, 1)
     neck = [n for n in survey.necks if n.center == 0][0]
-    cert = gap_certificate(h, neck, chi, tree_masks=TraceMasks(t, chi))
+    cert = gap_certificate(h, neck, TraceMasks(t, chi))
     assert cert.mu > 0
     assert cert.drop >= 0.8
     assert cert.mu <= cert.region_energy + 1e-12
@@ -451,8 +455,7 @@ def test_flat_field_yields_degenerate_drop(t_f2_r8, net2_f2_r8):
     survey = find_necks(t_f2_r8, net2_f2_r8, 1)
     neck = [n for n in survey.necks if n.center == 0][0]
     with pytest.raises(DegenerateDrop):
-        gap_certificate(flat, neck, chi,
-                        tree_masks=TraceMasks(t_f2_r8, chi))
+        gap_certificate(flat, neck, TraceMasks(t_f2_r8, chi))
 
 
 def test_certificate_rejects_regular_neck(h_first_letter_r8, net1_f2_r8):
@@ -462,8 +465,7 @@ def test_certificate_rejects_regular_neck(h_first_letter_r8, net1_f2_r8):
     b_id = vertex_by_word(t, "b")
     neck = [n for n in survey.necks if n.center == b_id][0]
     with pytest.raises(EndsSplitterError):
-        gap_certificate(h, neck, h.boundary_spec,
-                        tree_masks=TraceMasks(t, h.boundary_spec))
+        gap_certificate(h, neck, TraceMasks(t, h.boundary_spec))
 
 
 def test_disjoint_type1_certificates_have_disjoint_regions(t_f2_r8,
@@ -472,17 +474,16 @@ def test_disjoint_type1_certificates_have_disjoint_regions(t_f2_r8,
     chi = make_end_function(t, 3, values_by_word={"aaa": 1, "bbb": 1},
                             default=0)
     h = solve_dirichlet(t, chi)
-    report = special_sets(t, net1_f2_r8, 1, chi)
+    report = special(t, net1_f2_r8, 1, chi)
     k1 = report.center_ids["K_I"]
     assert len(k1) == 2
     a, b = k1
     assert t.word_distance(a, b) > 2
     survey = report.survey
-    masks = TraceMasks(t, chi)
     certs = []
     for center in k1:
         neck = [n for n in survey.necks if n.center == center][0]
-        certs.append(gap_certificate(h, neck, chi, tree_masks=masks))
+        certs.append(gap_certificate(h, neck, report.masks))
     overlap = certs[0].region_edges & certs[1].region_edges
     assert not overlap.any()
     assert certs[0].mu + certs[1].mu <= energy(h).total + 1e-12
@@ -543,9 +544,9 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
     # each chi on its own: its own survey and its own masks
     for chi, row in zip(chis, bracket.rows):
         h = solve_dirichlet(t_f2_r6, chi)
-        report = special_sets(t_f2_r6, net, 1, chi)
+        report = special(t_f2_r6, net, 1, chi)
         masks = TraceMasks(t_f2_r6, chi)
-        mus = [gap_certificate(h, neck, chi, tree_masks=masks).mu
+        mus = [gap_certificate(h, neck, masks).mu
                for neck in report.survey.necks
                if neck.center in report.center_ids["K_I"]]
         assert row["energy"] == energy(h).total
@@ -560,7 +561,7 @@ def test_special_sets_reuse_the_survey_center_words(t_f2_r6, monkeypatch):
     t = t_f2_r6
     net = build_net(t, 2)
     chis = all_nonconstant_end_functions(t, 1)[:4]
-    want = [special_sets(t, net, 1, chi).to_json_dict() for chi in chis]
+    want = [special(t, net, 1, chi).to_json_dict() for chi in chis]
     survey = find_necks(t, net, 1)
     assert survey.center_words == [t.word(n.center) for n in survey.necks]
     rendered = []
@@ -571,8 +572,7 @@ def test_special_sets_reuse_the_survey_center_words(t_f2_r6, monkeypatch):
         return word(self, v)
 
     monkeypatch.setattr(Truncation, "word", counted_word)
-    got = [special_sets(t, net, 1, chi, survey=survey).to_json_dict()
-           for chi in chis]
+    got = [special_sets(t, survey, chi).to_json_dict() for chi in chis]
     assert got == want
     assert rendered == []
 
@@ -596,7 +596,7 @@ def test_special_sets_floods_independently_of_the_centers(monkeypatch):
     floods, centers = [], []
     for spacing in (1, 2):
         calls.clear()
-        report = special_sets(t, build_net(t, spacing), 1, chi)
+        report = special(t, build_net(t, spacing), 1, chi)
         floods.append(len(calls))
         centers.append(report.survey.centers_considered)
         assert not any(isinstance(getattr(c, f.name), np.ndarray)

@@ -16,8 +16,8 @@ from ends_splitter.ends import make_end_function
 from ends_splitter.groups import Presentation, build_truncation, group_ball
 from ends_splitter.harmonic import HarmonicField, pullback, solve_dirichlet
 from ends_splitter.walls import (
+    SampleImages,
     Wall,
-    WallConfig,
     WallSystem,
     WallTree,
     action_on_tree,
@@ -49,18 +49,25 @@ def on_the_ball(values):
             "vals": np.asarray(values, float)}
 
 
-def threshold(h, sample, equality_tol=1e-9, step=1e-3, sample_radius=None):
+def threshold(h, sample, equality_tol=1e-9, step=1e-3):
     """``choose_threshold`` on the images of ``sample``."""
-    return choose_threshold(sample_images(h, sample, equality_tol), step,
-                            sample_radius)
+    return choose_threshold(sample_images(h, sample, equality_tol), step)
 
 
-def walls_of(h, sample, sample_radius=None):
-    """The sample's images and its walls at the threshold chosen on them,
-    as the tree command takes them."""
+def walls_of(h, sample):
+    """The walls of the sample at the threshold chosen on its images, as
+    the tree command takes them; they hold the images."""
     images = sample_images(h, sample)
-    cfg = choose_threshold(images, sample_radius=sample_radius)
-    return images, build_walls(h, cfg, images)
+    return build_walls(h, images, choose_threshold(images))
+
+
+def hand_made(walls, domain):
+    """A system of hand-made walls on ``domain``, whose images hold no
+    sample."""
+    images = SampleImages(equality_tol=1e-9, sample=[], verdicts=[],
+                          near=np.zeros(0), shell_traces=[], domain=domain,
+                          images=[])
+    return WallSystem(images=images, walls=walls, empty_pullbacks=[])
 
 
 # -- trichotomy ----------------------------------------------------------------
@@ -141,16 +148,15 @@ def test_violation_witness_is_measured_against_one_minus_h(t_f2_r4):
 
 def test_first_free_threshold_is_chosen(h_first_letter_r8):
     t = h_first_letter_r8.truncation
-    cfg = threshold(h_first_letter_r8, group_ball(t, 1))
-    assert cfg.threshold == pytest.approx(0.501)
+    assert threshold(h_first_letter_r8, group_ball(t, 1)) == \
+        pytest.approx(0.501)
 
 
 def test_threshold_skips_crowded_values(t_f2_r4):
     vals = np.full(t_f2_r4.n, 0.501)
     h = HarmonicField(truncation=t_f2_r4, values=vals, boundary_spec=None,
                       residual=0.0, iterations=0)
-    cfg = threshold(h, [element(t_f2_r4, "e")])
-    assert cfg.threshold == pytest.approx(0.502)
+    assert threshold(h, [element(t_f2_r4, "e")]) == pytest.approx(0.502)
 
 
 def test_no_regular_value_when_tolerance_swamps(t_f2_r4):
@@ -178,7 +184,7 @@ def test_threshold_refuses_bad_step_and_tolerance(h_first_letter_r8, kwargs):
 def test_identity_sample_gives_one_wall(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    _, system = walls_of(h, group_ball(t, 0), sample_radius=0)
+    system = walls_of(h, group_ball(t, 0))
     assert len(system.walls) == 1
     eu, ev, _ = t.edges()
     e = system.walls[0].edge_ids
@@ -191,7 +197,7 @@ def test_duplicate_pullbacks_share_a_wall(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
     e = element(t, "e")
-    _, system = walls_of(h, [e, e], sample_radius=0)
+    system = walls_of(h, [e, e])
     assert len(system.walls) == 1
     assert system.walls[0].labels == ["e", "e"]
 
@@ -199,7 +205,7 @@ def test_duplicate_pullbacks_share_a_wall(h_first_letter_r8):
 def test_walls_pairwise_noncrossing(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    _, system = walls_of(h, group_ball(t, 2), sample_radius=2)
+    system = walls_of(h, group_ball(t, 2))
     assert len(system.walls) == 17
     assert_noncrossing(t, system)
 
@@ -207,13 +213,13 @@ def test_walls_pairwise_noncrossing(h_first_letter_r8):
 def test_each_wall_separates_its_sides(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    _, system = walls_of(h, group_ball(t, 1), sample_radius=1)
+    system = walls_of(h, group_ball(t, 1))
     adj = oracles.adjacency_dict(t)
     eu, ev, _ = t.edges()
     for w in system.walls:
         cut = {(int(eu[e]), int(ev[e])) for e in w.edge_ids}
         cut |= {(b, a) for a, b in cut}
-        dom = np.flatnonzero(system.domain)
+        dom = np.flatnonzero(system.images.domain)
         allowed = set(map(int, dom))
         # sides are kept per domain vertex, in id order
         plus = [int(v) for v in dom[w.side > 0]]
@@ -235,28 +241,26 @@ def test_each_wall_separates_its_sides(h_first_letter_r8):
 def test_no_walls_one_region(t_f2_r4):
     chi = make_end_function(t_f2_r4, 1, rule="first_letter:a")
     h = solve_dirichlet(t_f2_r4, chi)
-    system = WallSystem(config=WallConfig(threshold=0.501), walls=[],
-                        domain=np.ones(t_f2_r4.n, dtype=bool),
-                        empty_pullbacks=[])
-    dec = indecomposable_regions(t_f2_r4, system)
-    assert len(dec.regions) == 1
-    assert dec.regions[0].size == t_f2_r4.n
+    system = hand_made([], np.ones(t_f2_r4.n, dtype=bool))
+    _, regions = indecomposable_regions(t_f2_r4, system)
+    assert len(regions) == 1
+    assert regions[0].size == t_f2_r4.n
 
 
 def test_one_wall_two_regions(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    _, system = walls_of(h, group_ball(t, 0), sample_radius=0)
-    dec = indecomposable_regions(t, system)
-    assert len(dec.regions) == 2
-    tree = build_wall_tree(t, system, dec)
+    system = walls_of(h, group_ball(t, 0))
+    _, regions = indecomposable_regions(t, system)
+    assert len(regions) == 2
+    tree = build_wall_tree(t, system)
     assert tree.n_nodes == 2 and tree.n_edges == 1
 
 
 def test_region_count_matches_separation_closure(f2_small_system):
-    t, system, dec = f2_small_system
+    t, system = f2_small_system
     # oracle: union-find over unseparated pairs
-    dom = [int(v) for v in np.flatnonzero(system.domain)]
+    dom = [int(v) for v in np.flatnonzero(system.images.domain)]
     parent = {v: v for v in dom}
 
     def find(v):
@@ -271,7 +275,7 @@ def test_region_count_matches_separation_closure(f2_small_system):
             if all(w.side[i] * w.side[j] >= 0 for w in system.walls):
                 parent[find(u)] = find(v)
     classes = len({find(v) for v in dom})
-    assert classes == len(dec.regions)
+    assert classes == len(indecomposable_regions(t, system)[1])
 
 
 @pytest.fixture(scope="module")
@@ -279,14 +283,12 @@ def f2_small_system(f2):
     t = build_truncation(f2, 5)
     chi = make_end_function(t, 1, rule="first_letter:a")
     h = solve_dirichlet(t, chi)
-    _, system = walls_of(h, group_ball(t, 2), sample_radius=2)
-    dec = indecomposable_regions(t, system)
-    return t, system, dec
+    return t, walls_of(h, group_ball(t, 2))
 
 
 def test_euler_relation(f2_small_system):
-    t, system, dec = f2_small_system
-    tree = build_wall_tree(t, system, dec)
+    t, system = f2_small_system
+    tree = build_wall_tree(t, system)
     assert tree.n_edges == tree.n_nodes - 1
 
 
@@ -298,10 +300,9 @@ def test_randomized_end_data_trees_or_logged_diagnostics(t_f2_r6):
     diagnostics = 0
     for chi in all_nonconstant_end_functions(t_f2_r6, 1):
         h = solve_dirichlet(t_f2_r6, chi)
-        _, system = walls_of(h, group_ball(t_f2_r6, 1), sample_radius=1)
+        system = walls_of(h, group_ball(t_f2_r6, 1))
         try:
-            dec = indecomposable_regions(t_f2_r6, system)
-            tree = build_wall_tree(t_f2_r6, system, dec)
+            tree = build_wall_tree(t_f2_r6, system)
         except (CrossingWalls, NotATree):
             diagnostics += 1
             continue
@@ -320,19 +321,16 @@ def test_crossing_walls_detected(t_f2_r4):
     side_b = np.array([-1, 1, 1, -1], dtype=np.int8)
     wall_a = Wall(labels=["a"], edge_ids=np.array([1]), side=side_a)
     wall_b = Wall(labels=["b"], edge_ids=np.array([0, 2]), side=side_b)
-    system = WallSystem(config=WallConfig(threshold=0.5),
-                        walls=[wall_a, wall_b],
-                        domain=np.ones(4, dtype=bool), empty_pullbacks=[])
+    system = hand_made([wall_a, wall_b], np.ones(4, dtype=bool))
     with pytest.raises(CrossingWalls):
         assert_noncrossing(t, system)
     with pytest.raises((CrossingWalls, NotATree)):
-        dec = indecomposable_regions(t, system)
-        build_wall_tree(t, system, dec)
+        build_wall_tree(t, system)
 
 
 def test_wall_tree_dot_roundtrip(f2_small_system):
-    t, system, dec = f2_small_system
-    tree = build_wall_tree(t, system, dec)
+    t, system = f2_small_system
+    tree = build_wall_tree(t, system)
     nodes, edges = oracles.parse_dot(wall_tree_dot(tree))
     assert len(nodes) == tree.n_nodes
     assert len(edges) == tree.n_edges
@@ -345,11 +343,10 @@ def f2_action(f2):
     t = build_truncation(f2, 8)
     chi = make_end_function(t, 1, rule="first_letter:a")
     h = solve_dirichlet(t, chi)
-    images, system = walls_of(h, group_ball(t, 2), sample_radius=2)
-    dec = indecomposable_regions(t, system)
-    tree = build_wall_tree(t, system, dec)
-    action = action_on_tree(t, system, tree, images)
-    return t, h, system, tree, action, images.sample
+    system = walls_of(h, group_ball(t, 2))
+    tree = build_wall_tree(t, system)
+    action = action_on_tree(t, tree)
+    return t, h, system, tree, action, system.images.sample
 
 
 def test_identity_acts_trivially(f2_action):
@@ -363,7 +360,7 @@ def test_identity_acts_trivially(f2_action):
 def test_h_wall_precisely_invariant(f2_action):
     t, h, system, tree, action, sample = f2_action
     for g, outcome in action.h_wall_invariance.items():
-        assert outcome in ("equal", "disjoint", "out_of_window")
+        assert outcome in ("equal", "disjoint")
         if g == "e":
             assert outcome == "equal"
         else:
@@ -424,13 +421,27 @@ def oracle_case(request):
 
 
 def assert_same_regions(got, want):
-    assert np.array_equal(got.labels, want.labels)
-    assert len(got.regions) == len(want.regions)
-    for a, b in zip(got.regions, want.regions):
+    """Two (labels, regions) pairs of ``indecomposable_regions``."""
+    assert np.array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
         assert (a.id, a.n_pieces, a.adjacent_walls) == \
             (b.id, b.n_pieces, b.adjacent_walls)
         assert np.array_equal(a.members, b.members)
         assert a.members.dtype == b.members.dtype
+
+
+def assert_same_incidence(t, tree, want):
+    """The tree's regions are ``want``'s, and each wall joins the two
+    regions its edges' ends lie in, listed on both in wall order."""
+    labels, regions = want
+    eu, ev, _ = t.edges()
+    for i, w in enumerate(tree.system.walls):
+        ends = np.concatenate([labels[eu[w.edge_ids]], labels[ev[w.edge_ids]]])
+        assert set(ends.tolist()) == set(tree.incidence[i])
+        for r in tree.incidence[i]:
+            regions[r].adjacent_walls.append(i)
+    assert_same_regions((tree.region_of_vertex, tree.regions), want)
 
 
 def test_id_maps_match_per_element_pullbacks(oracle_case):
@@ -448,35 +459,33 @@ def test_id_maps_match_per_element_pullbacks(oracle_case):
 
 def test_threshold_and_walls_match_oracle(oracle_case):
     t, h, sample, images = oracle_case
-    cfg = choose_threshold(images, sample_radius=2)
-    assert cfg == oracles.choose_threshold(h, sample, sample_radius=2)
-    system = build_walls(h, cfg, images)
-    want, domain, empty = oracles.build_walls(h, cfg, sample)
-    assert np.array_equal(system.domain, domain)
+    level = choose_threshold(images)
+    assert level == oracles.choose_threshold(h, sample)
+    system = build_walls(h, images, level)
+    assert system.images is images
+    want, domain, empty = oracles.build_walls(h, level, sample)
+    assert np.array_equal(system.images.domain, domain)
     assert system.empty_pullbacks == empty
     assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
             for w in system.walls] == want
     for w in system.walls:
-        assert len(w.side) == system.domain.sum()
+        assert len(w.side) == domain.sum()
 
 
 def test_regions_and_action_match_oracle(oracle_case):
     t, h, sample, images = oracle_case
-    cfg = choose_threshold(images, sample_radius=2)
-    system = build_walls(h, cfg, images)
+    system = build_walls(h, images, choose_threshold(images))
     got = indecomposable_regions(t, system)
     want = oracles.indecomposable_regions(t, system)
     assert_same_regions(got, want)
     try:
-        tree = build_wall_tree(t, system, got)
+        tree = build_wall_tree(t, system)
     except CrossingWalls:
-        with pytest.raises(CrossingWalls):
-            build_wall_tree(t, system, want)
         return
-    build_wall_tree(t, system, want)
-    assert_same_regions(got, want)          # adjacency lists filled alike
-    action = action_on_tree(t, system, tree, images)
-    assert action == oracles.action_on_tree(t, h, system, tree, sample)
+    assert tree.system is system
+    assert_same_incidence(t, tree, want)
+    action = action_on_tree(t, tree)
+    assert action == oracles.action_on_tree(t, h, tree, sample)
     assert sum(action.region_splits.values()) > 0
 
 
@@ -509,29 +518,24 @@ def test_streamed_pass_matches_oracles_and_full_maps(solved_case,
         assert img.dtype == np.int32 and len(img) == len(ids)
         assert np.array_equal(img, m[ids])
 
-    cfg = choose_threshold(images, sample_radius=sample_radius)
-    assert cfg == oracles.choose_threshold(h, sample,
-                                           sample_radius=sample_radius)
-    system = build_walls(h, cfg, images)
-    want, domain, empty = oracles.build_walls(h, cfg, sample)
-    assert np.array_equal(system.domain, domain)
+    level = choose_threshold(images)
+    assert level == oracles.choose_threshold(h, sample)
+    system = build_walls(h, images, level)
+    want, domain, empty = oracles.build_walls(h, level, sample)
+    assert np.array_equal(system.images.domain, domain)
     assert system.empty_pullbacks == empty
     assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
             for w in system.walls] == want
 
-    got = indecomposable_regions(t, system)
     want = oracles.indecomposable_regions(t, system)
-    assert_same_regions(got, want)
+    assert_same_regions(indecomposable_regions(t, system), want)
     try:
-        tree = build_wall_tree(t, system, got)
+        tree = build_wall_tree(t, system)
     except CrossingWalls:
-        with pytest.raises(CrossingWalls):
-            build_wall_tree(t, system, want)
         return
-    ref = build_wall_tree(t, system, want)
-    assert (tree.incidence, tree.n_nodes) == (ref.incidence, ref.n_nodes)
-    action = action_on_tree(t, system, tree, images)
-    assert action == oracles.action_on_tree(t, h, system, tree, sample)
+    assert_same_incidence(t, tree, want)
+    action = action_on_tree(t, tree)
+    assert action == oracles.action_on_tree(t, h, tree, sample)
 
 
 def test_regions_past_64_walls_match_oracle():
@@ -548,10 +552,9 @@ def test_regions_past_64_walls_match_oracle():
             side = -side
         walls.append(Wall(labels=[f"w{k}"], edge_ids=np.array([e]),
                           side=side))
-    system = WallSystem(config=WallConfig(threshold=0.5), walls=walls,
-                        domain=np.ones(t.n, dtype=bool), empty_pullbacks=[])
+    system = hand_made(walls, np.ones(t.n, dtype=bool))
     got = indecomposable_regions(t, system)
-    assert len(got.regions) == 101
+    assert len(got[1]) == 101
     assert_same_regions(got, oracles.indecomposable_regions(t, system))
 
 
@@ -562,11 +565,10 @@ def test_disconnected_region_counts_its_pieces():
     t = path_truncation(3)
     wall = Wall(labels=["w"], edge_ids=np.array([1, 3]),
                 side=np.array([-1, -1, 1, 1, -1], dtype=np.int8))
-    system = WallSystem(config=WallConfig(threshold=0.5), walls=[wall],
-                        domain=np.ones(t.n, dtype=bool), empty_pullbacks=[])
+    system = hand_made([wall], np.ones(t.n, dtype=bool))
     got = indecomposable_regions(t, system)
-    assert [r.members.tolist() for r in got.regions] == [[0, 1, 4], [2, 3]]
-    assert [r.n_pieces for r in got.regions] == [2, 1]
+    assert [r.members.tolist() for r in got[1]] == [[0, 1, 4], [2, 3]]
+    assert [r.n_pieces for r in got[1]] == [2, 1]
     assert_same_regions(got, oracles.indecomposable_regions(t, system))
 
 
@@ -581,17 +583,14 @@ def test_walls_leaving_the_domain_read_side_0_off_it():
                   side=np.array([-1, -1, 1, 1, -1, -1], dtype=np.int8))
     wall_b = Wall(labels=["b"], edge_ids=np.array([3]),
                   side=np.array([-1, -1, -1, -1, 1, 1], dtype=np.int8))
-    system = WallSystem(config=WallConfig(threshold=0.5),
-                        walls=[wall_a, wall_b], domain=domain,
-                        empty_pullbacks=[])
+    system = hand_made([wall_a, wall_b], domain)
     assert system.side_at(wall_a, np.array([3, 4, 5, 7])).tolist() == \
         [1, 0, -1, 0]
     assert_noncrossing(t, system)
-    dec = indecomposable_regions(t, system)
-    assert [r.members.tolist() for r in dec.regions] == \
-        [[0, 1], [2, 3], [5, 6]]
+    _, regions = indecomposable_regions(t, system)
+    assert [r.members.tolist() for r in regions] == [[0, 1], [2, 3], [5, 6]]
     with pytest.raises(NotATree, match="wall b has edges leaving"):
-        build_wall_tree(t, system, dec)
+        build_wall_tree(t, system)
 
 
 @pytest.fixture(scope="module")
@@ -601,8 +600,8 @@ def overlap_case(t_f2_r6):
     t = t_f2_r6
     chi = make_end_function(t, 1, rule="first_letter:a")
     h = solve_dirichlet(t, chi)
-    images, real = walls_of(h, group_ball(t, 2), sample_radius=2)
-    dec = indecomposable_regions(t, real)
+    real = walls_of(h, group_ball(t, 2))
+    labels, regions = indecomposable_regions(t, real)
     walls = [
         # its image under a is {a-aa, a-e}: it meets itself and the next
         [edge(t, "e", "a"), edge(t, "e", "A")],
@@ -612,12 +611,11 @@ def overlap_case(t_f2_r6):
     ]
     system = dataclasses.replace(real, walls=[
         Wall(labels=[f"w{i}"], edge_ids=np.array(sorted(e)),
-             side=np.zeros(len(real.domain_ids), dtype=np.int8))
+             side=np.zeros(len(real.images.domain_ids), dtype=np.int8))
         for i, e in enumerate(walls)])
-    tree = WallTree(regions=dec.regions, walls=system.walls,
-                    incidence=[(0, 1)] * len(walls),
-                    region_of_vertex=dec.labels)
-    return t, h, system, tree, images
+    return t, h, WallTree(system=system, regions=regions,
+                          incidence=[(0, 1)] * len(walls),
+                          region_of_vertex=labels)
 
 
 def t_index(t, word):
@@ -632,10 +630,10 @@ def edge(t, a, b):
 
 
 def test_partial_overlaps_match_oracle(overlap_case):
-    t, h, system, tree, images = overlap_case
-    action = action_on_tree(t, system, tree, images)
-    assert action == oracles.action_on_tree(t, h, system, tree,
-                                            images.sample)
+    t, h, tree = overlap_case
+    action = action_on_tree(t, tree)
+    assert action == oracles.action_on_tree(t, h, tree,
+                                            tree.system.images.sample)
     assert action.wall_images["e"] == [f"wall_{i}" for i in range(3)]
     assert action.wall_images["a"][:2] == ["partial_overlap", "disjoint"]
     assert action.wall_images["A"][1] == "partial_overlap"
@@ -645,44 +643,17 @@ def test_partial_overlaps_match_oracle(overlap_case):
     assert sum(action.region_splits.values()) > 0
 
 
-def test_action_refuses_a_wall_leaving_the_domain(overlap_case):
+def test_tree_refuses_a_wall_leaving_the_domain(overlap_case):
     # the shell wall aaaaa-aaaaaa lies outside the common domain, where the
-    # sample's images hold nothing
-    t, h, system, tree, images = overlap_case
+    # sample's images hold nothing, so no tree, and no action, is built
+    t, h, tree = overlap_case
+    system = tree.system
     shell = Wall(labels=["shell"],
                  edge_ids=np.array([edge(t, "aaaaa", "aaaaaa")]),
                  side=system.walls[0].side)
     off = dataclasses.replace(system, walls=system.walls + [shell])
     with pytest.raises(NotATree, match="wall shell has edges leaving"):
-        action_on_tree(t, off, tree, images)
-
-
-def test_image_off_the_edge_set_is_an_anomaly(overlap_case):
-    # a vertex map that is no graph automorphism: swapping e and bb sends
-    # the edge e-a to the non-edge bb-a
-    t, h, system, tree, images = overlap_case
-    img = np.arange(t.n, dtype=np.int32)
-    e, bb = t_index(t, "e"), t_index(t, "bb")
-    img[[e, bb]] = img[[bb, e]]
-    swap = dataclasses.replace(
-        images, sample=group_ball(t, 0), verdicts=[None],
-        shell_traces=[None], images=[img[system.domain_ids]])
-    action = action_on_tree(t, system, tree, swap)
-    assert action.wall_images["e"][0] == "out_of_window"
-    assert action.h_wall_invariance["e"] == "out_of_window"
-    assert action.anomalies[0] == "image of wall w0 under e leaves the edge set"
-
-
-def test_images_on_another_domain_or_tolerance_are_refused(overlap_case):
-    # the images of a smaller sample are kept on a larger domain, and a
-    # threshold chosen at another tolerance is not one of these images
-    t, h, system, tree, images = overlap_case
-    other = sample_images(h, group_ball(t, 1), images.equality_tol)
-    with pytest.raises(ValueError, match="another domain"):
-        action_on_tree(t, system, tree, other)
-    cfg = dataclasses.replace(system.config, equality_tol=1e-6)
-    with pytest.raises(ValueError, match="equality_tol"):
-        build_walls(h, cfg, images)
+        build_wall_tree(t, off)
 
 
 @pytest.mark.parametrize("tol,step", [
@@ -715,7 +686,7 @@ def test_threshold_at_window_edges_matches_oracle(t_f2_r4, tol, step):
             chosen.append(None)
             continue
         assert threshold(h, sample, tol, step) == want
-        chosen.append(want.threshold)
+        chosen.append(want)
     assert chosen[-1] is None
     assert len(set(chosen)) >= 2
 
@@ -732,9 +703,9 @@ def test_threshold_sees_values_within_tolerance_outside_0_5_to_0_6(t_f2_r4):
                              boundary_spec=None, residual=0.0, iterations=0)
 
     h = field([0.499])
-    cfg = threshold(h, sample, 0.012, 0.01)
-    assert cfg == oracles.choose_threshold(h, sample, 0.012, 0.01)
-    assert cfg.threshold == pytest.approx(0.52)
+    level = threshold(h, sample, 0.012, 0.01)
+    assert level == oracles.choose_threshold(h, sample, 0.012, 0.01)
+    assert level == pytest.approx(0.52)
     h = field([0.5 + k * 0.01 - 0.012 for k in range(1, 9)] + [0.601])
     for choose in (threshold, oracles.choose_threshold):
         with pytest.raises(NoRegularValue):
@@ -783,11 +754,11 @@ def test_tiny_step_jumps_past_a_blocking_value(t_f2_r4, step):
                       residual=0.0, iterations=0)
     sample = [group_ball(t_f2_r4, 0)[0]]
     try:
-        cfg = threshold(h, sample, 1e-9, step)
+        level = threshold(h, sample, 1e-9, step)
     except NoRegularValue:
         # every float k * step stays below 0.1, so no candidate reaches 0.6
         # and none before k overflows clears 0.5 + 1e-9
         assert step * sys.float_info.max < 1e-9
         return
-    assert cfg.threshold - 1e-9 > 0.5
-    assert np.nextafter(cfg.threshold, 0.0) - 1e-9 <= 0.5
+    assert level - 1e-9 > 0.5
+    assert np.nextafter(level, 0.0) - 1e-9 <= 0.5
