@@ -189,6 +189,8 @@ class Scenario:
         if spec == "all":
             return all_nonconstant_end_functions(t, self.base_radius)
         if isinstance(spec, list):
+            if not spec:
+                raise ScenarioError("chi list is empty")
             return [self.resolve_chi(t, s) for s in spec]
         return [self.resolve_chi(t)]
 

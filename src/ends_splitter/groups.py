@@ -1,9 +1,11 @@
 """Cayley-graph truncations for groups with infinitely many ends.
 
 Supported presentations are free groups of rank >= 2 and free products of
-cyclic groups (at least two factors, not Z/2 * Z/2).  Both have linear-time
-normal forms, so vertices of a truncation are canonical words and the word
-metric is exact.
+cyclic groups (at least two factors, not Z/2 * Z/2).  A free group F_n is
+built as the free product Z * ... * Z, with its own letter names and its
+powers spelled out (``aab``, not ``a2b``), so one normal-form engine serves
+every presentation.  Normal forms are linear-time, so vertices of a
+truncation are canonical words and the word metric is exact.
 
 Conventions used throughout the package:
 
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PresentationError
+from .errors import EndsSplitterError, PresentationError
 
 # Generator name pools.  'e' is reserved for the identity.
 _FREE_NAMES = "abcdfghijklmnopqr"
@@ -123,64 +125,9 @@ def _integer(value):
 
 @lru_cache(maxsize=None)
 def _engine_for(p):
-    if p.kind == "free":
-        return FreeEngine(p.rank)
-    return CyclicProductEngine(p.orders)
-
-
-class FreeEngine:
-    """Reduced-word arithmetic for a free group.
-
-    Letters are integers; letter ``2i`` is generator ``i`` and ``2i + 1``
-    its inverse, so ``inv(l) == l ^ 1``.  Words are tuples of letters with
-    no adjacent cancelling pair.
-    """
-
-    def __init__(self, rank):
-        self.rank = rank
-        self.n_letters = 2 * rank
-        names = []
-        for i in range(rank):
-            g = _FREE_NAMES[i]
-            names.extend([g, g.upper()])
-        self.letter_names = names
-        self.identity = ()
-
-    def inverse_letter(self, l):
-        return l ^ 1
-
-    def mul_letter_left(self, l, w):
-        if w and w[0] == (l ^ 1):
-            return w[1:]
-        return (l,) + w
-
-    def mul_letter_right(self, w, l):
-        if w and w[-1] == (l ^ 1):
-            return w[:-1]
-        return w + (l,)
-
-    def mul(self, u, v):
-        out = list(u)
-        for l in v:
-            if out and out[-1] == (l ^ 1):
-                out.pop()
-            else:
-                out.append(l)
-        return tuple(out)
-
-    def inverse(self, w):
-        return tuple((l ^ 1) for l in reversed(w))
-
-    def length(self, w):
-        return len(w)
-
-    def letters_of(self, w):
-        return list(w)
-
-    def render(self, w):
-        if not w:
-            return "e"
-        return "".join(self.letter_names[l] for l in w)
+    if p.kind == "free":                # F_n = Z * ... * Z, powers spelled out
+        return CyclicProductEngine((0,) * p.rank, _FREE_NAMES, spelled=True)
+    return CyclicProductEngine(p.orders, _CYCLIC_NAMES)
 
 
 class CyclicProductEngine:
@@ -191,15 +138,20 @@ class CyclicProductEngine:
     canonical in ``1..o-1``; for an infinite factor (order 0) it is any
     nonzero integer.  Word length charges each syllable its geodesic cost,
     ``min(e, o - e)`` for finite factors.
+
+    Factor ``f``'s generator is named ``factor_names[f]``, and its inverse
+    the same in upper case.  A power renders as ``t2``, or as ``tt`` when
+    ``spelled``.
     """
 
-    def __init__(self, orders):
+    def __init__(self, orders, factor_names, spelled=False):
         self.orders = tuple(orders)
         self.identity = ()
+        self.factor_names, self.spelled = factor_names, spelled
         letters = []   # (factor, delta)
         names = []
         for f, o in enumerate(self.orders):
-            g = _CYCLIC_NAMES[f]
+            g = factor_names[f]
             if o == 2:
                 letters.append((f, 1))
                 names.append(g)
@@ -280,18 +232,16 @@ class CyclicProductEngine:
         return out
 
     def render(self, w):
-        if not w:
-            return "e"
-        parts = []
-        for f, e in w:
-            o = self.orders[f]
-            g = _CYCLIC_NAMES[f]
-            if o == 0 and e < 0:
-                g, e = g.upper(), -e
-            elif o and e > o - e:
-                g, e = g.upper(), o - e
-            parts.append(g if e == 1 else f"{g}{e}")
-        return "".join(parts)
+        return "".join(itertools.starmap(self._syllable_text, w)) or "e"
+
+    @lru_cache(maxsize=None)
+    def _syllable_text(self, f, e):
+        o, g = self.orders[f], self.factor_names[f]
+        if o == 0 and e < 0:
+            g, e = g.upper(), -e
+        elif o and e > o - e:
+            g, e = g.upper(), o - e
+        return g * e if self.spelled or e == 1 else f"{g}{e}"
 
 
 @dataclass(frozen=True)
@@ -384,11 +334,11 @@ class Truncation:
     def element(self, v):
         """Group element of vertex ``v`` in normal form."""
         eng = self.presentation.engine()
-        w = eng.identity
-        while v != 0:                   # v = parent_letter[v] * parent[v]
-            w = eng.mul_letter_right(w, int(self.parent_letter[v]))
-            v = int(self.parent[v])
-        return Element(self.presentation, w)
+        path = []                       # v = parent_letter[v] * parent[v]
+        while v != 0:
+            path.append(eng.letters[self.parent_letter.item(v)])
+            v = self.parent.item(v)
+        return Element(self.presentation, eng.mul(eng.identity, path))
 
     def word(self, v):
         if self.presentation is None:
@@ -412,24 +362,38 @@ class Truncation:
                 itertools.islice(words, stop - start))
 
     def _sphere_words(self):
-        # v's word is its leading syllable's head before its parent's word,
-        # minus the parent's head when v's letter merges into that syllable;
-        # parents are one sphere in, and so are the states they hand on
-        _, child, cut, heads, _ = _syllables(self.presentation, self.radius)
+        # v's word is fix[s, l] before the tail of its parent's word past
+        # cut[s, l] characters, for the parent's state s and v's letter l.
+        # A letter that joins s's syllable rewrites its rendering; one that
+        # ends with the old rendering keeps it in the tail (aab -> aaab), so
+        # spelled powers slice nothing.  Parents are one sphere in, and so
+        # are the states they hand on.  States are rendered here, not in
+        # _syllables, which also serves radii too large to build
+        syl, L = _syllables(self.presentation, self.radius), self.n_letters
+        heads = [self.presentation.engine().render(w) for w in syl.words]
+        fix, cut = [], []
+        for (s, l), c in np.ndenumerate(syl.child):
+            new, drop = heads[c], len(heads[s]) if syl.joins[s, l] else 0
+            if drop and new.endswith(heads[s]):
+                new, drop = new[:-drop], 0
+            fix.append(new)
+            cut.append(drop)
+        cut = np.array(cut)
         prev, state = ["e"], np.zeros(1, dtype=np.intp)
         yield "e"
         for sphere in self.spheres()[1:]:
             par = self.parent[sphere] - (sphere.start - len(prev))
             pstate, letters = state[par], self.parent_letter[sphere]
-            state, cuts = child[pstate, letters], cut[pstate, letters]
+            state = syl.child[pstate, letters]
             cur = []
             for a in range(0, len(par), _WORD_BLOCK):
                 b = a + _WORD_BLOCK
+                keys = pstate[a:b].astype(np.intp) * L + letters[a:b]
                 tails = [prev[p] for p in par[a:b].tolist()]
-                for i in np.flatnonzero(cuts[a:b]).tolist():
-                    tails[i] = tails[i][cuts[a + i]:]
-                chunk = [heads[s] + w
-                         for s, w in zip(state[a:b].tolist(), tails)]
+                cuts = cut[keys]
+                for i in np.flatnonzero(cuts).tolist():
+                    tails[i] = tails[i][cuts[i]:]
+                chunk = [fix[k] + w for k, w in zip(keys.tolist(), tails)]
                 if sphere.stop < self.n:    # the shell's words are never parents
                     cur.extend(chunk)
                 yield from chunk
@@ -514,10 +478,11 @@ class Truncation:
         if "blocks" not in self._caches:
             p, L = self.presentation, self.n_letters
             first, cyclic = np.arange(L), np.zeros(L, dtype=bool)
-            if p is not None and p.kind == "free_product_cyclic":
-                letters = p.engine().letters    # each to its factor's first
+            if p is not None:
+                eng = p.engine()
+                letters = eng.letters           # each to its factor's first
                 first = np.array([letters.index((f, 1)) for f, _ in letters])
-                cyclic = np.array([p.orders[f] >= 3 for f, _ in letters])
+                cyclic = np.array([eng.orders[f] >= 3 for f, _ in letters])
             lead = first[self.parent_letter]
             anchor = self.parent.astype(np.int32)
             for sl in self.spheres()[2:]:           # sphere 1 hangs off e
@@ -540,7 +505,6 @@ class Truncation:
         letter = self.letter_id(letter)
         key = ("rmul", letter)
         if key not in self._caches:
-            assert self.n < 2 ** 31
             r = np.full(self.n, -1, dtype=np.int32)
             r[0] = self.nbr[0, letter]
             # v = parent_letter * parent, so v*l = parent_letter * (parent*l);
@@ -573,7 +537,6 @@ class Truncation:
         the longest element, plus e's.  A map is built once, and a caller
         that drops each map before asking for the next holds no other.
         """
-        assert self.n < 2 ** 31
         words = [tuple(reversed(g.letters())) for g in elements]
         stack = [((), np.arange(self.n, dtype=np.int32))]
         for i in sorted(range(len(words)), key=words.__getitem__):
@@ -684,12 +647,12 @@ def _first_fit(t, rows, alive):
 # Builders
 # ---------------------------------------------------------------------------
 
-# Tables of the layout and the word renderer.  A vertex's state is the
-# leading syllable of its normal form (state 0: the identity), and for a
-# vertex v of state s and a letter l, tree[s, l] says whether l * v is v's
-# child, child[s, l] is that child's state and cut[s, l] how many leading
-# characters of v's word the child's word drops; heads[s] renders s.
-_Syllables = namedtuple("_Syllables", "tree child cut heads closing")
+# Tables of the layout.  A vertex's state is the leading syllable of its
+# normal form (state 0: the identity), the one-syllable word ``words[s]``,
+# and for a vertex v of state s and a letter l, tree[s, l] says whether
+# l * v is v's child, child[s, l] is that child's state and joins[s, l]
+# whether l joins v's leading syllable (or e's) rather than starting one.
+_Syllables = namedtuple("_Syllables", "tree child joins words closing")
 
 
 @lru_cache(maxsize=None)
@@ -707,11 +670,11 @@ def _syllables(p, radius):
     eng = p.engine()
     L = eng.n_letters
     words, index = [eng.identity], {eng.identity: 0}
-    tree, child, cut, merged = [], [], [], set()
+    tree, child, joins, merged = [], [], [], set()
     for s, x in enumerate(words):               # grows while walked
         tree.append([False] * L)
         child.append([0] * L)
-        cut.append([0] * L)
+        joins.append([False] * L)
         for l in range(L):
             y = eng.mul_letter_left(l, x)
             head = y[:1]
@@ -720,7 +683,7 @@ def _syllables(p, radius):
                 continue
             if len(y) == 1:                     # l joins x's syllable (or e's)
                 merged.add(y)
-                cut[s][l] = len(eng.render(x))
+                joins[s][l] = True
             if head not in index:
                 index[head] = len(words)
                 words.append(head)
@@ -735,8 +698,8 @@ def _syllables(p, radius):
                 continue
             closing.append((s, l, eng.length(x), eng.letters_of(y)))
     child = np.array(child, dtype=np.min_scalar_type(len(words)))
-    return _Syllables(np.array(tree, dtype=bool), child, np.array(cut),
-                      [eng.render(w) for w in words], closing)
+    return _Syllables(np.array(tree, dtype=bool), child,
+                      np.array(joins, dtype=bool), words, closing)
 
 
 def build_truncation(p, radius):
@@ -755,13 +718,20 @@ def build_truncation(p, radius):
     inverse = np.array([p.engine().inverse_letter(l) for l in range(L)],
                        dtype=np.int8)
 
-    # sphere sizes up front, so arrays are allocated once; floats cannot wrap
-    moves = np.zeros((len(syl.heads),) * 2)
-    np.add.at(moves, (np.nonzero(syl.tree)[0], syl.child[syl.tree]), 1)
-    sizes = [int(np.linalg.matrix_power(moves, k)[0].sum())
-             for k in range(radius + 1)]
+    # sphere sizes up front, so arrays are allocated once and a ball past
+    # the int32 ids is refused before any is; counts[s]: vertices of state s
+    src, dst = np.nonzero(syl.tree)[0], syl.child[syl.tree]
+    counts, sizes, n = np.eye(1, len(syl.words))[0], [1], 1
+    while len(sizes) <= radius:
+        counts = np.bincount(dst, weights=counts[src],
+                             minlength=len(syl.words))
+        sizes.append(int(counts.sum()))
+        n += sizes[-1]
+        if n >= 2 ** 31:
+            raise EndsSplitterError(
+                f"{p.describe()}: the ball of radius {radius} has at least "
+                "2**31 vertices, past the int32 vertex ids")
     starts = np.cumsum([0] + sizes)
-    n = int(starts[-1])
 
     nbr = np.full((n, L), -1, dtype=np.int64)
     dist = np.repeat(np.arange(radius + 1, dtype=np.int32), sizes)

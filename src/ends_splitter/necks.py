@@ -95,17 +95,17 @@ class NeckSurvey:
     center_words: list = field(repr=False)    # t.word of each neck center
 
 
-def find_necks(t, net, R, margin=None):
-    """All net members in the trustworthy window whose R-ball complement
-    has at least three unbounded components, plus the cover check."""
+def find_necks(t, net, R):
+    """All net members in the trustworthy window (distance <= radius - 3R:
+    the R-ball and a margin of 2R) whose R-ball complement has at least
+    three unbounded components, plus the cover check."""
     if R < 1:
         raise ValueError("R must be >= 1")
-    margin = 2 * R if margin is None else margin
-    window = t.radius - R - margin
+    window = t.radius - 3 * R
     if window < 0:
         raise EndsSplitterError(
             f"truncation radius {t.radius} too small for R={R} with margin "
-            f"{margin}"
+            f"{2 * R}"
         )
     centers = net.member_ids[t.dist[net.member_ids] <= window]
 

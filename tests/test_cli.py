@@ -169,6 +169,22 @@ def test_file_errors_are_exit_1_with_one_json_line(tmp_path, capsys, setup,
     assert says in msg["message"]
 
 
+@pytest.mark.parametrize("group, chi", [
+    ({"kind": "free", "rank": 2}, "first_letter:a"),
+    ({"kind": "free_product_cyclic", "orders": [3, 0]}, "first_letter:s"),
+], ids=["F2", "Z3*Z"])
+@pytest.mark.parametrize("radius", [40, 700, 10 ** 4])
+def test_ball_past_int32_ids_is_exit_1_before_allocating(tmp_path, capsys,
+                                                          group, chi, radius):
+    path = write_scenario(tmp_path, group=group, truncation_radius=radius,
+                          chi=chi)
+    assert run("solve", path, tmp_path / "out") == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    msg = json.loads(lines[0])
+    assert msg["exit_code"] == 1 and "2**31 vertices" in msg["message"]
+
+
 def test_bad_radius_ordering_rejected(tmp_path):
     path = write_scenario(tmp_path, base_radius=9)
     assert run("solve", path, tmp_path / "out") == 1
@@ -291,6 +307,15 @@ def test_gap_single_chi(tmp_path):
     gap = rep["gap"]
     assert 0 < gap["certified_mu"] <= gap["min_observed_energy"]
     assert len(gap["scenarios"]) == 1
+
+
+def test_gap_empty_chi_list_is_exit_1(tmp_path, capsys):
+    path = write_scenario(tmp_path, chi=[])
+    assert run("gap", path, tmp_path / "out") == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ScenarioError"
+    assert not (tmp_path / "out/scn/report.json").exists()
 
 
 def test_gap_all_expands_to_14(tmp_path):

@@ -60,11 +60,17 @@ def test_f2_radius1_ball(f2):
     assert sorted(t.word(i) for i in range(1, 5)) == ["A", "B", "a", "b"]
 
 
+def _ball_words(t):
+    # the oracle spells the identity as the empty word
+    return {"" if w == "e" else w for _, ws in t.word_blocks() for w in ws}
+
+
 def test_f2_sphere_sizes_match_closed_form_and_enumeration(f2):
     for rho in range(1, 7):
         t = build_truncation(f2, rho)
         assert t.n == 2 * 3 ** rho - 1
         assert t.n == len(oracles.free_ball_words(2, rho))
+        assert _ball_words(t) == oracles.free_ball_words(2, rho)
 
 
 def test_rank3_sphere_sizes_match_enumeration():
@@ -72,6 +78,19 @@ def test_rank3_sphere_sizes_match_enumeration():
     for rho in range(1, 5):
         t = build_truncation(p, rho)
         assert t.n == len(oracles.free_ball_words(3, rho))
+        assert _ball_words(t) == oracles.free_ball_words(3, rho)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_free_group_is_the_free_product_of_zs(rank):
+    # F_n is built as Z * ... * Z; only the names and spelling differ
+    free = build_truncation(Presentation.free(rank), 5)
+    zs = build_truncation(
+        Presentation.free_product_of_cyclics([0] * rank), 5)
+    for name in ("nbr", "dist", "parent", "parent_letter"):
+        assert np.array_equal(getattr(free, name), getattr(zs, name)), name
+    for ours, theirs in zip(free.blocks(), zs.blocks()):
+        assert np.array_equal(ours, theirs)
 
 
 _FPC = Presentation.free_product_of_cyclics

@@ -16,8 +16,10 @@ from ends_splitter.groups import (
     path_truncation,
 )
 from ends_splitter.harmonic import energy, solve_dirichlet
+from ends_splitter import necks
 from ends_splitter.necks import (
     SHELL,
+    Neck,
     PartitionParams,
     TraceMasks,
     classify_neck,
@@ -147,25 +149,23 @@ def _survey_chis(t):
 
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
 def test_block_tree_survey_matches_the_flood(case):
-    # margin 0 takes centers up to the shell's neighborhood, where the
-    # truncation cuts the cycles the components are read from
+    # centers up to the shell's neighborhood, where the truncation cuts
+    # the cycles the components are read from
     p, rho = _LAYOUT_CASES[case]
     t = build_truncation(p, min(rho, 6))
     chis = _survey_chis(t)
     masks = [TraceMasks(t, chi) for chi in chis]
+    shell = TraceMasks(t)
     rng = np.random.default_rng(7)
     for R in (1, 2, 3):
-        survey = find_necks(t, build_net(t, 1), R, margin=0)
-        necks = {n.center: n for n in survey.necks}
-        window = np.flatnonzero(t.dist <= survey.window_distance)
-        assert set(necks) <= set(window.tolist())
+        window = np.flatnonzero(t.dist <= t.radius - R)
         for x in rng.permutation(window)[:60].tolist():
             comps = oracles.flood_neck_components(t, x, R)
-            assert (x in necks) == (sum(c.unbounded for c in comps) >= 3)
-            if x not in necks:
-                continue
-            neck = necks[x]
+            neck = Neck(center=x, R=R,
+                        components=necks._components(t, x, R, shell))
             assert neck.unbounded_count() == sum(c.unbounded for c in comps)
+            if neck.unbounded_count() < 3:
+                continue
             assert len(neck.components) == len(comps)
             removed = neck.removed_mask(t)
             for ours, theirs in zip(neck.components, comps):
