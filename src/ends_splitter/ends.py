@@ -35,8 +35,19 @@ def complement_components(t, removed):
     Deterministic: components are ordered by smallest member id.  The
     removed set is taken literally; callers that mean the complement of a
     radius-r ball pass the ball of radius r - 1.
+
+    The truncation keeps the last result, keyed by the removed set: the
+    end classes, the K_I ball system and the dual graph of one command
+    often remove the same set.  Its components are shared, not copied.
     """
-    removed = np.asarray(removed, dtype=np.int64)
+    removed = np.unique(np.asarray(removed, dtype=np.int64))
+    key, last = removed.tobytes(), t._caches.get("complement")
+    if last is None or last[0] != key:
+        last = t._caches["complement"] = key, _label_complement(t, removed)
+    return list(last[1])
+
+
+def _label_complement(t, removed):
     removed_mask = np.zeros(t.n, dtype=bool)
     removed_mask[removed] = True
     eu, ev, _ = t.edges()

@@ -424,8 +424,9 @@ class Truncation:
         return len(self.edges()[0])
 
     def csr_adjacency(self):
-        """The adjacency matrix in CSR form, each row's columns ascending;
-        built on every call, since no command keeps it."""
+        """The adjacency matrix in CSR form, each row's columns ascending,
+        for ``spectral_gap``; no command reads it, and it is built on every
+        call."""
         from scipy.sparse import coo_matrix
 
         eu, ev, _ = self.edges()
@@ -702,6 +703,35 @@ def _syllables(p, radius):
                       np.array(joins, dtype=bool), words, closing)
 
 
+def _sphere_sizes(p, radius):
+    """The layout tables and sphere sizes of the ball of radius ``radius``,
+    counted before any array of the ball is allocated; EndsSplitterError
+    once the ball reaches 2**31 vertices, past the int32 vertex ids.
+
+    The layout walk takes one state per power of each Z factor up to its
+    radius, so the count runs on walks of radius 16, 32, ... first: a
+    refused ball walks at most twice the radius where the count passes.
+    """
+    rho = min(radius, 16)
+    while True:
+        syl = _syllables(p, rho)
+        # counts[s]: vertices of state s on the current sphere
+        src, dst = np.nonzero(syl.tree)[0], syl.child[syl.tree]
+        counts, sizes, n = np.eye(1, len(syl.words))[0], [1], 1
+        while len(sizes) <= rho:
+            counts = np.bincount(dst, weights=counts[src],
+                                 minlength=len(syl.words))
+            sizes.append(int(counts.sum()))
+            n += sizes[-1]
+            if n >= 2 ** 31:
+                raise EndsSplitterError(
+                    f"{p.describe()}: the ball of radius {radius} has at "
+                    "least 2**31 vertices, past the int32 vertex ids")
+        if rho == radius:
+            return syl, sizes
+        rho = min(2 * rho, radius)
+
+
 def build_truncation(p, radius):
     """The ball of the Cayley graph with full adjacency and a marked shell.
 
@@ -713,24 +743,10 @@ def build_truncation(p, radius):
         raise ValueError("radius must be >= 1")
     if not isinstance(p, Presentation):
         raise PresentationError(f"not a presentation: {p!r}")
-    syl = _syllables(p, radius)
-    L = p.engine().n_letters
+    syl, sizes = _sphere_sizes(p, radius)
+    n, L = sum(sizes), p.engine().n_letters
     inverse = np.array([p.engine().inverse_letter(l) for l in range(L)],
                        dtype=np.int8)
-
-    # sphere sizes up front, so arrays are allocated once and a ball past
-    # the int32 ids is refused before any is; counts[s]: vertices of state s
-    src, dst = np.nonzero(syl.tree)[0], syl.child[syl.tree]
-    counts, sizes, n = np.eye(1, len(syl.words))[0], [1], 1
-    while len(sizes) <= radius:
-        counts = np.bincount(dst, weights=counts[src],
-                             minlength=len(syl.words))
-        sizes.append(int(counts.sum()))
-        n += sizes[-1]
-        if n >= 2 ** 31:
-            raise EndsSplitterError(
-                f"{p.describe()}: the ball of radius {radius} has at least "
-                "2**31 vertices, past the int32 vertex ids")
     starts = np.cumsum([0] + sizes)
 
     nbr = np.full((n, L), -1, dtype=np.int64)

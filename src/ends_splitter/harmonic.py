@@ -97,27 +97,17 @@ def boundary_values(t, chi):
     return vals
 
 
-def mean_value_defect(t, values):
-    """Max over interior vertices of |value - mean of neighbors|."""
-    adj = t.csr_adjacency()
-    deg = t.degrees()
-    means = adj.dot(values) / deg
-    inter = t.interior_mask
-    return float(np.abs(values - means)[inter].max())
-
-
 def _sweep_defect(x, head, rows):
-    """``mean_value_defect`` of x right after a sweep over the color
-    classes ``rows``, given ``head``, class 0's next update.
+    """The max interior mean-value defect of x right after a sweep over
+    the color classes ``rows``, given ``head``, class 0's next update.
 
-    Each class's defect is |update - x| over its ids.  The last class was
-    just updated from the same x in the same row order, so its defect is
+    Each class's defect is |update - x| over its cells.  The last class was
+    just updated from the same x in the same column order, so its defect is
     exactly 0; the middle classes (none on a bipartite ball) are evaluated.
     """
-    ids0 = rows[0][2]
-    return max([float(np.abs(head - x[ids0]).max())]
-               + [float(np.abs(a.dot(x) / d - x[ids]).max())
-                  for a, d, ids in rows[1:-1]])
+    return max([float(np.abs(head - x[rows[0].cells]).max())]
+               + [float(np.abs(r.update(x) - x[r.cells]).max())
+                  for r in rows[1:-1]])
 
 
 def _color_classes(t):
@@ -137,23 +127,47 @@ def _color_classes(t):
     return classes
 
 
-def _sweep_rows(t):
-    """``(a, d, ids)`` per color class, built once per truncation: the
-    class's adjacency rows ``a`` (CSR, each row's neighbours ascending, as
-    in ``csr_adjacency``, so sums run in the same order), its degrees
-    ``d`` and its ids."""
-    from scipy.sparse import csr_matrix
+@dataclass
+class _SweepClass:
+    """One color class in the sweep layout: its vertex ids, its cells (a
+    slice of the layout), its degrees, and ``cols``, a table with one row
+    per letter whose column i holds the cells of the neighbours of ids[i]
+    in ascending id order, as in its row of ``csr_adjacency``, after the
+    zero cell once per missing neighbour."""
 
+    ids: np.ndarray
+    cells: slice
+    deg: np.ndarray
+    cols: np.ndarray
+
+    def update(self, x, out=None):
+        """The class's neighbour means: the rows of ``cols`` summed in
+        order, as the rows of ``csr_adjacency`` sum them.  Every cell is in
+        range by construction, so ``take`` may skip its bounds checks."""
+        acc = x.take(self.cols[0], mode="clip")
+        for col in self.cols[1:]:
+            acc += x.take(col, mode="clip")
+        return np.divide(acc, self.deg, out=out)
+
+
+def _sweep_rows(t):
+    """The sweep layout, built once per truncation: a ``_SweepClass`` per
+    color class.  The solver keeps x with the classes stored one after
+    another, then the shell in id order, then one cell that holds 0.0 for
+    the missing neighbours of a vertex of low degree."""
     if "sweep_rows" not in t._caches:
-        deg = t.degrees()
-        rows = []
-        for ids in _color_classes(t):
-            nb = np.sort(t.nbr[ids], axis=1)
-            cols = nb[nb >= 0].astype(np.int32)
-            ptr = np.concatenate([[0], np.cumsum(deg[ids])])
-            a = csr_matrix((np.ones(len(cols)), cols, ptr),
-                           shape=(len(ids), t.n))
-            rows.append((a, deg[ids].astype(np.float64), ids))
+        classes = _color_classes(t)
+        order = np.concatenate([*classes, t.shell_ids()])
+        cell = np.empty(t.n + 1, dtype=np.intp)
+        cell[order] = np.arange(t.n)
+        cell[-1] = t.n                  # nbr's -1 reads the zero cell
+        deg, rows, start = t.degrees(), [], 0
+        for ids in classes:
+            stop = start + len(ids)
+            cols = np.ascontiguousarray(cell[np.sort(t.nbr[ids], axis=1).T])
+            rows.append(_SweepClass(ids, slice(start, stop),
+                                    deg[ids].astype(np.float64), cols))
+            start = stop
         t._caches["sweep_rows"] = rows
     return t._caches["sweep_rows"]
 
@@ -168,21 +182,22 @@ def solve_dirichlet(t, chi, cfg=None):
     cfg = cfg or SolverConfig()
     bvals = boundary_values(t, chi)
     shell = t.shell_mask
-    x = np.full(t.n, 0.5, dtype=np.float64)
-    x[shell] = bvals[shell].astype(np.float64)
+    rows = _sweep_rows(t)
+    inner = rows[-1].cells.stop
+    x = np.zeros(t.n + 1, dtype=np.float64)        # in the sweep layout
+    x[:inner] = 0.5
+    x[inner:t.n] = bvals[shell]
 
     # Gauss-Seidel: sweep the color classes in turn, checking the defect
     # every fourth sweep and after the last one, so the loop ends on a check.
     # Class 0's update is computed at the end of the sweep before the one
     # that writes it, where a check reads it too.
-    rows = _sweep_rows(t)
-    a0, d0, ids0 = rows[0]
-    head = a0.dot(x) / d0
+    head = rows[0].update(x)
     for iters in range(1, cfg.max_iterations + 1):
-        x[ids0] = head
-        for a, d, ids in rows[1:]:
-            x[ids] = a.dot(x) / d
-        head = a0.dot(x) / d0
+        x[rows[0].cells] = head
+        for r in rows[1:]:
+            r.update(x, out=x[r.cells])
+        head = rows[0].update(x)
         if iters % 4 == 0 or iters == cfg.max_iterations:
             res = _sweep_defect(x, head, rows)
             if res <= cfg.tolerance:
@@ -193,8 +208,12 @@ def solve_dirichlet(t, chi, cfg=None):
             f"solver hit {iters} iterations with defect {res:.3e} above "
             f"tolerance {cfg.tolerance:.1e}", residual=res, iterations=iters,
         )
-    np.clip(x, 0.0, 1.0, out=x)
-    return HarmonicField(truncation=t, values=x, boundary_spec=chi,
+    values = np.empty(t.n, dtype=np.float64)
+    values[shell] = x[inner:t.n]
+    for r in rows:
+        values[r.ids] = x[r.cells]
+    np.clip(values, 0.0, 1.0, out=values)
+    return HarmonicField(truncation=t, values=values, boundary_spec=chi,
                          residual=res, iterations=iters)
 
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDrop, EndsSplitterError, NeckCoverageError
-from .ends import complement_components, is_cluster
+from .ends import complement_components
 from .harmonic import energy
 
-# shell-trace bits: a chi-value 0 / 1 seen on the shell, and the shell itself
-CHI0, CHI1, SHELL = 1, 2, 4
-_VERDICT = (None, 0, 1, None)     # by the chi bits of a component's trace
+# the one trace bit of masks built without end classes: the whole shell
+SHELL = 1
+_VERDICT = (None, 0, 1, None)     # by the chi-values a trace meets
 
 
 @dataclass(slots=True)        # a survey holds one per component of every neck
@@ -38,9 +38,11 @@ class NeckComponent:
     up: int = -1
     unbounded: bool = True
     _members: np.ndarray | None = field(default=None, repr=False)
+    _layers: np.ndarray | None = field(default=None, repr=False)
 
     def trace(self, masks):
-        """OR of the shell-trace bits of ``masks`` over the component."""
+        """The end classes of ``masks`` the component reaches, as a bit
+        set."""
         bits = int(masks.up[self.up]) if self.up >= 0 else 0
         for v in self.arc:
             bits |= int(masks.down[v])
@@ -54,6 +56,20 @@ class NeckComponent:
                                           allowed_mask=~removed_mask)
             self._members = np.flatnonzero(dist >= 0)
         return self._members
+
+    def layers(self, t, removed_mask):
+        """Each member's distance inside the component from the attachment
+        layer, the members next to the removed ball; kept like the
+        members."""
+        if self._layers is None:
+            members = self.materialize(t, removed_mask)
+            nb = t.nbr[members]
+            attach = members[(removed_mask[nb] & (nb >= 0)).any(axis=1)]
+            allowed = np.zeros(t.n, dtype=bool)
+            allowed[members] = True
+            self._layers = t.graph_distances_from(
+                attach, allowed_mask=allowed)[members]
+        return self._layers
 
 
 @dataclass
@@ -93,6 +109,8 @@ class NeckSurvey:
     cover_radius: int         # smallest R covering the window from this net
     window_distance: int
     center_words: list = field(repr=False)    # t.word of each neck center
+    # base radius -> (end classes, neck index) per unbounded component
+    class_sets: dict = field(default_factory=dict, repr=False)
 
 
 def find_necks(t, net, R):
@@ -167,7 +185,7 @@ def _components(t, x, R, masks):
     comps = [NeckComponent(seed=u, arc=tuple(arc), up=up)
              for _, u, arc, up in found]
     for c in comps:
-        c.unbounded = bool(c.trace(masks) & SHELL)
+        c.unbounded = c.trace(masks) != 0
     return comps
 
 
@@ -176,51 +194,83 @@ def _components(t, x, R, masks):
 # ---------------------------------------------------------------------------
 
 class TraceMasks:
-    """Shell-trace bits (SHELL, and CHI0 / CHI1 when chi is given) seen
-    from the block tree.  down[v]: bits of v's cone, which is v with
-    whatever hangs off it in the blocks anchored at v.  up[v]: bits
-    outside the branch of v's block at the block's anchor; 0 at e.
+    """The end classes of the shell trace seen from the block tree, as bit
+    sets: class c is bit c, and without a chi the whole shell is the one
+    class SHELL.  down[v]: the classes of v's cone, which is v with
+    whatever hangs off it in the blocks anchored at v.  up[v]: the classes
+    outside the branch of v's block at the block's anchor; none at e.  A
+    set that is not empty reaches the shell.
+
+    The sets depend on the base radius only, so a truncation builds them
+    once per base radius, in the smallest unsigned dtype with a bit per
+    class (Python ints past 64 classes): one byte per vertex each for up
+    to 8 classes.  A chi adds ``zero`` and ``one``, the sets of its
+    classes of value 0 and 1.
     """
 
     def __init__(self, t, chi=None):
-        anchor, block, _ = t.blocks()
-        own = np.zeros(t.n, dtype=np.int8)
-        shell = t.shell_ids()
-        own[shell] = SHELL
+        self.base_radius = None if chi is None else chi.base_radius
+        key = ("trace_masks", self.base_radius)
+        if key not in t._caches:
+            t._caches[key] = _trace_passes(
+                t, None if chi is None else chi.classes)
+        self.down, self.up = t._caches[key]
         if chi is not None:
-            vals = chi.shell_values(t)[shell]
-            own[shell[vals == 0]] |= CHI0
-            own[shell[vals == 1]] |= CHI1
-        spheres = t.spheres()[1:]
-        down = own.copy()
-        for sl in reversed(spheres):
-            np.bitwise_or.at(down, anchor[sl], down[sl])
+            self.zero, self.one = (
+                sum(1 << c for c, v in chi.values.items() if v == value)
+                for value in (0, 1))
 
-        # per v != e, the bits of the other cones of its block (within), of
-        # the other blocks at its anchor (beside) and outside its cone
-        kids = slice(1, None)
-        block = block[kids]
-        branch = np.zeros(block.max() + 1, dtype=np.int8)
-        np.bitwise_or.at(branch, block, down[kids])
-        block_anchor = np.zeros(len(branch), dtype=block.dtype)
-        block_anchor[block] = anchor[kids]
-        within, beside, outside = np.zeros((3, t.n), dtype=np.int8)
-        within[kids] = _others(block, down[kids])
-        beside[kids] = _others(block_anchor, branch)[block]
-        up = np.zeros(t.n, dtype=np.int8)
-        for sl in spheres:
-            a = anchor[sl]
-            up[sl] = outside[a] | own[a] | beside[sl]
-            outside[sl] = up[sl] | within[sl]
-        self.down = down
-        self.up = up
+    def seen(self, sets):
+        """Per class set, bit 0 if it meets a class of chi-value 0 and bit
+        1 for value 1; works on one set or an array of them."""
+        return ((sets & self.zero) != 0) + 2 * ((sets & self.one) != 0)
 
 
-def _others(group, bits):
-    """OR of ``bits`` over the other elements of each element's group."""
-    out = np.zeros(len(group), dtype=np.int8)
-    for bit in (CHI0, CHI1, SHELL):
-        has = (bits & bit) != 0
+def _trace_passes(t, classes):
+    """``(down, up)`` of ``TraceMasks`` for the end classes ``classes``,
+    or for the shell as one class when None: one pass inward over the
+    spheres and one outward."""
+    anchor, block, _ = t.blocks()
+    shell = t.shell_ids()
+    if classes is None:
+        bits = [SHELL]
+        own = np.zeros(t.n, dtype=np.uint8)
+        own[shell] = SHELL
+    else:
+        bits = [1 << c.id for c in classes]
+        own = np.zeros(t.n, dtype=np.min_scalar_type(sum(bits)))
+        for c, bit in zip(classes, bits):
+            own[c.members[t.shell_mask[c.members]]] = bit
+    spheres = t.spheres()[1:]
+    down = own.copy()
+    for sl in reversed(spheres):
+        np.bitwise_or.at(down, anchor[sl], down[sl])
+
+    # per v != e, the classes of the other cones of its block (within), of
+    # the other blocks at its anchor (beside) and outside its cone
+    kids = slice(1, None)
+    block = block[kids]
+    branch = np.zeros(block.max() + 1, dtype=own.dtype)
+    np.bitwise_or.at(branch, block, down[kids])
+    block_anchor = np.zeros(len(branch), dtype=block.dtype)
+    block_anchor[block] = anchor[kids]
+    within, beside, outside = np.zeros((3, t.n), dtype=own.dtype)
+    within[kids] = _others(block, down[kids], bits)
+    beside[kids] = _others(block_anchor, branch, bits)[block]
+    up = np.zeros(t.n, dtype=own.dtype)
+    for sl in spheres:
+        a = anchor[sl]
+        up[sl] = outside[a] | own[a] | beside[sl]
+        outside[sl] = up[sl] | within[sl]
+    return down, up
+
+
+def _others(group, sets, bits):
+    """OR of ``sets`` over the other elements of each element's group,
+    one bit of ``bits`` at a time."""
+    out = np.zeros(len(group), dtype=sets.dtype)
+    for bit in bits:
+        has = (sets & bit) != 0
         count = np.bincount(group[has], minlength=group.max() + 1)
         out[count[group] > has] |= bit
     return out
@@ -230,7 +280,7 @@ def classify_neck(neck, masks):
     """The unique class under the precedence order, read from chi's
     ``TraceMasks``."""
     # a cluster sees one chi-value on the shell
-    verdicts = [_VERDICT[c.trace(masks) & (CHI0 | CHI1)]
+    verdicts = [_VERDICT[masks.seen(c.trace(masks))]
                 for c in neck.components if c.unbounded]
 
     if verdicts.count(None) >= 2:
@@ -239,6 +289,26 @@ def classify_neck(neck, masks):
         return NeckClass(kind="special_type_1", verdicts=tuple(verdicts))
     theta = 0 if 0 in verdicts else 1
     return NeckClass(kind="regular", theta=theta, verdicts=tuple(verdicts))
+
+
+def _class_sets(survey, masks):
+    """The end classes of every unbounded component of the survey's
+    necks, in order, and the index of each one's neck; read off
+    ``masks`` once per base radius."""
+    key = masks.base_radius
+    if key not in survey.class_sets:
+        comps = [(i, c) for i, neck in enumerate(survey.necks)
+                 for c in neck.components if c.unbounded]
+        owner = np.array([i for i, _ in comps], dtype=np.intp)
+        sets = np.zeros(len(comps), dtype=masks.down.dtype)
+        arc = [(j, v) for j, (_, c) in enumerate(comps) for v in c.arc]
+        if arc:
+            j, v = np.array(arc, dtype=np.intp).T
+            np.bitwise_or.at(sets, j, masks.down[v])
+        up = np.array([c.up for _, c in comps], dtype=np.intp)
+        sets[up >= 0] |= masks.up[up[up >= 0]]
+        survey.class_sets[key] = sets, owner
+    return survey.class_sets[key]
 
 
 @dataclass
@@ -277,6 +347,8 @@ def special_sets(t, survey, chi):
     extract K, K_I, K_II.  The report keeps chi's ``TraceMasks`` for the
     gap certificates.
 
+    Every neck is classified in one array pass over the end classes of
+    its unbounded components, which the survey keeps per base radius.
     The structural checks follow: K must be nonempty for nonconstant chi,
     and every unbounded complement component of the K_I-ball system must be
     a cluster.
@@ -284,19 +356,22 @@ def special_sets(t, survey, chi):
     chi.require_nonconstant()
     R = survey.R
     masks = TraceMasks(t, chi)
-
-    classes = {}
-    k_ids, k1_ids, k2_ids = [], [], []
+    sets, owner = _class_sets(survey, masks)
+    seen, n = masks.seen(sets), len(survey.necks)
+    # per neck: components that see both values (or none), only 0, only 1
+    mixed, only0, only1 = (np.bincount(owner, weights=hit, minlength=n)
+                           for hit in ((seen == 0) | (seen == 3),
+                                       seen == 1, seen == 2))
+    type2 = mixed >= 2
+    type1 = ~type2 & (only0 > 0) & (only1 > 0)
+    labels = np.where(type2, "special_type_2", np.where(
+        type1, "special_type_1",
+        np.where(only0 > 0, "regular_0", "regular_1")))
+    classes = dict(zip(survey.center_words, labels.tolist()))
+    centers = np.array([neck.center for neck in survey.necks], dtype=np.intp)
+    k_ids = centers[type1 | type2].tolist()
+    k1_ids, k2_ids = centers[type1].tolist(), centers[type2].tolist()
     warnings = []
-    for neck, word in zip(survey.necks, survey.center_words):
-        cls = classify_neck(neck, masks)
-        classes[word] = cls.label()
-        if cls.kind == "special_type_1":
-            k_ids.append(neck.center)
-            k1_ids.append(neck.center)
-        elif cls.kind == "special_type_2":
-            k_ids.append(neck.center)
-            k2_ids.append(neck.center)
     if not survey.cover_ok:
         warnings.append(
             f"necks at R={R} do not cover the window; smallest covering "
@@ -309,7 +384,7 @@ def special_sets(t, survey, chi):
             f"may be too sparse for the transition locus (spacing "
             f"{survey.spacing}, R {R})"
         )
-    bad = _uncovered_cluster_components(t, chi, k1_ids, R)
+    bad = _uncovered_cluster_components(t, masks, k1_ids, R)
     if bad is not None:
         raise NeckCoverageError(
             "a component outside the type-1 ball system fails to cobound a "
@@ -331,9 +406,10 @@ def special_sets(t, survey, chi):
     return report
 
 
-def _uncovered_cluster_components(t, chi, k1_ids, R):
+def _uncovered_cluster_components(t, masks, k1_ids, R):
     """First witness vertex of a non-cluster unbounded component of the
-    complement of the K_I ball system, or None."""
+    complement of the K_I ball system, or None.  A component's verdict
+    comes from the end classes of its shell vertices, in chi's masks."""
     if not k1_ids:
         # empty ball system: the whole window is one component, which is
         # never a cluster for nonconstant data
@@ -342,7 +418,9 @@ def _uncovered_cluster_components(t, chi, k1_ids, R):
     for comp in complement_components(t, removed):
         if not comp.unbounded:
             continue
-        if is_cluster(t, chi, comp) is None:
+        trace = comp.members[t.shell_mask[comp.members]]
+        if _VERDICT[masks.seen(np.bitwise_or.reduce(masks.down[trace]))] \
+                is None:
             return int(comp.members[0])
     return None
 
@@ -554,9 +632,9 @@ def gap_certificate(h, neck, masks):
     if best0 is None or best1 is None:
         raise EndsSplitterError("type-1 neck lost its witness components")
 
-    m0, m1 = best0[2], best1[2]
-    x0 = _witness_vertex(t, h, m0, removed_mask, low=True)
-    x1 = _witness_vertex(t, h, m1, removed_mask, low=False)
+    (_, comp0, m0), (_, comp1, m1) = best0, best1
+    x0 = _witness_vertex(h, m0, comp0.layers(t, removed_mask), low=True)
+    x1 = _witness_vertex(h, m1, comp1.layers(t, removed_mask), low=False)
     drop = float(h.values[x1] - h.values[x0])
     if drop <= 0:
         raise DegenerateDrop(
@@ -591,20 +669,15 @@ def gap_certificate(h, neck, masks):
     return cert
 
 
-def _witness_vertex(t, h, members, removed_mask, low):
-    """Nearest vertex (from the attachment layer) past the 1/10 threshold,
-    else the extremal vertex; deterministic tiebreak by id."""
-    attach = members[
-        (removed_mask[t.nbr[members]] & (t.nbr[members] >= 0)).any(axis=1)
-    ]
-    allowed = np.zeros(t.n, dtype=bool)
-    allowed[members] = True
-    dist = t.graph_distances_from(attach, allowed_mask=allowed)
+def _witness_vertex(h, members, layers, low):
+    """Nearest vertex (by ``layers``, the distance from the attachment
+    layer) past the 1/10 threshold, else the extremal vertex;
+    deterministic tiebreak by id."""
     vals = h.values[members]
     good = vals <= WITNESS_EPSILON if low else vals >= 1 - WITNESS_EPSILON
     if good.any():
         cand = members[good]
-        order = np.lexsort((cand, dist[cand]))
+        order = np.lexsort((cand, layers[good]))
         return int(cand[order[0]])
     if low:
         order = np.lexsort((members, vals))

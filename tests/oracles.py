@@ -9,19 +9,18 @@ from collections import deque
 
 import numpy as np
 
-from ends_splitter.ends import complement_components, is_cluster
+from ends_splitter.ends import (
+    ComplementComponent,
+    complement_components,
+    is_cluster,
+)
 from ends_splitter.errors import (
     CrossingWalls,
     EndsSplitterError,
     NoRegularValue,
 )
 from ends_splitter.groups import Truncation, build_truncation, group_ball
-from ends_splitter.harmonic import (
-    _color_classes,
-    boundary_values,
-    mean_value_defect,
-    pullback,
-)
+from ends_splitter.harmonic import _color_classes, boundary_values, pullback
 from ends_splitter.walls import ActionReport, IndecomposableRegion
 
 
@@ -317,6 +316,34 @@ def flood_neck_label(t, chi, comps):
     return verdicts, "regular_0" if 0 in verdicts else "regular_1"
 
 
+def flood_special_sets(t, survey, chi):
+    """``necks.special_sets`` by plain floods: labels by center word and
+    the center ids of K, K_I and K_II, from one complement flood per neck
+    and ``is_cluster``; with whether every unbounded complement component
+    of the K_I ball system is a cluster (False when K_I is empty)."""
+    adj = adjacency_dict(t)
+
+    def components(removed):
+        comps = flood_components(adj, removed)
+        return [ComplementComponent(members=np.array(c, dtype=np.int64),
+                                    unbounded=bool(t.shell_mask[c].any()))
+                for c in comps]
+
+    labels, ids = {}, {"K": [], "K_I": [], "K_II": []}
+    for neck, word in zip(survey.necks, survey.center_words):
+        removed = t.word_ball([neck.center], neck.R - 1)
+        _, labels[word] = flood_neck_label(t, chi, components(removed))
+        if labels[word].startswith("special"):
+            ids["K"].append(neck.center)
+            ids["K_I" if labels[word] == "special_type_1" else "K_II"].append(
+                neck.center)
+    covered = bool(ids["K_I"]) and all(
+        is_cluster(t, chi, c) is not None
+        for c in components(t.word_ball(ids["K_I"], survey.R - 1))
+        if c.unbounded)
+    return labels, ids, covered
+
+
 # -- dense Dirichlet solve -----------------------------------------------------
 
 def dense_dirichlet(t, boundary_values):
@@ -366,6 +393,13 @@ def dirichlet_lambda1_radial_free(rank, radius):
         raise AssertionError("radial reduction lost self-adjointness")
     vals = np.linalg.eigvalsh(sym)
     return float(vals[0])
+
+
+def mean_value_defect(t, values):
+    """Max over interior vertices of |value - mean of neighbors|, through
+    the adjacency matrix."""
+    means = t.csr_adjacency().dot(values) / t.degrees()
+    return float(np.abs(values - means)[t.interior_mask].max())
 
 
 def gauss_seidel_loop(t, chi, cfg):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 
 import pytest
@@ -185,6 +186,35 @@ def test_ball_past_int32_ids_is_exit_1_before_allocating(tmp_path, capsys,
     assert msg["exit_code"] == 1 and "2**31 vertices" in msg["message"]
 
 
+@pytest.mark.parametrize("rank, radius", [(2, 10 ** 5), (17, 10 ** 4)],
+                         ids=["F2-r1e5", "F17-r1e4"])
+def test_huge_radius_is_refused_without_walking_its_layout(
+        tmp_path, capsys, monkeypatch, rank, radius):
+    # the layout walk grows with the radius of each Z factor; the refusal
+    # comes from the sphere count of a walk of at most twice the radius
+    # where the ball passes 2**31 vertices (about 20 on F2, 7 on F17)
+    from ends_splitter import groups
+
+    walked = []
+    syllables = groups._syllables
+
+    def counted(p, r):
+        walked.append(r)
+        return syllables(p, r)
+
+    monkeypatch.setattr(groups, "_syllables", counted)
+    path = write_scenario(tmp_path, group={"kind": "free", "rank": rank},
+                          truncation_radius=radius)
+    start = time.monotonic()
+    assert run("solve", path, tmp_path / "out") == 1
+    assert time.monotonic() - start < 5
+    assert max(walked) <= 64
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    msg = json.loads(lines[0])
+    assert msg["exit_code"] == 1 and "2**31 vertices" in msg["message"]
+
+
 def test_bad_radius_ordering_rejected(tmp_path):
     path = write_scenario(tmp_path, base_radius=9)
     assert run("solve", path, tmp_path / "out") == 1
@@ -283,11 +313,9 @@ def test_necks_loads_no_scipy_module(tmp_path, group, chi):
                                 chi=chi) == []
 
 
-def test_solving_commands_load_no_scipy_graph_or_linalg_code(tmp_path):
-    loaded = _scipy_modules_after(tmp_path, ["solve", "tree", "gap"])
-    assert "scipy.sparse" in loaded
-    assert not [m for m in loaded if m.startswith(
-        ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"))]
+def test_solving_commands_load_no_scipy_module(tmp_path):
+    # the solver sweeps in numpy alone; scipy serves spectral_gap only
+    assert _scipy_modules_after(tmp_path, ["solve", "gap", "tree"]) == []
 
 
 def test_cover_failure_warns_but_succeeds(tmp_path, capsys):
@@ -473,8 +501,6 @@ def test_tree_builds_at_most_one_id_map_per_sample_element(tmp_path,
 def test_tree_holds_full_ball_maps_of_one_chain_only(tmp_path, monkeypatch):
     # by work, not by RSS: with the cyclic collector off, follow every
     # full-ball id map of the sample while tree runs on F2 r8
-    from scipy.sparse import issparse
-
     from ends_splitter.groups import Truncation
 
     stream = Truncation.right_action_stream
@@ -514,12 +540,11 @@ def test_tree_holds_full_ball_maps_of_one_chain_only(tmp_path, monkeypatch):
     assert [len(img) for img in images.images] == [size] * 17
     assert [len(w.side) for w in system.walls] == [size] * len(system.walls)
 
-    # the solver keeps its class rows, which cover the interior only, and
-    # no adjacency of the whole ball
+    # the solver keeps its class tables, which cover the interior only,
+    # and no adjacency of the whole ball
     t = kept["solve_dirichlet"].truncation
-    assert not [v for v in t._caches.values() if issparse(v)]
-    rows = [a for a, _, _ in t._caches["sweep_rows"]]
-    assert sum(a.shape[0] for a in rows) == len(t.interior_ids())
+    tables = [r.cols for r in t._caches["sweep_rows"]]
+    assert sum(c.shape[1] for c in tables) == len(t.interior_ids())
 
 
 # -- the exit-code contract on arbitrary scenarios -------------------------

@@ -80,6 +80,16 @@ def test_gauss_seidel_matches_dense_oracle(t_f2_r6):
     assert np.abs(h.values - exact).max() <= 1e-6
 
 
+def _vertex_order(t, x):
+    """The values of x, kept in the solver's sweep layout, by vertex id."""
+    rows = harmonic._sweep_rows(t)
+    values = np.empty(t.n)
+    values[t.shell_mask] = x[rows[-1].cells.stop:t.n]
+    for r in rows:
+        values[r.ids] = x[r.cells]
+    return values
+
+
 def test_solve_computes_each_defect_once(t_f2_r6, monkeypatch):
     # the defect is checked every fourth sweep and after the last one;
     # the check that ends the loop gives the reported residual, and each
@@ -89,7 +99,8 @@ def test_solve_computes_each_defect_once(t_f2_r6, monkeypatch):
 
     def counted(x, head, rows):
         calls.append(defect(x, head, rows))
-        assert calls[-1] == harmonic.mean_value_defect(t_f2_r6, x)
+        assert calls[-1] == oracles.mean_value_defect(
+            t_f2_r6, _vertex_order(t_f2_r6, x))
         return calls[-1]
 
     monkeypatch.setattr(harmonic, "_sweep_defect", counted)
@@ -111,15 +122,13 @@ def test_sweep_defect_is_the_full_defect(case):
     # for any x whose last class was just updated: random values put the
     # largest defect in a middle class too, which converging solves do not
     t = build_truncation(*_LAYOUT_CASES[case])
-    adj, deg = t.csr_adjacency(), t.degrees().astype(np.float64)
-    rows = [(adj[ids], deg[ids], ids) for ids in harmonic._color_classes(t)]
-    (a0, d0, _), (a, d, ids) = rows[0], rows[-1]
+    rows = harmonic._sweep_rows(t)
     rng = np.random.default_rng(3)
     for _ in range(8):
-        x = rng.random(t.n)
-        x[ids] = a.dot(x) / d
-        assert harmonic._sweep_defect(x, a0.dot(x) / d0, rows) == \
-            harmonic.mean_value_defect(t, x)
+        x = np.append(rng.random(t.n), 0.0)     # and the zero cell
+        rows[-1].update(x, out=x[rows[-1].cells])
+        assert harmonic._sweep_defect(x, rows[0].update(x), rows) == \
+            oracles.mean_value_defect(t, _vertex_order(t, x))
 
 
 @pytest.mark.parametrize("max_iterations, tolerance", [
@@ -156,17 +165,27 @@ def test_sweep_classes_match_the_coloring_oracle(make):
     theirs = [c.tolist() for c in oracles.color_classes(t) if len(c)]
     assert ours == theirs
     assert all(ours)
-    # the solver's rows: built once, one per class, each the class's rows
-    # of the adjacency matrix, so its sums run in the same order
+    # the solver's layout: built once, the classes' cells one after
+    # another from 0, then the shell in id order, then the zero cell
     rows = harmonic._sweep_rows(t)
     assert rows is harmonic._sweep_rows(t)
+    cells = [(r.cells.start, r.cells.stop) for r in rows]
+    bounds = np.cumsum([0] + [len(c) for c in ours]).tolist()
+    assert cells == list(zip(bounds, bounds[1:]))
+    vertex = np.concatenate([*ours, t.shell_ids(), [-1]])
+    # each class's table reads, column by column, its rows of the
+    # adjacency matrix, so its sums run in the same order; a missing
+    # neighbour reads the zero cell ahead of the row
     adj = t.csr_adjacency()
-    for (a, d, ids), c in zip(rows, ours, strict=True):
-        assert ids.tolist() == c
-        sub = adj[ids]
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, name), getattr(sub, name)), name
-        assert np.array_equal(d, t.degrees()[ids])
+    for r, c in zip(rows, ours, strict=True):
+        assert r.ids.tolist() == c
+        assert r.cols.dtype == np.intp and r.cols.shape == (t.n_letters,
+                                                           len(c))
+        assert np.array_equal(r.deg, t.degrees()[r.ids])
+        sub = adj[r.ids]
+        for i, row in enumerate(vertex[r.cols.T].tolist()):
+            cols = sub.indices[sub.indptr[i]:sub.indptr[i + 1]].tolist()
+            assert row == [-1] * (t.n_letters - len(cols)) + cols
 
 
 def test_every_nonconstant_chi_matches_dense_oracle_radius5(f2):

@@ -8,7 +8,11 @@ from ends_splitter.errors import (
     EndsSplitterError,
     NeckCoverageError,
 )
-from ends_splitter.ends import end_classes, make_end_function
+from ends_splitter.ends import (
+    all_nonconstant_end_functions,
+    end_classes,
+    make_end_function,
+)
 from ends_splitter.groups import (
     Presentation,
     build_net,
@@ -177,6 +181,58 @@ def test_block_tree_survey_matches_the_flood(case):
                 verdicts, label = oracles.flood_neck_label(t, chi, comps)
                 assert list(cls.verdicts) == verdicts, (t.word(x), R)
                 assert cls.label() == label
+
+
+def _prefix_chis(t, base_radius, count):
+    """``count`` seeded nonconstant end functions at ``base_radius`` whose
+    value on a class depends on the first one or two letters of its
+    representative word, so some have type-1 necks that the net sees."""
+    classes = end_classes(t, base_radius)
+    rng = np.random.default_rng(len(classes))
+    chis = []
+    while len(chis) < count:
+        k = 1 + len(chis) % 2
+        prefixes = sorted({c.representative_word[:k] for c in classes})
+        value = dict(zip(prefixes, rng.integers(0, 2, len(prefixes)).tolist()))
+        if len(set(value.values())) == 2:
+            chis.append(make_end_function(t, base_radius, values_by_word={
+                c.representative_word: value[c.representative_word[:k]]
+                for c in classes}))
+    return chis
+
+
+@pytest.mark.parametrize("orders, radius, R, base_radius, dtype", [
+    ((0, 0), 6, 1, 1, np.uint8),
+    ((3, 0), 6, 1, 1, np.uint8),
+    ((2, 3), 12, 2, 1, np.uint8),
+    ((0, 0), 6, 1, 3, np.uint64),       # 36 classes
+    ((0, 0), 6, 1, 4, object),          # 108 classes
+], ids=["F2", "Z3*Z", "Z2*Z3", "F2-base3", "F2-base4"])
+def test_special_sets_match_the_flood_for_every_chi(orders, radius, R,
+                                                    base_radius, dtype):
+    # every neck's label and K, K_I, K_II as a flood per center and
+    # is_cluster give them, and the structural check as a flood of the
+    # K_I ball system gives it; the masks hold a bit per end class
+    p = Presentation.free_product_of_cyclics(orders)
+    t = build_truncation(p, radius)
+    survey = find_necks(t, build_net(t, 1), R)
+    assert survey.necks
+    chis = (all_nonconstant_end_functions(t, 1) if base_radius == 1
+            else _prefix_chis(t, base_radius, 6))
+    raised = 0
+    for chi in chis:
+        labels, ids, covered = oracles.flood_special_sets(t, survey, chi)
+        if not covered:
+            with pytest.raises(NeckCoverageError):
+                special_sets(t, survey, chi)
+            raised += 1
+            continue
+        report = special_sets(t, survey, chi)
+        assert report.classes == labels
+        assert report.center_ids == ids
+        assert report.masks.down.dtype == dtype
+    assert raised < len(chis)
+    assert list(survey.class_sets) == [base_radius]
 
 
 def test_trace_masks_count_a_root_on_the_shell():
@@ -534,9 +590,24 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
                 calls.append("masks")
             super().__init__(t, chi)
 
+    passes = necks._trace_passes
+
+    def counted_passes(t, classes):
+        calls.append("passes")
+        return passes(t, classes)
+
     monkeypatch.setattr(necks, "find_necks", counted_find_necks)
     monkeypatch.setattr(necks, "TraceMasks", CountedMasks)
+    monkeypatch.setattr(necks, "_trace_passes", counted_passes)
+    # on a fresh truncation: the passes run once for the survey and once
+    # for the base radius, however many end functions read them
+    t = build_truncation(Presentation.free(2), 6)
+    rows = energy_gap_estimate(
+        t, build_net(t, 2), 1, all_nonconstant_end_functions(t, 1)[:5]).rows
+    assert calls.count("passes") == 2
+    calls.clear()
     bracket = energy_gap_estimate(t_f2_r6, net, 1, chis)
+    assert bracket.rows == rows
     assert calls.count("find_necks") == 1
     assert calls.count("masks") == len(chis)
     monkeypatch.undo()
@@ -552,6 +623,33 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
         assert row["energy"] == energy(h).total
         assert row["k1_size"] == len(report.K_I)
         assert row["mu"] == max(mus)
+
+
+def test_gap_rows_are_the_same_after_a_complement_cache_hit(monkeypatch):
+    # the end classes and every end function's K_I ball system remove {e}:
+    # one flood serves them all, and its shared components change nothing
+    from ends_splitter import ends
+
+    t = build_truncation(Presentation.free_product_of_cyclics([3, 0]), 7)
+    net = build_net(t, 2)
+    chis = all_nonconstant_end_functions(t, 1)
+    floods = []
+    label = ends._label_complement
+
+    def counted(t, removed):
+        floods.append(removed.tolist())
+        return label(t, removed)
+
+    monkeypatch.setattr(ends, "_label_complement", counted)
+    # the end classes flooded {e} before: every check is a cache hit
+    first = energy_gap_estimate(t, net, 1, chis).rows
+    assert energy_gap_estimate(t, net, 1, chis).rows == first
+    assert floods == []
+    # and a cold cache gives the same rows, one end function at a time
+    for chi, row in zip(chis, first):
+        t._caches.pop("complement")
+        assert energy_gap_estimate(t, net, 1, [chi]).rows == [row]
+    assert floods == [[0]] * len(chis)
 
 
 def test_special_sets_reuse_the_survey_center_words(t_f2_r6, monkeypatch):
