@@ -55,6 +55,9 @@ _SCENARIO_FIELDS = {
 }
 _SOLVER_FIELDS = {"tolerance", "max_iterations", "scheme"}
 _WALL_FIELDS = {"sample_radius", "equality_tol", "step"}
+_GROUP_FIELDS = {"free": {"kind", "rank"},
+                 "free_product_cyclic": {"kind", "orders"}}
+_CHI_FIELDS = {"map", "default"}
 # the one solver; scenario files may still name it, and reports echo it
 _SCHEME = "gauss_seidel"
 _REQUIRED = object()
@@ -79,11 +82,15 @@ def _field(cfg, key, kind, default=_REQUIRED, where="scenario"):
         f"{where} field {key!r} must be {kind.__name__}, got {value!r}")
 
 
+def _known_fields(cfg, allowed, where):
+    unknown = set(cfg) - allowed
+    if unknown:
+        raise ScenarioError(f"unknown {where} fields: {sorted(unknown)}")
+
+
 class Scenario:
     def __init__(self, cfg, name):
-        unknown = set(cfg) - _SCENARIO_FIELDS
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
+        _known_fields(cfg, _SCENARIO_FIELDS, "scenario")
         if cfg.get("schema") != 1:
             raise ScenarioError('scenario must declare "schema": 1')
         self.name = _field(cfg, "name", str, name)
@@ -97,17 +104,21 @@ class Scenario:
         except (KeyError, TypeError, ValueError, OverflowError) as ex:
             raise ScenarioError(
                 f"cannot read group {self.group_cfg!r}: {ex!r}") from None
+        _known_fields(self.group_cfg, _GROUP_FIELDS[self.presentation.kind],
+                      "group")
         self.truncation_radius = _field(cfg, "truncation_radius", int)
         self.base_radius = _field(cfg, "base_radius", int, 1)
         self.neck_R = _field(cfg, "neck_R", int, 1)
         self.net_delta = _field(cfg, "net_delta", int, 1)
         self.chi_spec = cfg.get("chi", None)
+        for spec in (self.chi_spec if isinstance(self.chi_spec, list)
+                     else [self.chi_spec]):
+            if isinstance(spec, dict):
+                _known_fields(spec, _CHI_FIELDS, "chi")
         self.seed = _field(cfg, "seed", int, 0)
 
         solver = _field(cfg, "solver", dict, {})
-        unknown = set(solver) - _SOLVER_FIELDS
-        if unknown:
-            raise ScenarioError(f"unknown solver fields: {sorted(unknown)}")
+        _known_fields(solver, _SOLVER_FIELDS, "solver")
         if solver.get("scheme", _SCHEME) != _SCHEME:
             raise ScenarioError(
                 f"unknown solver scheme {solver['scheme']!r}; the only "
@@ -119,9 +130,7 @@ class Scenario:
         )
 
         wall = _field(cfg, "wall", dict, {})
-        unknown = set(wall) - _WALL_FIELDS
-        if unknown:
-            raise ScenarioError(f"unknown wall fields: {sorted(unknown)}")
+        _known_fields(wall, _WALL_FIELDS, "wall")
         self.wall_sample_radius = _field(wall, "sample_radius", int, 3, "wall")
         self.wall_equality_tol = _field(wall, "equality_tol", float, 1e-9,
                                         "wall")
@@ -249,14 +258,13 @@ def _prepare(scn, stages):
 
 
 def _base_report(scn, t, command):
-    eu, _, _ = t.edges()
     return {
         "schema": 1,
         "command": command,
         "scenario": scn.echo(),
         "truncation": {
             "vertices": int(t.n),
-            "edges": int(len(eu)),
+            "edges": int((t.nbr >= 0).sum()) // 2,    # seen from both ends
             "shell": int(t.shell_mask.sum()),
         },
         "warnings": [],

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EndsSplitterError, ScenarioError
+from .groups import join_labels
 
 
 @dataclass
@@ -35,23 +36,10 @@ def complement_components(t, removed):
     Deterministic: components are ordered by smallest member id.  The
     removed set is taken literally; callers that mean the complement of a
     radius-r ball pass the ball of radius r - 1.
-
-    The truncation keeps the last result, keyed by the removed set: the
-    end classes, the K_I ball system and the dual graph of one command
-    often remove the same set.  Its components are shared, not copied.
     """
-    removed = np.unique(np.asarray(removed, dtype=np.int64))
-    key, last = removed.tobytes(), t._caches.get("complement")
-    if last is None or last[0] != key:
-        last = t._caches["complement"] = key, _label_complement(t, removed)
-    return list(last[1])
-
-
-def _label_complement(t, removed):
     removed_mask = np.zeros(t.n, dtype=bool)
-    removed_mask[removed] = True
-    eu, ev, _ = t.edges()
-    labels = t.component_labels(~(removed_mask[eu] | removed_mask[ev]))
+    removed_mask[np.asarray(removed, dtype=np.int64)] = True
+    labels = complement_labels(t, removed_mask)
 
     alive = np.flatnonzero(~removed_mask)
     by_label = alive[np.argsort(labels[alive], kind="stable")]
@@ -63,6 +51,27 @@ def _label_complement(t, removed):
                             unbounded=bool(t.shell_mask[members].any()), id=i)
         for i, members in enumerate(groups)
     ]
+
+
+def complement_labels(t, removed_mask):
+    """Per kept vertex, the smallest id of its component in the truncation
+    minus ``removed_mask``, as int32, read off the tree of blocks: a kept
+    vertex takes its parent's label unless the parent is removed (one pass
+    outward; a parent's id is the smaller), and the kept edges off that
+    tree, which only cycles of factors of order >= 3 have, join labels."""
+    labels = np.arange(t.n, dtype=np.int32)
+    for sl in t.spheres()[1:]:
+        par = t.parent[sl]
+        labels[sl] = np.where(removed_mask[par], labels[sl], labels[par])
+
+    letters = t.cycle_letters()
+    if not letters:
+        return labels
+    w, ids = t.nbr[:, letters], np.arange(t.n)[:, None]
+    # each cycle edge once, from its smaller end
+    off = (w > ids) & (t.parent[w] != ids)
+    off &= ~removed_mask[ids] & ~removed_mask[w]
+    return join_labels(labels, np.nonzero(off)[0], w[off])
 
 
 @dataclass
@@ -90,26 +99,15 @@ class EndClass:
 
 
 def end_classes(t, r):
-    """End classes at base radius r: unbounded components of the complement
-    of B_r(identity), i.e. of the vertex set at distance >= r."""
+    """End classes at base radius r: the components of the complement of
+    B_r(identity), i.e. of the vertex set at distance >= r.  Each reaches
+    the shell, since every vertex has a neighbour one step further out."""
     if not (1 <= r < t.radius):
         raise ValueError(f"need 1 <= r < truncation radius, got r={r}")
-    removed = np.flatnonzero(t.dist <= r - 1)
-    comps = complement_components(t, removed)
-    unbounded = [c for c in comps if c.unbounded]
-    if not unbounded:
-        raise EndsSplitterError(
-            f"no unbounded complement component at base radius {r}; "
-            "the truncation is too small"
-        )
-    classes = []
-    for c in unbounded:
-        rep = t.word(int(c.members[0]))
-        classes.append(EndClass(
-            id=len(classes), base_radius=r, component=c,
-            representative_word=rep,
-        ))
-    return classes
+    comps = complement_components(t, np.flatnonzero(t.dist <= r - 1))
+    return [EndClass(id=c.id, base_radius=r, component=c,
+                     representative_word=t.word(int(c.members[0])))
+            for c in comps]
 
 
 @dataclass
@@ -137,15 +135,6 @@ class EndFunction:
     def require_nonconstant(self):
         if not self.nonconstant:
             raise EndsSplitterError("chi must be nonconstant")
-
-    def class_of_vertex(self, t):
-        """Vertex -> end class id (-1 off the classes), cached."""
-        if "class_of" not in self._caches:
-            table = np.full(t.n, -1, dtype=np.int64)
-            for c in self.classes:
-                table[c.members] = c.id
-            self._caches["class_of"] = table
-        return self._caches["class_of"]
 
     def shell_values(self, t):
         """Values transported to shell vertices through their end class."""

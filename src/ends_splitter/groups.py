@@ -413,11 +413,10 @@ class Truncation:
         (eu, eletter).  The fixed order makes energy sums reproducible."""
         if "edges" not in self._caches:
             L = self.n_letters
-            u = np.repeat(np.arange(self.n, dtype=np.int64), L)
-            l = np.tile(np.arange(L, dtype=np.int8), self.n)
-            v = self.nbr.ravel().astype(np.int64)
-            keep = (v >= 0) & (u < v)
-            self._caches["edges"] = (u[keep], v[keep], l[keep])
+            # flat (u, letter) slots in order; v > u >= 0 also drops the -1s
+            at = np.flatnonzero(self.nbr > np.arange(self.n)[:, None])
+            self._caches["edges"] = (at // L, self.nbr.ravel()[at],
+                                     (at % L).astype(np.int8))
         return self._caches["edges"]
 
     def n_edges(self):
@@ -442,28 +441,11 @@ class Truncation:
         smallest vertex id of its component.
 
         Every vertex gets a label; one left without kept edges is its own
-        component.  Hook and shortcut (Shiloach and Vishkin, J. Algorithms
-        3, 1982): each round hooks the larger label of every edge whose
-        ends still differ onto the smaller one, then jumps pointers until
-        every label is a root.  Labels only point to smaller ids, so no
-        cycle forms, and each round lowers some label, so the rounds end.
+        component.
         """
         eu, ev, _ = self.edges()
-        u, v = eu[edge_keep], ev[edge_keep]
-        labels = np.arange(self.n)
-        while True:
-            lu, lv = labels[u], labels[v]
-            open_ = lu != lv
-            if not open_.any():
-                return labels
-            # an edge whose ends share a label keeps sharing it
-            u, v, lu, lv = u[open_], v[open_], lu[open_], lv[open_]
-            np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
-            while True:
-                up = labels[labels]
-                if np.array_equal(up, labels):
-                    break
-                labels = up
+        return join_labels(np.arange(self.n, dtype=np.int32), eu[edge_keep],
+                           ev[edge_keep])
 
     # -- the block tree -------------------------------------------------------
 
@@ -479,11 +461,10 @@ class Truncation:
         if "blocks" not in self._caches:
             p, L = self.presentation, self.n_letters
             first, cyclic = np.arange(L), np.zeros(L, dtype=bool)
+            cyclic[self.cycle_letters()] = True
             if p is not None:
-                eng = p.engine()
-                letters = eng.letters           # each to its factor's first
+                letters = p.engine().letters    # each to its factor's first
                 first = np.array([letters.index((f, 1)) for f, _ in letters])
-                cyclic = np.array([eng.orders[f] >= 3 for f, _ in letters])
             lead = first[self.parent_letter]
             anchor = self.parent.astype(np.int32)
             for sl in self.spheres()[2:]:           # sphere 1 hangs off e
@@ -497,6 +478,13 @@ class Truncation:
             block[0] = -1
             self._caches["blocks"] = (anchor, block, cyclic)
         return self._caches["blocks"]
+
+    def cycle_letters(self):
+        """The letters of factors of order >= 3, the only ones whose edges
+        close cycles and so can lie off the breadth-first tree."""
+        eng = self.presentation and self.presentation.engine()
+        return [l for l, (f, _) in enumerate(eng.letters)
+                if eng.orders[f] >= 3] if eng else []
 
     # -- the right action ----------------------------------------------------
 
@@ -612,6 +600,31 @@ class Truncation:
             frontier = nxt[dist[nxt] == tags]
             dist[frontier] = d
         return dist[:-1]
+
+
+def join_labels(labels, u, v):
+    """``labels``, each a root (``labels[labels] == labels``), joined along
+    the edges ``(u[i], v[i])`` to the smallest label of each union.
+
+    Hook and shortcut (Shiloach and Vishkin, J. Algorithms 3, 1982): each
+    round hooks the larger label of every edge whose ends still differ
+    onto the smaller one, then jumps pointers until every label is a root.
+    Labels only point to smaller ones, so no cycle forms, and each round
+    lowers some label, so the rounds end.
+    """
+    while True:
+        lu, lv = labels[u], labels[v]
+        open_ = lu != lv
+        if not open_.any():
+            return labels
+        # an edge whose ends share a label keeps sharing it
+        u, v, lu, lv = u[open_], v[open_], lu[open_], lv[open_]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels = up
 
 
 def _first_fit(t, rows, alive):

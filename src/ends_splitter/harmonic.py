@@ -240,11 +240,13 @@ def energy(f, edge_filter=None):
     ``edge_filter`` restricts to a boolean edge mask.
     """
     eu, ev, keep = _edge_values(f)
-    diffs = f.values[eu] - f.values[ev]
-    sq = diffs * diffs
     if edge_filter is not None:
         keep = keep & edge_filter
-    return EnergyReport(total=float(sq[keep].sum()))
+    if not keep.all():
+        # only the kept edges, in edge order: the sum's terms are the same
+        eu, ev = eu[keep], ev[keep]
+    diffs = f.values[eu] - f.values[ev]
+    return EnergyReport(total=float((diffs * diffs).sum()))
 
 
 def energy_form(u, v):

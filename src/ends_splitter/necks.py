@@ -2,8 +2,9 @@
 graphs, and energy-gap certificates.
 
 A radius-R neck at x removes the ball of radius R - 1 around x (the
-interior of the R-ball) and asks for at least three unbounded complement
-components.  Classification against an end function is by precedence:
+interior of the R-ball) and asks for at least three complement components,
+each of which reaches the shell.  Classification against an end function
+is by precedence:
 
 * special type 2 - at least two components whose shell trace is mixed;
 * special type 1 - otherwise, when both a 0-cluster and a 1-cluster
@@ -19,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDrop, EndsSplitterError, NeckCoverageError
-from .ends import complement_components
+from .ends import complement_components, complement_labels
 from .harmonic import energy
 
-# the one trace bit of masks built without end classes: the whole shell
-SHELL = 1
 _VERDICT = (None, 0, 1, None)     # by the chi-values a trace meets
 
 
@@ -36,17 +35,8 @@ class NeckComponent:
     seed: int                 # a component vertex adjacent to the removed ball
     arc: tuple = ()
     up: int = -1
-    unbounded: bool = True
     _members: np.ndarray | None = field(default=None, repr=False)
     _layers: np.ndarray | None = field(default=None, repr=False)
-
-    def trace(self, masks):
-        """The end classes of ``masks`` the component reaches, as a bit
-        set."""
-        bits = int(masks.up[self.up]) if self.up >= 0 else 0
-        for v in self.arc:
-            bits |= int(masks.down[v])
-        return bits
 
     def materialize(self, t, removed_mask):
         """Member ids, flooded from the seed on first use (by the gap
@@ -78,9 +68,6 @@ class Neck:
     R: int
     components: list
 
-    def unbounded_count(self):
-        return sum(1 for c in self.components if c.unbounded)
-
     def removed_mask(self, t):
         mask = np.zeros(t.n, dtype=bool)
         mask[t.word_ball([self.center], self.R - 1)] = True
@@ -91,7 +78,7 @@ class Neck:
 class NeckClass:
     kind: str                 # regular | special_type_1 | special_type_2
     theta: int | None = None
-    verdicts: tuple = ()      # per unbounded component: 0, 1, or None
+    verdicts: tuple = ()      # per component: 0, 1, or None
 
     def label(self):
         if self.kind == "regular":
@@ -109,14 +96,14 @@ class NeckSurvey:
     cover_radius: int         # smallest R covering the window from this net
     window_distance: int
     center_words: list = field(repr=False)    # t.word of each neck center
-    # base radius -> (end classes, neck index) per unbounded component
+    # base radius -> (end classes, neck index) per component
     class_sets: dict = field(default_factory=dict, repr=False)
 
 
 def find_necks(t, net, R):
     """All net members in the trustworthy window (distance <= radius - 3R:
     the R-ball and a margin of 2R) whose R-ball complement has at least
-    three unbounded components, plus the cover check."""
+    three components, plus the cover check."""
     if R < 1:
         raise ValueError("R must be >= 1")
     window = t.radius - 3 * R
@@ -127,11 +114,10 @@ def find_necks(t, net, R):
         )
     centers = net.member_ids[t.dist[net.member_ids] <= window]
 
-    masks = TraceMasks(t)
     necks = []
     for x in centers.tolist():
-        neck = Neck(center=x, R=R, components=_components(t, x, R, masks))
-        if neck.unbounded_count() >= 3:
+        neck = Neck(center=x, R=R, components=_components(t, x, R))
+        if len(neck.components) >= 3:
             necks.append(neck)
 
     in_window = t.dist <= window
@@ -150,7 +136,7 @@ def find_necks(t, net, R):
                       center_words=[t.word(n.center) for n in necks])
 
 
-def _components(t, x, R, masks):
+def _components(t, x, R):
     """Complement components of the (R-1)-ball at x, by smallest member id.
 
     Each is one maximal arc of a block that meets the ball, found by
@@ -158,6 +144,10 @@ def _components(t, x, R, masks):
     the cones hanging off the arc.  The arc through its block's anchor
     holds the identity's side, and so member 0; any other arc's smallest
     member is its own smallest vertex.
+
+    Every component reaches the shell, since the ball fits in the
+    truncation: a vertex below the shell has a longer neighbour in a block
+    anchored at it, and the identity's side keeps a whole branch at e.
     """
     nbr, (anchor, _, cyclic) = t.nbr, t.blocks()
     ball = set(t.word_ball([x], R - 1).tolist())
@@ -182,11 +172,8 @@ def _components(t, x, R, masks):
             else:
                 found.append((min(arc), u, arc, -1))
     found.sort()
-    comps = [NeckComponent(seed=u, arc=tuple(arc), up=up)
-             for _, u, arc, up in found]
-    for c in comps:
-        c.unbounded = c.trace(masks) != 0
-    return comps
+    return [NeckComponent(seed=u, arc=tuple(arc), up=up)
+            for _, u, arc, up in found]
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +181,10 @@ def _components(t, x, R, masks):
 # ---------------------------------------------------------------------------
 
 class TraceMasks:
-    """The end classes of the shell trace seen from the block tree, as bit
-    sets: class c is bit c, and without a chi the whole shell is the one
-    class SHELL.  down[v]: the classes of v's cone, which is v with
+    """The end classes of chi seen from the block tree, as bit sets: class
+    c is bit c.  down[v]: the classes of v's cone, which is v with
     whatever hangs off it in the blocks anchored at v.  up[v]: the classes
-    outside the branch of v's block at the block's anchor; none at e.  A
-    set that is not empty reaches the shell.
+    outside the branch of v's block at the block's anchor; none at e.
 
     The sets depend on the base radius only, so a truncation builds them
     once per base radius, in the smallest unsigned dtype with a bit per
@@ -208,17 +193,15 @@ class TraceMasks:
     classes of value 0 and 1.
     """
 
-    def __init__(self, t, chi=None):
-        self.base_radius = None if chi is None else chi.base_radius
+    def __init__(self, t, chi):
+        self.base_radius = chi.base_radius
         key = ("trace_masks", self.base_radius)
         if key not in t._caches:
-            t._caches[key] = _trace_passes(
-                t, None if chi is None else chi.classes)
+            t._caches[key] = _trace_passes(t, chi.classes)
         self.down, self.up = t._caches[key]
-        if chi is not None:
-            self.zero, self.one = (
-                sum(1 << c for c, v in chi.values.items() if v == value)
-                for value in (0, 1))
+        self.zero, self.one = (
+            sum(1 << c for c, v in chi.values.items() if v == value)
+            for value in (0, 1))
 
     def seen(self, sets):
         """Per class set, bit 0 if it meets a class of chi-value 0 and bit
@@ -227,20 +210,13 @@ class TraceMasks:
 
 
 def _trace_passes(t, classes):
-    """``(down, up)`` of ``TraceMasks`` for the end classes ``classes``,
-    or for the shell as one class when None: one pass inward over the
-    spheres and one outward."""
+    """``(down, up)`` of ``TraceMasks`` for the end classes ``classes``:
+    one pass inward over the spheres and one outward."""
     anchor, block, _ = t.blocks()
-    shell = t.shell_ids()
-    if classes is None:
-        bits = [SHELL]
-        own = np.zeros(t.n, dtype=np.uint8)
-        own[shell] = SHELL
-    else:
-        bits = [1 << c.id for c in classes]
-        own = np.zeros(t.n, dtype=np.min_scalar_type(sum(bits)))
-        for c, bit in zip(classes, bits):
-            own[c.members[t.shell_mask[c.members]]] = bit
+    bits = [1 << c.id for c in classes]
+    own = np.zeros(t.n, dtype=np.min_scalar_type(sum(bits)))
+    for c, bit in zip(classes, bits):
+        own[c.members[t.shell_mask[c.members]]] = bit
     spheres = t.spheres()[1:]
     down = own.copy()
     for sl in reversed(spheres):
@@ -279,35 +255,54 @@ def _others(group, sets, bits):
 def classify_neck(neck, masks):
     """The unique class under the precedence order, read from chi's
     ``TraceMasks``."""
+    seen = masks.seen(_trace_sets(neck.components, masks))
+    label = _precedence(seen, np.zeros(len(seen), dtype=np.intp), 1)[0]
     # a cluster sees one chi-value on the shell
-    verdicts = [_VERDICT[masks.seen(c.trace(masks))]
-                for c in neck.components if c.unbounded]
+    verdicts = tuple(_VERDICT[s] for s in seen.tolist())
+    if label.startswith("regular"):
+        return NeckClass(kind="regular", theta=int(label[-1]),
+                         verdicts=verdicts)
+    return NeckClass(kind=label, verdicts=verdicts)
 
-    if verdicts.count(None) >= 2:
-        return NeckClass(kind="special_type_2", verdicts=tuple(verdicts))
-    if 0 in verdicts and 1 in verdicts:
-        return NeckClass(kind="special_type_1", verdicts=tuple(verdicts))
-    theta = 0 if 0 in verdicts else 1
-    return NeckClass(kind="regular", theta=theta, verdicts=tuple(verdicts))
+
+def _precedence(seen, owner, n):
+    """The class label of each of ``n`` necks, from ``masks.seen`` of the
+    end classes of every component and the index of each one's neck."""
+    # per neck: components that see both values (or none), only 0, only 1
+    mixed, only0, only1 = (np.bincount(owner, weights=hit, minlength=n)
+                           for hit in ((seen == 0) | (seen == 3),
+                                       seen == 1, seen == 2))
+    type2 = mixed >= 2
+    type1 = ~type2 & (only0 > 0) & (only1 > 0)
+    return np.where(type2, "special_type_2", np.where(
+        type1, "special_type_1",
+        np.where(only0 > 0, "regular_0", "regular_1")))
+
+
+def _trace_sets(comps, masks):
+    """The end classes of ``masks`` that each component reaches, as bit
+    sets: an OR over its arc's cones and what lies past its ``up``."""
+    sets = np.zeros(len(comps), dtype=masks.down.dtype)
+    arc = [(j, v) for j, c in enumerate(comps) for v in c.arc]
+    if arc:
+        j, v = np.array(arc, dtype=np.intp).T
+        np.bitwise_or.at(sets, j, masks.down[v])
+    up = np.array([c.up for c in comps], dtype=np.intp)
+    sets[up >= 0] |= masks.up[up[up >= 0]]
+    return sets
 
 
 def _class_sets(survey, masks):
-    """The end classes of every unbounded component of the survey's
-    necks, in order, and the index of each one's neck; read off
-    ``masks`` once per base radius."""
+    """The end classes of every component of the survey's necks, in
+    order, and the index of each one's neck; read off ``masks`` once per
+    base radius."""
     key = masks.base_radius
     if key not in survey.class_sets:
-        comps = [(i, c) for i, neck in enumerate(survey.necks)
-                 for c in neck.components if c.unbounded]
-        owner = np.array([i for i, _ in comps], dtype=np.intp)
-        sets = np.zeros(len(comps), dtype=masks.down.dtype)
-        arc = [(j, v) for j, (_, c) in enumerate(comps) for v in c.arc]
-        if arc:
-            j, v = np.array(arc, dtype=np.intp).T
-            np.bitwise_or.at(sets, j, masks.down[v])
-        up = np.array([c.up for _, c in comps], dtype=np.intp)
-        sets[up >= 0] |= masks.up[up[up >= 0]]
-        survey.class_sets[key] = sets, owner
+        owner = np.repeat(np.arange(len(survey.necks), dtype=np.intp),
+                          [len(neck.components) for neck in survey.necks])
+        survey.class_sets[key] = _trace_sets(
+            [c for neck in survey.necks for c in neck.components],
+            masks), owner
     return survey.class_sets[key]
 
 
@@ -348,26 +343,18 @@ def special_sets(t, survey, chi):
     gap certificates.
 
     Every neck is classified in one array pass over the end classes of
-    its unbounded components, which the survey keeps per base radius.
-    The structural checks follow: K must be nonempty for nonconstant chi,
-    and every unbounded complement component of the K_I-ball system must be
-    a cluster.
+    its components, which the survey keeps per base radius.  The
+    structural checks follow: K must be nonempty for nonconstant chi, and
+    every unbounded complement component of the K_I-ball system must be a
+    cluster.
     """
     chi.require_nonconstant()
     R = survey.R
     masks = TraceMasks(t, chi)
     sets, owner = _class_sets(survey, masks)
-    seen, n = masks.seen(sets), len(survey.necks)
-    # per neck: components that see both values (or none), only 0, only 1
-    mixed, only0, only1 = (np.bincount(owner, weights=hit, minlength=n)
-                           for hit in ((seen == 0) | (seen == 3),
-                                       seen == 1, seen == 2))
-    type2 = mixed >= 2
-    type1 = ~type2 & (only0 > 0) & (only1 > 0)
-    labels = np.where(type2, "special_type_2", np.where(
-        type1, "special_type_1",
-        np.where(only0 > 0, "regular_0", "regular_1")))
+    labels = _precedence(masks.seen(sets), owner, len(survey.necks))
     classes = dict(zip(survey.center_words, labels.tolist()))
+    type1, type2 = labels == "special_type_1", labels == "special_type_2"
     centers = np.array([neck.center for neck in survey.necks], dtype=np.intp)
     k_ids = centers[type1 | type2].tolist()
     k1_ids, k2_ids = centers[type1].tolist(), centers[type2].tolist()
@@ -393,7 +380,7 @@ def special_sets(t, survey, chi):
         )
 
     word_of = dict(zip((n.center for n in survey.necks), survey.center_words))
-    report = NeckReport(
+    return NeckReport(
         R=R, chi_summary=chi.assignments_by_word(),
         K=[word_of[v] for v in k_ids],
         K_I=[word_of[v] for v in k1_ids],
@@ -403,26 +390,27 @@ def special_sets(t, survey, chi):
         center_ids={"K": k_ids, "K_I": k1_ids, "K_II": k2_ids},
         survey=survey, masks=masks,
     )
-    return report
 
 
 def _uncovered_cluster_components(t, masks, k1_ids, R):
-    """First witness vertex of a non-cluster unbounded component of the
-    complement of the K_I ball system, or None.  A component's verdict
+    """The smallest member of the first non-cluster unbounded component of
+    the complement of the K_I ball system, or None.  A component's verdict
     comes from the end classes of its shell vertices, in chi's masks."""
     if not k1_ids:
         # empty ball system: the whole window is one component, which is
         # never a cluster for nonconstant data
         return 0
-    removed = t.word_ball(np.asarray(k1_ids, dtype=np.int64), R - 1)
-    for comp in complement_components(t, removed):
-        if not comp.unbounded:
-            continue
-        trace = comp.members[t.shell_mask[comp.members]]
-        if _VERDICT[masks.seen(np.bitwise_or.reduce(masks.down[trace]))] \
-                is None:
-            return int(comp.members[0])
-    return None
+    removed = np.zeros(t.n, dtype=bool)
+    removed[t.word_ball(np.asarray(k1_ids, dtype=np.int64), R - 1)] = True
+    labels = complement_labels(t, removed)
+    shell = np.flatnonzero(t.shell_mask & ~removed)
+    # per component label, the chi-values its shell vertices see; a
+    # bounded component sees none and is no cluster question
+    seen = np.zeros(t.n, dtype=np.uint8)
+    np.bitwise_or.at(seen, labels[shell],
+                     masks.seen(masks.down[shell]).astype(np.uint8))
+    bad = np.flatnonzero(seen == 3)
+    return int(bad[0]) if len(bad) else None
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +606,7 @@ def gap_certificate(h, neck, masks):
     removed_mask = neck.removed_mask(t)
 
     best0, best1 = None, None
-    unbounded = [c for c in neck.components if c.unbounded]
-    for comp, verdict in zip(unbounded, cls.verdicts):
+    for comp, verdict in zip(neck.components, cls.verdicts):
         members = comp.materialize(t, removed_mask)
         if verdict == 0:
             lo = float(h.values[members].min())

@@ -11,7 +11,6 @@ import numpy as np
 
 from ends_splitter.ends import (
     ComplementComponent,
-    complement_components,
     is_cluster,
 )
 from ends_splitter.errors import (
@@ -219,6 +218,14 @@ def color_classes(t):
     return [inter[color[inter] == c] for c in range(int(color.max()) + 1)]
 
 
+def class_of_vertex(t, chi):
+    """Vertex -> end class id of ``chi``, -1 off the classes."""
+    table = np.full(t.n, -1, dtype=np.int64)
+    for c in chi.classes:
+        table[c.members] = c.id
+    return table
+
+
 # -- graph algorithms on adjacency dicts --------------------------------------
 
 def adjacency_dict(t):
@@ -299,10 +306,18 @@ def refine_end_classes(t, coarse, fine):
 
 # -- the neck survey, one complement flood per center --------------------------
 
-def flood_neck_components(t, x, R):
+def flood_complement(t, adj, removed):
+    """``ends.complement_components`` by a plain flood over ``adj``, the
+    truncation's ``adjacency_dict``."""
+    return [ComplementComponent(members=np.array(c, dtype=np.int64),
+                                unbounded=bool(t.shell_mask[c].any()), id=i)
+            for i, c in enumerate(flood_components(adj, removed))]
+
+
+def flood_neck_components(t, adj, x, R):
     """Complement components of the (R-1)-ball at x, ordered by smallest
     member id; the oracle for ``necks.find_necks``."""
-    return complement_components(t, t.word_ball([int(x)], R - 1))
+    return flood_complement(t, adj, t.word_ball([int(x)], R - 1))
 
 
 def flood_neck_label(t, chi, comps):
@@ -324,10 +339,7 @@ def flood_special_sets(t, survey, chi):
     adj = adjacency_dict(t)
 
     def components(removed):
-        comps = flood_components(adj, removed)
-        return [ComplementComponent(members=np.array(c, dtype=np.int64),
-                                    unbounded=bool(t.shell_mask[c].any()))
-                for c in comps]
+        return flood_complement(t, adj, removed)
 
     labels, ids = {}, {"K": [], "K_I": [], "K_II": []}
     for neck, word in zip(survey.necks, survey.center_words):

@@ -235,7 +235,7 @@ def test_criterion_7(r12):
 
     survey = report.survey
     masks = TraceMasks(t, chi)
-    cls_of = chi.class_of_vertex(t)
+    cls_of = oracles.class_of_vertex(t, chi)
     classified = [(n, classify_neck(n, masks))
                   for n in survey.necks]
     theta_of = {}

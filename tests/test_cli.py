@@ -115,6 +115,11 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     {"group": {"kind": "free", "rank": True}},
     {"group": {"kind": "free_product_cyclic", "orders": [3, 2.0]}},
     {"group": {"kind": "free_product_cyclic", "orders": [False, 3]}},
+    # nested objects take their own fields only
+    {"group": {"kind": "free", "rank": 2, "orders": [3]}},
+    {"group": {"kind": "free_product_cyclic", "orders": [3, 0], "rank": 2}},
+    {"chi": {"map": {"a": 1, "A": 1, "b": 0, "B": 0}, "bogus": 3}},
+    {"chi": ["first_letter:a", {"map": {"a": 1}, "default": 0, "x": 1}]},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
@@ -246,6 +251,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
     ("tree", "tree-z3z-r8", ("tree.dot", "action.json")),
     ("tree", "tree-z2z3-r14", ("tree.dot", "action.json")),
     ("necks", "necks-z3z-r8", ("necks.json", "dual.dot")),
+    # F2 r7 at base radius 3: the dual graph has a bounded component
+    ("necks", "necks-f2-r7-bounded", ("necks.json", "dual.dot")),
 ])
 def test_outputs_match_the_golden_files(tmp_path, command, name, files):
     # none of these files holds a float, so their bytes do not depend on
@@ -285,6 +292,26 @@ def test_necks_times_every_stage(tmp_path):
     timings = json.loads((tmp_path / "out/scn/timings.json").read_text())
     assert set(timings) == {"build_truncation", "build_net", "resolve_chi",
                             "special_sets", "dual_graph", "write_outputs"}
+
+
+@pytest.mark.parametrize("group", [
+    {"kind": "free", "rank": 2},
+    {"kind": "free_product_cyclic", "orders": [3, 0]},
+], ids=["F2", "Z3*Z"])
+def test_necks_builds_no_edge_list(tmp_path, monkeypatch, group):
+    # complements come from the block tree and the report counts edges
+    # from the neighbour table
+    from ends_splitter.groups import Truncation
+
+    def no_edges(self):
+        raise AssertionError("necks built edges()")
+
+    monkeypatch.setattr(Truncation, "edges", no_edges)
+    letter = "a" if group["kind"] == "free" else "t"
+    path = write_scenario(tmp_path, group=group, truncation_radius=8,
+                          chi=f"first_letter:{letter}")
+    assert cli.main(["necks", "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 def _scipy_modules_after(tmp_path, commands, **overrides):

@@ -12,8 +12,11 @@ from ends_splitter.ends import (
     make_end_function,
 )
 
+from ends_splitter.groups import build_truncation
+
 import oracles
 from oracles import refine_end_classes
+from test_groups import _LAYOUT_CASES
 
 
 # -- complement components -------------------------------------------------------
@@ -74,6 +77,27 @@ def test_randomized_components_agree_with_oracle(seed, t_f2_r4, t_z23_r8):
         # partition property
         total = sum(len(c.members) for c in ours) + len(set(map(int, removed)))
         assert total == t.n
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_block_tree_labels_match_the_flood(case):
+    # members, their order and the unbounded flags, for the parent-pass
+    # labels joined across the cycles, on every presentation layout
+    p, rho = _LAYOUT_CASES[case]
+    t = build_truncation(p, rho)
+    adj = oracles.adjacency_dict(t)
+    rng = np.random.default_rng(5)
+    removed_sets = [[], np.arange(t.n)]
+    for _ in range(3):
+        removed_sets.append(np.flatnonzero(rng.random(t.n) < 0.1))
+    for R in (1, 2, 3):
+        window = np.flatnonzero(t.dist <= t.radius - R)
+        for k in (1, 2, 3):
+            centers = rng.choice(window, size=min(k, len(window)),
+                                 replace=False)
+            removed_sets.append(t.word_ball(centers, R - 1))
+    for removed in removed_sets:
+        _assert_components_match_oracle(t, adj, removed)
 
 
 # -- end classes -------------------------------------------------------------------

@@ -398,6 +398,16 @@ def test_first_fit_matches_the_per_vertex_loop(case):
 
 
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_edges_are_every_neighbour_pair_once_in_slot_order(case):
+    t = _layout_ball(case)
+    want = [(u, int(v), l) for u in range(t.n)
+            for l, v in enumerate(t.nbr[u].tolist()) if v > u]
+    eu, ev, el = t.edges()
+    assert (eu.dtype, ev.dtype, el.dtype) == (np.int64, np.int64, np.int8)
+    assert list(zip(eu.tolist(), ev.tolist(), el.tolist())) == want
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
 def test_component_labels_match_the_flood(case):
     # each component is labeled by its smallest member, the flood's first
     t = _layout_ball(case)

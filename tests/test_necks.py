@@ -11,18 +11,17 @@ from ends_splitter.errors import (
 from ends_splitter.ends import (
     all_nonconstant_end_functions,
     end_classes,
+    is_cluster,
     make_end_function,
 )
 from ends_splitter.groups import (
     Presentation,
     build_net,
     build_truncation,
-    path_truncation,
 )
 from ends_splitter.harmonic import energy, solve_dirichlet
 from ends_splitter import necks
 from ends_splitter.necks import (
-    SHELL,
     Neck,
     PartitionParams,
     TraceMasks,
@@ -60,7 +59,7 @@ def test_every_window_vertex_is_a_neck_on_f2(t_f2_r6, net1_f2_r8):
     window = survey.window_distance
     expected = int((t_f2_r6.dist <= window).sum())
     assert len(survey.necks) == expected == survey.centers_considered
-    assert all(n.unbounded_count() == 4 for n in survey.necks)
+    assert all(len(n.components) == 4 for n in survey.necks)
     assert survey.cover_ok
 
 
@@ -75,7 +74,7 @@ def test_neck_components_match_bruteforce_on_z2z3(t_z23_r10):
         removed = t.word_ball([neck.center], 1)
         comps = oracles.flood_components(adj, removed)
         unbounded = [c for c in comps if any(v in shell for v in c)]
-        assert neck.unbounded_count() == len(unbounded)
+        assert len(neck.components) == len(unbounded) == len(comps)
         assert len(unbounded) >= 3
     # and the survey found every qualifying center
     window = survey.window_distance
@@ -114,9 +113,10 @@ def _assert_masks_match_the_flood(t, chi):
     net = build_net(t, 1)
     survey = find_necks(t, net, 1)
     masks = TraceMasks(t, chi)
+    adj = oracles.adjacency_dict(t)
     assert survey.necks
     for neck in survey.necks:
-        comps = oracles.flood_neck_components(t, neck.center, neck.R)
+        comps = oracles.flood_neck_components(t, adj, neck.center, neck.R)
         verdicts, label = oracles.flood_neck_label(t, chi, comps)
         fast = classify_neck(neck, masks)
         assert list(fast.verdicts) == verdicts
@@ -159,21 +159,18 @@ def test_block_tree_survey_matches_the_flood(case):
     t = build_truncation(p, min(rho, 6))
     chis = _survey_chis(t)
     masks = [TraceMasks(t, chi) for chi in chis]
-    shell = TraceMasks(t)
+    adj = oracles.adjacency_dict(t)
     rng = np.random.default_rng(7)
     for R in (1, 2, 3):
         window = np.flatnonzero(t.dist <= t.radius - R)
         for x in rng.permutation(window)[:60].tolist():
-            comps = oracles.flood_neck_components(t, x, R)
-            neck = Neck(center=x, R=R,
-                        components=necks._components(t, x, R, shell))
-            assert neck.unbounded_count() == sum(c.unbounded for c in comps)
-            if neck.unbounded_count() < 3:
-                continue
+            comps = oracles.flood_neck_components(t, adj, x, R)
+            neck = Neck(center=x, R=R, components=necks._components(t, x, R))
             assert len(neck.components) == len(comps)
+            if len(comps) < 3:
+                continue
             removed = neck.removed_mask(t)
             for ours, theirs in zip(neck.components, comps):
-                assert ours.unbounded == theirs.unbounded
                 assert np.array_equal(ours.materialize(t, removed),
                                       theirs.members)
             for chi, m in zip(chis, masks):
@@ -235,13 +232,58 @@ def test_special_sets_match_the_flood_for_every_chi(orders, radius, R,
     assert list(survey.class_sets) == [base_radius]
 
 
-def test_trace_masks_count_a_root_on_the_shell():
-    # the path stand-in has its root on the shell, unlike any ball of a
-    # group: everything outside the cone of vertex 1 is that root
-    t = path_truncation(4)
-    masks = TraceMasks(t)
-    assert masks.up[1] == SHELL and masks.down[1] == SHELL
-    assert masks.up[5] == SHELL and masks.down[5] == SHELL
+@pytest.mark.parametrize("orders, radius, base_radius", [
+    ((0, 0), 7, 2), ((3, 0), 7, 1), ((2, 3), 12, 2), ((6, 0, 2), 5, 1),
+], ids=["F2", "Z3*Z", "Z2*Z3", "Z6*Z*Z2"])
+def test_k1_check_witness_matches_the_flood(orders, radius, base_radius):
+    # the structural check on seeded ball systems and end functions: the
+    # smallest member of the first non-cluster unbounded component, as a
+    # flood of the complement and is_cluster find it
+    t = build_truncation(Presentation.free_product_of_cyclics(orders), radius)
+    adj = oracles.adjacency_dict(t)
+    classes = end_classes(t, base_radius)
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        values = rng.integers(0, 2, len(classes))
+        values[:2] = 0, 1
+        chi = make_end_function(t, base_radius, values_by_word={
+            c.representative_word: int(v) for c, v in zip(classes, values)})
+        R = int(rng.integers(1, 3))
+        window = np.flatnonzero(t.dist <= t.radius - 3 * R)
+        k1 = sorted(rng.choice(window, size=min(len(window), 3),
+                               replace=False).tolist())
+        want = next((int(c.members[0]) for c in oracles.flood_complement(
+            t, adj, t.word_ball(k1, R - 1))
+            if c.unbounded and is_cluster(t, chi, c) is None), None)
+        got = necks._uncovered_cluster_components(
+            t, TraceMasks(t, chi), k1, R)
+        assert got == want
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_every_component_of_one_ball_reaches_the_shell(case):
+    # why the survey keeps no shell test: for every center whose ball fits,
+    # each complement component of B_{R-1}(x), read off the block tree or
+    # flooded, reaches the shell; and so does every end class
+    p, rho = _LAYOUT_CASES[case]
+    t = build_truncation(p, min(rho, 6))
+    for r in range(1, min(3, t.radius - 1) + 1):
+        classes = end_classes(t, r)
+        assert all(c.component.unbounded for c in classes)
+        assert sum(c.component.size for c in classes) == (t.dist >= r).sum()
+    # every shell vertex lies in an end class, so a component's trace in
+    # these masks is empty exactly when it misses the shell
+    names = t.presentation.engine().letter_names
+    masks = TraceMasks(t, make_end_function(
+        t, 1, rule=f"first_letter:{names[0]}"))
+    shell = t.shell_ids()
+    for R in (1, 2, 3):
+        for x in np.flatnonzero(t.dist <= t.radius - R).tolist():
+            removed = np.zeros(t.n, dtype=bool)
+            removed[t.word_ball([x], R - 1)] = True
+            reach = t.graph_distances_from(shell, allowed_mask=~removed)
+            assert (reach[~removed] >= 0).all(), (case, x, R)
+            assert necks._trace_sets(necks._components(t, x, R), masks).all()
 
 
 def test_two_branch_chi_has_singleton_k1(t_f2_r8, net1_f2_r8):
@@ -338,7 +380,7 @@ def test_overlapping_regular_necks_share_theta(t_f2_r6, spec):
 def test_far_necks_are_regular_matching_their_cluster(t_f2_r8, net1_f2_r8):
     chi = make_end_function(t_f2_r8, 1, rule="first_letter:a")
     classified = _classified_necks(t_f2_r8, chi, net1_f2_r8, 1)
-    cls_of = chi.class_of_vertex(t_f2_r8)
+    cls_of = oracles.class_of_vertex(t_f2_r8, chi)
     special = [n.center for n, c in classified if c.kind.startswith("special")]
     for n, c in classified:
         far = all(t_f2_r8.word_distance(n.center, s) > 2 for s in special)
@@ -380,8 +422,7 @@ def test_type2_windows_contain_type1_centers(t_f2_r8, net1_f2_r8):
         neck = by_center[c2]
         cls = classify_neck(neck, masks)
         removed_mask = neck.removed_mask(t)
-        unbounded = [c for c in neck.components if c.unbounded]
-        for comp, verdict in zip(unbounded, cls.verdicts):
+        for comp, verdict in zip(neck.components, cls.verdicts):
             if verdict is not None:
                 continue
             members = set(map(int, comp.materialize(t, removed_mask)))
@@ -585,9 +626,8 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
         return find_necks(*args, **kwargs)
 
     class CountedMasks(necks.TraceMasks):
-        def __init__(self, t, chi=None):
-            if chi is not None:     # the survey's own masks carry no chi
-                calls.append("masks")
+        def __init__(self, t, chi):
+            calls.append("masks")
             super().__init__(t, chi)
 
     passes = necks._trace_passes
@@ -599,12 +639,12 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
     monkeypatch.setattr(necks, "find_necks", counted_find_necks)
     monkeypatch.setattr(necks, "TraceMasks", CountedMasks)
     monkeypatch.setattr(necks, "_trace_passes", counted_passes)
-    # on a fresh truncation: the passes run once for the survey and once
-    # for the base radius, however many end functions read them
+    # on a fresh truncation: the passes run once for the base radius,
+    # however many end functions read them
     t = build_truncation(Presentation.free(2), 6)
     rows = energy_gap_estimate(
         t, build_net(t, 2), 1, all_nonconstant_end_functions(t, 1)[:5]).rows
-    assert calls.count("passes") == 2
+    assert calls.count("passes") == 1
     calls.clear()
     bracket = energy_gap_estimate(t_f2_r6, net, 1, chis)
     assert bracket.rows == rows
@@ -625,31 +665,17 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
         assert row["mu"] == max(mus)
 
 
-def test_gap_rows_are_the_same_after_a_complement_cache_hit(monkeypatch):
-    # the end classes and every end function's K_I ball system remove {e}:
-    # one flood serves them all, and its shared components change nothing
-    from ends_splitter import ends
-
+def test_gap_rows_are_the_same_run_together_or_one_at_a_time():
+    # the end classes and every end function's K_I ball system remove {e};
+    # each labels its complement afresh, and the truncation keeps none
     t = build_truncation(Presentation.free_product_of_cyclics([3, 0]), 7)
     net = build_net(t, 2)
     chis = all_nonconstant_end_functions(t, 1)
-    floods = []
-    label = ends._label_complement
-
-    def counted(t, removed):
-        floods.append(removed.tolist())
-        return label(t, removed)
-
-    monkeypatch.setattr(ends, "_label_complement", counted)
-    # the end classes flooded {e} before: every check is a cache hit
     first = energy_gap_estimate(t, net, 1, chis).rows
     assert energy_gap_estimate(t, net, 1, chis).rows == first
-    assert floods == []
-    # and a cold cache gives the same rows, one end function at a time
     for chi, row in zip(chis, first):
-        t._caches.pop("complement")
         assert energy_gap_estimate(t, net, 1, [chi]).rows == [row]
-    assert floods == [[0]] * len(chis)
+    assert "complement" not in t._caches
 
 
 def test_special_sets_reuse_the_survey_center_words(t_f2_r6, monkeypatch):
@@ -676,29 +702,33 @@ def test_special_sets_reuse_the_survey_center_words(t_f2_r6, monkeypatch):
 
 
 def test_special_sets_floods_independently_of_the_centers(monkeypatch):
-    # the survey reads every neck off the block tree: the floods left are
-    # the structural check's, and no component keeps its members
-    from ends_splitter import ends, necks
+    # the survey reads every neck off the block tree: the one complement
+    # left is the structural check's, read as labels, and no component
+    # keeps its members
+    from ends_splitter import necks
 
     t = build_truncation(Presentation.free_product_of_cyclics([3, 0]), 8)
     chi = make_end_function(t, 1, values_by_word={"s": 0, "t": 1, "T": 0})
     calls = []
-    flood = ends.complement_components
+    labels = necks.complement_labels
 
-    def counted_flood(*args, **kwargs):
+    def counted_labels(*args, **kwargs):
         calls.append(1)
-        return flood(*args, **kwargs)
+        return labels(*args, **kwargs)
 
-    monkeypatch.setattr(ends, "complement_components", counted_flood)
-    monkeypatch.setattr(necks, "complement_components", counted_flood)
-    floods, centers = [], []
+    def no_components(*args, **kwargs):
+        raise AssertionError("special_sets grouped a complement")
+
+    monkeypatch.setattr(necks, "complement_labels", counted_labels)
+    monkeypatch.setattr(necks, "complement_components", no_components)
+    passes, centers = [], []
     for spacing in (1, 2):
         calls.clear()
         report = special(t, build_net(t, spacing), 1, chi)
-        floods.append(len(calls))
+        passes.append(len(calls))
         centers.append(report.survey.centers_considered)
         assert not any(isinstance(getattr(c, f.name), np.ndarray)
                        for n in report.survey.necks for c in n.components
                        for f in dataclasses.fields(c))
     assert centers[0] > centers[1]
-    assert floods[0] == floods[1] <= 1
+    assert passes == [1, 1]
