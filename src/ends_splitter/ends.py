@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EndsSplitterError, ScenarioError
-from .groups import join_labels
+from .groups import join_labels, unique_sorted
 
 
 @dataclass
@@ -33,15 +33,16 @@ class ComplementComponent:
 def complement_components(t, removed):
     """Connected components of the truncation minus ``removed``.
 
-    Deterministic: components are ordered by smallest member id.  The
-    removed set is taken literally; callers that mean the complement of a
-    radius-r ball pass the ball of radius r - 1.
+    Deterministic: components are ordered by smallest member id, and each
+    one's members are ascending int32 ids.  The removed set is taken
+    literally; callers that mean the complement of a radius-r ball pass the
+    ball of radius r - 1.
     """
     removed_mask = np.zeros(t.n, dtype=bool)
     removed_mask[np.asarray(removed, dtype=np.int64)] = True
     labels = complement_labels(t, removed_mask)
 
-    alive = np.flatnonzero(~removed_mask)
+    alive = np.flatnonzero(~removed_mask).astype(np.int32)
     by_label = alive[np.argsort(labels[alive], kind="stable")]
     bounds = np.flatnonzero(np.diff(labels[by_label])) + 1
     # a label is its component's smallest id, so groups come in that order
@@ -67,7 +68,7 @@ def complement_labels(t, removed_mask):
     letters = t.cycle_letters()
     if not letters:
         return labels
-    w, ids = t.nbr[:, letters], np.arange(t.n)[:, None]
+    w, ids = t.nbr[:, letters], np.arange(t.n, dtype=np.int32)[:, None]
     # each cycle edge once, from its smaller end
     off = (w > ids) & (t.parent[w] != ids)
     off &= ~removed_mask[ids] & ~removed_mask[w]
@@ -229,7 +230,7 @@ def is_cluster(t, chi, component):
                                 "components only")
     vals = chi.shell_values(t)
     trace = component.members[t.shell_mask[component.members]]
-    seen = np.unique(vals[trace])
+    seen = unique_sorted(vals[trace])
     seen = seen[seen >= 0]
     if len(seen) == 1:
         return int(seen[0])

@@ -285,6 +285,10 @@ class Truncation:
     ball.  ``parent`` strips the leading letter; ``parent_letter[v]`` is
     that letter, so ``v == parent_letter[v] * parent[v]`` for v != 0.
     Immutable after construction; safe for concurrent reads.
+
+    Ids are below 2**31 (``build_truncation`` refuses larger balls), so
+    ``nbr`` and ``parent`` are int32; arithmetic on ids that can pass 2**31,
+    such as ``v * n_letters + l``, is done in int64.
     """
 
     presentation: Presentation | None
@@ -315,8 +319,9 @@ class Truncation:
         return np.flatnonzero(self.shell_mask)
 
     def degrees(self):
+        """int8 neighbour count per vertex, at most ``n_letters``."""
         if "deg" not in self._caches:
-            self._caches["deg"] = (self.nbr >= 0).sum(axis=1).astype(np.int64)
+            self._caches["deg"] = (self.nbr >= 0).sum(axis=1, dtype=np.int8)
         return self._caches["deg"]
 
     def spheres(self):
@@ -410,12 +415,16 @@ class Truncation:
 
     def edges(self):
         """Undirected edge arrays (eu, ev, eletter), eu < ev, sorted by
-        (eu, eletter).  The fixed order makes energy sums reproducible."""
+        (eu, eletter), as int32, int32 and int8.  The fixed order makes
+        energy sums reproducible."""
         if "edges" not in self._caches:
             L = self.n_letters
-            # flat (u, letter) slots in order; v > u >= 0 also drops the -1s
-            at = np.flatnonzero(self.nbr > np.arange(self.n)[:, None])
-            self._caches["edges"] = (at // L, self.nbr.ravel()[at],
+            # flat (u, letter) slots in order, int64 as they pass 2**31 when
+            # n * L does; v > u >= 0 also drops the -1s
+            at = np.flatnonzero(
+                self.nbr > np.arange(self.n, dtype=np.int32)[:, None])
+            self._caches["edges"] = ((at // L).astype(np.int32),
+                                     self.nbr.ravel()[at],
                                      (at % L).astype(np.int8))
         return self._caches["edges"]
 
@@ -474,7 +483,7 @@ class Truncation:
             # a cycle is numbered by its member s * anchor, an edge by its
             # far end
             block = np.where(cyclic[lead], self.nbr[anchor, lead],
-                             np.arange(self.n)).astype(np.int32)
+                             np.arange(self.n, dtype=np.int32))
             block[0] = -1
             self._caches["blocks"] = (anchor, block, cyclic)
         return self._caches["blocks"]
@@ -566,7 +575,7 @@ class Truncation:
         {w * x : |w| <= r}."""
         centers = np.atleast_1d(np.asarray(center_ids, dtype=np.int64))
         near = self.left_translates(centers, r)
-        return np.unique(np.concatenate([centers, near[near >= 0]]))
+        return unique_sorted(np.concatenate([centers, near[near >= 0]]))
 
     def word_distance(self, u, v):
         """Exact word-metric distance between two vertices (length of the
@@ -589,7 +598,8 @@ class Truncation:
         d = 0
         while len(frontier):
             d += 1
-            nxt = self.nbr[frontier].ravel()
+            # one cast of the int32 ids for the four gathers below
+            nxt = self.nbr[frontier].ravel().astype(np.intp)
             nxt = nxt[dist[nxt] < 0]
             if allowed_mask is not None:
                 nxt = nxt[allowed_mask[nxt]]
@@ -625,6 +635,17 @@ def join_labels(labels, u, v):
             if np.array_equal(up, labels):
                 break
             labels = up
+
+
+def unique_sorted(a):
+    """The distinct values of the 1-d array ``a`` in ascending order, as
+    ``np.unique(a)`` gives them, without its first call's import of
+    ``numpy.ma``."""
+    a = np.sort(a)
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
 
 
 def _first_fit(t, rows, alive):
@@ -760,11 +781,12 @@ def build_truncation(p, radius):
     n, L = sum(sizes), p.engine().n_letters
     inverse = np.array([p.engine().inverse_letter(l) for l in range(L)],
                        dtype=np.int8)
-    starts = np.cumsum([0] + sizes)
+    # int64, so flat slot indices up to n * L do not wrap
+    starts = np.cumsum([0] + sizes, dtype=np.int64)
 
-    nbr = np.full((n, L), -1, dtype=np.int64)
+    nbr = np.full((n, L), -1, dtype=np.int32)
     dist = np.repeat(np.arange(radius + 1, dtype=np.int32), sizes)
-    parent = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int32)
     parent_letter = np.zeros(n, dtype=np.int8)
     fanout = syl.tree.sum(axis=1)
     letter_grid = np.arange(L, dtype=np.int8)
@@ -772,9 +794,9 @@ def build_truncation(p, radius):
     for k in range(1, radius + 1):
         lo, hi, end = starts[k - 1:k + 2]
         grows = syl.tree[state]                 # children in (parent, letter)
-        par = np.repeat(np.arange(lo, hi), fanout[state])
+        par = np.repeat(np.arange(lo, hi, dtype=np.int32), fanout[state])
         letters = np.broadcast_to(letter_grid, grows.shape)[grows]
-        nbr[lo:hi][grows] = np.arange(hi, end)
+        nbr[lo:hi][grows] = np.arange(hi, end, dtype=np.int32)
         # the flat index of (child, inverse letter)
         nbr.reshape(-1)[np.arange(hi * L, end * L, L) + inverse[letters]] = par
         parent[hi:end], parent_letter[hi:end] = par, letters
@@ -802,11 +824,11 @@ def path_truncation(n_interior):
     presentations entirely.
     """
     n = n_interior + 2
-    nbr = np.full((n, 2), -1, dtype=np.int64)
+    nbr = np.full((n, 2), -1, dtype=np.int32)
     nbr[:-1, 0] = np.arange(1, n)
     nbr[1:, 1] = np.arange(0, n - 1)
     dist = np.arange(n, dtype=np.int32)
-    parent = np.arange(-1, n - 1, dtype=np.int64)
+    parent = np.arange(-1, n - 1, dtype=np.int32)
     shell = np.zeros(n, dtype=bool)
     shell[0] = shell[-1] = True
     return Truncation(

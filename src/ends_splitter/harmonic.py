@@ -20,7 +20,7 @@ from .errors import (
     MismatchedTruncations,
     NonConvergence,
 )
-from .groups import _first_fit
+from .groups import _first_fit, unique_sorted
 
 
 @dataclass
@@ -226,23 +226,18 @@ class EnergyReport:
     total: float
 
 
-def _edge_values(f):
-    t = f.truncation
-    eu, ev, _ = t.edges()
-    dom = _domain_of(f)
-    keep = dom[eu] & dom[ev]
-    return eu, ev, keep
-
-
 def energy(f, edge_filter=None):
     """Dirichlet energy: sum over edges of the squared difference.
 
-    ``edge_filter`` restricts to a boolean edge mask.
+    ``edge_filter`` restricts to a boolean edge mask.  A ``HarmonicField``
+    lives on every vertex, so only a ``PartialField`` masks its domain.
     """
-    eu, ev, keep = _edge_values(f)
-    if edge_filter is not None:
-        keep = keep & edge_filter
-    if not keep.all():
+    eu, ev, _ = f.truncation.edges()
+    keep = edge_filter
+    if isinstance(f, PartialField):
+        inside = f.domain[eu] & f.domain[ev]
+        keep = inside if keep is None else inside & keep
+    if keep is not None and not keep.all():
         # only the kept edges, in edge order: the sum's terms are the same
         eu, ev = eu[keep], ev[keep]
     diffs = f.values[eu] - f.values[ev]
@@ -451,5 +446,5 @@ def decay_profile(h, anchor_ids, component, theta):
     d = d[d >= 0]
     best = np.zeros(int(d.max()) + 1)
     np.maximum.at(best, d, np.abs(h.values[reached] - theta))
-    by_distance = {int(k): float(best[k]) for k in np.unique(d)}
+    by_distance = {int(k): float(best[k]) for k in unique_sorted(d)}
     return DecayProfile(anchor=anchor_ids, theta=theta, by_distance=by_distance)

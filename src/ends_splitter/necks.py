@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDrop, EndsSplitterError, NeckCoverageError
-from .ends import complement_components, complement_labels
+from .ends import complement_labels
+from .groups import unique_sorted
 from .harmonic import energy
 
 _VERDICT = (None, 0, 1, None)     # by the chi-values a trace meets
@@ -497,33 +498,39 @@ class DualGraph:
 def dual_graph(t, groups, R, phi_bound=None):
     """Nerve of the covering by group balls and complement components.
 
+    A group's R-ball meets a component's closure, the component with its
+    removed neighbours, exactly when the ball or a neighbour of it holds a
+    kept vertex of that component, so both come from the complement's
+    labels: sizes are counts per label, and the edges are the labels of the
+    kept vertices in each group ball and next to it.
+
     ``phi_bound`` is the connectivity bound of the separation hypothesis;
     when supplied, ball gaps are checked against it.
     """
     groups = [list(map(int, g)) for g in groups]
     all_k = np.asarray([v for g in groups for v in g], dtype=np.int64)
-    removed = t.word_ball(all_k, R - 1)
     removed_mask = np.zeros(t.n, dtype=bool)
-    removed_mask[removed] = True
-    comps = complement_components(t, removed)
+    removed_mask[t.word_ball(all_k, R - 1)] = True
+    labels = complement_labels(t, removed_mask)
+    kept = ~removed_mask
 
-    ball_masks = []
-    for g in groups:
-        mask = np.zeros(t.n, dtype=bool)
-        mask[t.word_ball(np.asarray(g, dtype=np.int64), R)] = True
-        ball_masks.append(mask)
+    # a label is its component's smallest id, so roots come in that order
+    counts = np.bincount(labels[kept], minlength=t.n)
+    roots = np.flatnonzero(counts)
+    reach = np.zeros(t.n, dtype=bool)
+    reach[labels[t.shell_mask & kept]] = True
 
     edges = []
-    for j, comp in enumerate(comps):
-        nb = t.nbr[comp.members]
-        removed_nbrs = np.unique(nb[(nb >= 0) & removed_mask[nb.clip(0)]])
-        closure = np.concatenate([comp.members, removed_nbrs]) \
-            if len(removed_nbrs) else comp.members
-        for i, mask in enumerate(ball_masks):
-            if mask[closure].any():
-                edges.append((i, j))
+    for i, g in enumerate(groups):
+        ball = t.word_ball(np.asarray(g, dtype=np.int64), R)
+        nb = t.nbr[ball]
+        near = np.concatenate([ball, nb[nb >= 0]])
+        near = near[kept[near]]
+        comps = np.searchsorted(roots, unique_sorted(labels[near]))
+        edges += [(i, j) for j in comps.tolist()]
+    edges.sort(key=lambda e: (e[1], e[0]))
 
-    n_k, n_c = len(groups), len(comps)
+    n_k, n_c = len(groups), len(roots)
     parent = list(range(n_k + n_c))
 
     def find(i):
@@ -550,8 +557,8 @@ def dual_graph(t, groups, R, phi_bound=None):
                     separation_ok = False
     return DualGraph(
         k_labels=[",".join(t.word(v) for v in g) for g in groups],
-        c_sizes=[int(c.size) for c in comps],
-        c_unbounded=[bool(c.unbounded) for c in comps],
+        c_sizes=counts[roots].tolist(),
+        c_unbounded=reach[roots].tolist(),
         edges=edges, is_tree=is_tree, connected=connected,
         separation_ok=separation_ok,
     )

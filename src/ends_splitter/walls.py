@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (CrossingWalls, EndsSplitterError, NoRegularValue,
                      NotATree, ScenarioError)
+from .groups import unique_sorted
 from .harmonic import pullback
 
 RELATIONS = ("eq_h", "lt_h", "gt_h", "eq_one_minus_h", "lt_one_minus_h",
@@ -128,7 +129,7 @@ def sample_images(h, sample, equality_tol=1e-9):
     lo, hi = 0.5 - equality_tol, 0.6 + equality_tol
     verdicts, traces = [None] * len(sample), [None] * len(sample)
     images, near = [None] * len(sample), [np.zeros(0)]
-    ids = np.arange(t.n)
+    ids = np.arange(t.n, dtype=np.int32)
     for i, img in t.right_action_stream(sample):
         inside = img >= 0
         vals = h.values[img[inside]]
@@ -150,7 +151,7 @@ def sample_images(h, sample, equality_tol=1e-9):
     keep = domain[ids]
     return SampleImages(equality_tol=equality_tol, sample=list(sample),
                         verdicts=verdicts,
-                        near=np.unique(np.concatenate(near)),
+                        near=unique_sorted(np.concatenate(near)),
                         shell_traces=traces, domain=domain,
                         images=[k[keep] for k in images])
 
@@ -301,7 +302,7 @@ def assert_noncrossing(t, system):
                 )
             owner[e] = i
     endpoint_ids = [
-        np.unique(np.concatenate([eu[w.edge_ids], ev[w.edge_ids]]))
+        unique_sorted(np.concatenate([eu[w.edge_ids], ev[w.edge_ids]]))
         for w in system.walls
     ]
     for i, w1 in enumerate(system.walls):
@@ -354,14 +355,15 @@ def indecomposable_regions(t, system):
     # deterministic region ids ordered by smallest member
     _, first, sig = np.unique(sig, return_index=True, return_inverse=True)
     region = np.argsort(np.argsort(first))[sig]
-    labels = np.full(t.n, -1, dtype=np.int64)
+    labels = np.full(t.n, -1, dtype=np.int32)
     labels[ids] = region
     n_regions = len(first)
 
-    # each flood component must sit inside one signature class
+    # each flood component must sit inside one signature class; the pair
+    # code flood * n_regions + region can pass 2**31, so it is int64
     flood = t.component_labels(keep)[ids].astype(np.int64)
-    pairs = np.unique(flood * n_regions + region)
-    if len(pairs) != len(np.unique(flood)):
+    pairs = unique_sorted(flood * n_regions + region)
+    if len(pairs) != len(unique_sorted(flood)):
         raise CrossingWalls(
             "a wall separates vertices inside one wall-free component"
         )
@@ -414,8 +416,8 @@ def build_wall_tree(t, system):
         below = system.side_at(w, us) < 0
         lo = np.where(below, us, vs)
         hi = np.where(below, vs, us)
-        minus = np.unique(labels[lo])
-        plus = np.unique(labels[hi])
+        minus = unique_sorted(labels[lo])
+        plus = unique_sorted(labels[hi])
         if len(minus) != 1 or len(plus) != 1:
             raise NotATree(
                 f"wall {w.label} touches {len(minus)} minus-regions and "
@@ -521,7 +523,8 @@ def action_on_tree(t, tree):
 
     # the right action keeps edge letters: the edge (u, l*u) goes to
     # (ug, l*ug).  Each wall edge is found from either end by its code
-    # u * L + l, so no table over the ball is needed.
+    # u * L + l, in int64 past the int32 ids, so no table over the ball is
+    # needed.
     L = t.n_letters
     inverse = np.array([t.presentation.engine().inverse_letter(l)
                         for l in range(L)])
@@ -530,7 +533,8 @@ def action_on_tree(t, tree):
              else np.zeros(0, dtype=np.int64))
     owner = np.repeat(np.arange(len(walls)), sizes)
     bounds = np.cumsum([0] + sizes)
-    wu, wv, wl = eu[edges], ev[edges], el[edges]
+    wu, wv = eu[edges].astype(np.int64), ev[edges].astype(np.int64)
+    wl = el[edges]
     codes = np.concatenate([wu * L + wl, wv * L + inverse[wl]])
     by_code = np.argsort(codes)
     codes = codes[by_code]
@@ -538,7 +542,8 @@ def action_on_tree(t, tree):
     code_owner = np.tile(owner, 2)[by_code]
 
     ids = images.domain_ids
-    source = labels[ids]
+    # int64 region labels: the pair code below can pass 2**31
+    source = labels[ids].astype(np.int64)
     pu = np.searchsorted(ids, wu)
 
     region_maps = {}
@@ -558,7 +563,7 @@ def action_on_tree(t, tree):
         # straddles walls outside the sampled family is recorded as a split
         target = labels[img]
         hit = target >= 0
-        pairs = np.unique(source[hit] * n_regions + target[hit])
+        pairs = unique_sorted(source[hit] * n_regions + target[hit])
         src, tgt = np.divmod(pairs, n_regions)
         counts = np.bincount(src, minlength=n_regions)
         single = counts[src] == 1
@@ -579,7 +584,7 @@ def action_on_tree(t, tree):
             mine = hits[part]
             j = int(mine[0])
             if (j >= 0 and (mine == j).all()
-                    and len(np.unique(keys[part])) == sizes[j]):
+                    and len(unique_sorted(keys[part])) == sizes[j]):
                 outcomes.append(f"wall_{j}")
                 if j == i:
                     stab_counts[i] += 1

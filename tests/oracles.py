@@ -314,6 +314,23 @@ def flood_complement(t, adj, removed):
             for i, c in enumerate(flood_components(adj, removed))]
 
 
+def flood_dual_graph(t, adj, groups, R):
+    """Component sizes, shell flags and nerve edges (k index, c index) of
+    ``necks.dual_graph``: the complement of the groups' (R-1)-balls by a
+    flood, and a group R-ball meeting a component's members or their
+    removed neighbours."""
+    removed = set(t.word_ball([v for g in groups for v in g], R - 1).tolist())
+    comps = flood_components(adj, sorted(removed))
+    balls = [set(t.word_ball(g, R).tolist()) for g in groups]
+    edges = []
+    for j, members in enumerate(comps):
+        closure = set(members) | {u for v in members for u in adj[v]
+                                  if u in removed}
+        edges += [(i, j) for i, ball in enumerate(balls) if ball & closure]
+    return ([len(c) for c in comps],
+            [bool(t.shell_mask[c].any()) for c in comps], edges)
+
+
 def flood_neck_components(t, adj, x, R):
     """Complement components of the (R-1)-ball at x, ordered by smallest
     member id; the oracle for ``necks.find_necks``."""

@@ -314,8 +314,8 @@ def test_necks_builds_no_edge_list(tmp_path, monkeypatch, group):
                      "--out", str(tmp_path / "out")]) == 0
 
 
-def _scipy_modules_after(tmp_path, commands, **overrides):
-    """The scipy modules loaded by a fresh interpreter that ran
+def _modules_after(tmp_path, commands, package="scipy", **overrides):
+    """The modules of ``package`` loaded by a fresh interpreter that ran
     ``commands`` on one scenario."""
     path = write_scenario(tmp_path, **overrides)
     code = ("import json, sys\n"
@@ -324,7 +324,7 @@ def _scipy_modules_after(tmp_path, commands, **overrides):
             f"    assert cli.main([c, '--scenario', {path!r}, "
             f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.split('.')[0] == 'scipy')))")
+            f"    if (m + '.').startswith({package + '.'!r}))))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env, check=True)
@@ -336,13 +336,20 @@ def _scipy_modules_after(tmp_path, commands, **overrides):
     ({"kind": "free_product_cyclic", "orders": [3, 0]}, "first_letter:s"),
 ], ids=["F2", "Z3*Z"])
 def test_necks_loads_no_scipy_module(tmp_path, group, chi):
-    assert _scipy_modules_after(tmp_path, ["necks"], group=group,
+    assert _modules_after(tmp_path, ["necks"], group=group,
                                 chi=chi) == []
 
 
 def test_solving_commands_load_no_scipy_module(tmp_path):
     # the solver sweeps in numpy alone; scipy serves spectral_gap only
-    assert _scipy_modules_after(tmp_path, ["solve", "gap", "tree"]) == []
+    assert _modules_after(tmp_path, ["solve", "gap", "tree"]) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "necks", "gap", "tree"])
+def test_commands_load_no_masked_array_module(tmp_path, command):
+    # a plain np.unique imports numpy.ma on its first call; the commands
+    # dedupe with groups.unique_sorted instead
+    assert _modules_after(tmp_path, [command], package="numpy.ma") == []
 
 
 def test_cover_failure_warns_but_succeeds(tmp_path, capsys):

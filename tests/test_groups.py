@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ends_splitter import groups
+from ends_splitter.ends import end_classes
 from ends_splitter.errors import PresentationError
 from ends_splitter.groups import (
     Presentation,
@@ -106,14 +107,20 @@ _LAYOUT_CASES = {
 }
 
 
+# each vertex table at the width its values need: ids are below 2**31
+_VERTEX_TABLE_WIDTHS = {"nbr": np.int32, "dist": np.int32,
+                        "parent": np.int32, "parent_letter": np.int8,
+                        "shell_mask": np.bool_}
+
+
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
 def test_layout_equals_generic_enumeration(case):
     p, rho = _LAYOUT_CASES[case]
     fast = build_truncation(p, rho)
     slow, words = oracles.build_generic(p, rho)
-    for name in ("nbr", "dist", "parent", "parent_letter", "shell_mask"):
+    for name, width in _VERTEX_TABLE_WIDTHS.items():
         ours, theirs = getattr(fast, name), getattr(slow, name)
-        assert ours.dtype == theirs.dtype, name
+        assert ours.dtype == width, name
         assert np.array_equal(ours, theirs), name
     assert [fast.element(v).word for v in range(fast.n)] == words
 
@@ -397,13 +404,40 @@ def test_first_fit_matches_the_per_vertex_loop(case):
         assert np.flatnonzero(got).tolist() == oracles.first_fit(table, alive)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 1000])
+def test_unique_sorted_is_np_unique(size):
+    rng = np.random.default_rng(size)
+    for a in (rng.integers(-3, 5, size), rng.integers(0, 2 ** 40, size),
+              rng.integers(0, 9, size).astype(np.int32), rng.random(size)):
+        got = groups.unique_sorted(a)
+        assert got.dtype == a.dtype
+        assert got.tolist() == np.unique(a).tolist()
+
+
+@pytest.mark.parametrize("case", [*sorted(_LAYOUT_CASES), "path"])
+def test_vertex_tables_are_stored_at_their_widths(case):
+    # ids are below 2**31, so int32; a degree is at most n_letters, so int8
+    t = path_truncation(9) if case == "path" else _layout_ball(case)
+    eu, ev, el = t.edges()
+    deg = t.degrees()
+    assert [a.dtype for a in (t.nbr, t.parent, eu, ev, el, deg)] == \
+        [np.int32] * 4 + [np.int8] * 2
+    assert deg.tolist() == (t.nbr >= 0).sum(axis=1).tolist()
+    classes = end_classes(t, 1)
+    assert classes
+    for c in classes:
+        assert c.members.dtype == np.int32
+        assert np.all(np.diff(c.members) > 0)
+    assert sum(len(c.members) for c in classes) == int((t.dist >= 1).sum())
+
+
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
 def test_edges_are_every_neighbour_pair_once_in_slot_order(case):
     t = _layout_ball(case)
     want = [(u, int(v), l) for u in range(t.n)
             for l, v in enumerate(t.nbr[u].tolist()) if v > u]
     eu, ev, el = t.edges()
-    assert (eu.dtype, ev.dtype, el.dtype) == (np.int64, np.int64, np.int8)
+    assert (eu.dtype, ev.dtype, el.dtype) == (np.int32, np.int32, np.int8)
     assert list(zip(eu.tolist(), ev.tolist(), el.tolist())) == want
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,34 @@ def test_energy_per_region_partitions_total(h_first_letter_r8):
              for m in (inner, ~inner)]
     assert sum(parts) == pytest.approx(energy(h_first_letter_r8).total,
                                        abs=1e-12)
+
+
+def test_full_field_energy_is_the_full_domain_partial_field_energy(
+        h_first_letter_r8):
+    # a HarmonicField skips the domain mask; the sums are the same, bit
+    # for bit, with and without an edge filter
+    h = h_first_letter_r8
+    t = h.truncation
+    whole = PartialField(truncation=t, values=h.values,
+                         domain=np.ones(t.n, dtype=bool))
+    eu, ev, _ = t.edges()
+    for keep in (None, t.dist[eu] <= 4, np.zeros(len(eu), dtype=bool)):
+        assert energy(h, edge_filter=keep).total == \
+            energy(whole, edge_filter=keep).total
+
+
+def test_solve_peaks_under_90_bytes_per_vertex(f2):
+    # int32 ids and int8 degrees: build, chi, solve and energy on F2 r10
+    # peak at about 82 B per vertex under tracemalloc (121 with int64 ids)
+    tracemalloc.start()
+    try:
+        t = build_truncation(f2, 10)
+        h = solve_dirichlet(t, make_end_function(t, 1, rule="first_letter:a"))
+        energy(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * t.n
 
 
 def test_energy_form_equals_energy_on_diagonal(h_first_letter_r8):

@@ -516,6 +516,34 @@ def test_randomized_separated_partitions_give_trees(t_f2_r8, t_z23_r10):
     assert trees == trials == 50
 
 
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_dual_graph_matches_the_closure_flood(case):
+    # sizes, shell flags and edges come from the complement's labels;
+    # the oracle floods and tests each component's closure against every
+    # group ball, bounded components and touching balls included
+    p, rho = _LAYOUT_CASES[case]
+    t = build_truncation(p, min(rho, 6))
+    adj = oracles.adjacency_dict(t)
+    rng = np.random.default_rng(13)
+    for R in (1, 2):
+        window = np.flatnonzero(t.dist <= t.radius - R)
+        for _ in range(12):
+            # centers near one another, which can cut off bounded pieces
+            near = t.word_ball([int(rng.choice(window))], 2)
+            near = near[t.dist[near] <= t.radius - R]
+            picks = rng.choice(near, size=min(len(near),
+                                              int(rng.integers(1, 7))),
+                               replace=False).tolist()
+            cut = sorted(rng.choice(len(picks), size=min(2, len(picks) - 1),
+                                    replace=False).tolist())
+            groups = [g for g in np.split(picks, cut) if len(g)]
+            groups = [sorted(map(int, g)) for g in groups]
+            dual = dual_graph(t, groups, R)
+            sizes, shell, edges = oracles.flood_dual_graph(t, adj, groups, R)
+            assert (dual.c_sizes, dual.c_unbounded, dual.edges) == \
+                (sizes, shell, edges), (case, R, groups)
+
+
 def test_dual_graph_dot_roundtrip(t_f2_r6):
     dual = dual_graph(t_f2_r6, [[0]], 1)
     nodes, edges = oracles.parse_dot(dual_graph_dot(dual))
@@ -705,7 +733,7 @@ def test_special_sets_floods_independently_of_the_centers(monkeypatch):
     # the survey reads every neck off the block tree: the one complement
     # left is the structural check's, read as labels, and no component
     # keeps its members
-    from ends_splitter import necks
+    from ends_splitter import ends, necks
 
     t = build_truncation(Presentation.free_product_of_cyclics([3, 0]), 8)
     chi = make_end_function(t, 1, values_by_word={"s": 0, "t": 1, "T": 0})
@@ -720,7 +748,8 @@ def test_special_sets_floods_independently_of_the_centers(monkeypatch):
         raise AssertionError("special_sets grouped a complement")
 
     monkeypatch.setattr(necks, "complement_labels", counted_labels)
-    monkeypatch.setattr(necks, "complement_components", no_components)
+    # necks imports no grouping; any caller would reach it through ends
+    monkeypatch.setattr(ends, "complement_components", no_components)
     passes, centers = [], []
     for spacing in (1, 2):
         calls.clear()
