@@ -177,10 +177,7 @@ class Scenario:
         if spec is None:
             raise ScenarioError("scenario has no chi")
         if isinstance(spec, str):
-            if spec.startswith("first_letter:"):
-                chi = make_end_function(t, self.base_radius, rule=spec)
-            else:
-                raise ScenarioError(f"unknown chi rule {spec!r}")
+            chi = make_end_function(t, self.base_radius, rule=spec)
         elif isinstance(spec, dict):
             chi = make_end_function(
                 t, self.base_radius,

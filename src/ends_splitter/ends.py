@@ -159,11 +159,11 @@ def make_end_function(t, r, values_by_word=None, rule=None, default=None):
     supports ``first_letter:<generator>``, for a generator or inverse
     letter of the presentation.
     """
+    if rule is not None and not rule.startswith("first_letter:"):
+        raise ScenarioError(f"unknown chi rule {rule!r}")
     classes = end_classes(t, r)
     values = {}
     if rule is not None:
-        if not rule.startswith("first_letter:"):
-            raise EndsSplitterError(f"unknown chi rule {rule!r}")
         gen = rule.split(":", 1)[1]
         names = t.presentation.engine().letter_names if t.presentation else []
         if gen not in names:

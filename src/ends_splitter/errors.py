@@ -49,10 +49,6 @@ class CrossingWalls(EndsSplitterError):
 class NotATree(EndsSplitterError):
     """Wall-incidence graph failed the tree checks (CLI exit 3)."""
 
-    def __init__(self, message, cycle=None):
-        super().__init__(message)
-        self.cycle = cycle
-
 
 class NeckCoverageError(EndsSplitterError):
     """Structural neck assertions failed on a window (CLI exit 3)."""

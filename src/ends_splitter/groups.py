@@ -444,18 +444,6 @@ class Truncation:
         a = coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
         return a.tocsr()
 
-    def component_labels(self, edge_keep):
-        """Connected-component label per vertex of the graph on the edges
-        of ``edges()`` selected by the boolean mask ``edge_keep``: the
-        smallest vertex id of its component.
-
-        Every vertex gets a label; one left without kept edges is its own
-        component.
-        """
-        eu, ev, _ = self.edges()
-        return join_labels(np.arange(self.n, dtype=np.int32), eu[edge_keep],
-                           ev[edge_keep])
-
     # -- the block tree -------------------------------------------------------
 
     def blocks(self):

@@ -70,13 +70,18 @@ class PartialField:
     truncation: object
     values: np.ndarray
     domain: np.ndarray               # boolean mask
-    label: str = ""
 
 
-def _domain_of(f):
-    if isinstance(f, PartialField):
-        return f.domain
-    return np.ones(f.truncation.n, dtype=bool)
+def _common_domain(u, v):
+    """The mask where both fields are defined; MismatchedTruncations
+    unless they live on one truncation."""
+    if u.truncation is not v.truncation:
+        raise MismatchedTruncations("fields live on different truncations")
+    dom = np.ones(u.truncation.n, dtype=bool)
+    for f in (u, v):
+        if isinstance(f, PartialField):
+            dom &= f.domain
+    return dom
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +252,8 @@ def energy(f, edge_filter=None):
 def energy_form(u, v):
     """Bilinear form: sum over common-domain edges of the product of edge
     differences.  energy_form(u, u) == energy(u).total."""
-    if u.truncation is not v.truncation:
-        raise MismatchedTruncations("fields live on different truncations")
-    t = u.truncation
-    eu, ev, _ = t.edges()
-    dom = _domain_of(u) & _domain_of(v)
+    dom = _common_domain(u, v)
+    eu, ev, _ = u.truncation.edges()
     keep = dom[eu] & dom[ev]
     du = u.values[eu] - u.values[ev]
     dv = v.values[eu] - v.values[ev]
@@ -259,11 +261,9 @@ def energy_form(u, v):
 
 
 def field_difference(u, v):
-    if u.truncation is not v.truncation:
-        raise MismatchedTruncations("fields live on different truncations")
-    dom = _domain_of(u) & _domain_of(v)
+    dom = _common_domain(u, v)
     return PartialField(truncation=u.truncation, values=u.values - v.values,
-                        domain=dom, label="difference")
+                        domain=dom)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def pullback(h, g):
     dom = ids >= 0
     vals = np.zeros(t.n, dtype=np.float64)
     vals[dom] = h.values[ids[dom]]
-    return PartialField(truncation=t, values=vals, domain=dom, label=str(g))
+    return PartialField(truncation=t, values=vals, domain=dom)
 
 
 @dataclass
@@ -295,15 +295,9 @@ class CrossingSet:
 def lattice_ops(h, k, equality_tol=1e-9):
     """Pointwise max/min of two fields on their common domain, with the
     crossing locus."""
-    t = h.truncation
-    if isinstance(k, HarmonicField):
-        k = PartialField(truncation=t, values=k.values,
-                         domain=np.ones(t.n, dtype=bool), label="field")
-    if t is not k.truncation:
-        raise MismatchedTruncations("fields live on different truncations")
-    dom = _domain_of(h) & k.domain
-    g_plus = PartialField(t, np.maximum(h.values, k.values), dom, "max")
-    g_minus = PartialField(t, np.minimum(h.values, k.values), dom, "min")
+    t, dom = h.truncation, _common_domain(h, k)
+    g_plus = PartialField(t, np.maximum(h.values, k.values), dom)
+    g_minus = PartialField(t, np.minimum(h.values, k.values), dom)
 
     eu, ev, _ = t.edges()
     keep = dom[eu] & dom[ev]
@@ -412,7 +406,6 @@ def _sweep_cut(t, inter, vec):
 
 @dataclass
 class DecayProfile:
-    anchor: np.ndarray
     theta: int
     by_distance: dict
 
@@ -447,4 +440,4 @@ def decay_profile(h, anchor_ids, component, theta):
     best = np.zeros(int(d.max()) + 1)
     np.maximum.at(best, d, np.abs(h.values[reached] - theta))
     by_distance = {int(k): float(best[k]) for k in unique_sorted(d)}
-    return DecayProfile(anchor=anchor_ids, theta=theta, by_distance=by_distance)
+    return DecayProfile(theta=theta, by_distance=by_distance)

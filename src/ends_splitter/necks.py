@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateDrop, EndsSplitterError, NeckCoverageError
 from .ends import complement_labels
-from .groups import unique_sorted
+from .groups import join_labels, unique_sorted
 from .harmonic import energy
 
 _VERDICT = (None, 0, 1, None)     # by the chi-values a trace meets
@@ -427,7 +427,6 @@ class PartitionParams:
 @dataclass
 class Partition:
     groups: list               # lists of vertex ids
-    within_diameters: list
     min_between_gap: int | None
     gap_ok: bool
     diameter_flagged: bool
@@ -445,23 +444,15 @@ def partition_K(t, K_ids, params):
         for j in range(i + 1, n):
             dist[i][j] = dist[j][i] = t.word_distance(K[i], K[j])
 
-    labels = list(range(n))
-
-    def find(i):
-        while labels[i] != i:
-            labels[i] = labels[labels[i]]
-            i = labels[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i][j] <= params.D:
-                labels[find(i)] = find(j)
+    near = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if dist[i][j] <= params.D]
+    a, b = np.array(near, dtype=np.intp).reshape(-1, 2).T
+    roots = join_labels(np.arange(n), a, b)
 
     # member positions per group, groups in order of their first position
     by_root = {}
-    for i in range(n):
-        by_root.setdefault(find(i), []).append(i)
+    for i, root in enumerate(roots.tolist()):
+        by_root.setdefault(root, []).append(i)
     members = list(by_root.values())
     groups = [sorted(K[i] for i in idx) for idx in members]
 
@@ -470,7 +461,7 @@ def partition_K(t, K_ids, params):
             for a, ia in enumerate(members) for ib in members[a + 1:]]
     min_gap = min(gaps) if gaps else None
     return Partition(
-        groups=groups, within_diameters=diam, min_between_gap=min_gap,
+        groups=groups, min_between_gap=min_gap,
         gap_ok=(min_gap is None or min_gap > params.d),
         diameter_flagged=any(dm > params.D for dm in diam),
     )
@@ -483,7 +474,6 @@ class DualGraph:
     c_unbounded: list
     edges: list                # (k index, c index)
     is_tree: bool
-    connected: bool
     separation_ok: bool | None
 
     @property
@@ -531,20 +521,11 @@ def dual_graph(t, groups, R, phi_bound=None):
     edges.sort(key=lambda e: (e[1], e[0]))
 
     n_k, n_c = len(groups), len(roots)
-    parent = list(range(n_k + n_c))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in edges:
-        parent[find(i)] = find(n_k + j)
-    connected = len({find(i) for i in range(n_k + n_c)}) == 1
+    k, c = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    nerve = join_labels(np.arange(n_k + n_c), k, n_k + c)
     # edges are distinct pairs: connected with one edge fewer than nodes
     # is a tree
-    is_tree = connected and len(edges) == n_k + n_c - 1
+    is_tree = len(edges) == n_k + n_c - 1 and bool((nerve == 0).all())
 
     separation_ok = None
     if phi_bound is not None:
@@ -559,7 +540,7 @@ def dual_graph(t, groups, R, phi_bound=None):
         k_labels=[",".join(t.word(v) for v in g) for g in groups],
         c_sizes=counts[roots].tolist(),
         c_unbounded=reach[roots].tolist(),
-        edges=edges, is_tree=is_tree, connected=connected,
+        edges=edges, is_tree=is_tree,
         separation_ok=separation_ok,
     )
 
@@ -583,14 +564,11 @@ def dual_graph_dot(dual):
 
 @dataclass
 class GapCertificate:
-    neck_center: int
     witness_path: list
     drop: float
     mu: float
     region_edges: np.ndarray       # boolean edge mask
     region_energy: float
-    x0: int
-    x1: int
 
 
 WITNESS_EPSILON = 0.1
@@ -654,9 +632,8 @@ def gap_certificate(h, neck, masks):
     region = hood[eu] & hood[ev]
     region_energy = energy(h, edge_filter=region).total
     cert = GapCertificate(
-        neck_center=neck.center, witness_path=[int(v) for v in path],
-        drop=drop, mu=mu, region_edges=region, region_energy=region_energy,
-        x0=x0, x1=x1,
+        witness_path=[int(v) for v in path], drop=drop, mu=mu,
+        region_edges=region, region_energy=region_energy,
     )
     if cert.mu > cert.region_energy + 1e-12:
         raise EndsSplitterError("certificate failed its own soundness check")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (CrossingWalls, EndsSplitterError, NoRegularValue,
                      NotATree, ScenarioError)
-from .groups import unique_sorted
+from .groups import join_labels, unique_sorted
 from .harmonic import pullback
 
 RELATIONS = ("eq_h", "lt_h", "gt_h", "eq_one_minus_h", "lt_one_minus_h",
@@ -321,7 +321,6 @@ def assert_noncrossing(t, system):
 class IndecomposableRegion:
     id: int
     members: np.ndarray
-    adjacent_walls: list
     n_pieces: int = 1            # regions may be disconnected sets
 
     @property
@@ -361,7 +360,8 @@ def indecomposable_regions(t, system):
 
     # each flood component must sit inside one signature class; the pair
     # code flood * n_regions + region can pass 2**31, so it is int64
-    flood = t.component_labels(keep)[ids].astype(np.int64)
+    flood = join_labels(np.arange(t.n, dtype=np.int32), eu[keep],
+                        ev[keep])[ids].astype(np.int64)
     pairs = unique_sorted(flood * n_regions + region)
     if len(pairs) != len(unique_sorted(flood)):
         raise CrossingWalls(
@@ -373,7 +373,6 @@ def indecomposable_regions(t, system):
     members = np.split(ids[np.argsort(region, kind="stable")],
                        np.cumsum(sizes)[:-1])
     regions = [IndecomposableRegion(id=lab, members=members[lab],
-                                    adjacent_walls=[],
                                     n_pieces=int(pieces[lab]))
                for lab in range(n_regions)]
     return labels, regions
@@ -400,8 +399,8 @@ def build_wall_tree(t, system):
     its walls, with the tree checks.
 
     Every wall must lie on the domain and touch exactly two regions (its
-    sides); the graph must be connected and satisfy the Euler count, and
-    an independent union-find pass must find no cycle.
+    sides), and the graph must be connected with one edge fewer than
+    nodes; in a connected graph a cycle breaks that count.
     """
     labels, regions = indecomposable_regions(t, system)
     eu, ev, _ = t.edges()
@@ -424,28 +423,11 @@ def build_wall_tree(t, system):
                 f"{len(plus)} plus-regions (need exactly 1 + 1)",
             )
         incidence.append((int(minus[0]), int(plus[0])))
-        w_idx = len(incidence) - 1
-        regions[int(minus[0])].adjacent_walls.append(w_idx)
-        regions[int(plus[0])].adjacent_walls.append(w_idx)
 
     n = len(regions)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in incidence:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise NotATree("wall incidence contains a cycle",
-                           cycle=[a, b])
-        parent[ra] = rb
-    connected = len({find(i) for i in range(n)}) == 1
-    euler = len(incidence) == n - 1
-    if not (connected and euler):
+    a, b = np.array(incidence, dtype=np.intp).reshape(-1, 2).T
+    roots = join_labels(np.arange(n), a, b)
+    if (roots != 0).any() or len(incidence) != n - 1:
         raise NotATree(
             f"wall graph disconnected or Euler count failed "
             f"({len(incidence)} edges, {n} nodes)"

@@ -269,6 +269,16 @@ def kept_edge_components(t, edge_keep):
     return flood_components(adj, [])
 
 
+def is_tree(n, edges):
+    """Whether the graph on nodes 0..n-1 with the distinct ``edges`` is a
+    tree: a flood from node 0 reaches every node, over n - 1 edges."""
+    adj = {v: [] for v in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return len(edges) == n - 1 and len(bfs_distances(adj, [0])) == n
+
+
 def bfs_distances(adj, sources, allowed=None):
     dist = {}
     dq = deque()
@@ -623,7 +633,9 @@ def indecomposable_regions(t, system):
     wall_mask = system.wall_edge_mask(t)
     keep = dom[eu] & dom[ev] & ~wall_mask
 
-    flood = t.component_labels(keep)
+    flood = np.empty(t.n, dtype=np.int64)
+    for members in kept_edge_components(t, keep):
+        flood[members] = members[0]
 
     ids = np.flatnonzero(dom)
     if system.walls:
@@ -657,7 +669,7 @@ def indecomposable_regions(t, system):
     for lab in range(len(order)):
         members = np.flatnonzero(labels == lab)
         regions.append(IndecomposableRegion(
-            id=lab, members=members, adjacent_walls=[],
+            id=lab, members=members,
             n_pieces=pieces.get(lab, 1)))
     return labels, regions
 

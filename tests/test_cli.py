@@ -120,6 +120,8 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     {"group": {"kind": "free_product_cyclic", "orders": [3, 0], "rank": 2}},
     {"chi": {"map": {"a": 1, "A": 1, "b": 0, "B": 0}, "bogus": 3}},
     {"chi": ["first_letter:a", {"map": {"a": 1}, "default": 0, "x": 1}]},
+    # a chi rule other than first_letter
+    {"chi": "last_letter:a"},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)

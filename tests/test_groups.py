@@ -443,14 +443,16 @@ def test_edges_are_every_neighbour_pair_once_in_slot_order(case):
 
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
 def test_component_labels_match_the_flood(case):
-    # each component is labeled by its smallest member, the flood's first
+    # join_labels over the kept edges labels each component by its
+    # smallest member, the flood's first
     t = _layout_ball(case)
-    m = t.n_edges()
+    eu, ev, _ = t.edges()
     rng = np.random.default_rng(11)
-    masks = [np.ones(m, dtype=bool), np.zeros(m, dtype=bool),
-             rng.random(m) < 0.3, rng.random(m) < 0.9]
+    masks = [np.ones(len(eu), dtype=bool), np.zeros(len(eu), dtype=bool),
+             rng.random(len(eu)) < 0.3, rng.random(len(eu)) < 0.9]
     for keep in masks:
-        labels = t.component_labels(keep)
+        labels = groups.join_labels(np.arange(t.n, dtype=np.int32),
+                                    eu[keep], ev[keep])
         comps = oracles.kept_edge_components(t, keep)
         assert len(np.unique(labels)) == len(comps)
         for members in comps:

@@ -333,11 +333,18 @@ def test_energy_form_with_constant_vanishes(t_f2_r4):
     assert abs(energy_form(h, const)) <= 1e-14
 
 
-def test_energy_form_rejects_mismatched_truncations(t_f2_r4, t_f2_r6):
+def test_energy_form_rejects_mismatched_truncations(t_f2_r4, f2):
+    # each field operation, against a whole or a partial field on a ball of
+    # another radius or on one of the same radius built again
     u = synthetic_field(t_f2_r4, np.zeros(t_f2_r4.n))
-    v = synthetic_field(t_f2_r6, np.zeros(t_f2_r6.n))
-    with pytest.raises(MismatchedTruncations):
-        energy_form(u, v)
+    for radius in (4, 6):
+        other = build_truncation(f2, radius)
+        whole = synthetic_field(other, np.zeros(other.n))
+        part = PartialField(other, whole.values, np.ones(other.n, dtype=bool))
+        for op in (energy_form, field_difference, lattice_ops):
+            for v in (whole, part):
+                with pytest.raises(MismatchedTruncations):
+                    op(u, v)
 
 
 @settings(max_examples=25, deadline=None)
@@ -408,7 +415,7 @@ def test_lattice_ops_with_self(h_first_letter_r8):
 def test_lattice_ops_with_complement(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
-    k = PartialField(t, 1.0 - h.values, np.ones(t.n, dtype=bool), "1-h")
+    k = PartialField(t, 1.0 - h.values, np.ones(t.n, dtype=bool))
     gp, _, _ = lattice_ops(h, k)
     assert gp.values.min() >= 0.5 - 1e-12
 

@@ -542,6 +542,9 @@ def test_dual_graph_matches_the_closure_flood(case):
             sizes, shell, edges = oracles.flood_dual_graph(t, adj, groups, R)
             assert (dual.c_sizes, dual.c_unbounded, dual.edges) == \
                 (sizes, shell, edges), (case, R, groups)
+            n_k = len(groups)
+            assert dual.is_tree == oracles.is_tree(
+                n_k + len(sizes), [(i, n_k + j) for i, j in edges])
 
 
 def test_dual_graph_dot_roundtrip(t_f2_r6):

@@ -16,6 +16,7 @@ from ends_splitter.ends import make_end_function
 from ends_splitter.groups import Presentation, build_truncation, group_ball
 from ends_splitter.harmonic import HarmonicField, pullback, solve_dirichlet
 from ends_splitter.walls import (
+    IndecomposableRegion,
     SampleImages,
     Wall,
     WallSystem,
@@ -328,6 +329,29 @@ def test_crossing_walls_detected(t_f2_r4):
         build_wall_tree(t, system)
 
 
+@pytest.mark.parametrize("labels", [
+    [0, 0, 1, 2, 0, 0],         # the third wall joins regions 2 and 0
+    [0, 0, 1, 2, 3, 4],         # region 4 touches no wall
+])
+def test_tree_refuses_a_cycle_or_an_isolated_region(monkeypatch, labels):
+    # path 0-...-5 cut by three noncrossing walls, with region labels
+    # patched in: three regions joined in a cycle, or five regions of
+    # which one is left out, are each refused
+    from ends_splitter.groups import path_truncation
+    t = path_truncation(4)
+    walls = [Wall(labels=[f"w{e}"], edge_ids=np.array([e]),
+                  side=np.where(np.arange(t.n) <= e, -1, 1).astype(np.int8))
+             for e in (1, 2, 3)]
+    system = hand_made(walls, np.ones(t.n, dtype=bool))
+    labels = np.array(labels, dtype=np.int32)
+    regions = [IndecomposableRegion(id=k, members=np.flatnonzero(labels == k))
+               for k in range(labels.max() + 1)]
+    monkeypatch.setattr("ends_splitter.walls.indecomposable_regions",
+                        lambda t, system: (labels, regions))
+    with pytest.raises(NotATree, match="disconnected or Euler count"):
+        build_wall_tree(t, system)
+
+
 def test_wall_tree_dot_roundtrip(f2_small_system):
     t, system = f2_small_system
     tree = build_wall_tree(t, system)
@@ -425,22 +449,19 @@ def assert_same_regions(got, want):
     assert np.array_equal(got[0], want[0])
     assert len(got[1]) == len(want[1])
     for a, b in zip(got[1], want[1]):
-        assert (a.id, a.n_pieces, a.adjacent_walls) == \
-            (b.id, b.n_pieces, b.adjacent_walls)
+        assert (a.id, a.n_pieces) == (b.id, b.n_pieces)
         assert np.array_equal(a.members, b.members)
         assert a.members.dtype == b.members.dtype
 
 
 def assert_same_incidence(t, tree, want):
     """The tree's regions are ``want``'s, and each wall joins the two
-    regions its edges' ends lie in, listed on both in wall order."""
-    labels, regions = want
+    regions its edges' ends lie in."""
+    labels, _ = want
     eu, ev, _ = t.edges()
     for i, w in enumerate(tree.system.walls):
         ends = np.concatenate([labels[eu[w.edge_ids]], labels[ev[w.edge_ids]]])
         assert set(ends.tolist()) == set(tree.incidence[i])
-        for r in tree.incidence[i]:
-            regions[r].adjacent_walls.append(i)
     assert_same_regions((tree.region_of_vertex, tree.regions), want)
 
 
