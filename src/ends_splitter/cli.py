@@ -5,28 +5,20 @@ Every run writes into ``<out>/<scenario-name>/``.  ``report.json`` is
 byte-identical for a fixed scenario and seed regardless of ``--threads``;
 wall-clock timings therefore live in a separate ``timings.json``.
 
-Exit codes: 0 success, 1 configuration, 2 numerical, 3 structural.
+Exit codes: 0 success, 1 configuration, 2 numerical, 3 structural; each
+error class carries its own (``errors.py``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
 
-from .errors import (
-    CrossingWalls,
-    DegenerateDrop,
-    EndsSplitterError,
-    NeckCoverageError,
-    NoRegularValue,
-    NonConvergence,
-    NotATree,
-    PresentationError,
-    ScenarioError,
-)
+from .errors import EndsSplitterError, ScenarioError
 from .ends import all_nonconstant_end_functions, make_end_function
 from .groups import Presentation, build_net, build_truncation, group_ball
 from .harmonic import SolverConfig, energy, solve_dirichlet
@@ -49,18 +41,20 @@ from .walls import (
     wall_tree_dot,
 )
 
-_SCENARIO_FIELDS = {
-    "schema", "name", "group", "truncation_radius", "base_radius", "neck_R",
-    "net_delta", "chi", "solver", "wall", "seed",
-}
-_SOLVER_FIELDS = {"tolerance", "max_iterations", "scheme"}
-_WALL_FIELDS = {"sample_radius", "equality_tol", "step"}
 _GROUP_FIELDS = {"free": {"kind", "rank"},
                  "free_product_cyclic": {"kind", "orders"}}
 _CHI_FIELDS = {"map", "default"}
 # the one solver; scenario files may still name it, and reports echo it
 _SCHEME = "gauss_seidel"
 _REQUIRED = object()
+# kind and default of every number field, per scenario object
+_NUMBERS = {
+    "scenario": {"truncation_radius": (int, _REQUIRED), "base_radius": (int, 1),
+                 "neck_R": (int, 1), "net_delta": (int, 1), "seed": (int, 0)},
+    "solver": {"tolerance": (float, 1e-9), "max_iterations": (int, 10 ** 6)},
+    "wall": {"sample_radius": (int, 3), "equality_tol": (float, 1e-9),
+             "step": (float, 1e-3)},
+}
 # the JSON types each kind of field accepts; a bool is never a number
 _JSON_TYPES = {str: str, dict: dict, int: int, float: (int, float)}
 
@@ -88,9 +82,19 @@ def _known_fields(cfg, allowed, where):
         raise ScenarioError(f"unknown {where} fields: {sorted(unknown)}")
 
 
+def _numbers(cfg, where, *others):
+    """The number fields of one scenario object, read by ``_NUMBERS``; a
+    field that is neither one of them nor in ``others`` is unknown."""
+    _known_fields(cfg, {*_NUMBERS[where], *others}, where)
+    return {key: _field(cfg, key, kind, default, where)
+            for key, (kind, default) in _NUMBERS[where].items()}
+
+
 class Scenario:
     def __init__(self, cfg, name):
-        _known_fields(cfg, _SCENARIO_FIELDS, "scenario")
+        self.numbers = _numbers(cfg, "scenario", "schema", "name", "group",
+                                "chi", "solver", "wall")
+        vars(self).update(self.numbers)     # runners read them by name
         if cfg.get("schema") != 1:
             raise ScenarioError('scenario must declare "schema": 1')
         self.name = _field(cfg, "name", str, name)
@@ -106,35 +110,20 @@ class Scenario:
                 f"cannot read group {self.group_cfg!r}: {ex!r}") from None
         _known_fields(self.group_cfg, _GROUP_FIELDS[self.presentation.kind],
                       "group")
-        self.truncation_radius = _field(cfg, "truncation_radius", int)
-        self.base_radius = _field(cfg, "base_radius", int, 1)
-        self.neck_R = _field(cfg, "neck_R", int, 1)
-        self.net_delta = _field(cfg, "net_delta", int, 1)
         self.chi_spec = cfg.get("chi", None)
         for spec in (self.chi_spec if isinstance(self.chi_spec, list)
                      else [self.chi_spec]):
             if isinstance(spec, dict):
                 _known_fields(spec, _CHI_FIELDS, "chi")
-        self.seed = _field(cfg, "seed", int, 0)
 
         solver = _field(cfg, "solver", dict, {})
-        _known_fields(solver, _SOLVER_FIELDS, "solver")
+        self.solver_numbers = _numbers(solver, "solver", "scheme")
         if solver.get("scheme", _SCHEME) != _SCHEME:
             raise ScenarioError(
                 f"unknown solver scheme {solver['scheme']!r}; the only "
                 f"scheme is {_SCHEME!r}")
-        self.solver = SolverConfig(
-            tolerance=_field(solver, "tolerance", float, 1e-9, "solver"),
-            max_iterations=_field(solver, "max_iterations", int, 10 ** 6,
-                                  "solver"),
-        )
-
-        wall = _field(cfg, "wall", dict, {})
-        _known_fields(wall, _WALL_FIELDS, "wall")
-        self.wall_sample_radius = _field(wall, "sample_radius", int, 3, "wall")
-        self.wall_equality_tol = _field(wall, "equality_tol", float, 1e-9,
-                                        "wall")
-        self.wall_step = _field(wall, "step", float, 1e-3, "wall")
+        self.solver = SolverConfig(**self.solver_numbers)
+        self.wall = _numbers(_field(cfg, "wall", dict, {}), "wall")
 
         if not (self.truncation_radius > self.base_radius
                 and self.base_radius >= self.neck_R >= 1):
@@ -144,33 +133,16 @@ class Scenario:
             )
         if self.net_delta < 1:
             raise ScenarioError(f"need net_delta >= 1, got {self.net_delta}")
-        if not 0 <= self.wall_sample_radius <= self.truncation_radius:
+        if not 0 <= self.wall["sample_radius"] <= self.truncation_radius:
             raise ScenarioError(
                 "need 0 <= wall sample_radius <= truncation_radius, got "
-                f"{self.wall_sample_radius} / {self.truncation_radius}")
-        check_wall_settings(self.wall_step, self.wall_equality_tol)
+                f"{self.wall['sample_radius']} / {self.truncation_radius}")
+        check_wall_settings(self.wall["step"], self.wall["equality_tol"])
 
     def echo(self):
-        return {
-            "name": self.name,
-            "group": self.group_cfg,
-            "truncation_radius": self.truncation_radius,
-            "base_radius": self.base_radius,
-            "neck_R": self.neck_R,
-            "net_delta": self.net_delta,
-            "chi": self.chi_spec,
-            "solver": {
-                "tolerance": self.solver.tolerance,
-                "max_iterations": self.solver.max_iterations,
-                "scheme": _SCHEME,
-            },
-            "wall": {
-                "sample_radius": self.wall_sample_radius,
-                "equality_tol": self.wall_equality_tol,
-                "step": self.wall_step,
-            },
-            "seed": self.seed,
-        }
+        return {**self.numbers, "name": self.name, "group": self.group_cfg,
+                "chi": self.chi_spec, "wall": dict(self.wall),
+                "solver": {**self.solver_numbers, "scheme": _SCHEME}}
 
     def resolve_chi(self, t, spec=None):
         spec = self.chi_spec if spec is None else spec
@@ -186,8 +158,7 @@ class Scenario:
             )
         else:
             raise ScenarioError("chi must be a rule string or a map object")
-        if not chi.nonconstant:
-            raise ScenarioError("chi must be nonconstant")
+        chi.require_nonconstant()
         return chi
 
     def resolve_chi_list(self, t):
@@ -222,36 +193,32 @@ def load_scenario(path, overrides=None):
     return Scenario(cfg, name)
 
 
-def _json_dump(obj, path):
-    with open(path, "w") as fh:
+def _json_dump(obj, outdir, name):
+    with open(os.path.join(outdir, name), "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1, separators=(",", ": "))
         fh.write("\n")
 
 
-class _Stages:
-    def __init__(self, verbose):
-        self.timings = {}
-        self.verbose = verbose
-        self._t0 = None
-        self._name = None
+class _Stages(dict):
+    """Wall time of each stage by name; ``with stages(name):`` times one,
+    announcing it on stderr first when ``verbose``."""
 
-    def start(self, name):
+    def __init__(self, verbose):
+        super().__init__()
+        self.verbose = verbose
+
+    @contextlib.contextmanager
+    def __call__(self, name):
         if self.verbose:
             print(f"[stage] {name}", file=sys.stderr, flush=True)
-        self._name = name
-        self._t0 = time.monotonic()
-
-    def stop(self):
-        if self._name is not None:
-            self.timings[self._name] = round(time.monotonic() - self._t0, 6)
-            self._name = None
+        t0 = time.monotonic()
+        yield
+        self[name] = round(time.monotonic() - t0, 6)
 
 
 def _prepare(scn, stages):
-    stages.start("build_truncation")
-    t = build_truncation(scn.presentation, scn.truncation_radius)
-    stages.stop()
-    return t
+    with stages("build_truncation"):
+        return build_truncation(scn.presentation, scn.truncation_radius)
 
 
 def _base_report(scn, t, command):
@@ -268,13 +235,11 @@ def _base_report(scn, t, command):
     }
 
 
-def _solve_stage(scn, t, stages, chi=None):
-    stages.start("resolve_chi")
-    chi = chi or scn.resolve_chi(t)
-    stages.stop()
-    stages.start("solve_dirichlet")
-    h = solve_dirichlet(t, chi, scn.solver)
-    stages.stop()
+def _solve_stage(scn, t, stages):
+    with stages("resolve_chi"):
+        chi = scn.resolve_chi(t)
+    with stages("solve_dirichlet"):
+        h = solve_dirichlet(t, chi, scn.solver)
     lo, hi = h.interior_range()
     block = {
         "scheme": _SCHEME,
@@ -297,32 +262,28 @@ def run_solve(scn, outdir, stages):
                      "assignments": chi.assignments_by_word(),
                      "end_classes": [c.summary() for c in chi.classes]}
     report["solve"] = block
-    stages.start("write_outputs")
-    h.to_csv(os.path.join(outdir, "field.csv"))
-    _json_dump(report, os.path.join(outdir, "report.json"))
-    stages.stop()
+    with stages("write_outputs"):
+        h.to_csv(os.path.join(outdir, "field.csv"))
+        _json_dump(report, outdir, "report.json")
     return report
 
 
 def run_necks(scn, outdir, stages):
     t = _prepare(scn, stages)
-    stages.start("build_net")
-    net = build_net(t, scn.net_delta)
-    stages.stop()
-    stages.start("resolve_chi")
-    chi = scn.resolve_chi(t)
-    stages.stop()
-    stages.start("special_sets")
-    neck_report = special_sets(t, find_necks(t, net, scn.neck_R), chi)
-    stages.stop()
+    with stages("build_net"):
+        net = build_net(t, scn.net_delta)
+    with stages("resolve_chi"):
+        chi = scn.resolve_chi(t)
+    with stages("special_sets"):
+        neck_report = special_sets(t, find_necks(t, net, scn.neck_R), chi)
 
-    stages.start("dual_graph")
-    k_ids = neck_report.center_ids["K"]
-    dual = None
-    if k_ids:
-        part = partition_K(t, k_ids, PartitionParams(D=2 * scn.neck_R, d=0))
-        dual = dual_graph(t, part.groups, scn.neck_R)
-    stages.stop()
+    with stages("dual_graph"):
+        k_ids = neck_report.center_ids["K"]
+        dual = None
+        if k_ids:
+            params = PartitionParams(D=2 * scn.neck_R, d=0)
+            dual = dual_graph(t, partition_K(t, k_ids, params).groups,
+                              scn.neck_R)
 
     report = _base_report(scn, t, "necks")
     report["chi"] = {"base_radius": chi.base_radius,
@@ -335,33 +296,28 @@ def run_necks(scn, outdir, stages):
             "edges": dual.n_edges,
             "is_tree": dual.is_tree,
         }
-    stages.start("write_outputs")
-    _json_dump(neck_report.to_json_dict(), os.path.join(outdir, "necks.json"))
-    if dual is not None:
-        with open(os.path.join(outdir, "dual.dot"), "w") as fh:
-            fh.write(dual_graph_dot(dual))
-    _json_dump(report, os.path.join(outdir, "report.json"))
-    stages.stop()
+    with stages("write_outputs"):
+        _json_dump(report["necks"], outdir, "necks.json")
+        if dual is not None:
+            with open(os.path.join(outdir, "dual.dot"), "w") as fh:
+                fh.write(dual_graph_dot(dual))
+        _json_dump(report, outdir, "report.json")
     return report
 
 
 def run_gap(scn, outdir, stages):
     t = _prepare(scn, stages)
-    stages.start("build_net")
-    net = build_net(t, scn.net_delta)
-    stages.stop()
-    stages.start("resolve_chi")
-    chis = scn.resolve_chi_list(t)
-    stages.stop()
-    stages.start("energy_gap_estimate")
-    bracket = energy_gap_estimate(t, net, scn.neck_R, chis,
-                                  solver_cfg=scn.solver)
-    stages.stop()
+    with stages("build_net"):
+        net = build_net(t, scn.net_delta)
+    with stages("resolve_chi"):
+        chis = scn.resolve_chi_list(t)
+    with stages("energy_gap_estimate"):
+        bracket = energy_gap_estimate(t, net, scn.neck_R, chis,
+                                      solver_cfg=scn.solver)
     report = _base_report(scn, t, "gap")
     report["gap"] = bracket.to_json_dict()
-    stages.start("write_outputs")
-    _json_dump(report, os.path.join(outdir, "report.json"))
-    stages.stop()
+    with stages("write_outputs"):
+        _json_dump(report, outdir, "report.json")
     return report
 
 
@@ -369,25 +325,23 @@ def run_tree(scn, outdir, stages):
     t = _prepare(scn, stages)
     chi, h, block = _solve_stage(scn, t, stages)
 
-    stages.start("walls")
-    sample = group_ball(t, scn.wall_sample_radius)
-    # one pass over the full-ball maps; walls, regions and the action read
-    # what it keeps on the common domain
-    images = sample_images(h, sample, scn.wall_equality_tol)
-    threshold = choose_threshold(images, scn.wall_step)
-    system = build_walls(h, images, threshold)
-    stages.stop()
+    with stages("walls"):
+        sample = group_ball(t, scn.wall["sample_radius"])
+        # one pass over the full-ball maps; walls, regions and the action
+        # read what it keeps on the common domain
+        images = sample_images(h, sample, scn.wall["equality_tol"])
+        threshold = choose_threshold(images, scn.wall["step"])
+        system = build_walls(h, images, threshold)
 
-    stages.start("wall_tree")
-    tree = build_wall_tree(t, system)
-    action = action_on_tree(t, tree)
-    stages.stop()
+    with stages("wall_tree"):
+        tree = build_wall_tree(t, system)
+        action = action_on_tree(t, tree)
 
     report = _base_report(scn, t, "tree")
     report["solve"] = block
     report["tree"] = {
         "threshold": threshold,
-        "sample_radius": scn.wall_sample_radius,
+        "sample_radius": scn.wall["sample_radius"],
         "sample_size": len(sample),
         "walls": tree.n_edges,
         "regions": tree.n_nodes,
@@ -398,22 +352,16 @@ def run_tree(scn, outdir, stages):
         "inversions": len(action.inversions),
         "fixed_regions": action.fixed_regions,
     }
-    stages.start("write_outputs")
-    with open(os.path.join(outdir, "tree.dot"), "w") as fh:
-        fh.write(wall_tree_dot(tree))
-    _json_dump(action.to_json_dict(tree), os.path.join(outdir, "action.json"))
-    _json_dump(report, os.path.join(outdir, "report.json"))
-    stages.stop()
+    with stages("write_outputs"):
+        with open(os.path.join(outdir, "tree.dot"), "w") as fh:
+            fh.write(wall_tree_dot(tree))
+        _json_dump(action.to_json_dict(tree), outdir, "action.json")
+        _json_dump(report, outdir, "report.json")
     return report
 
 
 _RUNNERS = {"solve": run_solve, "necks": run_necks, "gap": run_gap,
             "tree": run_tree}
-
-_CONFIG_ERRORS = (ScenarioError, PresentationError, NoRegularValue)
-_NUMERIC_ERRORS = (NonConvergence,)
-_STRUCTURAL_ERRORS = (NotATree, CrossingWalls, NeckCoverageError,
-                      DegenerateDrop)
 
 
 def main(argv=None):
@@ -448,31 +396,25 @@ def main(argv=None):
             os.makedirs(outdir, exist_ok=True)
         except OSError as ex:
             raise ScenarioError(f"cannot create output directory: {ex}")
-        report = _RUNNERS[args.command](scn, outdir, stages)
-    except _CONFIG_ERRORS as ex:
-        _emit_error(1, ex)
-        return 1
-    except _NUMERIC_ERRORS as ex:
-        _emit_error(2, ex)
-        return 2
-    except _STRUCTURAL_ERRORS as ex:
-        _emit_error(3, ex)
-        return 3
+        try:
+            report = _RUNNERS[args.command](scn, outdir, stages)
+            _json_dump(stages, outdir, "timings.json")
+        except OSError as ex:
+            raise ScenarioError(f"cannot write outputs in {outdir}: {ex}")
     except EndsSplitterError as ex:
-        _emit_error(1, ex)
-        return 1
+        _emit_error(ex)
+        return ex.exit_code
 
-    _json_dump(stages.timings, os.path.join(outdir, "timings.json"))
     for w in report.get("warnings", []):
         print(f"warning: {w}", file=sys.stderr)
     print(json.dumps({"ok": True, "out": outdir}, sort_keys=True))
     return 0
 
 
-def _emit_error(code, ex):
+def _emit_error(ex):
     print(json.dumps({
         "ok": False,
-        "exit_code": code,
+        "exit_code": ex.exit_code,
         "error": type(ex).__name__,
         "message": str(ex),
     }, sort_keys=True))

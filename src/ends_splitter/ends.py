@@ -135,7 +135,7 @@ class EndFunction:
 
     def require_nonconstant(self):
         if not self.nonconstant:
-            raise EndsSplitterError("chi must be nonconstant")
+            raise ScenarioError("chi must be nonconstant")
 
     def shell_values(self, t):
         """Values transported to shell vertices through their end class."""
@@ -181,12 +181,12 @@ def make_end_function(t, r, values_by_word=None, rule=None, default=None):
             elif default is not None:
                 values[c.id] = default
             else:
-                raise EndsSplitterError(
+                raise ScenarioError(
                     f"no value for end class {c.representative_word!r} "
                     "and no default given"
                 )
         if by_word:
-            raise EndsSplitterError(
+            raise ScenarioError(
                 f"chi names unknown end classes: {sorted(by_word)}"
             )
     return EndFunction(base_radius=r, classes=classes, values=values)

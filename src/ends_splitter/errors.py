@@ -1,12 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: configuration problems
-exit 1, numerical failures exit 2, structural failures exit 3.
+Each class carries the CLI's exit code for it as ``exit_code``: 1 for
+configuration problems, which the base class gives every class without a
+code of its own; 2 for numerical failures (``NonConvergence``); 3 for
+structural ones (``DegenerateDrop``, ``CrossingWalls``, ``NotATree``,
+``NeckCoverageError``).
 """
 
 
 class EndsSplitterError(Exception):
     """Base class for all package errors."""
+    exit_code = 1
 
 
 class PresentationError(EndsSplitterError):
@@ -14,7 +18,7 @@ class PresentationError(EndsSplitterError):
 
 
 class ScenarioError(EndsSplitterError):
-    """Invalid scenario configuration (CLI exit 1)."""
+    """Invalid scenario configuration, or outputs that cannot be written."""
 
 
 class InvalidBoundary(EndsSplitterError):
@@ -22,7 +26,8 @@ class InvalidBoundary(EndsSplitterError):
 
 
 class NonConvergence(EndsSplitterError):
-    """Iterative solver hit its iteration cap above tolerance (CLI exit 2)."""
+    """Iterative solver hit its iteration cap above tolerance."""
+    exit_code = 2
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
@@ -36,6 +41,7 @@ class MismatchedTruncations(EndsSplitterError):
 
 class DegenerateDrop(EndsSplitterError):
     """Gap certificate found no positive drop; upstream classification suspect."""
+    exit_code = 3
 
 
 class NoRegularValue(EndsSplitterError):
@@ -43,12 +49,15 @@ class NoRegularValue(EndsSplitterError):
 
 
 class CrossingWalls(EndsSplitterError):
-    """Two walls separate each other's points (CLI exit 3)."""
+    """Two walls separate each other's points."""
+    exit_code = 3
 
 
 class NotATree(EndsSplitterError):
-    """Wall-incidence graph failed the tree checks (CLI exit 3)."""
+    """Wall-incidence graph failed the tree checks."""
+    exit_code = 3
 
 
 class NeckCoverageError(EndsSplitterError):
-    """Structural neck assertions failed on a window (CLI exit 3)."""
+    """Structural neck assertions failed on a window."""
+    exit_code = 3

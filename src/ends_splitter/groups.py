@@ -352,21 +352,15 @@ class Truncation:
 
     def word_blocks(self):
         """``(ids, words)`` pairs covering every vertex in id order: ``ids``
-        is a slice of at most ``_WORD_BLOCK`` consecutive ids and ``words``
-        the list of their ``word(v)``.
+        is a slice of at most ``_WORD_BLOCK`` consecutive ids of one sphere
+        and ``words`` the list of their ``word(v)``.
 
         Words are rendered once each; one sphere is kept to build the next.
         """
-        if self.presentation is None:
-            words = (f"v{v}" for v in range(self.n))
-        else:
-            words = self._sphere_words()
-        for start in range(0, self.n, _WORD_BLOCK):
-            stop = min(start + _WORD_BLOCK, self.n)
-            yield slice(start, stop), list(
-                itertools.islice(words, stop - start))
-
-    def _sphere_words(self):
+        if self.presentation is None:       # a path: one vertex per sphere
+            for sl in self.spheres():
+                yield sl, [f"v{v}" for v in range(sl.start, sl.stop)]
+            return
         # v's word is fix[s, l] before the tail of its parent's word past
         # cut[s, l] characters, for the parent's state s and v's letter l.
         # A letter that joins s's syllable rewrites its rendering; one that
@@ -385,14 +379,14 @@ class Truncation:
             cut.append(drop)
         cut = np.array(cut)
         prev, state = ["e"], np.zeros(1, dtype=np.intp)
-        yield "e"
+        yield slice(0, 1), ["e"]
         for sphere in self.spheres()[1:]:
             par = self.parent[sphere] - (sphere.start - len(prev))
             pstate, letters = state[par], self.parent_letter[sphere]
             state = syl.child[pstate, letters]
             cur = []
             for a in range(0, len(par), _WORD_BLOCK):
-                b = a + _WORD_BLOCK
+                b = min(a + _WORD_BLOCK, len(par))
                 keys = pstate[a:b].astype(np.intp) * L + letters[a:b]
                 tails = [prev[p] for p in par[a:b].tolist()]
                 cuts = cut[keys]
@@ -401,7 +395,7 @@ class Truncation:
                 chunk = [fix[k] + w for k, w in zip(keys.tolist(), tails)]
                 if sphere.stop < self.n:    # the shell's words are never parents
                     cur.extend(chunk)
-                yield from chunk
+                yield slice(sphere.start + a, sphere.start + b), chunk
             prev = cur
 
     def letter_id(self, letter):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ends_splitter import cli, walls
+from ends_splitter import cli, errors, walls
 
 import oracles
 
@@ -122,6 +122,9 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     {"chi": ["first_letter:a", {"map": {"a": 1}, "default": 0, "x": 1}]},
     # a chi rule other than first_letter
     {"chi": "last_letter:a"},
+    # a chi map naming no end class, or leaving one without a value
+    {"chi": {"map": {"zz": 1}, "default": 0}},
+    {"chi": {"map": {"a": 1}}},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
@@ -160,11 +163,18 @@ def _out_is_a_file(tmp_path):
     return write_scenario(tmp_path), tmp_path / "out"
 
 
+def _field_csv_is_a_directory(tmp_path):
+    (tmp_path / "out/scn/field.csv").mkdir(parents=True)
+    return write_scenario(tmp_path), tmp_path / "out"
+
+
 @pytest.mark.parametrize("setup, says", [
     (_scenario_directory, "cannot read scenario file"),
     (_scenario_not_utf8, "cannot read scenario file"),
     (_out_is_a_file, "cannot create output directory"),
-], ids=["scenario-dir", "scenario-not-utf8", "out-is-a-file"])
+    (_field_csv_is_a_directory, "field.csv"),
+], ids=["scenario-dir", "scenario-not-utf8", "out-is-a-file",
+        "field-csv-is-a-dir"])
 def test_file_errors_are_exit_1_with_one_json_line(tmp_path, capsys, setup,
                                                    says):
     path, out = setup(tmp_path)
@@ -426,6 +436,50 @@ def test_structural_failure_is_exit_3(tmp_path, monkeypatch, capsys):
     assert run("tree", path, tmp_path / "out") == 3
     msg = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert msg["exit_code"] == 3
+
+
+# every error class with the exit code the CLI gives it
+_EXIT_CODES = {
+    "EndsSplitterError": 1, "PresentationError": 1, "ScenarioError": 1,
+    "InvalidBoundary": 1, "MismatchedTruncations": 1, "NoRegularValue": 1,
+    "NonConvergence": 2,
+    "DegenerateDrop": 3, "CrossingWalls": 3, "NotATree": 3,
+    "NeckCoverageError": 3,
+}
+
+
+def test_exit_code_map_names_every_error_class():
+    assert set(_EXIT_CODES) == {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)}
+
+
+@pytest.mark.parametrize("name, code", sorted(_EXIT_CODES.items()))
+def test_each_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys,
+                                              name, code):
+    def boom(scn, outdir, stages):
+        raise getattr(errors, name)("synthetic failure")
+
+    monkeypatch.setitem(cli._RUNNERS, "solve", boom)
+    assert run("solve", write_scenario(tmp_path), tmp_path / "out") == code
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"ok": False, "exit_code": code,
+                                    "error": name,
+                                    "message": "synthetic failure"}
+
+
+def test_verbose_logs_each_timed_stage_in_run_order(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert run("tree", path, tmp_path / "out", "--verbose") == 0
+    captured = capsys.readouterr()
+    order = ["build_truncation", "resolve_chi", "solve_dirichlet", "walls",
+             "wall_tree", "write_outputs"]
+    assert captured.err.splitlines() == [f"[stage] {s}" for s in order]
+    timings = json.loads((tmp_path / "out/scn/timings.json").read_text())
+    assert sorted(timings) == sorted(order)
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["ok"] is True
 
 
 @pytest.mark.parametrize("command", ["necks", "gap"])

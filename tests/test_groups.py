@@ -481,14 +481,14 @@ def test_path_truncation_shape():
 # -- streamed words -----------------------------------------------------------------
 
 def test_word_blocks_match_per_vertex_words(stream_truncation, monkeypatch):
-    # blocks of 7 cross sphere boundaries on every case
+    # blocks of at most 7 ids split the larger spheres
     monkeypatch.setattr(groups, "_WORD_BLOCK", 7)
     t = stream_truncation
     ids, words = [], []
     for block, ws in t.word_blocks():
         assert block.start == len(ids)
-        assert block.stop - block.start == len(ws)
-        assert len(ws) == 7 or block.stop == t.n
+        assert 1 <= block.stop - block.start == len(ws) <= 7
+        assert t.dist[block.start] == t.dist[block.stop - 1]
         ids.extend(range(block.start, block.stop))
         words.extend(ws)
     assert ids == list(range(t.n))

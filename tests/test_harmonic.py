@@ -597,17 +597,19 @@ def test_to_csv_matches_per_vertex_oracle(stream_truncation, tmp_path,
 
 def test_to_csv_keeps_every_bit_pattern_apart(stream_truncation, tmp_path,
                                               monkeypatch):
-    # blocks of 7 ids: 0..6, 7..13, 14..20
+    # blocks of at most 7 ids, each within one sphere
     monkeypatch.setattr(groups, "_WORD_BLOCK", 7)
     t = stream_truncation
-    assert t.n >= 21
+    blocks = [ids for ids, _ in t.word_blocks()]
+    cut = next(b.stop for b in blocks if b.stop > 6)
+    whole = next(b for b in blocks if b.start >= cut + 4)
     values = np.random.default_rng(6).random(t.n)
     x = 0.1
     values[:6] = [0.0, -0.0, x, np.nextafter(x, 1), np.nextafter(x, 0),
                   np.inf]
-    values[6:9] = 0.3                 # one value across a block boundary
-    values[9:11] = [-0.0, 0.0]
-    values[14:21] = 1 / 3             # a block of one value
+    values[cut - 1:cut + 2] = 0.3     # one value across a block boundary
+    values[cut + 2:cut + 4] = [-0.0, 0.0]
+    values[whole] = 1 / 3             # a block of one value
     h = synthetic_field(t, values)
     h.to_csv(tmp_path / "streamed.csv")
     oracles.field_csv_per_vertex(h, tmp_path / "per_vertex.csv")
