@@ -19,8 +19,14 @@ from .errors import (
     InvalidBoundary,
     MismatchedTruncations,
     NonConvergence,
+    ScenarioError,
 )
+from .ends import complement_labels
 from .groups import _first_fit, unique_sorted
+
+# ids whose neighbour rows the partition sorts at once, which keeps them in
+# cache and its temporaries small
+_BLOCK = 1 << 14
 
 
 @dataclass
@@ -29,10 +35,10 @@ class SolverConfig:
     max_iterations: int = 10 ** 6
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise EndsSplitterError("solver tolerance must be positive")
+        if not self.tolerance > 0:      # NaN too: no defect is ever below it
+            raise ScenarioError("solver tolerance must be positive")
         if self.max_iterations < 1:
-            raise EndsSplitterError("max_iterations must be >= 1")
+            raise ScenarioError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -104,49 +110,210 @@ def boundary_values(t, chi):
 
 def _sweep_defect(x, head, rows):
     """The max interior mean-value defect of x right after a sweep over
-    the color classes ``rows``, given ``head``, class 0's next update.
+    the colors ``rows``, given ``head``, color 0's next update.
 
-    Each class's defect is |update - x| over its cells.  The last class was
+    Each color's defect is |update - x| over its cells.  The last color was
     just updated from the same x in the same column order, so its defect is
-    exactly 0; the middle classes (none on a bipartite ball) are evaluated.
+    exactly 0; the middle colors (none on a bipartite ball) are evaluated.
     """
     return max([float(np.abs(head - x[rows[0].cells]).max())]
                + [float(np.abs(r.update(x) - x[r.cells]).max())
                   for r in rows[1:-1]])
 
 
-def _color_classes(t):
-    """Independent interior vertex classes for sweep ordering: the
-    first-fit coloring in id order, whose class c is the first-fit
-    independent set of what classes < c leave.  On a bipartite ball that
-    is the red-black split by parity; the shell is colored too, so a ball
-    whose id 0 is a shell vertex keeps that order.
+def _colors(t):
+    """Each vertex's sweep color as int8, -1 on the shell: the first-fit
+    coloring in id order, whose color c is the first-fit independent set
+    of what colors < c leave.  On a bipartite ball that is the red-black
+    split by parity.  A color depends on smaller ids only, so the shell is
+    colored up to the last interior vertex: a ball whose id 0 is a shell
+    vertex keeps that order.
     """
-    alive, classes = np.ones(t.n, dtype=bool), []
+    color = np.full(t.n, -1, dtype=np.int8)
+    alive = np.zeros(t.n, dtype=bool)
+    alive[:np.flatnonzero(~t.shell_mask)[-1] + 1] = True
+    c = 0
     while alive.any():
         member = _first_fit(t, lambda v: np.take(t.nbr, v, axis=0), alive)
         alive &= ~member
-        inter = np.flatnonzero(member & ~t.shell_mask)
-        if len(inter):
-            classes.append(inter)
-    return classes
+        color[member] = c
+        c += 1
+    color[t.shell_mask] = -1
+    return color
+
+
+def _sorted_rows(t, ids):
+    """The neighbours of ``ids`` (a slice or an id array) in the sweep's
+    column order, ascending with the missing ones (-1) first: one int32
+    array per column, sorted by an odd-even transposition across them."""
+    rows = list(t.nbr[ids].T.copy())
+    for k in range(len(rows)):
+        for i in range(k % 2, len(rows) - 1, 2):
+            low = np.minimum(rows[i], rows[i + 1])
+            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+            rows[i] = low
+    return rows
+
+
+def _codes(t, sl, table, shift):
+    """``table.take(id - shift, mode="clip")`` for each neighbour id of the
+    sphere ``sl`` in column order (-1 reads entry 0, as does any id below
+    ``shift``): int32, one row per column, sorted a block at a time."""
+    codes = np.empty((t.n_letters, sl.stop - sl.start), dtype=np.int32)
+    for a in range(sl.start, sl.stop, _BLOCK):
+        block = slice(a, min(a + _BLOCK, sl.stop))
+        out = codes[:, block.start - sl.start:block.stop - sl.start]
+        for row, dest in zip(_sorted_rows(t, block), out):
+            row -= shift
+            table.take(row, mode="clip", out=dest)
+    return codes
+
+
+def _dense(key):
+    """int32 labels 0, 1, ... of the distinct values of ``key`` in
+    ascending order, and how many there are."""
+    distinct = unique_sorted(key)
+    labels = np.empty(len(key), dtype=np.int32)
+    for a in range(0, len(key), _BLOCK):    # no intp copy of the whole
+        labels[a:a + _BLOCK] = np.searchsorted(distinct, key[a:a + _BLOCK])
+    return labels, len(distinct)
+
+
+def _keys(first, bound, cols, width):
+    """int64 keys of the tuples (first[i], cols[0][i], cols[1][i], ...),
+    equal exactly where the tuples are, for ``first`` below ``bound`` and
+    ``cols`` below ``width``.  The tuples are packed, and relabelled
+    whenever one more column could pass 2**62.  An int64 ``first`` becomes
+    the key itself."""
+    key = first.astype(np.int64, copy=False)
+    for col in cols:
+        if not col.any():                   # a column of zeros splits none
+            continue
+        if bound > (1 << 62) // width:
+            key, bound = _dense(key)
+            key = key.astype(np.int64)
+        key *= width
+        key += col
+        bound *= width
+    return key
+
+
+def _partition(t, base_radius):
+    """A vertex partition that the sweep keeps constant on each class: the
+    class of each vertex as int32 (one more entry is left for missing
+    neighbours), the class count and the vertex colors.
+
+    Every member of a class has the same depth, color, shell flag, end
+    class at ``base_radius`` and ordered neighbour classes, so a sweep does
+    the same floating-point operations on each, for every end function at
+    that base radius.  ``_cones`` labels each vertex from the shell in,
+    ``_views`` from e out, and ``_split_unstable`` checks every vertex
+    against its class until no class splits.
+    """
+    color = _colors(t)
+    cls, offsets = _views(t, _cones(t, base_radius, color))
+    while (split := _split_unstable(t, cls, offsets)) != offsets:
+        offsets = split
+    return cls, offsets[-1], color
+
+
+def _cones(t, base_radius, color):
+    """Per sphere, from e out, the dense int32 cone labels of its vertices
+    and their count.  A cone label keys a vertex on its seed (color, shell
+    flag and end class at ``base_radius``, or none inside it) and, in
+    column order, the cone labels of its neighbours one sphere out, with a
+    placeholder for each missing, inner or same-sphere neighbour.
+
+    A sphere's neighbour ids read their codes from a table over the ids
+    of the spheres around it, shifted so that -1 reads entry 0.
+    """
+    spheres = t.spheres()
+    # end classes by their smallest members, which lie on one sphere
+    ends = complement_labels(t, t.dist < base_radius)
+    ring = spheres[base_radius]
+    ends -= ring.start - 1
+    ends[:ring.start] = 0
+    hues = int(color.max()) + 2             # color + 1 is below hues
+    bound = (ring.stop - ring.start + 1) * hues * 2
+    cones, count = [None] * len(spheres), 0
+    for d in reversed(range(len(spheres))):
+        sl, lo = spheres[d], spheres[d - 1].start if d else 0
+        seeds = ((ends[sl].astype(np.int64) * hues + color[sl] + 1) * 2
+                 + t.shell_mask[sl])
+        # 0 missing, 1 inner, 2 same sphere, 3 + cone label one sphere out
+        table = np.repeat(np.arange(3, dtype=np.int32),
+                          [1, sl.start - lo, sl.stop - sl.start])
+        if d + 1 < len(spheres):
+            table = np.concatenate([table, cones[d + 1][0] + 3])
+        codes = _codes(t, sl, table, lo - 1)
+        cones[d] = _dense(_keys(seeds, bound, codes, count + 3))
+        count = cones[d][1]
+    return cones
+
+
+def _views(t, cones):
+    """The class of each vertex as int32, with one more entry, and the
+    offsets from which sphere d numbers its classes: a view label keys a
+    vertex on its cone label (from ``cones``, which it empties) and, in
+    column order, the view labels of its inner neighbours."""
+    spheres = t.spheres()
+    cls = np.empty(t.n + 1, dtype=np.int32)
+    offsets, zero = [0], np.zeros(1, dtype=np.int32)
+    for d, sl in enumerate(spheres):
+        lo, prev = (spheres[d - 1].start, offsets[-2]) if d else (0, 0)
+        # 1 + view label for an inner neighbour, 0 for any other column
+        table = np.concatenate([zero, cls[lo:sl.start] - (prev - 1), zero])
+        codes = _codes(t, sl, table, lo - 1)
+        cone, k = cones[d]
+        cones[d] = None
+        view, k = _dense(_keys(cone, k, codes, offsets[-1] - prev + 1))
+        cls[sl] = view + offsets[-1]
+        offsets.append(offsets[-1] + k)
+    return cls, offsets
+
+
+def _split_unstable(t, cls, offsets):
+    """One exact check of the partition ``cls``, whose sphere d holds the
+    classes from offsets[d] to offsets[d + 1]: key each vertex on its
+    class and the classes of its neighbours in column order.  A sphere
+    passes when it has one key per class.  Unless every sphere passes,
+    each class splits by its members' keys; returns the offsets of the
+    result, ``offsets`` itself when nothing split."""
+    spheres, count = t.spheres(), offsets[-1]
+
+    def keys(d):
+        sl, lo = spheres[d], spheres[d - 1].start if d else 0
+        hi = spheres[d + 1].stop if d + 1 < len(spheres) else t.n
+        # the missing neighbours' entry holds count, the zero cell's class
+        table = np.concatenate([np.full(1, count, dtype=np.int32),
+                                cls[lo:hi]])
+        return _keys(cls[sl] - offsets[d], offsets[d + 1] - offsets[d],
+                     _codes(t, sl, table, lo - 1), count + 1)
+
+    if all(len(unique_sorted(keys(d))) == offsets[d + 1] - offsets[d]
+           for d in range(len(spheres))):
+        return offsets
+    parts, split = [_dense(keys(d)) for d in range(len(spheres))], [0]
+    for sl, (labels, k) in zip(spheres, parts):
+        cls[sl] = labels + split[-1]
+        split.append(split[-1] + k)
+    return split
 
 
 @dataclass
 class _SweepClass:
-    """One color class in the sweep layout: its vertex ids, its cells (a
-    slice of the layout), its degrees, and ``cols``, a table with one row
-    per letter whose column i holds the cells of the neighbours of ids[i]
-    in ascending id order, as in its row of ``csr_adjacency``, after the
-    zero cell once per missing neighbour."""
+    """One color in the sweep layout: the cells of its classes (a slice of
+    the layout), their degrees, and ``cols``, a table with one row per
+    letter whose column i holds the cells of the neighbours of class i in
+    ascending id order, as in its members' rows of ``csr_adjacency``,
+    after the zero cell once per missing neighbour."""
 
-    ids: np.ndarray
     cells: slice
     deg: np.ndarray
     cols: np.ndarray
 
     def update(self, x, out=None):
-        """The class's neighbour means: the rows of ``cols`` summed in
+        """The classes' neighbour means: the rows of ``cols`` summed in
         order, as the rows of ``csr_adjacency`` sum them.  Every cell is in
         range by construction, so ``take`` may skip its bounds checks."""
         acc = x.take(self.cols[0], mode="clip")
@@ -155,26 +322,45 @@ class _SweepClass:
         return np.divide(acc, self.deg, out=out)
 
 
-def _sweep_rows(t):
-    """The sweep layout, built once per truncation: a ``_SweepClass`` per
-    color class.  The solver keeps x with the classes stored one after
-    another, then the shell in id order, then one cell that holds 0.0 for
-    the missing neighbours of a vertex of low degree."""
-    if "sweep_rows" not in t._caches:
-        classes = _color_classes(t)
-        order = np.concatenate([*classes, t.shell_ids()])
-        cell = np.empty(t.n + 1, dtype=np.intp)
-        cell[order] = np.arange(t.n)
-        cell[-1] = t.n                  # nbr's -1 reads the zero cell
-        deg, rows, start = t.degrees(), [], 0
-        for ids in classes:
-            stop = start + len(ids)
-            cols = np.ascontiguousarray(cell[np.sort(t.nbr[ids], axis=1).T])
-            rows.append(_SweepClass(ids, slice(start, stop),
-                                    deg[ids].astype(np.float64), cols))
-            start = stop
-        t._caches["sweep_rows"] = rows
-    return t._caches["sweep_rows"]
+@dataclass
+class _Quotient:
+    """The sweep layout on the classes of ``_partition``.  x holds one cell
+    per class, the interior classes color by color, then the shell's, then
+    one cell that holds 0.0 for missing neighbours; ``cls`` gives each
+    vertex's cell, then the zero cell's."""
+
+    cls: np.ndarray
+    rows: list                      # a _SweepClass per color
+    shell: slice                    # the shell classes' cells
+    shell_ids: np.ndarray           # a member of each shell class
+
+
+def _quotient(t, base_radius):
+    """The sweep layout of ``_partition(t, base_radius)``, built once per
+    truncation and base radius and shared by every end function there."""
+    key = ("quotient", base_radius)
+    if key not in t._caches:
+        cls, count, color = _partition(t, base_radius)
+        first = np.full(count, t.n, dtype=np.int32)    # each class's least
+        np.minimum.at(first, cls[:-1], np.arange(t.n, dtype=np.int32))
+        hue = color[first]
+        order = np.lexsort((hue, hue < 0))     # by color, the shell last
+        rank = np.empty(count, dtype=np.int32)
+        rank[order] = np.arange(count, dtype=np.int32)
+        cls[:-1] = rank[cls[:-1]]
+        cls[-1] = count
+        first, hue = first[order], hue[order]
+        table = cls[np.stack(_sorted_rows(t, first))].astype(np.intp)
+        deg = (table < count).sum(axis=0).astype(np.float64)
+        inner = int((hue >= 0).sum())
+        bounds = [0, *(np.flatnonzero(np.diff(hue[:inner])) + 1).tolist(),
+                  inner]
+        rows = [_SweepClass(slice(a, b), deg[a:b],
+                            np.ascontiguousarray(table[:, a:b]))
+                for a, b in zip(bounds, bounds[1:])]
+        t._caches[key] = _Quotient(cls, rows, slice(inner, count),
+                                   first[inner:])
+    return t._caches[key]
 
 
 def solve_dirichlet(t, chi, cfg=None):
@@ -182,20 +368,21 @@ def solve_dirichlet(t, chi, cfg=None):
 
     The result satisfies the mean-value equation on every interior vertex
     up to cfg.tolerance, which pins the field to the unique energy
-    minimizer with these boundary values.
+    minimizer with these boundary values.  The sweep runs on one cell per
+    class of the partition it keeps constant (``_quotient``), so each
+    value is the one a sweep over every vertex would compute.
     """
     cfg = cfg or SolverConfig()
     bvals = boundary_values(t, chi)
-    shell = t.shell_mask
-    rows = _sweep_rows(t)
-    inner = rows[-1].cells.stop
-    x = np.zeros(t.n + 1, dtype=np.float64)        # in the sweep layout
-    x[:inner] = 0.5
-    x[inner:t.n] = bvals[shell]
+    q = _quotient(t, chi.base_radius)
+    rows = q.rows
+    x = np.zeros(q.shell.stop + 1, dtype=np.float64)   # in the sweep layout
+    x[:q.shell.start] = 0.5
+    x[q.shell] = bvals[q.shell_ids]
 
-    # Gauss-Seidel: sweep the color classes in turn, checking the defect
-    # every fourth sweep and after the last one, so the loop ends on a check.
-    # Class 0's update is computed at the end of the sweep before the one
+    # Gauss-Seidel: sweep the colors in turn, checking the defect every
+    # fourth sweep and after the last one, so the loop ends on a check.
+    # Color 0's update is computed at the end of the sweep before the one
     # that writes it, where a check reads it too.
     head = rows[0].update(x)
     for iters in range(1, cfg.max_iterations + 1):
@@ -213,10 +400,7 @@ def solve_dirichlet(t, chi, cfg=None):
             f"solver hit {iters} iterations with defect {res:.3e} above "
             f"tolerance {cfg.tolerance:.1e}", residual=res, iterations=iters,
         )
-    values = np.empty(t.n, dtype=np.float64)
-    values[shell] = x[inner:t.n]
-    for r in rows:
-        values[r.ids] = x[r.cells]
+    values = x.take(q.cls[:-1])
     np.clip(values, 0.0, 1.0, out=values)
     return HarmonicField(truncation=t, values=values, boundary_spec=chi,
                          residual=res, iterations=iters)

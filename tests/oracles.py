@@ -16,10 +16,11 @@ from ends_splitter.ends import (
 from ends_splitter.errors import (
     CrossingWalls,
     EndsSplitterError,
+    NonConvergence,
     NoRegularValue,
 )
 from ends_splitter.groups import Truncation, build_truncation, group_ball
-from ends_splitter.harmonic import _color_classes, boundary_values, pullback
+from ends_splitter.harmonic import boundary_values, pullback
 from ends_splitter.walls import ActionReport, IndecomposableRegion
 
 
@@ -451,7 +452,7 @@ def gauss_seidel_loop(t, chi, cfg):
     x[t.shell_mask] = bvals[t.shell_mask].astype(np.float64)
     adj = t.csr_adjacency()
     deg = t.degrees().astype(np.float64)
-    rows = [(adj[ids], deg[ids], ids) for ids in _color_classes(t)]
+    rows = [(adj[ids], deg[ids], ids) for ids in color_classes(t)]
     for iters in range(1, cfg.max_iterations + 1):
         for a, d, ids in rows:
             x[ids] = a.dot(x) / d
@@ -460,6 +461,105 @@ def gauss_seidel_loop(t, chi, cfg):
             if res <= cfg.tolerance:
                 break
     return np.clip(x, 0.0, 1.0), iters, res
+
+
+# -- the full-ball sweep: one cell per vertex ---------------------------------
+
+class SweepClass:
+    """One color class of the full-ball sweep layout: its vertex ids, its
+    cells (a slice of the layout), its degrees, and ``cols``, a table with
+    one row per letter whose column i holds the cells of the neighbours of
+    ids[i] in ascending id order, after the zero cell once per missing
+    neighbour."""
+
+    def __init__(self, ids, cells, deg, cols):
+        self.ids, self.cells, self.deg, self.cols = ids, cells, deg, cols
+
+    def update(self, x, out=None):
+        acc = x.take(self.cols[0])
+        for col in self.cols[1:]:
+            acc += x.take(col)
+        return np.divide(acc, self.deg, out=out)
+
+
+def sweep_rows(t):
+    """The full-ball sweep layout: a ``SweepClass`` per color class.  x
+    keeps the classes one after another, then the shell in id order, then
+    one cell that holds 0.0 for the missing neighbours of a vertex."""
+    classes = [c for c in color_classes(t) if len(c)]
+    order = np.concatenate([*classes, t.shell_ids()])
+    cell = np.empty(t.n + 1, dtype=np.intp)
+    cell[order] = np.arange(t.n)
+    cell[-1] = t.n                      # nbr's -1 reads the zero cell
+    deg, rows, start = t.degrees(), [], 0
+    for ids in classes:
+        stop = start + len(ids)
+        cols = np.ascontiguousarray(cell[np.sort(t.nbr[ids], axis=1).T])
+        rows.append(SweepClass(ids, slice(start, stop),
+                               deg[ids].astype(np.float64), cols))
+        start = stop
+    return rows
+
+
+def full_ball_solve(t, chi, cfg):
+    """``solve_dirichlet`` swept over every vertex of the ball: the same
+    colors, column order, check schedule and final clip, one cell per
+    vertex.  Returns the values, the sweep count and the residual, or
+    raises ``NonConvergence`` as the solver does."""
+    bvals = boundary_values(t, chi)
+    rows = sweep_rows(t)
+    inner = rows[-1].cells.stop
+    x = np.zeros(t.n + 1, dtype=np.float64)
+    x[:inner] = 0.5
+    x[inner:t.n] = bvals[t.shell_mask]
+
+    def defect(head):
+        return max([float(np.abs(head - x[rows[0].cells]).max())]
+                   + [float(np.abs(r.update(x) - x[r.cells]).max())
+                      for r in rows[1:-1]])
+
+    head = rows[0].update(x)
+    for iters in range(1, cfg.max_iterations + 1):
+        x[rows[0].cells] = head
+        for r in rows[1:]:
+            r.update(x, out=x[r.cells])
+        head = rows[0].update(x)
+        if iters % 4 == 0 or iters == cfg.max_iterations:
+            res = defect(head)
+            if res <= cfg.tolerance:
+                break
+    if res > cfg.tolerance:
+        raise NonConvergence("full-ball sweep did not converge",
+                             residual=res, iterations=iters)
+    values = np.empty(t.n, dtype=np.float64)
+    values[t.shell_mask] = x[inner:t.n]
+    for r in rows:
+        values[r.ids] = x[r.cells]
+    return np.clip(values, 0.0, 1.0), iters, res
+
+
+def quotient_instabilities(t, cls, base_radius):
+    """The classes of the vertex partition ``cls`` whose members differ in
+    color, degree, shell flag, end class at ``base_radius`` (by flood, -1
+    inside the ball it removes) or in the classes of their neighbours in
+    ascending id order, checked one vertex at a time against the first
+    member seen; an empty list for a partition the sweep keeps."""
+    adj = adjacency_dict(t)
+    color = np.full(t.n, -1, dtype=np.int64)
+    for c, ids in enumerate(color_classes(t)):
+        color[ids] = c
+    end = np.full(t.n, -1, dtype=np.int64)
+    inside = [v for v in range(t.n) if t.dist[v] < base_radius]
+    for i, comp in enumerate(flood_components(adj, inside)):
+        end[comp] = i
+    seen, unstable = {}, set()
+    for v in range(t.n):
+        nb = adj[v]
+        row = (int(color[v]), len(nb), bool(t.shell_mask[v]), int(end[v]),
+               tuple(int(cls[w]) for w in nb))
+        if seen.setdefault(int(cls[v]), row) != row:
+            unstable.add(int(cls[v]))
+    return sorted(unstable)
 
 
 def dirichlet_energy(t, values):

@@ -10,6 +10,7 @@ import tempfile
 import time
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +126,10 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     # a chi map naming no end class, or leaving one without a value
     {"chi": {"map": {"zz": 1}, "default": 0}},
     {"chi": {"map": {"a": 1}}},
+    # a stopping rule that no solve can meet
+    {"solver": {"tolerance": 0.0}},
+    {"solver": {"tolerance": float("nan")}},
+    {"solver": {"max_iterations": 0}},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
@@ -630,11 +635,15 @@ def test_tree_holds_full_ball_maps_of_one_chain_only(tmp_path, monkeypatch):
     assert [len(img) for img in images.images] == [size] * 17
     assert [len(w.side) for w in system.walls] == [size] * len(system.walls)
 
-    # the solver keeps its class tables, which cover the interior only,
-    # and no adjacency of the whole ball
+    # the solver keeps one int32 class map and tables over its interior
+    # classes, which are fewer than the interior vertices, and no adjacency
+    # of the whole ball
     t = kept["solve_dirichlet"].truncation
-    tables = [r.cols for r in t._caches["sweep_rows"]]
-    assert sum(c.shape[1] for c in tables) == len(t.interior_ids())
+    quotient = t._caches[("quotient", 1)]
+    assert quotient.cls.dtype == np.int32 and len(quotient.cls) == t.n + 1
+    tables = [r.cols for r in quotient.rows]
+    assert sum(c.shape[1] for c in tables) == quotient.shell.start
+    assert quotient.shell.start < len(t.interior_ids())
 
 
 # -- the exit-code contract on arbitrary scenarios -------------------------

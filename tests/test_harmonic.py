@@ -83,12 +83,7 @@ def test_gauss_seidel_matches_dense_oracle(t_f2_r6):
 
 def _vertex_order(t, x):
     """The values of x, kept in the solver's sweep layout, by vertex id."""
-    rows = harmonic._sweep_rows(t)
-    values = np.empty(t.n)
-    values[t.shell_mask] = x[rows[-1].cells.stop:t.n]
-    for r in rows:
-        values[r.ids] = x[r.cells]
-    return values
+    return x.take(harmonic._quotient(t, 1).cls[:-1])
 
 
 def test_solve_computes_each_defect_once(t_f2_r6, monkeypatch):
@@ -120,13 +115,15 @@ def test_solve_computes_each_defect_once(t_f2_r6, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
 def test_sweep_defect_is_the_full_defect(case):
-    # for any x whose last class was just updated: random values put the
-    # largest defect in a middle class too, which converging solves do not
+    # for any x whose last color was just updated: random values put the
+    # largest defect in a middle color too, which converging solves do not;
+    # the partition is stable, so each class's defect is each member's
     t = build_truncation(*_LAYOUT_CASES[case])
-    rows = harmonic._sweep_rows(t)
+    quotient = harmonic._quotient(t, 1)
+    rows = quotient.rows
     rng = np.random.default_rng(3)
     for _ in range(8):
-        x = np.append(rng.random(t.n), 0.0)     # and the zero cell
+        x = np.append(rng.random(quotient.shell.stop), 0.0)  # and zero cell
         rows[-1].update(x, out=x[rows[-1].cells])
         assert harmonic._sweep_defect(x, rows[0].update(x), rows) == \
             oracles.mean_value_defect(t, _vertex_order(t, x))
@@ -162,31 +159,173 @@ def test_solve_matches_the_full_defect_loop(case, max_iterations, tolerance):
 ], ids=[*sorted(_LAYOUT_CASES), "path1", "path2", "path5", "path20"])
 def test_sweep_classes_match_the_coloring_oracle(make):
     t = make()
-    ours = [c.tolist() for c in harmonic._color_classes(t)]
+    color = harmonic._colors(t)
+    assert color.dtype == np.int8 and (color[t.shell_mask] == -1).all()
+    ours = [np.flatnonzero(color == c).tolist()
+            for c in groups.unique_sorted(color[color >= 0])]
     theirs = [c.tolist() for c in oracles.color_classes(t) if len(c)]
     assert ours == theirs
     assert all(ours)
-    # the solver's layout: built once, the classes' cells one after
-    # another from 0, then the shell in id order, then the zero cell
-    rows = harmonic._sweep_rows(t)
-    assert rows is harmonic._sweep_rows(t)
-    cells = [(r.cells.start, r.cells.stop) for r in rows]
-    bounds = np.cumsum([0] + [len(c) for c in ours]).tolist()
-    assert cells == list(zip(bounds, bounds[1:]))
-    vertex = np.concatenate([*ours, t.shell_ids(), [-1]])
-    # each class's table reads, column by column, its rows of the
-    # adjacency matrix, so its sums run in the same order; a missing
-    # neighbour reads the zero cell ahead of the row
+    # the solver's layout: built once per base radius; the classes of each
+    # color take the cells after the color before, then come the shell's
+    # classes, then the zero cell
+    quotient = harmonic._quotient(t, 1)
+    assert quotient is harmonic._quotient(t, 1)
+    cls, zero = quotient.cls[:-1], quotient.shell.stop
+    assert quotient.cls.dtype == np.int32 and quotient.cls[-1] == zero
+    bounds = [r.cells.start for r in quotient.rows] + [quotient.shell.start]
+    assert bounds[0] == 0
+    for ids, a, b in zip(ours, bounds[:-1], bounds[1:], strict=True):
+        assert groups.unique_sorted(cls[ids]).tolist() == list(range(a, b))
+    assert groups.unique_sorted(cls[t.shell_mask]).tolist() == \
+        list(range(quotient.shell.start, zero))
+    assert t.shell_mask[quotient.shell_ids].all()
+    assert cls[quotient.shell_ids].tolist() == list(range(bounds[-1], zero))
+    # each color's table reads, column by column, the adjacency row of
+    # every member of each class, so its sums run in the same order; a
+    # missing neighbour reads the zero cell ahead of the row
     adj = t.csr_adjacency()
-    for r, c in zip(rows, ours, strict=True):
-        assert r.ids.tolist() == c
-        assert r.cols.dtype == np.intp and r.cols.shape == (t.n_letters,
-                                                           len(c))
-        assert np.array_equal(r.deg, t.degrees()[r.ids])
-        sub = adj[r.ids]
-        for i, row in enumerate(vertex[r.cols.T].tolist()):
+    for r, ids in zip(quotient.rows, ours, strict=True):
+        assert r.cols.dtype == np.intp
+        assert r.cols.shape == (t.n_letters, r.cells.stop - r.cells.start)
+        sub = adj[ids]
+        for i, v in enumerate(ids):
             cols = sub.indices[sub.indptr[i]:sub.indptr[i + 1]].tolist()
-            assert row == [-1] * (t.n_letters - len(cols)) + cols
+            k = cls[v] - r.cells.start
+            assert r.cols[:, k].tolist() == \
+                [zero] * (t.n_letters - len(cols)) + cls[cols].tolist()
+            assert r.deg[k] == len(cols)
+
+
+def _seeded_chi(t, base_radius, seed):
+    """A nonconstant end function at ``base_radius`` with seeded values."""
+    from ends_splitter.ends import end_classes
+    words = [c.representative_word for c in end_classes(t, base_radius)]
+    bits = np.random.default_rng(seed).integers(0, 2, len(words))
+    bits[:2] = 1, 0
+    return make_end_function(t, base_radius,
+                             values_by_word=dict(zip(words, bits.tolist())))
+
+
+_QUOTIENT_CASES = [(case, base) for case in sorted(_LAYOUT_CASES)
+                   for base in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("case, base", _QUOTIENT_CASES,
+                         ids=[f"{c}-base{b}" for c, b in _QUOTIENT_CASES])
+def test_partition_is_stable_on_its_first_check(case, base, monkeypatch):
+    # the two passes alone give a partition the sweep keeps, which the
+    # exact check confirms without splitting a class
+    checks = []
+    split = harmonic._split_unstable
+
+    def counted(t, cls, offsets):
+        out = split(t, cls, offsets)
+        checks.append(out is offsets)
+        return out
+
+    monkeypatch.setattr(harmonic, "_split_unstable", counted)
+    t = build_truncation(*_LAYOUT_CASES[case])
+    quotient = harmonic._quotient(t, base)
+    assert checks == [True]
+    assert oracles.quotient_instabilities(
+        t, quotient.cls[:-1], base) == []
+
+
+@pytest.mark.parametrize("case, base", _QUOTIENT_CASES,
+                         ids=[f"{c}-base{b}" for c, b in _QUOTIENT_CASES])
+def test_splitting_the_seeds_reaches_the_same_partition(case, base):
+    # the check and split alone, from the seed classes (color, shell flag
+    # and end class by flood on each sphere), end at a stable partition
+    # after as many rounds as it takes, and it is the passes' partition:
+    # the coarsest stable one
+    t = build_truncation(*_LAYOUT_CASES[case])
+    color = harmonic._colors(t)
+    end = np.zeros(t.n, dtype=np.int64)
+    inside = np.flatnonzero(t.dist < base)
+    for i, comp in enumerate(oracles.flood_components(
+            oracles.adjacency_dict(t), inside)):
+        end[comp] = i + 1
+    cls, offsets = np.empty(t.n + 1, dtype=np.int32), [0]
+    for sl in t.spheres():
+        labels, k = harmonic._dense(
+            (end[sl] * 64 + color[sl] + 1) * 2 + t.shell_mask[sl])
+        cls[sl] = labels + offsets[-1]
+        offsets.append(offsets[-1] + k)
+    while (split := harmonic._split_unstable(t, cls, offsets)) != offsets:
+        offsets = split
+    assert oracles.quotient_instabilities(t, cls[:-1], base) == []
+    passes = harmonic._quotient(t, base).cls[:-1]
+    assert offsets[-1] == passes.max() + 1
+    pairs = cls[:-1].astype(np.int64) * t.n + passes
+    assert len(groups.unique_sorted(pairs)) == offsets[-1]
+
+
+@pytest.mark.parametrize("case, base", _QUOTIENT_CASES,
+                         ids=[f"{c}-base{b}" for c, b in _QUOTIENT_CASES])
+def test_quotient_solve_is_the_full_ball_sweep(case, base):
+    # values, sweep count and residual bit for bit, and the same sweep
+    # count and residual where the solve stops short; the oracle runs on a
+    # ball of its own, so nothing the solver leaves behind can reach it
+    p, radius = _LAYOUT_CASES[case]
+    mine, theirs = build_truncation(p, radius), build_truncation(p, radius)
+    for seed in (0, 1):
+        for cfg in (SolverConfig(), SolverConfig(max_iterations=6,
+                                                 tolerance=1e-14)):
+            chi = _seeded_chi(mine, base, seed)
+            try:
+                values, iterations, residual = oracles.full_ball_solve(
+                    theirs, _seeded_chi(theirs, base, seed), cfg)
+            except NonConvergence as err:
+                with pytest.raises(NonConvergence) as ours:
+                    solve_dirichlet(mine, chi, cfg)
+                assert (ours.value.iterations, ours.value.residual) == \
+                    (err.iterations, err.residual)
+            else:
+                h = solve_dirichlet(mine, chi, cfg)
+                assert h.values.view(np.uint64).tolist() == \
+                    values.view(np.uint64).tolist()
+                assert (h.iterations, h.residual) == (iterations, residual)
+
+
+def test_solve_keeps_only_the_class_map_of_ball_length(f2):
+    # the truncation's tables are untouched, and of what the solve leaves
+    # in its caches only the int32 class map has one entry per vertex
+    t = build_truncation(f2, 7)
+    tables = {name: getattr(t, name).copy() for name in
+              ("nbr", "dist", "parent", "parent_letter", "shell_mask")}
+    solve_dirichlet(t, make_end_function(t, 2, rule="first_letter:a"))
+    for name, table in tables.items():
+        assert np.array_equal(getattr(t, name), table), name
+    assert set(t._caches) == {"spheres", ("quotient", 2)}
+    quotient = t._caches[("quotient", 2)]
+    held = [*vars(quotient).values(),
+            *(v for r in quotient.rows for v in vars(r).values())]
+    big = [a for a in held if isinstance(a, np.ndarray) and a.size >= t.n]
+    assert len(big) == 1 and big[0] is quotient.cls
+    assert quotient.cls.dtype == np.int32
+
+
+@pytest.mark.parametrize("group, word, radii, energy_at", [
+    # F2, one of four branches: 1/2 + 1/(2 * 3^r - 2)
+    ("free", "a", range(4, 11), lambda r: 0.5 + 1 / (2 * 3 ** r - 2)),
+    # Z/2 * Z/3, the s branch: 1/5 + 1/(5 * 2^(r/2) - 5), r even
+    ("z2z3", "s", range(8, 19, 2), lambda r: 0.2 + 1 / (5 * 2 ** (r // 2) - 5)),
+])
+def test_energies_fall_to_their_closed_forms(group, word, radii, energy_at):
+    # the solution at radius r, extended constant along each cone, is
+    # admissible at radius r + 1 with the same energy, so the minimal
+    # energy E_r cannot rise with r; here it falls strictly, and matches
+    # the closed form of each radius
+    p = (Presentation.free(2) if group == "free"
+         else Presentation.free_product_of_cyclics([2, 3]))
+    energies = []
+    for r in radii:
+        t = build_truncation(p, r)
+        chi = make_end_function(t, 1, values_by_word={word: 1}, default=0)
+        energies.append(energy(solve_dirichlet(t, chi)).total)
+        assert abs(energies[-1] - energy_at(r)) <= 1e-12, r
+    assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
 def test_every_nonconstant_chi_matches_dense_oracle_radius5(f2):
