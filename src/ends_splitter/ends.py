@@ -11,11 +11,11 @@ removing the open ball.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EndsSplitterError, ScenarioError
+from .errors import EndsSplitterError, MismatchedTruncations, ScenarioError
 from .groups import join_labels, unique_sorted
 
 
@@ -118,7 +118,6 @@ class EndFunction:
     base_radius: int
     classes: list
     values: dict                     # class id -> 0/1
-    _caches: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         ids = {c.id for c in self.classes}
@@ -138,14 +137,15 @@ class EndFunction:
             raise ScenarioError("chi must be nonconstant")
 
     def shell_values(self, t):
-        """Values transported to shell vertices through their end class."""
-        key = "shell_values"
-        if key not in self._caches:
-            vals = np.full(t.n, -1, dtype=np.int8)
-            for c in self.classes:
-                vals[c.members] = self.values[c.id]
-            self._caches[key] = vals
-        return self._caches[key]
+        """Per vertex of ``t``, the value of its end class as int8, -1 off
+        the classes; MismatchedTruncations for classes of a larger ball."""
+        vals = np.full(t.n, -1, dtype=np.int8)
+        for c in self.classes:
+            if c.members[-1] >= t.n:
+                raise MismatchedTruncations(
+                    "end function lives on a larger truncation")
+            vals[c.members] = self.values[c.id]
+        return vals
 
     def assignments_by_word(self):
         return {c.representative_word: int(self.values[c.id])

@@ -36,7 +36,7 @@ class NonConvergence(EndsSplitterError):
 
 
 class MismatchedTruncations(EndsSplitterError):
-    """Two fields living on different truncations were combined."""
+    """Fields or end functions of different truncations were combined."""
 
 
 class DegenerateDrop(EndsSplitterError):

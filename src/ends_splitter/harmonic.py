@@ -35,8 +35,8 @@ class SolverConfig:
     max_iterations: int = 10 ** 6
 
     def __post_init__(self):
-        if not self.tolerance > 0:      # NaN too: no defect is ever below it
-            raise ScenarioError("solver tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ScenarioError("solver tolerance must be finite and > 0")
         if self.max_iterations < 1:
             raise ScenarioError("max_iterations must be >= 1")
 
@@ -155,20 +155,6 @@ def _sorted_rows(t, ids):
     return rows
 
 
-def _codes(t, sl, table, shift):
-    """``table.take(id - shift, mode="clip")`` for each neighbour id of the
-    sphere ``sl`` in column order (-1 reads entry 0, as does any id below
-    ``shift``): int32, one row per column, sorted a block at a time."""
-    codes = np.empty((t.n_letters, sl.stop - sl.start), dtype=np.int32)
-    for a in range(sl.start, sl.stop, _BLOCK):
-        block = slice(a, min(a + _BLOCK, sl.stop))
-        out = codes[:, block.start - sl.start:block.stop - sl.start]
-        for row, dest in zip(_sorted_rows(t, block), out):
-            row -= shift
-            table.take(row, mode="clip", out=dest)
-    return codes
-
-
 def _dense(key):
     """int32 labels 0, 1, ... of the distinct values of ``key`` in
     ascending order, and how many there are."""
@@ -206,97 +192,62 @@ def _partition(t, base_radius):
     Every member of a class has the same depth, color, shell flag, end
     class at ``base_radius`` and ordered neighbour classes, so a sweep does
     the same floating-point operations on each, for every end function at
-    that base radius.  ``_cones`` labels each vertex from the shell in,
-    ``_views`` from e out, and ``_split_unstable`` checks every vertex
-    against its class until no class splits.
+    that base radius.  Each sphere is seeded with its vertices' end
+    classes and colors (-1 marks the shell), and ``_refine`` splits them,
+    from the shell in, then from e out and so on, until a pass splits
+    nothing.  A pass never separates two vertices that such a partition
+    keeps together, so it ends at the coarsest one.
     """
     color = _colors(t)
-    cls, offsets = _views(t, _cones(t, base_radius, color))
-    while (split := _split_unstable(t, cls, offsets)) != offsets:
-        offsets = split
-    return cls, offsets[-1], color
-
-
-def _cones(t, base_radius, color):
-    """Per sphere, from e out, the dense int32 cone labels of its vertices
-    and their count.  A cone label keys a vertex on its seed (color, shell
-    flag and end class at ``base_radius``, or none inside it) and, in
-    column order, the cone labels of its neighbours one sphere out, with a
-    placeholder for each missing, inner or same-sphere neighbour.
-
-    A sphere's neighbour ids read their codes from a table over the ids
-    of the spheres around it, shifted so that -1 reads entry 0.
-    """
-    spheres = t.spheres()
-    # end classes by their smallest members, which lie on one sphere
+    spheres, hues = t.spheres(), int(color.max()) + 2   # color + 1 < hues
+    # end classes by their smallest members, which lie on the base sphere
     ends = complement_labels(t, t.dist < base_radius)
-    ring = spheres[base_radius]
-    ends -= ring.start - 1
-    ends[:ring.start] = 0
-    hues = int(color.max()) + 2             # color + 1 is below hues
-    bound = (ring.stop - ring.start + 1) * hues * 2
-    cones, count = [None] * len(spheres), 0
-    for d in reversed(range(len(spheres))):
-        sl, lo = spheres[d], spheres[d - 1].start if d else 0
-        seeds = ((ends[sl].astype(np.int64) * hues + color[sl] + 1) * 2
-                 + t.shell_mask[sl])
-        # 0 missing, 1 inner, 2 same sphere, 3 + cone label one sphere out
-        table = np.repeat(np.arange(3, dtype=np.int32),
-                          [1, sl.start - lo, sl.stop - sl.start])
-        if d + 1 < len(spheres):
-            table = np.concatenate([table, cones[d + 1][0] + 3])
-        codes = _codes(t, sl, table, lo - 1)
-        cones[d] = _dense(_keys(seeds, bound, codes, count + 3))
-        count = cones[d][1]
-    return cones
+    ends[:spheres[base_radius].start] = 0
+    cls, counts = np.empty(t.n + 1, dtype=np.int32), []
+    for sl in spheres:
+        cls[sl], k = _dense(ends[sl].astype(np.int64) * hues + color[sl])
+        counts.append(k)
+    del ends
+    order = range(len(spheres))[::-1]
+    while _refine(t, cls, counts, order):
+        order = order[::-1]
+    offset = 0
+    for sl, k in zip(spheres, counts):
+        cls[sl] += offset
+        offset += k
+    return cls, offset, color
 
 
-def _views(t, cones):
-    """The class of each vertex as int32, with one more entry, and the
-    offsets from which sphere d numbers its classes: a view label keys a
-    vertex on its cone label (from ``cones``, which it empties) and, in
-    column order, the view labels of its inner neighbours."""
-    spheres = t.spheres()
-    cls = np.empty(t.n + 1, dtype=np.int32)
-    offsets, zero = [0], np.zeros(1, dtype=np.int32)
-    for d, sl in enumerate(spheres):
-        lo, prev = (spheres[d - 1].start, offsets[-2]) if d else (0, 0)
-        # 1 + view label for an inner neighbour, 0 for any other column
-        table = np.concatenate([zero, cls[lo:sl.start] - (prev - 1), zero])
-        codes = _codes(t, sl, table, lo - 1)
-        cone, k = cones[d]
-        cones[d] = None
-        view, k = _dense(_keys(cone, k, codes, offsets[-1] - prev + 1))
-        cls[sl] = view + offsets[-1]
-        offsets.append(offsets[-1] + k)
-    return cls, offsets
-
-
-def _split_unstable(t, cls, offsets):
-    """One exact check of the partition ``cls``, whose sphere d holds the
-    classes from offsets[d] to offsets[d + 1]: key each vertex on its
-    class and the classes of its neighbours in column order.  A sphere
-    passes when it has one key per class.  Unless every sphere passes,
-    each class splits by its members' keys; returns the offsets of the
-    result, ``offsets`` itself when nothing split."""
-    spheres, count = t.spheres(), offsets[-1]
-
-    def keys(d):
+def _refine(t, cls, counts, order):
+    """One pass over the spheres in ``order``, whose classes ``cls``
+    numbers within each sphere and ``counts`` counts: key each vertex of
+    sphere d on its class and, in column order, its neighbours' classes as
+    they stand, which read 0 when missing and 1 + 3 * class + (their
+    sphere - d + 1) otherwise, and write the keys' dense labels back at
+    once.  Returns whether any class split."""
+    spheres, split = t.spheres(), False
+    for d in order:
         sl, lo = spheres[d], spheres[d - 1].start if d else 0
         hi = spheres[d + 1].stop if d + 1 < len(spheres) else t.n
-        # the missing neighbours' entry holds count, the zero cell's class
-        table = np.concatenate([np.full(1, count, dtype=np.int32),
-                                cls[lo:hi]])
-        return _keys(cls[sl] - offsets[d], offsets[d + 1] - offsets[d],
-                     _codes(t, sl, table, lo - 1), count + 1)
-
-    if all(len(unique_sorted(keys(d))) == offsets[d + 1] - offsets[d]
-           for d in range(len(spheres))):
-        return offsets
-    parts, split = [_dense(keys(d)) for d in range(len(spheres))], [0]
-    for sl, (labels, k) in zip(spheres, parts):
-        cls[sl] = labels + split[-1]
-        split.append(split[-1] + k)
+        # entry 0 for the missing neighbours, then the codes of ids lo to hi
+        table = np.zeros(hi - lo + 1, dtype=np.int32)
+        np.multiply(cls[lo:hi], 3, out=table[1:])
+        table[1:] += t.dist[lo:hi]
+        table[1:] -= d - 2
+        codes = np.empty((t.n_letters, sl.stop - sl.start), dtype=np.int32)
+        for a in range(sl.start, sl.stop, _BLOCK):
+            block = slice(a, min(a + _BLOCK, sl.stop))
+            out = codes[:, a - sl.start:block.stop - sl.start]
+            for row, dest in zip(_sorted_rows(t, block), out):
+                row -= lo - 1                   # -1 reads entry 0 too
+                table.take(row, mode="clip", out=dest)
+        width = 3 * max(counts[max(d - 1, 0):d + 2]) + 1
+        key = _keys(cls[sl], counts[d], codes, width)
+        # the keys lead with the class, so unless one splits, their dense
+        # labels are the classes
+        if len(unique_sorted(key)) > counts[d]:
+            cls[sl], counts[d] = _dense(key)
+            split = True
     return split
 
 

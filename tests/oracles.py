@@ -562,6 +562,36 @@ def quotient_instabilities(t, cls, base_radius):
     return sorted(unstable)
 
 
+def coarsest_stable_partition(t, base_radius):
+    """The coarsest refinement of the seed partition (depth, color, shell
+    flag and end class at ``base_radius`` by flood, -1 inside the ball it
+    removes) in which the members of each class have the same classes of
+    neighbours in ascending id order: Jacobi rounds key every vertex on
+    its class and its neighbours' classes of the round before, until a
+    round splits nothing.  Returns each vertex's class, a list of ints."""
+    adj = adjacency_dict(t)
+    color = {}
+    for c, ids in enumerate(color_classes(t)):
+        color.update(dict.fromkeys(ids.tolist(), c))
+    end = dict.fromkeys(range(t.n), -1)
+    inside = [v for v in range(t.n) if t.dist[v] < base_radius]
+    for i, comp in enumerate(flood_components(adj, inside)):
+        end.update(dict.fromkeys(comp, i))
+
+    def dense(keys):
+        labels = {}
+        return [labels.setdefault(k, len(labels)) for k in keys]
+
+    cls = dense((int(t.dist[v]), color.get(v, -1), bool(t.shell_mask[v]),
+                 end[v]) for v in range(t.n))
+    while True:
+        split = dense((cls[v], tuple(cls[w] for w in adj[v]))
+                      for v in range(t.n))
+        if max(split) == max(cls):
+            return cls
+        cls = split
+
+
 def dirichlet_energy(t, values):
     total = 0.0
     for v in range(t.n):

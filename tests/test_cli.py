@@ -20,7 +20,10 @@ from ends_splitter import cli, errors, walls
 import oracles
 
 
-def write_scenario(tmp_path, stem="scn", **overrides):
+def write_scenario(tmp_path, stem="scn", text="", **overrides):
+    """The default scenario with ``overrides`` applied and the JSON
+    ``text`` (such as ', "seed": 3') added at its end, for numbers that
+    json.dumps does not write."""
     cfg = {
         "schema": 1,
         "group": {"kind": "free", "rank": 2},
@@ -34,7 +37,7 @@ def write_scenario(tmp_path, stem="scn", **overrides):
     }
     cfg.update(overrides)
     path = tmp_path / f"{stem}.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg)[:-1] + text + "}")
     return str(path)
 
 
@@ -130,6 +133,10 @@ def test_unknown_fields_rejected(tmp_path, capsys):
     {"solver": {"tolerance": 0.0}},
     {"solver": {"tolerance": float("nan")}},
     {"solver": {"max_iterations": 0}},
+    # an infinite tolerance, as Infinity and as a number past the float
+    # range, which both parse to inf
+    {"solver": {"tolerance": float("inf")}},
+    {"text": ', "solver": {"tolerance": 1e400}'},
 ])
 def test_bad_field_is_exit_1_with_one_json_line(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)

@@ -211,23 +211,29 @@ _QUOTIENT_CASES = [(case, base) for case in sorted(_LAYOUT_CASES)
                    for base in (1, 2, 3)]
 
 
+# the layout cases whose balls are trees, where the seed classes are
+# stable at base radius 1
+_TREE_CASES = {"F2-r6", "F3-r4", "Z*Z-r5", "Z2*Z2*Z2-r6"}
+
+
 @pytest.mark.parametrize("case, base", _QUOTIENT_CASES,
                          ids=[f"{c}-base{b}" for c, b in _QUOTIENT_CASES])
 def test_partition_is_stable_on_its_first_check(case, base, monkeypatch):
-    # the two passes alone give a partition the sweep keeps, which the
-    # exact check confirms without splitting a class
-    checks = []
-    split = harmonic._split_unstable
+    # the first pass that splits nothing is the check that ends the build;
+    # it comes within three passes, and first of all on a tree at base
+    # radius 1
+    passes = []
+    refine = harmonic._refine
 
-    def counted(t, cls, offsets):
-        out = split(t, cls, offsets)
-        checks.append(out is offsets)
-        return out
+    def counted(t, cls, counts, order):
+        passes.append(refine(t, cls, counts, order))
+        return passes[-1]
 
-    monkeypatch.setattr(harmonic, "_split_unstable", counted)
+    monkeypatch.setattr(harmonic, "_refine", counted)
     t = build_truncation(*_LAYOUT_CASES[case])
     quotient = harmonic._quotient(t, base)
-    assert checks == [True]
+    assert passes[-1] is False and all(passes[:-1])
+    assert len(passes) <= (1 if case in _TREE_CASES and base == 1 else 3)
     assert oracles.quotient_instabilities(
         t, quotient.cls[:-1], base) == []
 
@@ -235,30 +241,13 @@ def test_partition_is_stable_on_its_first_check(case, base, monkeypatch):
 @pytest.mark.parametrize("case, base", _QUOTIENT_CASES,
                          ids=[f"{c}-base{b}" for c, b in _QUOTIENT_CASES])
 def test_splitting_the_seeds_reaches_the_same_partition(case, base):
-    # the check and split alone, from the seed classes (color, shell flag
-    # and end class by flood on each sphere), end at a stable partition
-    # after as many rounds as it takes, and it is the passes' partition:
-    # the coarsest stable one
+    # per-vertex Jacobi rounds from the seed classes end at the quotient's
+    # partition, class for class: the coarsest stable one
     t = build_truncation(*_LAYOUT_CASES[case])
-    color = harmonic._colors(t)
-    end = np.zeros(t.n, dtype=np.int64)
-    inside = np.flatnonzero(t.dist < base)
-    for i, comp in enumerate(oracles.flood_components(
-            oracles.adjacency_dict(t), inside)):
-        end[comp] = i + 1
-    cls, offsets = np.empty(t.n + 1, dtype=np.int32), [0]
-    for sl in t.spheres():
-        labels, k = harmonic._dense(
-            (end[sl] * 64 + color[sl] + 1) * 2 + t.shell_mask[sl])
-        cls[sl] = labels + offsets[-1]
-        offsets.append(offsets[-1] + k)
-    while (split := harmonic._split_unstable(t, cls, offsets)) != offsets:
-        offsets = split
-    assert oracles.quotient_instabilities(t, cls[:-1], base) == []
-    passes = harmonic._quotient(t, base).cls[:-1]
-    assert offsets[-1] == passes.max() + 1
-    pairs = cls[:-1].astype(np.int64) * t.n + passes
-    assert len(groups.unique_sorted(pairs)) == offsets[-1]
+    theirs = oracles.coarsest_stable_partition(t, base)
+    ours = harmonic._quotient(t, base).cls[:-1].tolist()
+    assert max(theirs) == max(ours)
+    assert len(set(zip(theirs, ours))) == max(ours) + 1
 
 
 @pytest.mark.parametrize("case, base", _QUOTIENT_CASES,
@@ -325,6 +314,24 @@ def test_energies_fall_to_their_closed_forms(group, word, radii, energy_at):
         chi = make_end_function(t, 1, values_by_word={word: 1}, default=0)
         energies.append(energy(solve_dirichlet(t, chi)).total)
         assert abs(energies[-1] - energy_at(r)) <= 1e-12, r
+    assert all(b < a for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("p, word, radii", [
+    (Presentation.free_product_of_cyclics([3, 0]), "s", range(3, 12)),
+    (Presentation.free(3), "a", range(3, 8)),
+    (Presentation.free_product_of_cyclics([4, 5]), "s", range(3, 10)),
+    (Presentation.free_product_of_cyclics([6, 0, 2]), "s", range(3, 8)),
+], ids=["Z3*Z", "F3", "Z4*Z5", "Z6*Z*Z2"])
+def test_energies_fall_strictly_without_a_closed_form(p, word, radii):
+    # the paper's compactness at finite scale, on presentations with no
+    # closed form: E_r falls strictly with r, by steps (3.1e-5 the least)
+    # far above the solver's error
+    energies = []
+    for r in radii:
+        t = build_truncation(p, r)
+        chi = make_end_function(t, 1, values_by_word={word: 1}, default=0)
+        energies.append(energy(solve_dirichlet(t, chi)).total)
     assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
@@ -484,6 +491,19 @@ def test_energy_form_rejects_mismatched_truncations(t_f2_r4, f2):
             for v in (whole, part):
                 with pytest.raises(MismatchedTruncations):
                     op(u, v)
+
+
+@pytest.mark.parametrize("own_ball_first", [False, True],
+                         ids=["alone", "after-own-ball"])
+def test_solve_refuses_an_end_function_of_a_larger_ball(t_f2_r6, t_f2_r8,
+                                                         own_ball_first):
+    # an end function reaches the ball it was built on only, whether or
+    # not a solve there came first
+    chi = make_end_function(t_f2_r8, 1, {"a": 1}, default=0)
+    if own_ball_first:
+        assert solve_dirichlet(t_f2_r8, chi).values[0] == pytest.approx(0.25)
+    with pytest.raises(MismatchedTruncations):
+        solve_dirichlet(t_f2_r6, chi)
 
 
 @settings(max_examples=25, deadline=None)
