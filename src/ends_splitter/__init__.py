@@ -15,7 +15,6 @@ from .ends import (
     all_nonconstant_end_functions,
     complement_components,
     end_classes,
-    is_cluster,
     make_end_function,
 )
 from .groups import (
@@ -67,7 +66,7 @@ __all__ = [
     "choose_threshold", "classify_neck", "complement_components",
     "decay_profile", "dual_graph", "end_classes", "energy", "energy_form",
     "energy_gap_estimate", "find_necks", "gap_certificate", "group_ball",
-    "indecomposable_regions", "is_cluster", "lattice_ops",
+    "indecomposable_regions", "lattice_ops",
     "make_end_function", "partition_K", "path_truncation", "pullback",
     "sample_images", "solve_dirichlet", "special_sets", "spectral_gap",
     "trichotomy", "__version__",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EndsSplitterError, MismatchedTruncations, ScenarioError
-from .groups import join_labels, unique_sorted
+from .groups import join_labels
 
 
 @dataclass
@@ -216,23 +216,3 @@ def all_nonconstant_end_functions(t, r, limit=2 ** 16):
         values = {c.id: bits[i] for i, c in enumerate(classes)}
         out.append(EndFunction(base_radius=r, classes=classes, values=values))
     return out
-
-
-def is_cluster(t, chi, component):
-    """theta if every end class reaching the shell through the component
-    carries chi-value theta; None when the component sees both values.
-
-    The shell trace is the refined end set of the component, so nested or
-    partially overlapping end classes are handled uniformly.
-    """
-    if not component.unbounded:
-        raise EndsSplitterError("cluster verdicts are defined for unbounded "
-                                "components only")
-    vals = chi.shell_values(t)
-    trace = component.members[t.shell_mask[component.members]]
-    seen = unique_sorted(vals[trace])
-    seen = seen[seen >= 0]
-    if len(seen) == 1:
-        return int(seen[0])
-    return None
-

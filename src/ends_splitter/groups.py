@@ -184,15 +184,6 @@ class CyclicProductEngine:
             return ((f, e),) + w[1:]
         return ((f, self._canon(f, d)),) + w
 
-    def mul_letter_right(self, w, l):
-        f, d = self.letters[l]
-        if w and w[-1][0] == f:
-            e = self._canon(f, w[-1][1] + d)
-            if e == 0:
-                return w[:-1]
-            return w[:-1] + ((f, e),)
-        return w + ((f, self._canon(f, d)),)
-
     def mul(self, u, v):
         out = list(u)
         for f, e in v:
@@ -481,7 +472,8 @@ class Truncation:
 
     def right_mult_table(self, letter):
         """int32 id table for v -> v * letter, -1 where the product leaves
-        the ball.  Built once per letter by walking spheres outward."""
+        the ball, built by walking spheres outward.  It is cached until a
+        ``right_action_stream`` that reads it ends."""
         letter = self.letter_id(letter)
         key = ("rmul", letter)
         if key not in self._caches:
@@ -513,22 +505,33 @@ class Truncation:
         The map of g = l * w (l the first letter of g's geodesic) is one
         gather from the map of w.  Elements come in the order of their
         geodesics read backwards, so each map extends one on a stack that
-        holds a single chain e, w, l * w, ...: at most one map per letter of
-        the longest element, plus e's.  A map is built once, and a caller
-        that drops each map before asking for the next holds no other.
+        holds a single chain w, l * w, ...: at most one map per letter of
+        the longest element.  A letter's own map is a read-only view of its
+        ``right_mult_table``, and e's is a fresh ``arange`` that no map
+        derives from.  A map is built once, and the letter tables leave
+        ``_caches`` when the stream ends.
         """
         words = [tuple(reversed(g.letters())) for g in elements]
-        stack = [((), np.arange(self.n, dtype=np.int32))]
-        for i in sorted(range(len(words)), key=words.__getitem__):
-            word = words[i]
-            while word[:len(stack[-1][0])] != stack[-1][0]:
-                stack.pop()
-            for k in range(len(stack[-1][0]), len(word)):
-                rest = stack[-1][1]
-                table = self.right_mult_table(word[k])
-                stack.append((word[:k + 1],
-                              np.where(table >= 0, rest[table], -1)))
-            yield i, stack[-1][1]
+        stack = []
+        try:
+            for i in sorted(range(len(words)), key=words.__getitem__):
+                word = words[i]
+                while stack and word[:len(stack[-1][0])] != stack[-1][0]:
+                    stack.pop()
+                for k in range(len(stack), len(word)):
+                    table = self.right_mult_table(word[k])
+                    if stack:
+                        img = stack[-1][1][table]
+                        img[table < 0] = -1
+                    else:
+                        img = table.view()
+                        img.flags.writeable = False
+                    stack.append((word[:k + 1], img))
+                yield i, (stack[-1][1] if word
+                          else np.arange(self.n, dtype=np.int32))
+        finally:
+            for l in range(self.n_letters):
+                self._caches.pop(("rmul", l), None)
 
     def left_translates(self, ids, r):
         """``w * v`` for each id v (one row each) and each element w != e of

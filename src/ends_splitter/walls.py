@@ -11,10 +11,11 @@ never errors; their count shrinking under larger radii is the observable
 shadow of minimality.
 
 The sample's full-ball id maps are read in one pass (``sample_images``),
-whose ``SampleImages`` hold arrays on the common domain only.  Each stage
-after it takes what the stage before returned: the threshold and the
-walls read the images, the tree reads the walls, which hold the images,
-and the action reads the tree.
+block by block, into running extremes and arrays on the common domain
+only; no array of pulled values spans the ball.  Each stage after it
+takes what the stage before returned: the threshold and the walls read
+the images, the tree reads the walls, which hold the images, and the
+action reads the tree.  Regions flood on the common domain's own ids.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .errors import (CrossingWalls, EndsSplitterError, NoRegularValue,
                      NotATree, ScenarioError)
 from .groups import join_labels, unique_sorted
 from .harmonic import pullback
+
+# ids of an id map that the wall pass reads at once, which bounds its
+# temporaries whatever the ball's size
+_BLOCK = 1 << 16
 
 RELATIONS = ("eq_h", "lt_h", "gt_h", "eq_one_minus_h", "lt_one_minus_h",
              "gt_one_minus_h")
@@ -56,31 +61,53 @@ def trichotomy(h, g, equality_tol=1e-9, inside=None, vals=None):
     if not len(vals):
         raise EndsSplitterError(f"pullback domain of {g} is empty")
     base = h.values[inside]
+    extremes = [[-np.inf, np.inf], [-np.inf, np.inf]]
+    _fold(extremes, *_diffs(vals, base))
+    return _verdict(g, equality_tol, extremes, [(0, inside, vals, base)])
 
+
+def _diffs(vals, base):
+    """The pulled values minus h and minus 1 - h."""
+    return vals - base, vals - (1.0 - base)
+
+
+def _fold(extremes, *arrays):
+    """Fold the max and min of each array into its running [max, min],
+    which stays [-inf, inf] while every array is empty."""
+    for ext, a in zip(extremes, arrays):
+        if len(a):
+            ext[:] = max(ext[0], float(a.max())), min(ext[1], float(a.min()))
+
+
+def _verdict(g, equality_tol, extremes, blocks):
+    """g's trichotomy verdict from the [max, min] of its two ``_diffs``.
+    ``blocks`` gives ``(first id, domain mask, pulled values, h there)``
+    over the pullback domain in id order; only a violation reads it, for
+    its witness: the first vertex in id order that realizes the extreme of
+    the relation that fails least."""
     failures = {}
-    for rel in ("h", "one_minus_h"):
-        diff = vals - (1.0 - base if "minus" in rel else base)
-        hi = float(diff.max())
-        lo = float(diff.min())
+    for rel, (hi, lo) in zip(("h", "one_minus_h"), extremes):
         failures[f"eq_{rel}"] = max(hi, -lo)
         # lt fails by the amount diff exceeds 0; gt symmetric
         failures[f"lt_{rel}"] = max(hi, 0.0) if lo < -equality_tol else np.inf
         failures[f"gt_{rel}"] = max(-lo, 0.0) if hi > equality_tol else np.inf
-        del diff                    # before the next one is made
 
     for rel in RELATIONS:
         if failures[rel] <= equality_tol:
             return TrichotomyVerdict(g=str(g), relation=rel,
                                      max_slack=failures[rel])
     best = min(RELATIONS, key=lambda r: failures[r])
-    # witness: the vertex realizing the smallest relation's failure
-    diff = vals - (1.0 - base if "minus" in best else base)
-    if best.startswith("eq"):
-        diff = np.abs(diff)
-    w = np.flatnonzero(inside)[
-        int(np.argmax(-diff if best.startswith("gt") else diff))]
-    return TrichotomyVerdict(g=str(g), relation="violation",
-                             max_slack=float(failures[best]), witness=int(w))
+    hi, lo = extremes["minus" in best]
+    extreme = {"eq": max(hi, -lo), "lt": hi, "gt": lo}[best[:2]]
+    for a, inside, vals, base in blocks:
+        diff = _diffs(vals, base)["minus" in best]
+        at = np.flatnonzero((np.abs(diff) if best.startswith("eq") else diff)
+                            == extreme)
+        if len(at):
+            return TrichotomyVerdict(
+                g=str(g), relation="violation",
+                max_slack=float(failures[best]),
+                witness=int(a + np.flatnonzero(inside)[at[0]]))
 
 
 def check_wall_settings(step, equality_tol):
@@ -114,10 +141,13 @@ class SampleImages:
 
 def sample_images(h, sample, equality_tol=1e-9):
     """One pass over the sample's full-ball id maps, holding one chain of
-    them at a time (``Truncation.right_action_stream``).  From each map it
-    takes the element's trichotomy verdict, its pulled values near
-    [0.5, 0.6] for the threshold, its shell-trace probe and its share of
-    the joint domain.
+    them at a time (``Truncation.right_action_stream``).  Each map is read
+    in blocks of ``_BLOCK`` ids, so no temporary spans the ball.  A block
+    folds the element's trichotomy diffs and shell trace into running
+    extremes, and gives its pulled values near [0.5, 0.6] for the
+    threshold and its share of the joint domain.  Max and min are exact
+    in any order, so the verdicts are those of ``trichotomy``; a
+    violation's witness takes a second pass over the blocks.
 
     The images are kept on the common domain of the sample.  That domain
     is known only after the pass, but it lies inside the joint domain of
@@ -125,48 +155,56 @@ def sample_images(h, sample, equality_tol=1e-9):
     cut down as it shrinks.
     """
     t = h.truncation
-    shell = t.shell_ids()
     lo, hi = 0.5 - equality_tol, 0.6 + equality_tol
     verdicts, traces = [None] * len(sample), [None] * len(sample)
     images, near = [None] * len(sample), [np.zeros(0)]
-    ids = np.arange(t.n, dtype=np.int32)
+    joint = np.ones(t.n, dtype=bool)
     for i, img in t.right_action_stream(sample):
-        inside = img >= 0
-        vals = h.values[img[inside]]
-        verdicts[i] = trichotomy(h, sample[i], equality_tol, inside=inside,
-                                 vals=vals)
-        near.append(vals[(vals >= lo) & (vals <= hi)])
-        traces[i] = _shell_trace(h, shell, img[shell], equality_tol)
-        keep = inside[ids]
-        ids = ids[keep]
+        # [max, min] of the two diffs, then of min(h, pulled) and
+        # max(h, pulled) on the shell
+        extremes = [[-np.inf, np.inf] for _ in range(4)]
+        keep, kept = [], []
+        for a, inside, vals, base in _pulled(h, img):
+            near.append(vals[(vals >= lo) & (vals <= hi)])
+            shell = t.shell_mask[a:a + _BLOCK][inside]
+            _fold(extremes, *_diffs(vals, base),
+                  np.minimum(base, vals)[shell], np.maximum(base, vals)[shell])
+            part = joint[a:a + _BLOCK]
+            keep.append(inside[part])
+            part &= inside
+            kept.append(img[a:a + _BLOCK][part])
+        if math.isinf(extremes[0][0]):
+            raise EndsSplitterError(f"pullback domain of {sample[i]} is empty")
+        verdicts[i] = _verdict(sample[i], equality_tol, extremes[:2],
+                               _pulled(h, img))
+        mn, mx = extremes[2:]
+        traces[i] = None if math.isinf(mn[0]) else {
+            "min": bool(mn[0] - mn[1] <= 2 * equality_tol),
+            "max": bool(mx[0] - mx[1] <= 2 * equality_tol)}
+        near = [unique_sorted(np.concatenate(near))]    # distinct values
+        keep = np.concatenate(keep)
         images = [k if k is None else k[keep] for k in images]
-        images[i] = img[ids]
-        del img, inside, vals       # free before the next map is built
-    joint = np.zeros(t.n, dtype=bool)
-    joint[ids] = True
+        images[i] = np.concatenate(kept)
     if not joint[0]:
         raise EndsSplitterError("the basepoint fell out of the sample domain")
     # the common domain: the basepoint's component of the joint domain
     domain = t.graph_distances_from([0], allowed_mask=joint) >= 0
-    keep = domain[ids]
+    keep = domain[joint]
     return SampleImages(equality_tol=equality_tol, sample=list(sample),
                         verdicts=verdicts,
-                        near=unique_sorted(np.concatenate(near)),
+                        near=near[0],
                         shell_traces=traces, domain=domain,
                         images=[k[keep] for k in images])
 
 
-def _shell_trace(h, shell, img, equality_tol):
-    """Whether min(h, pullback) and max(h, pullback) are constant on the
-    shell vertices that ``img`` (their images) keeps in the ball."""
-    sh = shell[img >= 0]
-    if not len(sh):
-        return None
-    pulled = h.values[img[img >= 0]]
-    mn = np.minimum(h.values[sh], pulled)
-    mx = np.maximum(h.values[sh], pulled)
-    return {"min": bool(np.ptp(mn) <= 2 * equality_tol),
-            "max": bool(np.ptp(mx) <= 2 * equality_tol)}
+def _pulled(h, img):
+    """``(a, inside, pulled values, h there)`` for each block of
+    ``_BLOCK`` ids from a, with ``inside`` the block's mask of the
+    pullback domain of the id map ``img``."""
+    for a in range(0, len(img), _BLOCK):
+        m = img[a:a + _BLOCK]
+        inside = m >= 0
+        yield a, inside, h.values[m[inside]], h.values[a:a + _BLOCK][inside]
 
 
 def choose_threshold(images, step=1e-3):
@@ -358,10 +396,11 @@ def indecomposable_regions(t, system):
     labels[ids] = region
     n_regions = len(first)
 
-    # each flood component must sit inside one signature class; the pair
-    # code flood * n_regions + region can pass 2**31, so it is int64
-    flood = join_labels(np.arange(t.n, dtype=np.int32), eu[keep],
-                        ev[keep])[ids].astype(np.int64)
+    # each flood component must sit inside one signature class.  The flood
+    # runs on positions in ids; the pair code flood * n_regions + region
+    # can pass 2**31, so it is int64
+    flood = join_labels(np.arange(len(ids)), np.searchsorted(ids, eu[keep]),
+                        np.searchsorted(ids, ev[keep]))
     pairs = unique_sorted(flood * n_regions + region)
     if len(pairs) != len(unique_sorted(flood)):
         raise CrossingWalls(

@@ -9,10 +9,7 @@ from collections import deque
 
 import numpy as np
 
-from ends_splitter.ends import (
-    ComplementComponent,
-    is_cluster,
-)
+from ends_splitter.ends import ComplementComponent
 from ends_splitter.errors import (
     CrossingWalls,
     EndsSplitterError,
@@ -21,7 +18,8 @@ from ends_splitter.errors import (
 )
 from ends_splitter.groups import Truncation, build_truncation, group_ball
 from ends_splitter.harmonic import boundary_values, pullback
-from ends_splitter.walls import ActionReport, IndecomposableRegion
+from ends_splitter.walls import (RELATIONS, ActionReport, IndecomposableRegion,
+                                  TrichotomyVerdict)
 
 
 # -- free group words as strings (inverse = uppercase) -----------------------
@@ -144,6 +142,18 @@ def build_generic(p, radius):
         shell_mask=dist == radius,
     )
     return t, words
+
+
+def mul_letter_right(eng, w, l):
+    """The normal form of w * l for a word w of the engine ``eng``: the
+    right-hand twin of its ``mul_letter_left``."""
+    f, d = eng.letters[l]
+    if w and w[-1][0] == f:
+        e = eng._canon(f, w[-1][1] + d)
+        if e == 0:
+            return w[:-1]
+        return w[:-1] + ((f, e),)
+    return w + ((f, eng._canon(f, d)),)
 
 
 # -- left translates, nets and sweep classes, one vertex at a time ----------
@@ -340,6 +350,25 @@ def flood_dual_graph(t, adj, groups, R):
         edges += [(i, j) for i, ball in enumerate(balls) if ball & closure]
     return ([len(c) for c in comps],
             [bool(t.shell_mask[c].any()) for c in comps], edges)
+
+
+def is_cluster(t, chi, component):
+    """theta if every end class reaching the shell through the component
+    carries chi-value theta; None when the component sees both values.
+
+    The shell trace is the refined end set of the component, so nested or
+    partially overlapping end classes are handled uniformly.
+    """
+    if not component.unbounded:
+        raise EndsSplitterError("cluster verdicts are defined for unbounded "
+                                "components only")
+    vals = chi.shell_values(t)
+    trace = component.members[t.shell_mask[component.members]]
+    seen = np.unique(vals[trace])
+    seen = seen[seen >= 0]
+    if len(seen) == 1:
+        return int(seen[0])
+    return None
 
 
 def flood_neck_components(t, adj, x, R):
@@ -690,6 +719,49 @@ def right_action_maps(t, elements):
 # filtered threshold search.  These compute the same results one pullback
 # and one dict entry at a time, as the reference the array code must match.
 
+def trichotomy(h, g, equality_tol=1e-9):
+    """The trichotomy verdict of g from its whole pullback: each relation
+    fails by the extremes of one whole-domain difference, and a violation's
+    witness is the domain's first vertex, by ``np.argmax``, where the
+    relation that fails least is worst."""
+    f = pullback(h, g)
+    ids = np.flatnonzero(f.domain)
+    vals, base = f.values[ids], h.values[ids]
+    refs = {"h": base, "one_minus_h": 1.0 - base}
+    failures = {}
+    for rel, ref in refs.items():
+        diff = vals - ref
+        hi, lo = float(diff.max()), float(diff.min())
+        failures[f"eq_{rel}"] = max(hi, -lo)
+        failures[f"lt_{rel}"] = max(hi, 0.0) if lo < -equality_tol else np.inf
+        failures[f"gt_{rel}"] = max(-lo, 0.0) if hi > equality_tol else np.inf
+    for rel in RELATIONS:
+        if failures[rel] <= equality_tol:
+            return TrichotomyVerdict(g=str(g), relation=rel,
+                                     max_slack=failures[rel])
+    best = min(RELATIONS, key=failures.get)
+    diff = vals - refs["one_minus_h" if "minus" in best else "h"]
+    worst = {"eq": np.abs(diff), "lt": diff, "gt": -diff}[best[:2]]
+    return TrichotomyVerdict(g=str(g), relation="violation",
+                             max_slack=float(failures[best]),
+                             witness=int(ids[np.argmax(worst)]))
+
+
+def shell_trace(h, g, equality_tol=1e-9):
+    """Whether min(h, pullback) and max(h, pullback) are constant within
+    2 * equality_tol on the shell vertices in g's pullback domain; None
+    when there are none."""
+    f = pullback(h, g)
+    shell = h.truncation.shell_ids()
+    sh = shell[f.domain[shell]]
+    if not len(sh):
+        return None
+    mn = np.minimum(h.values[sh], f.values[sh])
+    mx = np.maximum(h.values[sh], f.values[sh])
+    return {"min": bool(np.ptp(mn) <= 2 * equality_tol),
+            "max": bool(np.ptp(mx) <= 2 * equality_tol)}
+
+
 def choose_threshold(h, sample, equality_tol=1e-9, step=1e-3):
     """Smallest t = 1/2 + k*step that keeps distance >= equality_tol from
     every sampled pullback value; NoRegularValue if none below 0.6 works."""
@@ -926,16 +998,9 @@ def action_on_tree(t, h, tree, sample):
                     h_wall[gname] = "disjoint"
 
         # shell traces of min/max against h: constancy probe
-        f = pullback(h, g)
-        shell = t.shell_ids()
-        sh = shell[f.domain[shell]]
-        if len(sh):
-            mn = np.minimum(h.values[sh], f.values[sh])
-            mx = np.maximum(h.values[sh], f.values[sh])
-            trace_const[gname] = {
-                "min": bool(np.ptp(mn) <= 2 * system.images.equality_tol),
-                "max": bool(np.ptp(mx) <= 2 * system.images.equality_tol),
-            }
+        trace = shell_trace(h, g, system.images.equality_tol)
+        if trace is not None:
+            trace_const[gname] = trace
 
     fixed = []
     for r in tree.regions:

@@ -8,14 +8,13 @@ from ends_splitter.ends import (
     all_nonconstant_end_functions,
     complement_components,
     end_classes,
-    is_cluster,
     make_end_function,
 )
 
 from ends_splitter.groups import build_truncation
 
 import oracles
-from oracles import refine_end_classes
+from oracles import is_cluster, refine_end_classes
 from test_groups import _LAYOUT_CASES
 
 

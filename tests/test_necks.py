@@ -11,7 +11,6 @@ from ends_splitter.errors import (
 from ends_splitter.ends import (
     all_nonconstant_end_functions,
     end_classes,
-    is_cluster,
     make_end_function,
 )
 from ends_splitter.groups import (
@@ -36,6 +35,7 @@ from ends_splitter.necks import (
 )
 
 import oracles
+from oracles import is_cluster
 from test_groups import _LAYOUT_CASES
 
 

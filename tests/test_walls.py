@@ -559,6 +559,89 @@ def test_streamed_pass_matches_oracles_and_full_maps(solved_case,
     assert action == oracles.action_on_tree(t, h, tree, sample)
 
 
+def _blocked_case(name):
+    """The field of one ``test_blocks_smaller_than_the_ball_...`` case."""
+    if name == "F2-r5-tied":
+        # three values, 1/2 up to sphere 2, so each extreme is reached at
+        # many vertices and none in the first block; and a shell of the
+        # vertices that a moves off the ball, so a has no shell trace
+        t = build_truncation(Presentation.free(2), 5)
+        off = t.rmul_ids(np.arange(t.n), element(t, "a")) < 0
+        t = dataclasses.replace(t, shell_mask=t.shell_mask & off, _caches={})
+        values = np.random.default_rng(7).choice([0.25, 0.5, 0.75], t.n)
+        values[t.dist <= 2] = 0.5
+        return HarmonicField(truncation=t, values=values, boundary_spec=None,
+                             residual=0.0, iterations=0)
+    p, radius, base_radius, assignment = {
+        "F2-r6": (Presentation.free(2), 6, 1, {"a": 1}),
+        "Z3*Z-r8": (Presentation.free_product_of_cyclics([3, 0]), 8, 1,
+                    {"t": 1}),
+        "Z2*Z3-r10": (Presentation.free_product_of_cyclics([2, 3]), 10, 2,
+                      {"st": 1}),
+    }[name]
+    t = build_truncation(p, radius)
+    return solve_dirichlet(t, make_end_function(
+        t, base_radius, values_by_word=assignment, default=0))
+
+
+@pytest.mark.parametrize("case", ["F2-r6", "Z3*Z-r8", "Z2*Z3-r10",
+                                  "F2-r5-tied"])
+def test_blocks_smaller_than_the_ball_match_the_oracles(monkeypatch, case):
+    # seven ids a block: every reduction spans many blocks
+    h = _blocked_case(case)
+    t = h.truncation
+    sample = group_ball(t, 2)
+    monkeypatch.setattr("ends_splitter.walls._BLOCK", 7)
+    images = sample_images(h, sample)
+    assert images.verdicts == [oracles.trichotomy(h, g) for g in sample]
+    assert images.shell_traces == [oracles.shell_trace(h, g) for g in sample]
+    level = choose_threshold(images)
+    assert level == oracles.choose_threshold(h, sample)
+    system = build_walls(h, images, level)
+    want, domain, empty = oracles.build_walls(h, level, sample)
+    assert np.array_equal(images.domain, domain)
+    assert system.empty_pullbacks == empty
+    assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
+            for w in system.walls] == want
+
+    late = [v for v in images.verdicts if v.is_violation() and v.witness >= 7]
+    if case == "Z2*Z3-r10":
+        assert [v.g for v in images.verdicts if v.is_violation()] == ["t", "T"]
+        assert len(late) == 2
+    if case == "F2-r5-tied":
+        assert len(late) == len(sample) - 1       # all but e's
+        # v * a * w leaves the ball with v * a
+        assert [str(g) for g, trace in zip(sample, images.shell_traces)
+                if trace is None] == ["a", "aa", "ab", "aB"]
+
+
+def test_letter_tables_leave_the_cache_and_lend_read_only_maps(t_f2_r4):
+    t = t_f2_r4
+    sample = group_ball(t, 2)
+    values = np.linspace(0.0, 1.0, t.n)
+    h = HarmonicField(truncation=t, values=values, boundary_spec=None,
+                      residual=0.0, iterations=0)
+
+    def tables():
+        return [v for k, v in t._caches.items() if k[0] == "rmul"]
+
+    sample_images(h, sample)
+    assert not tables()
+    lent = 0
+    for i, img in t.right_action_stream(sample):
+        if any(np.shares_memory(img, table) for table in tables()):
+            lent += 1
+            with pytest.raises(ValueError, match="read-only"):
+                img[0] = 0
+    assert lent == 4 and not tables()      # the four letters' own maps
+    # a stream closed halfway releases its tables too
+    stream = t.right_action_stream(sample)
+    next(stream), next(stream)
+    assert len(tables()) == 1
+    stream.close()
+    assert not tables()
+
+
 def test_regions_past_64_walls_match_oracle():
     # 100 walls on a path: a side signature folded without renumbering
     # would need 3**100 codes
