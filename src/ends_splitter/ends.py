@@ -11,7 +11,7 @@ removing the open ball.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,33 +82,45 @@ class EndClass:
 
     id: int
     base_radius: int
-    component: ComplementComponent
+    table: np.ndarray = field(repr=False)    # each vertex's end class
+    size: int
+    unbounded: bool
     representative_word: str
 
     @property
     def members(self):
-        return self.component.members
+        """The class's vertex ids, ascending, as int32."""
+        return np.flatnonzero(self.table == self.id).astype(np.int32)
 
     def summary(self):
-        return {
-            "id": self.id,
-            "base_radius": self.base_radius,
-            "representative_vertex_word": self.representative_word,
-            "size": int(self.component.size),
-            "unbounded": bool(self.component.unbounded),
-        }
+        return {"id": self.id, "base_radius": self.base_radius,
+                "representative_vertex_word": self.representative_word,
+                "size": self.size, "unbounded": self.unbounded}
 
 
 def end_classes(t, r):
-    """End classes at base radius r: the components of the complement of
-    B_r(identity), i.e. of the vertex set at distance >= r.  Each reaches
-    the shell, since every vertex has a neighbour one step further out."""
+    """End classes at base radius r, by smallest member: the components of
+    the vertex set at distance >= r.  Each reaches the shell, since every
+    vertex has a neighbour one step further out.  They share one table,
+    each vertex's class in the narrowest signed dtype, -1 inside B_{r-1}.
+    """
     if not (1 <= r < t.radius):
         raise ValueError(f"need 1 <= r < truncation radius, got r={r}")
-    comps = complement_components(t, np.flatnonzero(t.dist <= r - 1))
-    return [EndClass(id=c.id, base_radius=r, component=c,
-                     representative_word=t.word(int(c.members[0])))
-            for c in comps]
+    base = t.spheres()[r]
+    labels = complement_labels(t, t.dist < r)[base.start:] - base.start
+    # a label is its component's smallest id, which lies on the base sphere
+    root = labels[:base.stop - base.start] == np.arange(base.stop - base.start)
+    table = np.full(t.n, -1, dtype=np.min_scalar_type(-int(root.sum())))
+    outside = table[base.start:]
+    np.take((np.cumsum(root) - 1).astype(table.dtype), labels, out=outside,
+            mode="clip")
+    sizes = np.bincount(outside)
+    reach = np.bincount(outside[t.shell_mask[base.start:]],
+                        minlength=len(sizes))
+    return [EndClass(id=i, base_radius=r, table=table, size=int(sizes[i]),
+                     unbounded=bool(reach[i]),
+                     representative_word=t.word(base.start + v))
+            for i, v in enumerate(np.flatnonzero(root).tolist())]
 
 
 @dataclass
@@ -129,23 +141,26 @@ class EndFunction:
 
     @property
     def nonconstant(self):
-        vals = set(self.values.values())
-        return vals == {0, 1}
+        return set(self.values.values()) == {0, 1}
 
     def require_nonconstant(self):
         if not self.nonconstant:
             raise ScenarioError("chi must be nonconstant")
 
+    def class_table(self, t):
+        """The classes' table, MismatchedTruncations unless of t's ball."""
+        table = self.classes[0].table
+        if len(table) != t.n:
+            raise MismatchedTruncations("end function of another ball")
+        return table
+
     def shell_values(self, t):
         """Per vertex of ``t``, the value of its end class as int8, -1 off
-        the classes; MismatchedTruncations for classes of a larger ball."""
-        vals = np.full(t.n, -1, dtype=np.int8)
-        for c in self.classes:
-            if c.members[-1] >= t.n:
-                raise MismatchedTruncations(
-                    "end function lives on a larger truncation")
-            vals[c.members] = self.values[c.id]
-        return vals
+        the classes."""
+        table = self.class_table(t)
+        value = np.full(int(table.max()) + 2, -1, dtype=np.int8)  # -1 last
+        value[list(self.values)] = list(self.values.values())
+        return value[table]
 
     def assignments_by_word(self):
         return {c.representative_word: int(self.values[c.id])

@@ -21,7 +21,7 @@ from .errors import (
     NonConvergence,
     ScenarioError,
 )
-from .ends import complement_labels
+from .ends import end_classes
 from .groups import _first_fit, unique_sorted
 
 # ids whose neighbour rows the partition sorts at once, which keeps them in
@@ -184,14 +184,14 @@ def _keys(first, bound, cols, width):
     return key
 
 
-def _partition(t, base_radius):
+def _partition(t, table):
     """A vertex partition that the sweep keeps constant on each class: the
     class of each vertex as int32 (one more entry is left for missing
     neighbours), the class count and the vertex colors.
 
     Every member of a class has the same depth, color, shell flag, end
-    class at ``base_radius`` and ordered neighbour classes, so a sweep does
-    the same floating-point operations on each, for every end function at
+    class in ``table`` and ordered neighbour classes, so a sweep does the
+    same floating-point operations on each, for every end function at
     that base radius.  Each sphere is seeded with its vertices' end
     classes and colors (-1 marks the shell), and ``_refine`` splits them,
     from the shell in, then from e out and so on, until a pass splits
@@ -200,14 +200,10 @@ def _partition(t, base_radius):
     """
     color = _colors(t)
     spheres, hues = t.spheres(), int(color.max()) + 2   # color + 1 < hues
-    # end classes by their smallest members, which lie on the base sphere
-    ends = complement_labels(t, t.dist < base_radius)
-    ends[:spheres[base_radius].start] = 0
     cls, counts = np.empty(t.n + 1, dtype=np.int32), []
     for sl in spheres:
-        cls[sl], k = _dense(ends[sl].astype(np.int64) * hues + color[sl])
+        cls[sl], k = _dense(table[sl].astype(np.int64) * hues + color[sl])
         counts.append(k)
-    del ends
     order = range(len(spheres))[::-1]
     while _refine(t, cls, counts, order):
         order = order[::-1]
@@ -286,12 +282,15 @@ class _Quotient:
     shell_ids: np.ndarray           # a member of each shell class
 
 
-def _quotient(t, base_radius):
-    """The sweep layout of ``_partition(t, base_radius)``, built once per
-    truncation and base radius and shared by every end function there."""
+def _quotient(t, base_radius, table=None):
+    """The sweep layout of ``_partition`` on ``end_classes``'s table at
+    ``base_radius``, built once per truncation and base radius and shared
+    by every end function there."""
     key = ("quotient", base_radius)
     if key not in t._caches:
-        cls, count, color = _partition(t, base_radius)
+        if table is None:
+            table = end_classes(t, base_radius)[0].table
+        cls, count, color = _partition(t, table)
         first = np.full(count, t.n, dtype=np.int32)    # each class's least
         np.minimum.at(first, cls[:-1], np.arange(t.n, dtype=np.int32))
         hue = color[first]
@@ -325,7 +324,7 @@ def solve_dirichlet(t, chi, cfg=None):
     """
     cfg = cfg or SolverConfig()
     bvals = boundary_values(t, chi)
-    q = _quotient(t, chi.base_radius)
+    q = _quotient(t, chi.base_radius, chi.class_table(t))
     rows = q.rows
     x = np.zeros(q.shell.stop + 1, dtype=np.float64)   # in the sweep layout
     x[:q.shell.start] = 0.5

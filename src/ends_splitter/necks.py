@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateDrop, EndsSplitterError, NeckCoverageError
 from .ends import complement_labels
 from .groups import join_labels, unique_sorted
-from .harmonic import energy
+from .harmonic import energy, solve_dirichlet
 
 _VERDICT = (None, 0, 1, None)     # by the chi-values a trace meets
 
@@ -182,71 +182,74 @@ def _components(t, x, R):
 # ---------------------------------------------------------------------------
 
 class TraceMasks:
-    """The end classes of chi seen from the block tree, as bit sets: class
-    c is bit c.  down[v]: the classes of v's cone, which is v with
-    whatever hangs off it in the blocks anchored at v.  up[v]: the classes
-    outside the branch of v's block at the block's anchor; none at e.
+    """The end classes of chi seen from the block tree, as bit sets: for k
+    classes, a uint8 row of ceil(k / 8) bytes per vertex, class c at bit
+    c % 8 of byte c // 8.  down[v]: the classes of v's cone, which is v
+    with whatever hangs off it in the blocks anchored at v.  up[v]: the
+    classes outside the branch of v's block at the block's anchor, none at e.
 
-    The sets depend on the base radius only, so a truncation builds them
-    once per base radius, in the smallest unsigned dtype with a bit per
-    class (Python ints past 64 classes): one byte per vertex each for up
-    to 8 classes.  A chi adds ``zero`` and ``one``, the sets of its
-    classes of value 0 and 1.
+    The sets depend on the class table only, so a truncation builds them
+    once per base radius, a byte column at a time.  A chi adds ``zero``
+    and ``one``, the rows of its classes of value 0 and 1.
     """
 
     def __init__(self, t, chi):
+        table = chi.class_table(t)          # refuses another ball's chi
         self.base_radius = chi.base_radius
         key = ("trace_masks", self.base_radius)
         if key not in t._caches:
-            t._caches[key] = _trace_passes(t, chi.classes)
+            t._caches[key] = _trace_passes(t, table)
         self.down, self.up = t._caches[key]
-        self.zero, self.one = (
-            sum(1 << c for c, v in chi.values.items() if v == value)
-            for value in (0, 1))
+        bits = np.zeros((2, 8 * self.down.shape[1]), dtype=bool)
+        bits[list(chi.values.values()), list(chi.values)] = True
+        self.zero, self.one = np.packbits(bits, axis=1, bitorder="little")
 
     def seen(self, sets):
-        """Per class set, bit 0 if it meets a class of chi-value 0 and bit
-        1 for value 1; works on one set or an array of them."""
-        return ((sets & self.zero) != 0) + 2 * ((sets & self.one) != 0)
+        """Per class set (a row), bit 0 if it meets a class of chi-value 0
+        and bit 1 for value 1; works on one row or an array of them."""
+        return (sets & self.zero).any(-1) + 2 * (sets & self.one).any(-1)
 
 
-def _trace_passes(t, classes):
-    """``(down, up)`` of ``TraceMasks`` for the end classes ``classes``:
-    one pass inward over the spheres and one outward."""
+def _trace_passes(t, table):
+    """``(down, up)`` of ``TraceMasks`` for the class table ``table``: per
+    byte column, one pass inward over the spheres and one outward."""
     anchor, block, _ = t.blocks()
-    bits = [1 << c.id for c in classes]
-    own = np.zeros(t.n, dtype=np.min_scalar_type(sum(bits)))
-    for c, bit in zip(classes, bits):
-        own[c.members[t.shell_mask[c.members]]] = bit
-    spheres = t.spheres()[1:]
-    down = own.copy()
-    for sl in reversed(spheres):
-        np.bitwise_or.at(down, anchor[sl], down[sl])
-
-    # per v != e, the classes of the other cones of its block (within), of
-    # the other blocks at its anchor (beside) and outside its cone
-    kids = slice(1, None)
+    shell = np.flatnonzero(t.shell_mask & (table >= 0))
+    cls = table[shell]
+    byte, bit = cls >> 3, np.left_shift(1, (cls & 7).astype(np.uint8))
+    spheres, kids = t.spheres()[1:], slice(1, None)
     block = block[kids]
-    branch = np.zeros(block.max() + 1, dtype=own.dtype)
-    np.bitwise_or.at(branch, block, down[kids])
-    block_anchor = np.zeros(len(branch), dtype=block.dtype)
+    block_anchor = np.zeros(block.max() + 1, dtype=block.dtype)
     block_anchor[block] = anchor[kids]
-    within, beside, outside = np.zeros((3, t.n), dtype=own.dtype)
-    within[kids] = _others(block, down[kids], bits)
-    beside[kids] = _others(block_anchor, branch, bits)[block]
-    up = np.zeros(t.n, dtype=own.dtype)
-    for sl in spheres:
-        a = anchor[sl]
-        up[sl] = outside[a] | own[a] | beside[sl]
-        outside[sl] = up[sl] | within[sl]
+    down, up = np.zeros((2, t.n, int(table.max()) // 8 + 1), dtype=np.uint8)
+    for j in range(down.shape[1]):
+        own = np.zeros(t.n, dtype=np.uint8)
+        own[shell[byte == j]] = bit[byte == j]
+        cone = own.copy()
+        for sl in reversed(spheres):
+            np.bitwise_or.at(cone, anchor[sl], cone[sl])
+
+        # per v != e, the classes of the other cones of its block (within),
+        # of the other blocks at its anchor (beside) and outside its cone
+        branch = np.zeros(len(block_anchor), dtype=np.uint8)
+        np.bitwise_or.at(branch, block, cone[kids])
+        within, beside, outside = np.zeros((3, t.n), dtype=np.uint8)
+        within[kids] = _others(block, cone[kids])
+        beside[kids] = _others(block_anchor, branch)[block]
+        for sl in spheres:
+            a = anchor[sl]
+            up[sl, j] = outside[a] | own[a] | beside[sl]
+            outside[sl] = up[sl, j] | within[sl]
+        down[:, j] = cone
     return down, up
 
 
-def _others(group, sets, bits):
-    """OR of ``sets`` over the other elements of each element's group,
-    one bit of ``bits`` at a time."""
-    out = np.zeros(len(group), dtype=sets.dtype)
-    for bit in bits:
+def _others(group, sets):
+    """OR of the byte column ``sets`` over the other elements of each
+    element's group, one bit that some element has at a time."""
+    out = np.zeros(len(group), dtype=np.uint8)
+    present = int(np.bitwise_or.reduce(sets))
+    for bit in (1 << b for b in range(8) if present >> b & 1):
         has = (sets & bit) != 0
         count = np.bincount(group[has], minlength=group.max() + 1)
         out[count[group] > has] |= bit
@@ -283,7 +286,7 @@ def _precedence(seen, owner, n):
 def _trace_sets(comps, masks):
     """The end classes of ``masks`` that each component reaches, as bit
     sets: an OR over its arc's cones and what lies past its ``up``."""
-    sets = np.zeros(len(comps), dtype=masks.down.dtype)
+    sets = np.zeros((len(comps), masks.down.shape[1]), dtype=np.uint8)
     arc = [(j, v) for j, c in enumerate(comps) for v in c.arc]
     if arc:
         j, v = np.array(arc, dtype=np.intp).T
@@ -691,8 +694,6 @@ class GapBracket:
 def energy_gap_estimate(t, net, R, chis, solver_cfg=None):
     """Bracket [certified_mu, min energy] for the window-scale energy gap
     over a family of end functions."""
-    from .harmonic import solve_dirichlet
-
     rows = []
     best_mu = 0.0
     min_energy = math.inf

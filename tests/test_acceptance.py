@@ -317,7 +317,7 @@ def test_criterion_9(f2):
     t = build_truncation(f2, 14)
     chi = make_end_function(t, 1, rule="first_letter:a")
     h = solve_dirichlet(t, chi)
-    branch = [c.component for c in chi.classes
+    branch = [c for c in chi.classes
               if c.representative_word == "b"][0]
     prof = decay_profile(h, [0], branch, 0)
     ratios = prof.ratios()

@@ -11,7 +11,7 @@ from ends_splitter.ends import (
     make_end_function,
 )
 
-from ends_splitter.groups import build_truncation
+from ends_splitter.groups import build_truncation, path_truncation
 
 import oracles
 from oracles import is_cluster, refine_end_classes
@@ -106,6 +106,30 @@ def test_end_class_counts(t_f2_r6):
     assert len(end_classes(t_f2_r6, 2)) == 12
 
 
+@pytest.mark.parametrize("make", [
+    *[lambda case=case: build_truncation(*_LAYOUT_CASES[case])
+      for case in sorted(_LAYOUT_CASES)],
+    lambda: path_truncation(5),
+], ids=[*sorted(_LAYOUT_CASES), "path5"])
+def test_end_classes_read_off_one_table_are_the_components(make):
+    # each class's members, size and shell flag, read off the shared
+    # class table, are those of the complement of B_{r-1} grouped by the
+    # component engine; the path's shell holds vertex 0, inside B_{r-1}
+    t = make()
+    for r in (1, 2, 3):
+        classes = end_classes(t, r)
+        comps = complement_components(t, np.flatnonzero(t.dist < r))
+        assert len(classes) == len(comps)
+        for c, comp in zip(classes, comps):
+            assert c.members.dtype == np.int32
+            assert c.members.tolist() == comp.members.tolist()
+            assert (c.size, c.unbounded) == (comp.size, comp.unbounded)
+        table = classes[0].table
+        assert all(c.table is table for c in classes)
+        assert (table[t.dist < r] == -1).all()
+        assert table.dtype == (np.int8 if len(classes) <= 128 else np.int16)
+
+
 def test_end_class_radius_guard(t_f2_r6):
     with pytest.raises(ValueError):
         end_classes(t_f2_r6, 0)
@@ -193,7 +217,7 @@ def test_all_nonconstant_count(t_f2_r6):
 def test_cluster_verdicts(t_f2_r6):
     chi = make_end_function(t_f2_r6, 1, rule="first_letter:a")
     classes = end_classes(t_f2_r6, 1)
-    verdicts = {c.representative_word: is_cluster(t_f2_r6, chi, c.component)
+    verdicts = {c.representative_word: is_cluster(t_f2_r6, chi, c)
                 for c in classes}
     assert verdicts == {"a": 1, "A": 0, "b": 0, "B": 0}
 
@@ -201,7 +225,7 @@ def test_cluster_verdicts(t_f2_r6):
 def test_cluster_constant_chi(t_f2_r6):
     chi = make_end_function(t_f2_r6, 1, values_by_word={}, default=1)
     for c in end_classes(t_f2_r6, 1):
-        assert is_cluster(t_f2_r6, chi, c.component) == 1
+        assert is_cluster(t_f2_r6, chi, c) == 1
 
 
 def test_mixed_component_is_not_a_cluster(t_f2_r6):
@@ -223,9 +247,9 @@ def test_cluster_monotone_under_shrinking(t_f2_r6):
     mapping = refine_end_classes(t_f2_r6, coarse, fine)
     for f in fine:
         parent = coarse[mapping[f.id]]
-        theta = is_cluster(t_f2_r6, chi, parent.component)
+        theta = is_cluster(t_f2_r6, chi, parent)
         if theta is not None:
-            assert is_cluster(t_f2_r6, chi, f.component) == theta
+            assert is_cluster(t_f2_r6, chi, f) == theta
 
 
 def test_cluster_requires_unbounded(t_f2_r6):

@@ -498,12 +498,13 @@ def test_energy_form_rejects_mismatched_truncations(t_f2_r4, f2):
 def test_solve_refuses_an_end_function_of_a_larger_ball(t_f2_r6, t_f2_r8,
                                                          own_ball_first):
     # an end function reaches the ball it was built on only, whether or
-    # not a solve there came first
-    chi = make_end_function(t_f2_r8, 1, {"a": 1}, default=0)
-    if own_ball_first:
-        assert solve_dirichlet(t_f2_r8, chi).values[0] == pytest.approx(0.25)
-    with pytest.raises(MismatchedTruncations):
-        solve_dirichlet(t_f2_r6, chi)
+    # not a solve there came first; one of a smaller ball is refused too
+    for t, other in ((t_f2_r8, t_f2_r6), (t_f2_r6, t_f2_r8)):
+        chi = make_end_function(t, 1, {"a": 1}, default=0)
+        if own_ball_first:
+            assert solve_dirichlet(t, chi).values[0] == pytest.approx(0.25)
+        with pytest.raises(MismatchedTruncations):
+            solve_dirichlet(other, chi)
 
 
 @settings(max_examples=25, deadline=None)
@@ -688,7 +689,7 @@ def test_decay_profile_matches_branch_recursion(h_first_letter_r8):
     h = h_first_letter_r8
     t = h.truncation
     chi = h.boundary_spec
-    branch = [c.component for c in chi.classes
+    branch = [c for c in chi.classes
               if c.representative_word == "b"][0]
     prof = decay_profile(h, [0], branch, 0)
     expected = oracles.branch_profile(3, t.radius - 1, float(h.values[3]))
@@ -709,7 +710,7 @@ def test_decay_profile_of_matching_constant_is_zero(t_f2_r6):
 
 def test_decay_attachment_row_bounded(h_first_letter_r8):
     chi = h_first_letter_r8.boundary_spec
-    branch = [c.component for c in chi.classes
+    branch = [c for c in chi.classes
               if c.representative_word == "a"][0]
     prof = decay_profile(h_first_letter_r8, [0], branch, 1)
     assert 0 in prof.by_distance
@@ -720,9 +721,9 @@ def test_decay_attachment_row_bounded(h_first_letter_r8):
 def test_decay_profile_matches_per_member_oracle_f2(h_first_letter_r8, theta):
     h = h_first_letter_r8
     for c in h.boundary_spec.classes:
-        prof = decay_profile(h, [0], c.component, theta)
+        prof = decay_profile(h, [0], c, theta)
         assert prof.by_distance == oracles.decay_profile(
-            h.truncation, h.values, [0], c.component.members, theta)
+            h.truncation, h.values, [0], c.members, theta)
 
 
 @pytest.mark.parametrize("theta", [0, 1])

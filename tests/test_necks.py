@@ -6,6 +6,7 @@ import pytest
 from ends_splitter.errors import (
     DegenerateDrop,
     EndsSplitterError,
+    MismatchedTruncations,
     NeckCoverageError,
 )
 from ends_splitter.ends import (
@@ -198,18 +199,19 @@ def _prefix_chis(t, base_radius, count):
     return chis
 
 
-@pytest.mark.parametrize("orders, radius, R, base_radius, dtype", [
-    ((0, 0), 6, 1, 1, np.uint8),
-    ((3, 0), 6, 1, 1, np.uint8),
-    ((2, 3), 12, 2, 1, np.uint8),
-    ((0, 0), 6, 1, 3, np.uint64),       # 36 classes
-    ((0, 0), 6, 1, 4, object),          # 108 classes
+@pytest.mark.parametrize("orders, radius, R, base_radius, width", [
+    ((0, 0), 6, 1, 1, 1),
+    ((3, 0), 6, 1, 1, 1),
+    ((2, 3), 12, 2, 1, 1),
+    ((0, 0), 6, 1, 3, 5),               # 36 classes
+    ((0, 0), 6, 1, 4, 14),              # 108 classes
 ], ids=["F2", "Z3*Z", "Z2*Z3", "F2-base3", "F2-base4"])
 def test_special_sets_match_the_flood_for_every_chi(orders, radius, R,
-                                                    base_radius, dtype):
+                                                    base_radius, width):
     # every neck's label and K, K_I, K_II as a flood per center and
     # is_cluster give them, and the structural check as a flood of the
-    # K_I ball system gives it; the masks hold a bit per end class
+    # K_I ball system gives it; the masks hold a bit per end class, in
+    # uint8 rows of ceil(k / 8) bytes
     p = Presentation.free_product_of_cyclics(orders)
     t = build_truncation(p, radius)
     survey = find_necks(t, build_net(t, 1), R)
@@ -227,7 +229,8 @@ def test_special_sets_match_the_flood_for_every_chi(orders, radius, R,
         report = special_sets(t, survey, chi)
         assert report.classes == labels
         assert report.center_ids == ids
-        assert report.masks.down.dtype == dtype
+        for sets in (report.masks.down, report.masks.up):
+            assert sets.dtype == np.uint8 and sets.shape == (t.n, width)
     assert raised < len(chis)
     assert list(survey.class_sets) == [base_radius]
 
@@ -269,8 +272,8 @@ def test_every_component_of_one_ball_reaches_the_shell(case):
     t = build_truncation(p, min(rho, 6))
     for r in range(1, min(3, t.radius - 1) + 1):
         classes = end_classes(t, r)
-        assert all(c.component.unbounded for c in classes)
-        assert sum(c.component.size for c in classes) == (t.dist >= r).sum()
+        assert all(c.unbounded for c in classes)
+        assert sum(c.size for c in classes) == (t.dist >= r).sum()
     # every shell vertex lies in an end class, so a component's trace in
     # these masks is empty exactly when it misses the shell
     names = t.presentation.engine().letter_names
@@ -294,6 +297,27 @@ def test_two_branch_chi_has_singleton_k1(t_f2_r8, net1_f2_r8):
     report = special(t_f2_r8, net1_f2_r8, 1, chi)
     assert report.K_I == ["e"]
     assert report.K_II == []
+
+
+@pytest.mark.parametrize("radius, other", [(8, 6), (6, 8)],
+                         ids=["chi-of-a-smaller-ball", "chi-of-a-larger-ball"])
+def test_special_sets_refuse_another_ball_and_cache_nothing(radius, other):
+    # the end function of another ball is refused before any mask is built,
+    # so the ball's own end function then reads what a fresh ball gives
+    f2, chi = Presentation.free(2), {"values_by_word": {"a": 1, "b": 1},
+                                     "default": 0}
+    t = build_truncation(f2, radius)
+    survey = find_necks(t, build_net(t, 1), 1)
+    with pytest.raises(MismatchedTruncations):
+        special_sets(t, survey, make_end_function(
+            build_truncation(f2, other), 1, **chi))
+    assert ("trace_masks", 1) not in t._caches
+    fresh = build_truncation(f2, radius)
+    want = special(fresh, build_net(fresh, 1), 1,
+                   make_end_function(fresh, 1, **chi))
+    got = special_sets(t, survey, make_end_function(t, 1, **chi))
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.K_I == ["e"]
 
 
 def test_special_sets_with_r_net(t_f2_r8, net2_f2_r8):
@@ -663,9 +687,9 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
 
     passes = necks._trace_passes
 
-    def counted_passes(t, classes):
+    def counted_passes(t, table):
         calls.append("passes")
-        return passes(t, classes)
+        return passes(t, table)
 
     monkeypatch.setattr(necks, "find_necks", counted_find_necks)
     monkeypatch.setattr(necks, "TraceMasks", CountedMasks)
