@@ -344,13 +344,14 @@ class Truncation:
     def word_blocks(self):
         """``(ids, words)`` pairs covering every vertex in id order: ``ids``
         is a slice of at most ``_WORD_BLOCK`` consecutive ids of one sphere
-        and ``words`` the list of their ``word(v)``.
+        and ``words`` a fixed-width bytes array of their ``word(v)``, ASCII
+        with no NUL byte.
 
         Words are rendered once each; one sphere is kept to build the next.
         """
         if self.presentation is None:       # a path: one vertex per sphere
             for sl in self.spheres():
-                yield sl, [f"v{v}" for v in range(sl.start, sl.stop)]
+                yield sl, np.array([f"v{sl.start}"], dtype="S")
             return
         # v's word is fix[s, l] before the tail of its parent's word past
         # cut[s, l] characters, for the parent's state s and v's letter l.
@@ -368,9 +369,9 @@ class Truncation:
                 new, drop = new[:-drop], 0
             fix.append(new)
             cut.append(drop)
-        cut = np.array(cut)
-        prev, state = ["e"], np.zeros(1, dtype=np.intp)
-        yield slice(0, 1), ["e"]
+        fix, cut = np.array(fix, dtype="S"), np.array(cut)
+        prev, state = np.array([b"e"]), np.zeros(1, dtype=np.intp)
+        yield slice(0, 1), prev
         for sphere in self.spheres()[1:]:
             par = self.parent[sphere] - (sphere.start - len(prev))
             pstate, letters = state[par], self.parent_letter[sphere]
@@ -379,15 +380,15 @@ class Truncation:
             for a in range(0, len(par), _WORD_BLOCK):
                 b = min(a + _WORD_BLOCK, len(par))
                 keys = pstate[a:b].astype(np.intp) * L + letters[a:b]
-                tails = [prev[p] for p in par[a:b].tolist()]
-                cuts = cut[keys]
-                for i in np.flatnonzero(cuts).tolist():
-                    tails[i] = tails[i][cuts[i]:]
-                chunk = [fix[k] + w for k, w in zip(keys.tolist(), tails)]
+                tails, cuts = prev[par[a:b]], cut[keys]
+                if cuts.any():
+                    tails = np.strings.slice(tails, cuts, None)
+                chunk = np.strings.add(fix[keys], tails)
                 if sphere.stop < self.n:    # the shell's words are never parents
-                    cur.extend(chunk)
+                    cur.append(chunk)
                 yield slice(sphere.start + a, sphere.start + b), chunk
-            prev = cur
+            if cur:
+                prev = np.concatenate(cur)
 
     def letter_id(self, letter):
         """Accepts a letter id or a one-character generator/inverse name."""

@@ -55,18 +55,20 @@ class HarmonicField:
 
     def to_csv(self, path):
         """One ``word,value`` row per vertex, in vertex-id order, streamed
-        a block at a time, formatting each distinct bit pattern once."""
+        a block at a time, formatting each distinct bit pattern once.  A
+        block's rows are its words joined to their cells, as fixed-width
+        bytes with the NUL padding dropped: exact, since neither a word nor
+        a ``{:.17g}`` cell holds a NUL byte."""
         cell = ",{:.17g}\n".format
-        with open(path, "w") as fh:
-            fh.write("word,value\n")
+        with open(path, "wb") as fh:
+            fh.write(b"word,value\n")
             for ids, words in self.truncation.word_blocks():
                 bits, inv = np.unique(self.values[ids].view(np.uint64),
                                       return_inverse=True)
-                cells = list(map(cell, bits.view(np.float64).tolist()))
-                rows = [None] * (2 * len(words))
-                rows[0::2] = words
-                rows[1::2] = map(cells.__getitem__, inv.tolist())
-                fh.write("".join(rows))
+                vals = bits.view(np.float64).tolist()
+                cells = np.array(list(map(cell, vals)), dtype="S")
+                fh.write(np.strings.add(words, cells[inv]).tobytes()
+                         .replace(b"\0", b""))
 
 
 @dataclass

@@ -123,18 +123,25 @@ def find_necks(t, net, R):
 
     in_window = t.dist <= window
     neck_centers = np.asarray([n.center for n in necks], dtype=np.int64)
+    center_words = []
     if len(neck_centers):
         cover_necks = t.graph_distances_from(neck_centers)
         cover_ok = bool((cover_necks[in_window] <= R).all()
                         and (cover_necks[in_window] >= 0).all())
         cover_radius = int(cover_necks[in_window].max())
+        stop, words = t.spheres()[window].stop, []
+        for ids, ws in t.word_blocks():     # the words out to the window
+            words.append(ws)
+            if ids.stop == stop:
+                break
+        center_words = np.concatenate(words)[neck_centers].astype(str).tolist()
     else:
         cover_ok = False
         cover_radius = -1
     return NeckSurvey(R=R, spacing=net.spacing, necks=necks,
                       centers_considered=len(centers), cover_ok=cover_ok,
                       cover_radius=cover_radius, window_distance=window,
-                      center_words=[t.word(n.center) for n in necks])
+                      center_words=center_words)
 
 
 def _components(t, x, R):

@@ -20,7 +20,7 @@ from ends_splitter.groups import (
     build_truncation,
 )
 from ends_splitter.harmonic import energy, solve_dirichlet
-from ends_splitter import necks
+from ends_splitter import groups, necks
 from ends_splitter.necks import (
     Neck,
     PartitionParams,
@@ -87,6 +87,21 @@ def test_neck_components_match_bruteforce_on_z2z3(t_z23_r10):
         unbounded = sum(1 for c in comps if any(v in shell for v in c))
         found = any(n.center == x for n in survey.necks)
         assert found == (unbounded >= 3)
+
+
+@pytest.mark.parametrize("p, radius, R, spacing", [
+    (Presentation.free(2), 7, 1, 1),
+    (Presentation.free_product_of_cyclics([3, 0]), 8, 1, 2),
+    (Presentation.free_product_of_cyclics([2, 3]), 14, 2, 3),
+], ids=["F2", "Z3*Z", "Z2*Z3"])
+def test_center_words_match_per_vertex_words(p, radius, R, spacing,
+                                             monkeypatch):
+    # blocks of at most 7 ids split the spheres out to the window
+    monkeypatch.setattr(groups, "_WORD_BLOCK", 7)
+    t = build_truncation(p, radius)
+    survey = find_necks(t, build_net(t, spacing), R)
+    assert survey.necks
+    assert survey.center_words == [t.word(n.center) for n in survey.necks]
 
 
 def test_window_too_small_is_rejected(t_f2_r4):
