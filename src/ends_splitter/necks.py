@@ -27,15 +27,12 @@ from .harmonic import energy, solve_dirichlet
 _VERDICT = (None, 0, 1, None)     # by the chi-values a trace meets
 
 
-@dataclass(slots=True)        # a survey holds one per component of every neck
+@dataclass(slots=True)
 class NeckComponent:
-    """A complement component of a neck's ball: the cones of ``arc``, a
-    block arc, plus with ``up`` (a ball vertex of that block) != -1 all
-    outside the block's branch at its anchor, the identity's side."""
+    """A complement component of a neck's ball, from any member ``seed``;
+    built only for a neck that a caller asks its survey for."""
 
-    seed: int                 # a component vertex adjacent to the removed ball
-    arc: tuple = ()
-    up: int = -1
+    seed: int
     _members: np.ndarray | None = field(default=None, repr=False)
     _layers: np.ndarray | None = field(default=None, repr=False)
 
@@ -56,17 +53,20 @@ class NeckComponent:
             members = self.materialize(t, removed_mask)
             nb = t.nbr[members]
             attach = members[(removed_mask[nb] & (nb >= 0)).any(axis=1)]
-            allowed = np.zeros(t.n, dtype=bool)
-            allowed[members] = True
+            # no other component is reachable off the removed ball
             self._layers = t.graph_distances_from(
-                attach, allowed_mask=allowed)[members]
+                attach, allowed_mask=~removed_mask)[members]
         return self._layers
 
 
 @dataclass
 class Neck:
+    """A survey's row, unpadded, with a ``NeckComponent`` per component."""
+
     center: int
     R: int
+    arcs: np.ndarray
+    up: np.ndarray
     components: list
 
     def removed_mask(self, t):
@@ -89,99 +89,134 @@ class NeckClass:
 
 @dataclass
 class NeckSurvey:
+    """The necks of one net at one R, row i at ``centers[i]``.  Component c
+    is the cones of ``arcs[i, c]`` and, with ``up[i, c]`` != -1, all
+    outside the branch of that ball vertex's block at its anchor: the
+    identity's side.  Both are padded with -1."""
+
     R: int
     spacing: int              # the net's spacing
-    necks: list
+    centers: np.ndarray
+    arcs: np.ndarray          # necks x component slots x arc slots
+    up: np.ndarray            # necks x component slots
     centers_considered: int
     cover_ok: bool
     cover_radius: int         # smallest R covering the window from this net
     window_distance: int
     center_words: list = field(repr=False)    # t.word of each neck center
-    # base radius -> (end classes, neck index) per component
-    class_sets: dict = field(default_factory=dict, repr=False)
+    _necks: dict = field(default_factory=dict, repr=False)
+
+    def neck(self, i):
+        """Row i as a ``Neck``, built on first use and kept, so the floods
+        of its components serve every end function."""
+        if i not in self._necks:
+            keep = _present(self.arcs[i], self.up[i])
+            arcs, up = self.arcs[i, keep], self.up[i, keep]
+            # e lies on the identity's side, off the ball
+            seeds = np.where(up >= 0, 0, arcs.max(axis=-1)).tolist()
+            self._necks[i] = Neck(
+                center=int(self.centers[i]), R=self.R, arcs=arcs, up=up,
+                components=[NeckComponent(seed=s) for s in seeds])
+        return self._necks[i]
 
 
 def find_necks(t, net, R):
     """All net members in the trustworthy window (distance <= radius - 3R:
     the R-ball and a margin of 2R) whose R-ball complement has at least
-    three components, plus the cover check."""
+    three components, plus the cover check.
+
+    The components come from one walk over every center at once.  Right
+    multiplication v -> v * x is an automorphism of the Cayley graph (an
+    edge joins v and l * v), so it carries B_{R-1}(e) onto B_{R-1}(x) and
+    the block arcs leaving the one onto those leaving the other.  The
+    exits of B_{R-1}(e), and for a cycle the length of its arc in the
+    group, are read once; each exit is moved to every center by
+    ``left_translates`` and walked there one gather per step.  Where the
+    truncation cuts a translated cycle, its arc splits into two pieces,
+    one from each end; so a center's count can differ from e's.
+    """
     if R < 1:
         raise ValueError("R must be >= 1")
     window = t.radius - 3 * R
     if window < 0:
-        raise EndsSplitterError(
-            f"truncation radius {t.radius} too small for R={R} with margin "
-            f"{2 * R}"
-        )
-    centers = net.member_ids[t.dist[net.member_ids] <= window]
+        raise EndsSplitterError(f"truncation radius {t.radius} too small "
+                                f"for R={R} with margin {2 * R}")
+    considered = net.member_ids[t.dist[net.member_ids] <= window]
+    arcs, up = _arcs(t, considered, R)
+    neck = _present(arcs, up).sum(axis=1) >= 3
+    arcs, up, centers = arcs[neck], up[neck], considered[neck]
 
-    necks = []
-    for x in centers.tolist():
-        neck = Neck(center=x, R=R, components=_components(t, x, R))
-        if len(neck.components) >= 3:
-            necks.append(neck)
-
-    in_window = t.dist <= window
-    neck_centers = np.asarray([n.center for n in necks], dtype=np.int64)
-    center_words = []
-    if len(neck_centers):
-        cover_necks = t.graph_distances_from(neck_centers)
-        cover_ok = bool((cover_necks[in_window] <= R).all()
-                        and (cover_necks[in_window] >= 0).all())
-        cover_radius = int(cover_necks[in_window].max())
-        stop, words = t.spheres()[window].stop, []
-        for ids, ws in t.word_blocks():     # the words out to the window
-            words.append(ws)
-            if ids.stop == stop:
-                break
-        center_words = np.concatenate(words)[neck_centers].astype(str).tolist()
-    else:
-        cover_ok = False
-        cover_radius = -1
-    return NeckSurvey(R=R, spacing=net.spacing, necks=necks,
-                      centers_considered=len(centers), cover_ok=cover_ok,
-                      cover_radius=cover_radius, window_distance=window,
-                      center_words=center_words)
+    # the ball is connected, so every vertex is reached, unless there is
+    # no neck (-1)
+    cover_radius = int(t.graph_distances_from(centers)[
+        t.dist <= window].max())
+    stop, words = t.spheres()[window].stop, []
+    for ids, ws in t.word_blocks():         # the words out to the window
+        words.append(ws)
+        if ids.stop == stop:
+            break
+    center_words = np.concatenate(words)[centers].astype(str).tolist()
+    return NeckSurvey(R=R, spacing=net.spacing, centers=centers, arcs=arcs,
+                      up=up, centers_considered=len(considered),
+                      cover_ok=0 <= cover_radius <= R,
+                      cover_radius=cover_radius,
+                      window_distance=window, center_words=center_words)
 
 
-def _components(t, x, R):
-    """Complement components of the (R-1)-ball at x, by smallest member id.
+def _arcs(t, centers, R):
+    """``(arcs, up)`` of ``NeckSurvey`` at centers no farther than
+    radius - R from e, components by smallest member (0 for the identity's
+    side), one slot per exit of B_{R-1}(e).
 
-    Each is one maximal arc of a block that meets the ball, found by
-    walking the block away from the ball from a vertex next to it, with
-    the cones hanging off the arc.  The arc through its block's anchor
-    holds the identity's side, and so member 0; any other arc's smallest
-    member is its own smallest vertex.
-
+    An exit (b, l) starts an arc at l * b: one vertex for an edge; for a
+    cycle, as many as the group has before re-entering the ball at b'
+    (the truncation can cut the cycle even at e).  The arc through the
+    block's anchor, its vertex nearest e, drops it and takes ``up`` = b.
     Every component reaches the shell, since the ball fits in the
     truncation: a vertex below the shell has a longer neighbour in a block
     anchored at it, and the identity's side keeps a whole branch at e.
     """
     nbr, (anchor, _, cyclic) = t.nbr, t.blocks()
-    ball = set(t.word_ball([x], R - 1).tolist())
-    found, seen = [], set()
-    for b in ball:
-        for l, u in enumerate(nbr[b].tolist()):
-            if u < 0 or u in ball or u in seen:
-                continue
-            arc = [u]
-            if cyclic[l]:
-                w = int(nbr[u, l])
-                while w >= 0 and w not in ball:
-                    arc.append(w)
-                    w = int(nbr[w, l])
-            seen.update(arc)
-            # the block's vertex nearest e: b or u if one hangs off the other
-            a = (b if anchor[u] == b else u if anchor[b] == u
-                 else int(anchor[b]))
-            if a in arc:
-                arc.remove(a)
-                found.append((0, u, arc, b))
-            else:
-                found.append((min(arc), u, arc, -1))
-    found.sort()
-    return [NeckComponent(seed=u, arc=tuple(arc), up=up)
-            for _, u, arc, up in found]
+    m = t.spheres()[R - 1].stop                 # B_{R-1}(e) is ids below m
+    b, l = np.nonzero(nbr[:m] >= m)
+    steps, twin = np.ones(len(b), dtype=np.intp), np.arange(len(b))
+    if cyclic[l].any():
+        eng = t.presentation.engine()
+        ball = {t.element(v).word: v for v in range(m)}
+        exits = {e: i for i, e in enumerate(zip(b.tolist(), l.tolist()))}
+        for i in np.flatnonzero(cyclic[l]).tolist():
+            w, steps[i] = t.element(b[i]).word, 0
+            while (w := eng.mul_letter_left(l[i], w)) not in ball:
+                steps[i] += 1
+            twin[i] = exits[ball[w], eng.inverse_letter(l[i])]
+
+    bx = np.column_stack(                       # b * x, per center x
+        [centers, t.left_translates(centers, R - 1)])[:, b]
+    arcs = np.full((*bx.shape, steps.max(initial=1)), -1, dtype=nbr.dtype)
+    cur = bx
+    for j in range(arcs.shape[2]):
+        cur = np.where((cur >= 0) & (j < steps), nbr[cur, l], -1)
+        arcs[:, :, j] = cur
+    # the exit (b', l^-1) retraces a cycle's arc unless the arc is cut
+    cut = arcs[:, np.arange(len(b)), steps - 1] < 0
+    kept = (twin >= np.arange(len(b))) | cut[:, twin]
+
+    # the identity's side is the arc through the anchor of b's own block,
+    # since a block anchored at b lies past b (e has no anchor, -1)
+    holds = (arcs == anchor[bx][..., None]) & (arcs >= 0)
+    side = holds.any(axis=-1) & kept
+    arcs[holds | ~kept[..., None]] = -1
+    up = np.where(side, bx, -1)
+
+    key = np.where(side, 0, np.where(arcs >= 0, arcs, t.n).min(axis=-1))
+    order = np.argsort(key, axis=1, kind="stable")
+    return (np.take_along_axis(arcs, order[..., None], axis=1),
+            np.take_along_axis(up, order, axis=1))
+
+
+def _present(arcs, up):
+    """Which slots of ``arcs`` and ``up`` hold a component."""
+    return (arcs >= 0).any(axis=-1) | (up >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +301,8 @@ def _others(group, sets):
 def classify_neck(neck, masks):
     """The unique class under the precedence order, read from chi's
     ``TraceMasks``."""
-    seen = masks.seen(_trace_sets(neck.components, masks))
-    label = _precedence(seen, np.zeros(len(seen), dtype=np.intp), 1)[0]
+    seen = masks.seen(_class_sets(neck.arcs, neck.up, masks))
+    label = str(_precedence(seen))
     # a cluster sees one chi-value on the shell
     verdicts = tuple(_VERDICT[s] for s in seen.tolist())
     if label.startswith("regular"):
@@ -276,45 +311,27 @@ def classify_neck(neck, masks):
     return NeckClass(kind=label, verdicts=verdicts)
 
 
-def _precedence(seen, owner, n):
-    """The class label of each of ``n`` necks, from ``masks.seen`` of the
-    end classes of every component and the index of each one's neck."""
-    # per neck: components that see both values (or none), only 0, only 1
-    mixed, only0, only1 = (np.bincount(owner, weights=hit, minlength=n)
-                           for hit in ((seen == 0) | (seen == 3),
-                                       seen == 1, seen == 2))
+def _class_sets(arcs, up, masks):
+    """The end classes of ``masks`` that each component of ``arcs`` and
+    ``up`` reaches, as bit sets: an OR over its arc's cones and what lies
+    past its ``up``; none for a slot without a component."""
+    down = np.where((arcs >= 0)[..., None], masks.down[arcs], 0)
+    sets = np.bitwise_or.reduce(down, axis=-2)
+    return sets | np.where((up >= 0)[..., None], masks.up[up], 0)
+
+
+def _precedence(seen):
+    """The class label of each neck, from ``masks.seen`` of the end classes
+    of its components in the last axis."""
+    # per neck: components that see both values, only 0, only 1; every
+    # component sees one on the shell, and a padding slot sees none
+    mixed, only0, only1 = (np.count_nonzero(seen == s, axis=-1)
+                           for s in (3, 1, 2))
     type2 = mixed >= 2
     type1 = ~type2 & (only0 > 0) & (only1 > 0)
     return np.where(type2, "special_type_2", np.where(
         type1, "special_type_1",
         np.where(only0 > 0, "regular_0", "regular_1")))
-
-
-def _trace_sets(comps, masks):
-    """The end classes of ``masks`` that each component reaches, as bit
-    sets: an OR over its arc's cones and what lies past its ``up``."""
-    sets = np.zeros((len(comps), masks.down.shape[1]), dtype=np.uint8)
-    arc = [(j, v) for j, c in enumerate(comps) for v in c.arc]
-    if arc:
-        j, v = np.array(arc, dtype=np.intp).T
-        np.bitwise_or.at(sets, j, masks.down[v])
-    up = np.array([c.up for c in comps], dtype=np.intp)
-    sets[up >= 0] |= masks.up[up[up >= 0]]
-    return sets
-
-
-def _class_sets(survey, masks):
-    """The end classes of every component of the survey's necks, in
-    order, and the index of each one's neck; read off ``masks`` once per
-    base radius."""
-    key = masks.base_radius
-    if key not in survey.class_sets:
-        owner = np.repeat(np.arange(len(survey.necks), dtype=np.intp),
-                          [len(neck.components) for neck in survey.necks])
-        survey.class_sets[key] = _trace_sets(
-            [c for neck in survey.necks for c in neck.components],
-            masks), owner
-    return survey.class_sets[key]
 
 
 @dataclass
@@ -354,21 +371,19 @@ def special_sets(t, survey, chi):
     gap certificates.
 
     Every neck is classified in one array pass over the end classes of
-    its components, which the survey keeps per base radius.  The
-    structural checks follow: K must be nonempty for nonconstant chi, and
-    every unbounded complement component of the K_I-ball system must be a
-    cluster.
+    its components, gathered from chi's masks.  The structural checks
+    follow: K must be nonempty for nonconstant chi, and every unbounded
+    complement component of the K_I-ball system must be a cluster.
     """
     chi.require_nonconstant()
     R = survey.R
     masks = TraceMasks(t, chi)
-    sets, owner = _class_sets(survey, masks)
-    labels = _precedence(masks.seen(sets), owner, len(survey.necks))
+    labels = _precedence(masks.seen(
+        _class_sets(survey.arcs, survey.up, masks)))
     classes = dict(zip(survey.center_words, labels.tolist()))
     type1, type2 = labels == "special_type_1", labels == "special_type_2"
-    centers = np.array([neck.center for neck in survey.necks], dtype=np.intp)
-    k_ids = centers[type1 | type2].tolist()
-    k1_ids, k2_ids = centers[type1].tolist(), centers[type2].tolist()
+    picked = {"K": type1 | type2, "K_I": type1, "K_II": type2}
+    center_ids = {k: survey.centers[m].tolist() for k, m in picked.items()}
     warnings = []
     if not survey.cover_ok:
         warnings.append(
@@ -376,13 +391,13 @@ def special_sets(t, survey, chi):
             f"radius from this net is {survey.cover_radius}"
         )
 
-    if not k_ids:
+    if not center_ids["K"]:
         raise NeckCoverageError(
             "no special neck found for a nonconstant end function; the net "
             f"may be too sparse for the transition locus (spacing "
             f"{survey.spacing}, R {R})"
         )
-    bad = _uncovered_cluster_components(t, masks, k1_ids, R)
+    bad = _uncovered_cluster_components(t, masks, center_ids["K_I"], R)
     if bad is not None:
         raise NeckCoverageError(
             "a component outside the type-1 ball system fails to cobound a "
@@ -390,27 +405,21 @@ def special_sets(t, survey, chi):
             "invisible to this net"
         )
 
-    word_of = dict(zip((n.center for n in survey.necks), survey.center_words))
+    words = np.asarray(survey.center_words, dtype=object)
     return NeckReport(
         R=R, chi_summary=chi.assignments_by_word(),
-        K=[word_of[v] for v in k_ids],
-        K_I=[word_of[v] for v in k1_ids],
-        K_II=[word_of[v] for v in k2_ids],
+        **{k: words[m].tolist() for k, m in picked.items()},
         classes=classes, warnings=warnings,
         cover_ok=survey.cover_ok, cover_radius=survey.cover_radius,
-        center_ids={"K": k_ids, "K_I": k1_ids, "K_II": k2_ids},
-        survey=survey, masks=masks,
+        center_ids=center_ids, survey=survey, masks=masks,
     )
 
 
 def _uncovered_cluster_components(t, masks, k1_ids, R):
     """The smallest member of the first non-cluster unbounded component of
     the complement of the K_I ball system, or None.  A component's verdict
-    comes from the end classes of its shell vertices, in chi's masks."""
-    if not k1_ids:
-        # empty ball system: the whole window is one component, which is
-        # never a cluster for nonconstant data
-        return 0
+    comes from the end classes of its shell vertices, in chi's masks; with
+    no K_I, the whole ball is one component, never a cluster."""
     removed = np.zeros(t.n, dtype=bool)
     removed[t.word_ball(np.asarray(k1_ids, dtype=np.int64), R - 1)] = True
     labels = complement_labels(t, removed)
@@ -599,41 +608,31 @@ def gap_certificate(h, neck, masks):
             f"gap certificates need a type-1 neck, got {cls.label()}"
         )
     removed_mask = neck.removed_mask(t)
-
-    best0, best1 = None, None
-    for comp, verdict in zip(neck.components, cls.verdicts):
-        members = comp.materialize(t, removed_mask)
-        if verdict == 0:
-            lo = float(h.values[members].min())
-            if best0 is None or lo < best0[0]:
-                best0 = (lo, comp, members)
-        elif verdict == 1:
-            hi = float(h.values[members].max())
-            if best1 is None or hi > best1[0]:
-                best1 = (hi, comp, members)
-    if best0 is None or best1 is None:
-        raise EndsSplitterError("type-1 neck lost its witness components")
-
-    (_, comp0, m0), (_, comp1, m1) = best0, best1
-    x0 = _witness_vertex(h, m0, comp0.layers(t, removed_mask), low=True)
-    x1 = _witness_vertex(h, m1, comp1.layers(t, removed_mask), low=False)
+    # the 0-cluster reaching the lowest value and the 1-cluster reaching
+    # the highest, the first on ties
+    picks = []
+    for theta, sign in ((0, 1.0), (1, -1.0)):
+        comps = [c for c, v in zip(neck.components, cls.verdicts)
+                 if v == theta]
+        members = [c.materialize(t, removed_mask) for c in comps]
+        j = int(np.argmin([(sign * h.values[m]).min() for m in members]))
+        picks.append((members[j], comps[j].layers(t, removed_mask)))
+    (m0, layers0), (m1, layers1) = picks
+    x0 = _witness_vertex(h, m0, layers0, low=True)
+    x1 = _witness_vertex(h, m1, layers1, low=False)
     drop = float(h.values[x1] - h.values[x0])
     if drop <= 0:
         raise DegenerateDrop(
             f"no positive drop across the neck at {t.word(neck.center)}"
         )
 
-    allowed = np.zeros(t.n, dtype=bool)
-    allowed[m0] = True
-    allowed[m1] = True
-    allowed[removed_mask] = True
+    allowed = removed_mask.copy()
+    allowed[m0] = allowed[m1] = True
     path = _shortest_path(t, x0, x1, allowed)
     mu = (drop / (len(path) - 1)) ** 2
 
     union = np.zeros(t.n, dtype=bool)
-    union[m0] = True
-    union[m1] = True
-    union[path] = True
+    union[m0] = union[m1] = union[path] = True
     hood = union.copy()
     ids = np.flatnonzero(union)
     nb = t.nbr[ids].ravel()
@@ -712,8 +711,8 @@ def energy_gap_estimate(t, net, R, chis, solver_cfg=None):
         e_total = energy(h).total
         report = special_sets(t, survey, chi)
         k1 = set(report.center_ids["K_I"])
-        mus = [gap_certificate(h, neck, report.masks).mu
-               for neck in survey.necks if neck.center in k1]
+        mus = [gap_certificate(h, survey.neck(i), report.masks).mu
+               for i, x in enumerate(survey.centers.tolist()) if x in k1]
         mu = max(mus) if mus else 0.0
         kappa = e_total / min(mus) if mus else None
         rows.append({

@@ -5,6 +5,7 @@ structures (strings, dicts, deques) so failures in the package's
 vectorized code paths cannot hide in shared helpers.
 """
 
+import heapq
 from collections import deque
 
 import numpy as np
@@ -254,16 +255,13 @@ def flood_components(adj, removed):
     for start in sorted(adj):
         if start in seen:
             continue
-        comp = []
-        dq = deque([start])
+        comp = [start]                  # the queue: each vertex once
         seen.add(start)
-        while dq:
-            v = dq.popleft()
-            comp.append(v)
+        for v in comp:
             for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
-                    dq.append(w)
+                    comp.append(w)
         comps.append(sorted(comp))
     return comps
 
@@ -373,8 +371,40 @@ def is_cluster(t, chi, component):
 
 def flood_neck_components(t, adj, x, R):
     """Complement components of the (R-1)-ball at x, ordered by smallest
-    member id; the oracle for ``necks.find_necks``."""
-    return flood_complement(t, adj, t.word_ball([int(x)], R - 1))
+    member id; the oracle for ``necks.find_necks``, equal to
+    ``flood_complement`` of the ball.
+
+    The truncation is connected, so each component holds a neighbour of
+    the ball.  A search from each neighbour not yet placed either empties
+    its component or meets e, or a vertex already known to lie with e;
+    e's component is then every vertex left.  Taking the smallest id
+    first only speeds the way to e: ids are breadth-first."""
+    removed = set(t.word_ball([int(x)], R - 1).tolist())
+    found, with_e = [], set()
+    for s in sorted({w for v in removed for w in adj[v]} - removed):
+        if s in with_e or any(s in c for c in found):
+            continue
+        comp, heap = {s}, [s]
+        while heap and heap[0] != 0 and heap[0] not in with_e:
+            for w in adj[heapq.heappop(heap)]:
+                if w not in removed and w not in comp:
+                    comp.add(w)
+                    heapq.heappush(heap, w)
+        if heap:
+            with_e |= comp
+        else:
+            found.append(comp)
+    members = [np.array(sorted(c), dtype=np.int64) for c in found]
+    if with_e:
+        rest = np.ones(t.n, dtype=bool)
+        rest[list(removed)] = False
+        for m in members:
+            rest[m] = False
+        members.append(np.flatnonzero(rest))
+    members.sort(key=lambda m: m[0])
+    return [ComplementComponent(members=m, id=i,
+                                unbounded=bool(t.shell_mask[m].any()))
+            for i, m in enumerate(members)]
 
 
 def flood_neck_label(t, chi, comps):
@@ -399,13 +429,13 @@ def flood_special_sets(t, survey, chi):
         return flood_complement(t, adj, removed)
 
     labels, ids = {}, {"K": [], "K_I": [], "K_II": []}
-    for neck, word in zip(survey.necks, survey.center_words):
-        removed = t.word_ball([neck.center], neck.R - 1)
+    for x, word in zip(survey.centers.tolist(), survey.center_words):
+        removed = t.word_ball([x], survey.R - 1)
         _, labels[word] = flood_neck_label(t, chi, components(removed))
         if labels[word].startswith("special"):
-            ids["K"].append(neck.center)
+            ids["K"].append(x)
             ids["K_I" if labels[word] == "special_type_1" else "K_II"].append(
-                neck.center)
+                x)
     covered = bool(ids["K_I"]) and all(
         is_cluster(t, chi, c) is not None
         for c in components(t.word_ball(ids["K_I"], survey.R - 1))

@@ -53,6 +53,7 @@ from ends_splitter.walls import (
 )
 
 import oracles
+from test_necks import necks_of
 
 
 def criterion(n, label):
@@ -237,7 +238,7 @@ def test_criterion_7(r12):
     masks = TraceMasks(t, chi)
     cls_of = oracles.class_of_vertex(t, chi)
     classified = [(n, classify_neck(n, masks))
-                  for n in survey.necks]
+                  for n in necks_of(survey)]
     theta_of = {}
     for n, c in classified:
         if t.dist[n.center] >= 3:
@@ -262,7 +263,7 @@ def test_criterion_7(r12):
     masks8 = TraceMasks(t8, chi8)
     survey8 = find_necks(t8, build_net(t8, 1), 1)
     theta8 = {}
-    for n in survey8.necks:
+    for n in necks_of(survey8):
         c = classify_neck(n, masks8)
         if c.kind == "regular":
             theta8[n.center] = c.theta
@@ -282,7 +283,7 @@ def test_criterion_8(f2, r12):
     t, chi, h, _ = r12
     net = build_net(t, 2)
     survey = find_necks(t, net, 1)
-    neck = [n for n in survey.necks if n.center == 0][0]
+    neck = [n for n in necks_of(survey) if n.center == 0][0]
     masks = TraceMasks(t, chi)
     cert = gap_certificate(h, neck, masks)
     assert cert.mu > 0
@@ -300,7 +301,7 @@ def test_criterion_8(f2, r12):
         energies.append(energy(h8).total)
         rep = special_sets(t8, find_necks(t8, net8, 1), chi8)
         best = 0.0
-        for n in rep.survey.necks:
+        for n in necks_of(rep.survey):
             if n.center not in rep.center_ids["K_I"]:
                 continue
             c = gap_certificate(h8, n, rep.masks)

@@ -277,6 +277,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
     ("necks", "necks-z3z-r8", ("necks.json", "dual.dot")),
     # F2 r7 at base radius 3: the dual graph has a bounded component
     ("necks", "necks-f2-r7-bounded", ("necks.json", "dual.dot")),
+    # Z/12*Z r8: a neck has 3 or 4 components, by where the truncation
+    # cuts its cycles
+    ("necks", "necks-z12z-r8", ("necks.json", "dual.dot")),
 ])
 def test_outputs_match_the_golden_files(tmp_path, command, name, files):
     # none of these files holds a float, so their bytes do not depend on

@@ -1,4 +1,4 @@
-import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from ends_splitter.groups import (
 from ends_splitter.harmonic import energy, solve_dirichlet
 from ends_splitter import groups, necks
 from ends_splitter.necks import (
-    Neck,
+    NeckSurvey,
     PartitionParams,
     TraceMasks,
     classify_neck,
@@ -45,6 +45,11 @@ def special(t, net, R, chi):
     return special_sets(t, find_necks(t, net, R), chi)
 
 
+def necks_of(survey):
+    """Every neck of ``survey``, built."""
+    return [survey.neck(i) for i in range(len(survey.centers))]
+
+
 def vertex_by_word(t, word):
     for v in range(t.n):
         if t.word(v) == word:
@@ -59,8 +64,8 @@ def test_every_window_vertex_is_a_neck_on_f2(t_f2_r6, net1_f2_r8):
     survey = find_necks(t_f2_r6, net, 1)
     window = survey.window_distance
     expected = int((t_f2_r6.dist <= window).sum())
-    assert len(survey.necks) == expected == survey.centers_considered
-    assert all(len(n.components) == 4 for n in survey.necks)
+    assert len(survey.centers) == expected == survey.centers_considered
+    assert all(len(n.components) == 4 for n in necks_of(survey))
     assert survey.cover_ok
 
 
@@ -70,8 +75,8 @@ def test_neck_components_match_bruteforce_on_z2z3(t_z23_r10):
     survey = find_necks(t, net, 2)
     adj = oracles.adjacency_dict(t)
     shell = set(int(v) for v in t.shell_ids())
-    assert survey.necks
-    for neck in survey.necks:
+    assert len(survey.centers)
+    for neck in necks_of(survey):
         removed = t.word_ball([neck.center], 1)
         comps = oracles.flood_components(adj, removed)
         unbounded = [c for c in comps if any(v in shell for v in c)]
@@ -85,7 +90,7 @@ def test_neck_components_match_bruteforce_on_z2z3(t_z23_r10):
         removed = t.word_ball([x], 1)
         comps = oracles.flood_components(adj, removed)
         unbounded = sum(1 for c in comps if any(v in shell for v in c))
-        found = any(n.center == x for n in survey.necks)
+        found = x in survey.centers
         assert found == (unbounded >= 3)
 
 
@@ -100,8 +105,8 @@ def test_center_words_match_per_vertex_words(p, radius, R, spacing,
     monkeypatch.setattr(groups, "_WORD_BLOCK", 7)
     t = build_truncation(p, radius)
     survey = find_necks(t, build_net(t, spacing), R)
-    assert survey.necks
-    assert survey.center_words == [t.word(n.center) for n in survey.necks]
+    assert len(survey.centers)
+    assert survey.center_words == [t.word(x) for x in survey.centers.tolist()]
 
 
 def test_window_too_small_is_rejected(t_f2_r4):
@@ -116,7 +121,7 @@ def test_identity_neck_is_type1_and_b_neck_regular(t_f2_r6):
     chi = make_end_function(t_f2_r6, 1, rule="first_letter:a")
     net = build_net(t_f2_r6, 1)
     survey = find_necks(t_f2_r6, net, 1)
-    by_center = {n.center: n for n in survey.necks}
+    by_center = {n.center: n for n in necks_of(survey)}
     masks = TraceMasks(t_f2_r6, chi)
     cls_e = classify_neck(by_center[0], masks)
     assert cls_e.kind == "special_type_1"
@@ -130,8 +135,8 @@ def _assert_masks_match_the_flood(t, chi):
     survey = find_necks(t, net, 1)
     masks = TraceMasks(t, chi)
     adj = oracles.adjacency_dict(t)
-    assert survey.necks
-    for neck in survey.necks:
+    assert len(survey.centers)
+    for neck in necks_of(survey):
         comps = oracles.flood_neck_components(t, adj, neck.center, neck.R)
         verdicts, label = oracles.flood_neck_label(t, chi, comps)
         fast = classify_neck(neck, masks)
@@ -167,24 +172,47 @@ def _survey_chis(t):
                 for c, v in zip(classes, values)})]
 
 
-@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+# a factor of order 8 to 30, whose cycles the truncation cuts at many
+# centers (at every one on Z/30*Z): on the other three the component
+# count varies by center, as 2 or 3 on Z/9*Z/2 r10 at R = 1
+_CUT_CASES = {
+    "Z12*Z-r8": (Presentation.free_product_of_cyclics([12, 0]), 8),
+    "Z9*Z2-r10": (Presentation.free_product_of_cyclics([9, 2]), 10),
+    "Z8*Z3-r8": (Presentation.free_product_of_cyclics([8, 3]), 8),
+    "Z30*Z-r6": (Presentation.free_product_of_cyclics([30, 0]), 6),
+}
+
+
+def _survey_everywhere(t, R):
+    """The survey's rows at every center whose (R-1)-ball fits, necks or
+    not."""
+    centers = np.flatnonzero(t.dist <= t.radius - R)
+    arcs, up = necks._arcs(t, centers, R)
+    return NeckSurvey(R=R, spacing=1, centers=centers, arcs=arcs, up=up,
+                      centers_considered=len(centers), cover_ok=True,
+                      cover_radius=R, window_distance=t.radius - R,
+                      center_words=[])
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES) + sorted(_CUT_CASES))
 def test_block_tree_survey_matches_the_flood(case):
-    # centers up to the shell's neighborhood, where the truncation cuts
-    # the cycles the components are read from
-    p, rho = _LAYOUT_CASES[case]
-    t = build_truncation(p, min(rho, 6))
+    # every center up to the shell's neighborhood, where the truncation
+    # cuts the cycles the components are read from
+    if case in _CUT_CASES:
+        (p, radius), radii = _CUT_CASES[case], (1, 2)
+    else:
+        (p, rho), radii = _LAYOUT_CASES[case], (1, 2, 3)
+        radius = min(rho, 6)
+    t = build_truncation(p, radius)
     chis = _survey_chis(t)
     masks = [TraceMasks(t, chi) for chi in chis]
     adj = oracles.adjacency_dict(t)
-    rng = np.random.default_rng(7)
-    for R in (1, 2, 3):
-        window = np.flatnonzero(t.dist <= t.radius - R)
-        for x in rng.permutation(window)[:60].tolist():
+    for R in radii:
+        survey = _survey_everywhere(t, R)
+        for i, x in enumerate(survey.centers.tolist()):
             comps = oracles.flood_neck_components(t, adj, x, R)
-            neck = Neck(center=x, R=R, components=necks._components(t, x, R))
-            assert len(neck.components) == len(comps)
-            if len(comps) < 3:
-                continue
+            neck = survey.neck(i)
+            assert len(neck.components) == len(comps), (t.word(x), R)
             removed = neck.removed_mask(t)
             for ours, theirs in zip(neck.components, comps):
                 assert np.array_equal(ours.materialize(t, removed),
@@ -230,7 +258,7 @@ def test_special_sets_match_the_flood_for_every_chi(orders, radius, R,
     p = Presentation.free_product_of_cyclics(orders)
     t = build_truncation(p, radius)
     survey = find_necks(t, build_net(t, 1), R)
-    assert survey.necks
+    assert len(survey.centers)
     chis = (all_nonconstant_end_functions(t, 1) if base_radius == 1
             else _prefix_chis(t, base_radius, 6))
     raised = 0
@@ -247,16 +275,15 @@ def test_special_sets_match_the_flood_for_every_chi(orders, radius, R,
         for sets in (report.masks.down, report.masks.up):
             assert sets.dtype == np.uint8 and sets.shape == (t.n, width)
     assert raised < len(chis)
-    assert list(survey.class_sets) == [base_radius]
 
 
 @pytest.mark.parametrize("orders, radius, base_radius", [
     ((0, 0), 7, 2), ((3, 0), 7, 1), ((2, 3), 12, 2), ((6, 0, 2), 5, 1),
 ], ids=["F2", "Z3*Z", "Z2*Z3", "Z6*Z*Z2"])
 def test_k1_check_witness_matches_the_flood(orders, radius, base_radius):
-    # the structural check on seeded ball systems and end functions: the
-    # smallest member of the first non-cluster unbounded component, as a
-    # flood of the complement and is_cluster find it
+    # the structural check on seeded ball systems, and on none, and end
+    # functions: the smallest member of the first non-cluster unbounded
+    # component, as a flood of the complement and is_cluster find it
     t = build_truncation(Presentation.free_product_of_cyclics(orders), radius)
     adj = oracles.adjacency_dict(t)
     classes = end_classes(t, base_radius)
@@ -270,12 +297,13 @@ def test_k1_check_witness_matches_the_flood(orders, radius, base_radius):
         window = np.flatnonzero(t.dist <= t.radius - 3 * R)
         k1 = sorted(rng.choice(window, size=min(len(window), 3),
                                replace=False).tolist())
-        want = next((int(c.members[0]) for c in oracles.flood_complement(
-            t, adj, t.word_ball(k1, R - 1))
-            if c.unbounded and is_cluster(t, chi, c) is None), None)
-        got = necks._uncovered_cluster_components(
-            t, TraceMasks(t, chi), k1, R)
-        assert got == want
+        for ids in (k1, []):
+            want = next((int(c.members[0]) for c in oracles.flood_complement(
+                t, adj, t.word_ball(ids, R - 1))
+                if c.unbounded and is_cluster(t, chi, c) is None), None)
+            got = necks._uncovered_cluster_components(
+                t, TraceMasks(t, chi), ids, R)
+            assert got == want
 
 
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
@@ -301,7 +329,10 @@ def test_every_component_of_one_ball_reaches_the_shell(case):
             removed[t.word_ball([x], R - 1)] = True
             reach = t.graph_distances_from(shell, allowed_mask=~removed)
             assert (reach[~removed] >= 0).all(), (case, x, R)
-            assert necks._trace_sets(necks._components(t, x, R), masks).all()
+        survey = _survey_everywhere(t, R)
+        sets = necks._class_sets(survey.arcs, survey.up, masks)
+        present = necks._present(survey.arcs, survey.up)
+        assert (sets.any(axis=-1) == present).all(), (case, R)
 
 
 def test_two_branch_chi_has_singleton_k1(t_f2_r8, net1_f2_r8):
@@ -343,7 +374,7 @@ def test_special_sets_with_r_net(t_f2_r8, net2_f2_r8):
     assert report.cover_ok
     assert not report.warnings
     # every surveyed neck received exactly one class
-    assert len(report.classes) == len(report.survey.necks)
+    assert len(report.classes) == len(report.survey.centers)
     assert all(c in ("regular_0", "regular_1", "special_type_1",
                      "special_type_2")
                for c in report.classes.values())
@@ -387,7 +418,7 @@ def _classified_necks(t, chi, net, R):
     survey = find_necks(t, net, R)
     masks = TraceMasks(t, chi)
     return [(n, classify_neck(n, masks))
-            for n in survey.necks]
+            for n in necks_of(survey)]
 
 
 @pytest.mark.parametrize("spec", [
@@ -454,7 +485,7 @@ def test_type2_windows_contain_type1_centers(t_f2_r8, net1_f2_r8):
     assert report.K_II
     masks = TraceMasks(t, chi)
     survey = report.survey
-    by_center = {n.center: n for n in survey.necks}
+    by_center = {n.center: n for n in necks_of(survey)}
     k1 = set(report.center_ids["K_I"])
     assert k1
     for c2 in report.center_ids["K_II"]:
@@ -600,7 +631,7 @@ def test_certificate_on_identity_neck(h_first_letter_r8, net2_f2_r8):
     t = h.truncation
     chi = h.boundary_spec
     survey = find_necks(t, net2_f2_r8, 1)
-    neck = [n for n in survey.necks if n.center == 0][0]
+    neck = [n for n in necks_of(survey) if n.center == 0][0]
     cert = gap_certificate(h, neck, TraceMasks(t, chi))
     assert cert.mu > 0
     assert cert.drop >= 0.8
@@ -620,7 +651,7 @@ def test_flat_field_yields_degenerate_drop(t_f2_r8, net2_f2_r8):
                          values=np.full(t_f2_r8.n, 0.5),
                          boundary_spec=chi, residual=0.0, iterations=0)
     survey = find_necks(t_f2_r8, net2_f2_r8, 1)
-    neck = [n for n in survey.necks if n.center == 0][0]
+    neck = [n for n in necks_of(survey) if n.center == 0][0]
     with pytest.raises(DegenerateDrop):
         gap_certificate(flat, neck, TraceMasks(t_f2_r8, chi))
 
@@ -630,7 +661,7 @@ def test_certificate_rejects_regular_neck(h_first_letter_r8, net1_f2_r8):
     t = h.truncation
     survey = find_necks(t, net1_f2_r8, 1)
     b_id = vertex_by_word(t, "b")
-    neck = [n for n in survey.necks if n.center == b_id][0]
+    neck = [n for n in necks_of(survey) if n.center == b_id][0]
     with pytest.raises(EndsSplitterError):
         gap_certificate(h, neck, TraceMasks(t, h.boundary_spec))
 
@@ -649,7 +680,7 @@ def test_disjoint_type1_certificates_have_disjoint_regions(t_f2_r8,
     survey = report.survey
     certs = []
     for center in k1:
-        neck = [n for n in survey.necks if n.center == center][0]
+        neck = [n for n in necks_of(survey) if n.center == center][0]
         certs.append(gap_certificate(h, neck, report.masks))
     overlap = certs[0].region_edges & certs[1].region_edges
     assert not overlap.any()
@@ -728,7 +759,7 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
         report = special(t_f2_r6, net, 1, chi)
         masks = TraceMasks(t_f2_r6, chi)
         mus = [gap_certificate(h, neck, masks).mu
-               for neck in report.survey.necks
+               for neck in necks_of(report.survey)
                if neck.center in report.center_ids["K_I"]]
         assert row["energy"] == energy(h).total
         assert row["k1_size"] == len(report.K_I)
@@ -757,7 +788,7 @@ def test_special_sets_reuse_the_survey_center_words(t_f2_r6, monkeypatch):
     chis = all_nonconstant_end_functions(t, 1)[:4]
     want = [special(t, net, 1, chi).to_json_dict() for chi in chis]
     survey = find_necks(t, net, 1)
-    assert survey.center_words == [t.word(n.center) for n in survey.necks]
+    assert survey.center_words == [t.word(x) for x in survey.centers.tolist()]
     rendered = []
     word = Truncation.word
 
@@ -798,8 +829,23 @@ def test_special_sets_floods_independently_of_the_centers(monkeypatch):
         report = special(t, build_net(t, spacing), 1, chi)
         passes.append(len(calls))
         centers.append(report.survey.centers_considered)
-        assert not any(isinstance(getattr(c, f.name), np.ndarray)
-                       for n in report.survey.necks for c in n.components
-                       for f in dataclasses.fields(c))
     assert centers[0] > centers[1]
     assert passes == [1, 1]
+
+
+def test_necks_command_builds_no_neck_component(tmp_path, monkeypatch):
+    # the survey and its classification read arrays alone: a neck's
+    # components are built only when a caller asks the survey for it
+    from ends_splitter import cli
+
+    built = []
+    monkeypatch.setattr(necks, "NeckComponent",
+                        lambda seed: built.append(seed))
+    scenario = os.path.join(os.path.dirname(__file__), "data", "golden",
+                            "necks-z12z-r8.json")
+    assert cli.main(["necks", "--scenario", scenario,
+                     "--out", str(tmp_path)]) == 0
+    assert built == []
+    t = build_truncation(Presentation.free_product_of_cyclics([12, 0]), 8)
+    neck = find_necks(t, build_net(t, 2), 1).neck(0)
+    assert len(built) == len(neck.components) == 3
