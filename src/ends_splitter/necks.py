@@ -27,54 +27,6 @@ from .harmonic import energy, solve_dirichlet
 _VERDICT = (None, 0, 1, None)     # by the chi-values a trace meets
 
 
-@dataclass(slots=True)
-class NeckComponent:
-    """A complement component of a neck's ball, from any member ``seed``;
-    built only for a neck that a caller asks its survey for."""
-
-    seed: int
-    _members: np.ndarray | None = field(default=None, repr=False)
-    _layers: np.ndarray | None = field(default=None, repr=False)
-
-    def materialize(self, t, removed_mask):
-        """Member ids, flooded from the seed on first use (by the gap
-        certificates, which share it across end functions)."""
-        if self._members is None:
-            dist = t.graph_distances_from([self.seed],
-                                          allowed_mask=~removed_mask)
-            self._members = np.flatnonzero(dist >= 0)
-        return self._members
-
-    def layers(self, t, removed_mask):
-        """Each member's distance inside the component from the attachment
-        layer, the members next to the removed ball; kept like the
-        members."""
-        if self._layers is None:
-            members = self.materialize(t, removed_mask)
-            nb = t.nbr[members]
-            attach = members[(removed_mask[nb] & (nb >= 0)).any(axis=1)]
-            # no other component is reachable off the removed ball
-            self._layers = t.graph_distances_from(
-                attach, allowed_mask=~removed_mask)[members]
-        return self._layers
-
-
-@dataclass
-class Neck:
-    """A survey's row, unpadded, with a ``NeckComponent`` per component."""
-
-    center: int
-    R: int
-    arcs: np.ndarray
-    up: np.ndarray
-    components: list
-
-    def removed_mask(self, t):
-        mask = np.zeros(t.n, dtype=bool)
-        mask[t.word_ball([self.center], self.R - 1)] = True
-        return mask
-
-
 @dataclass
 class NeckClass:
     kind: str                 # regular | special_type_1 | special_type_2
@@ -104,20 +56,28 @@ class NeckSurvey:
     cover_radius: int         # smallest R covering the window from this net
     window_distance: int
     center_words: list = field(repr=False)    # t.word of each neck center
-    _necks: dict = field(default_factory=dict, repr=False)
+    _floods: dict = field(default_factory=dict, repr=False)
 
-    def neck(self, i):
-        """Row i as a ``Neck``, built on first use and kept, so the floods
-        of its components serve every end function."""
-        if i not in self._necks:
-            keep = _present(self.arcs[i], self.up[i])
-            arcs, up = self.arcs[i, keep], self.up[i, keep]
+    def flood(self, t, i, c, removed, layers=False):
+        """``[members, layers]`` of component c of row i, whose ball is the
+        mask ``removed``: the member ids, flooded from any member, and once
+        a caller asks for them (None before), each member's distance inside
+        the component from the attachment layer, the members next to the
+        ball.  Kept, so the gap certificates of every end function share
+        them."""
+        flood = self._floods.setdefault((i, c), [None, None])
+        if flood[0] is None:
             # e lies on the identity's side, off the ball
-            seeds = np.where(up >= 0, 0, arcs.max(axis=-1)).tolist()
-            self._necks[i] = Neck(
-                center=int(self.centers[i]), R=self.R, arcs=arcs, up=up,
-                components=[NeckComponent(seed=s) for s in seeds])
-        return self._necks[i]
+            seed = 0 if self.up[i, c] >= 0 else self.arcs[i, c].max()
+            flood[0] = np.flatnonzero(t.graph_distances_from(
+                [seed], allowed_mask=~removed) >= 0)
+        if layers and flood[1] is None:
+            nb = t.nbr[flood[0]]
+            attach = flood[0][(removed[nb] & (nb >= 0)).any(axis=1)]
+            # no other component is reachable off the removed ball
+            flood[1] = t.graph_distances_from(
+                attach, allowed_mask=~removed)[flood[0]]
+        return flood
 
 
 def find_necks(t, net, R):
@@ -298,12 +258,14 @@ def _others(group, sets):
     return out
 
 
-def classify_neck(neck, masks):
-    """The unique class under the precedence order, read from chi's
-    ``TraceMasks``."""
-    seen = masks.seen(_class_sets(neck.arcs, neck.up, masks))
+def classify_neck(survey, i, masks):
+    """The unique class of row i of ``survey`` under the precedence order,
+    read from chi's ``TraceMasks``."""
+    arcs, up = survey.arcs[i], survey.up[i]
+    seen = masks.seen(_class_sets(arcs, up, masks))
     label = str(_precedence(seen))
-    # a cluster sees one chi-value on the shell
+    # a cluster sees one chi-value on the shell; padding sorts last
+    seen = seen[:_present(arcs, up).sum()]
     verdicts = tuple(_VERDICT[s] for s in seen.tolist())
     if label.startswith("regular"):
         return NeckClass(kind="regular", theta=int(label[-1]),
@@ -593,37 +555,37 @@ class GapCertificate:
 WITNESS_EPSILON = 0.1
 
 
-def gap_certificate(h, neck, masks):
-    """A positive lower bound on the energy h spends crossing a type-1
-    neck.
+def gap_certificate(h, survey, i, masks):
+    """A positive lower bound on the energy h spends crossing the type-1
+    neck of row i of ``survey``.
 
     Finds low/high witnesses (h <= 1/10 and h >= 9/10 when visible, else
     the extremal vertices), connects them through the neck, and charges
     the mean-value drop against the edges near the path.
     """
     t = h.truncation
-    cls = classify_neck(neck, masks)
+    cls = classify_neck(survey, i, masks)
     if cls.kind != "special_type_1":
         raise EndsSplitterError(
             f"gap certificates need a type-1 neck, got {cls.label()}"
         )
-    removed_mask = neck.removed_mask(t)
+    removed_mask = np.zeros(t.n, dtype=bool)
+    removed_mask[t.word_ball([survey.centers[i]], survey.R - 1)] = True
     # the 0-cluster reaching the lowest value and the 1-cluster reaching
     # the highest, the first on ties
     picks = []
     for theta, sign in ((0, 1.0), (1, -1.0)):
-        comps = [c for c, v in zip(neck.components, cls.verdicts)
-                 if v == theta]
-        members = [c.materialize(t, removed_mask) for c in comps]
-        j = int(np.argmin([(sign * h.values[m]).min() for m in members]))
-        picks.append((members[j], comps[j].layers(t, removed_mask)))
+        c = min((c for c, v in enumerate(cls.verdicts) if v == theta),
+                key=lambda k: (sign * h.values[
+                    survey.flood(t, i, k, removed_mask)[0]]).min())
+        picks.append(survey.flood(t, i, c, removed_mask, layers=True))
     (m0, layers0), (m1, layers1) = picks
     x0 = _witness_vertex(h, m0, layers0, low=True)
     x1 = _witness_vertex(h, m1, layers1, low=False)
     drop = float(h.values[x1] - h.values[x0])
     if drop <= 0:
         raise DegenerateDrop(
-            f"no positive drop across the neck at {t.word(neck.center)}"
+            f"no positive drop across the neck at {t.word(survey.centers[i])}"
         )
 
     allowed = removed_mask.copy()
@@ -711,7 +673,7 @@ def energy_gap_estimate(t, net, R, chis, solver_cfg=None):
         e_total = energy(h).total
         report = special_sets(t, survey, chi)
         k1 = set(report.center_ids["K_I"])
-        mus = [gap_certificate(h, survey.neck(i), report.masks).mu
+        mus = [gap_certificate(h, survey, i, report.masks).mu
                for i, x in enumerate(survey.centers.tolist()) if x in k1]
         mu = max(mus) if mus else 0.0
         kappa = e_total / min(mus) if mus else None

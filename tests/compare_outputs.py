@@ -7,9 +7,8 @@ Each run is one ``python -m ends_splitter.cli`` process per tree, with that
 tree first on ``PYTHONPATH``.  The list is:
 
 * each benchmark workload (``perfbench/workloads.py``) at seeds 1 to 3;
-* ``solve``, ``necks`` and ``tree`` on every scenario under ``tests/data/``
-  and ``tests/data/golden/``;
-* ``gap`` on ``tests/data/gap-f2-r12.json``.
+* ``solve``, ``necks``, ``tree`` and ``gap`` on every scenario under
+  ``tests/data/`` and ``tests/data/golden/``.
 
 Two runs agree when they exit with the same code, print the same status
 line once the output root is replaced by ``<out>``, and leave the same
@@ -45,9 +44,8 @@ def runs(scratch):
             path.write_text(json.dumps(scenario(seed)))
             yield f"{command} {workload} seed {seed}", command, path
     for path in sorted([*DATA.glob("*.json"), *DATA.glob("golden/*.json")]):
-        for command in ("solve", "necks", "tree"):
+        for command in ("solve", "necks", "tree", "gap"):
             yield f"{command} {path.relative_to(DATA)}", command, path
-    yield "gap gap-f2-r12.json", "gap", DATA / "gap-f2-r12.json"
 
 
 def run_once(src, command, scenario, out):

@@ -350,9 +350,10 @@ def flood_dual_graph(t, adj, groups, R):
             [bool(t.shell_mask[c].any()) for c in comps], edges)
 
 
-def is_cluster(t, chi, component):
+def is_cluster(t, vals, component):
     """theta if every end class reaching the shell through the component
-    carries chi-value theta; None when the component sees both values.
+    carries chi-value theta, from ``vals``, chi's ``shell_values(t)``;
+    None when the component sees both values.
 
     The shell trace is the refined end set of the component, so nested or
     partially overlapping end classes are handled uniformly.
@@ -360,7 +361,6 @@ def is_cluster(t, chi, component):
     if not component.unbounded:
         raise EndsSplitterError("cluster verdicts are defined for unbounded "
                                 "components only")
-    vals = chi.shell_values(t)
     trace = component.members[t.shell_mask[component.members]]
     seen = np.unique(vals[trace])
     seen = seen[seen >= 0]
@@ -407,10 +407,11 @@ def flood_neck_components(t, adj, x, R):
             for i, m in enumerate(members)]
 
 
-def flood_neck_label(t, chi, comps):
+def flood_neck_label(t, vals, comps):
     """Cluster verdicts of the unbounded components and the class label
-    under the precedence order; the oracle for ``necks.classify_neck``."""
-    verdicts = [is_cluster(t, chi, c) for c in comps if c.unbounded]
+    under the precedence order, from chi's ``shell_values(t)``; the oracle
+    for ``necks.classify_neck``."""
+    verdicts = [is_cluster(t, vals, c) for c in comps if c.unbounded]
     if sum(v is None for v in verdicts) >= 2:
         return verdicts, "special_type_2"
     if 0 in verdicts and 1 in verdicts:
@@ -424,6 +425,7 @@ def flood_special_sets(t, survey, chi):
     and ``is_cluster``; with whether every unbounded complement component
     of the K_I ball system is a cluster (False when K_I is empty)."""
     adj = adjacency_dict(t)
+    vals = chi.shell_values(t)
 
     def components(removed):
         return flood_complement(t, adj, removed)
@@ -431,13 +433,13 @@ def flood_special_sets(t, survey, chi):
     labels, ids = {}, {"K": [], "K_I": [], "K_II": []}
     for x, word in zip(survey.centers.tolist(), survey.center_words):
         removed = t.word_ball([x], survey.R - 1)
-        _, labels[word] = flood_neck_label(t, chi, components(removed))
+        _, labels[word] = flood_neck_label(t, vals, components(removed))
         if labels[word].startswith("special"):
             ids["K"].append(x)
             ids["K_I" if labels[word] == "special_type_1" else "K_II"].append(
                 x)
     covered = bool(ids["K_I"]) and all(
-        is_cluster(t, chi, c) is not None
+        is_cluster(t, vals, c) is not None
         for c in components(t.word_ball(ids["K_I"], survey.R - 1))
         if c.unbounded)
     return labels, ids, covered

@@ -53,7 +53,7 @@ from ends_splitter.walls import (
 )
 
 import oracles
-from test_necks import necks_of
+from test_necks import row_of
 
 
 def criterion(n, label):
@@ -237,16 +237,16 @@ def test_criterion_7(r12):
     survey = report.survey
     masks = TraceMasks(t, chi)
     cls_of = oracles.class_of_vertex(t, chi)
-    classified = [(n, classify_neck(n, masks))
-                  for n in necks_of(survey)]
+    classified = [(x, classify_neck(survey, i, masks))
+                  for i, x in enumerate(survey.centers.tolist())]
     theta_of = {}
-    for n, c in classified:
-        if t.dist[n.center] >= 3:
-            assert c.kind == "regular", t.word(n.center)
-            own = cls_of[n.center]
+    for x, c in classified:
+        if t.dist[x] >= 3:
+            assert c.kind == "regular", t.word(x)
+            own = cls_of[x]
             assert c.theta == chi.values[int(own)]
         if c.kind == "regular":
-            theta_of[n.center] = c.theta
+            theta_of[x] = c.theta
     # overlap at R=1 means centers within word distance 1, i.e. equal or
     # graph-adjacent; check along the adjacency table instead of all pairs
     checked = 0
@@ -263,10 +263,10 @@ def test_criterion_7(r12):
     masks8 = TraceMasks(t8, chi8)
     survey8 = find_necks(t8, build_net(t8, 1), 1)
     theta8 = {}
-    for n in necks_of(survey8):
-        c = classify_neck(n, masks8)
+    for i, x in enumerate(survey8.centers.tolist()):
+        c = classify_neck(survey8, i, masks8)
         if c.kind == "regular":
-            theta8[n.center] = c.theta
+            theta8[x] = c.theta
     pairs = 0
     for x, theta in theta8.items():
         for y in t8.nbr[x]:
@@ -283,9 +283,8 @@ def test_criterion_8(f2, r12):
     t, chi, h, _ = r12
     net = build_net(t, 2)
     survey = find_necks(t, net, 1)
-    neck = [n for n in necks_of(survey) if n.center == 0][0]
     masks = TraceMasks(t, chi)
-    cert = gap_certificate(h, neck, masks)
+    cert = gap_certificate(h, survey, row_of(survey, 0), masks)
     assert cert.mu > 0
     assert cert.mu <= cert.region_energy + 1e-12
     assert cert.region_energy <= energy(h).total + 1e-12
@@ -301,10 +300,10 @@ def test_criterion_8(f2, r12):
         energies.append(energy(h8).total)
         rep = special_sets(t8, find_necks(t8, net8, 1), chi8)
         best = 0.0
-        for n in necks_of(rep.survey):
-            if n.center not in rep.center_ids["K_I"]:
+        for i, x in enumerate(rep.survey.centers.tolist()):
+            if x not in rep.center_ids["K_I"]:
                 continue
-            c = gap_certificate(h8, n, rep.masks)
+            c = gap_certificate(h8, rep.survey, i, rep.masks)
             assert 0 < c.mu <= energy(h8).total + 1e-12
             best = max(best, c.mu)
         assert best > 0

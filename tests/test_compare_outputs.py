@@ -22,7 +22,8 @@ def test_one_tree_against_itself_shows_no_difference_and_an_edit_shows(
         "same: solve golden/tree-z3z-r8.json (exit 0)",
         "same: necks golden/tree-z3z-r8.json (exit 0)",
         "same: tree golden/tree-z3z-r8.json (exit 0)",
-        "no difference over 3 runs",
+        "same: gap golden/tree-z3z-r8.json (exit 0)",
+        "no difference over 4 runs",
     ]
 
     # a copy whose JSON outputs are indented by two spaces, not one

@@ -216,16 +216,18 @@ def test_all_nonconstant_count(t_f2_r6):
 
 def test_cluster_verdicts(t_f2_r6):
     chi = make_end_function(t_f2_r6, 1, rule="first_letter:a")
+    vals = chi.shell_values(t_f2_r6)
     classes = end_classes(t_f2_r6, 1)
-    verdicts = {c.representative_word: is_cluster(t_f2_r6, chi, c)
+    verdicts = {c.representative_word: is_cluster(t_f2_r6, vals, c)
                 for c in classes}
     assert verdicts == {"a": 1, "A": 0, "b": 0, "B": 0}
 
 
 def test_cluster_constant_chi(t_f2_r6):
     chi = make_end_function(t_f2_r6, 1, values_by_word={}, default=1)
+    vals = chi.shell_values(t_f2_r6)
     for c in end_classes(t_f2_r6, 1):
-        assert is_cluster(t_f2_r6, chi, c) == 1
+        assert is_cluster(t_f2_r6, vals, c) == 1
 
 
 def test_mixed_component_is_not_a_cluster(t_f2_r6):
@@ -234,10 +236,11 @@ def test_mixed_component_is_not_a_cluster(t_f2_r6):
     # sees both values
     b_id = 3
     comps = complement_components(t_f2_r6, [b_id])
+    vals = chi.shell_values(t_f2_r6)
     backward = [c for c in comps if 0 in c.members][0]
-    assert is_cluster(t_f2_r6, chi, backward) is None
+    assert is_cluster(t_f2_r6, vals, backward) is None
     forward = [c for c in comps if 0 not in c.members]
-    assert all(is_cluster(t_f2_r6, chi, c) == 0 for c in forward)
+    assert all(is_cluster(t_f2_r6, vals, c) == 0 for c in forward)
 
 
 def test_cluster_monotone_under_shrinking(t_f2_r6):
@@ -245,11 +248,12 @@ def test_cluster_monotone_under_shrinking(t_f2_r6):
     coarse = end_classes(t_f2_r6, 1)
     fine = end_classes(t_f2_r6, 3)
     mapping = refine_end_classes(t_f2_r6, coarse, fine)
+    vals = chi.shell_values(t_f2_r6)
     for f in fine:
         parent = coarse[mapping[f.id]]
-        theta = is_cluster(t_f2_r6, chi, parent)
+        theta = is_cluster(t_f2_r6, vals, parent)
         if theta is not None:
-            assert is_cluster(t_f2_r6, chi, f) == theta
+            assert is_cluster(t_f2_r6, vals, f) == theta
 
 
 def test_cluster_requires_unbounded(t_f2_r6):
@@ -258,5 +262,5 @@ def test_cluster_requires_unbounded(t_f2_r6):
     bounded = [c for c in comps if not c.unbounded]
     assert bounded
     with pytest.raises(EndsSplitterError):
-        is_cluster(t_f2_r6, chi, bounded[0])
+        is_cluster(t_f2_r6, chi.shell_values(t_f2_r6), bounded[0])
 

@@ -45,9 +45,28 @@ def special(t, net, R, chi):
     return special_sets(t, find_necks(t, net, R), chi)
 
 
-def necks_of(survey):
-    """Every neck of ``survey``, built."""
-    return [survey.neck(i) for i in range(len(survey.centers))]
+def row_of(survey, x):
+    """The row of ``survey`` centered at vertex x."""
+    return survey.centers.tolist().index(x)
+
+
+def component_count(survey, i):
+    """How many components row i of ``survey`` has."""
+    return int(necks._present(survey.arcs[i], survey.up[i]).sum())
+
+
+def removed_mask(t, survey, i):
+    """Row i's ball B_{R-1}(centers[i]) as a mask."""
+    mask = np.zeros(t.n, dtype=bool)
+    mask[t.word_ball([survey.centers[i]], survey.R - 1)] = True
+    return mask
+
+
+def flood_members(t, survey, i):
+    """The members of each component of row i, from ``survey.flood``."""
+    removed = removed_mask(t, survey, i)
+    return [survey.flood(t, i, c, removed)[0]
+            for c in range(component_count(survey, i))]
 
 
 def vertex_by_word(t, word):
@@ -65,7 +84,7 @@ def test_every_window_vertex_is_a_neck_on_f2(t_f2_r6, net1_f2_r8):
     window = survey.window_distance
     expected = int((t_f2_r6.dist <= window).sum())
     assert len(survey.centers) == expected == survey.centers_considered
-    assert all(len(n.components) == 4 for n in necks_of(survey))
+    assert (necks._present(survey.arcs, survey.up).sum(axis=1) == 4).all()
     assert survey.cover_ok
 
 
@@ -76,11 +95,11 @@ def test_neck_components_match_bruteforce_on_z2z3(t_z23_r10):
     adj = oracles.adjacency_dict(t)
     shell = set(int(v) for v in t.shell_ids())
     assert len(survey.centers)
-    for neck in necks_of(survey):
-        removed = t.word_ball([neck.center], 1)
+    for i, x in enumerate(survey.centers.tolist()):
+        removed = t.word_ball([x], 1)
         comps = oracles.flood_components(adj, removed)
         unbounded = [c for c in comps if any(v in shell for v in c)]
-        assert len(neck.components) == len(unbounded) == len(comps)
+        assert component_count(survey, i) == len(unbounded) == len(comps)
         assert len(unbounded) >= 3
     # and the survey found every qualifying center
     window = survey.window_distance
@@ -121,12 +140,11 @@ def test_identity_neck_is_type1_and_b_neck_regular(t_f2_r6):
     chi = make_end_function(t_f2_r6, 1, rule="first_letter:a")
     net = build_net(t_f2_r6, 1)
     survey = find_necks(t_f2_r6, net, 1)
-    by_center = {n.center: n for n in necks_of(survey)}
     masks = TraceMasks(t_f2_r6, chi)
-    cls_e = classify_neck(by_center[0], masks)
+    cls_e = classify_neck(survey, row_of(survey, 0), masks)
     assert cls_e.kind == "special_type_1"
     b_id = vertex_by_word(t_f2_r6, "b")
-    cls_b = classify_neck(by_center[b_id], masks)
+    cls_b = classify_neck(survey, row_of(survey, b_id), masks)
     assert cls_b.kind == "regular" and cls_b.theta == 0
 
 
@@ -134,12 +152,13 @@ def _assert_masks_match_the_flood(t, chi):
     net = build_net(t, 1)
     survey = find_necks(t, net, 1)
     masks = TraceMasks(t, chi)
+    vals = chi.shell_values(t)
     adj = oracles.adjacency_dict(t)
     assert len(survey.centers)
-    for neck in necks_of(survey):
-        comps = oracles.flood_neck_components(t, adj, neck.center, neck.R)
-        verdicts, label = oracles.flood_neck_label(t, chi, comps)
-        fast = classify_neck(neck, masks)
+    for i, x in enumerate(survey.centers.tolist()):
+        comps = oracles.flood_neck_components(t, adj, x, survey.R)
+        verdicts, label = oracles.flood_neck_label(t, vals, comps)
+        fast = classify_neck(survey, i, masks)
         assert list(fast.verdicts) == verdicts
         assert fast.label() == label
 
@@ -206,20 +225,20 @@ def test_block_tree_survey_matches_the_flood(case):
     t = build_truncation(p, radius)
     chis = _survey_chis(t)
     masks = [TraceMasks(t, chi) for chi in chis]
+    vals = [chi.shell_values(t) for chi in chis]
     adj = oracles.adjacency_dict(t)
     for R in radii:
         survey = _survey_everywhere(t, R)
         for i, x in enumerate(survey.centers.tolist()):
             comps = oracles.flood_neck_components(t, adj, x, R)
-            neck = survey.neck(i)
-            assert len(neck.components) == len(comps), (t.word(x), R)
-            removed = neck.removed_mask(t)
-            for ours, theirs in zip(neck.components, comps):
-                assert np.array_equal(ours.materialize(t, removed),
-                                      theirs.members)
-            for chi, m in zip(chis, masks):
-                cls = classify_neck(neck, m)
-                verdicts, label = oracles.flood_neck_label(t, chi, comps)
+            assert component_count(survey, i) == len(comps), (t.word(x), R)
+            for ours, theirs in zip(flood_members(t, survey, i), comps):
+                assert np.array_equal(ours, theirs.members)
+            # each row's floods span the ball: keep one row's at a time
+            survey._floods.clear()
+            for m, v in zip(masks, vals):
+                cls = classify_neck(survey, i, m)
+                verdicts, label = oracles.flood_neck_label(t, v, comps)
                 assert list(cls.verdicts) == verdicts, (t.word(x), R)
                 assert cls.label() == label
 
@@ -293,6 +312,7 @@ def test_k1_check_witness_matches_the_flood(orders, radius, base_radius):
         values[:2] = 0, 1
         chi = make_end_function(t, base_radius, values_by_word={
             c.representative_word: int(v) for c, v in zip(classes, values)})
+        vals = chi.shell_values(t)
         R = int(rng.integers(1, 3))
         window = np.flatnonzero(t.dist <= t.radius - 3 * R)
         k1 = sorted(rng.choice(window, size=min(len(window), 3),
@@ -300,7 +320,7 @@ def test_k1_check_witness_matches_the_flood(orders, radius, base_radius):
         for ids in (k1, []):
             want = next((int(c.members[0]) for c in oracles.flood_complement(
                 t, adj, t.word_ball(ids, R - 1))
-                if c.unbounded and is_cluster(t, chi, c) is None), None)
+                if c.unbounded and is_cluster(t, vals, c) is None), None)
             got = necks._uncovered_cluster_components(
                 t, TraceMasks(t, chi), ids, R)
             assert got == want
@@ -415,10 +435,11 @@ def test_z2z3_special_sets(t_z23_r10):
 # -- structural lemma properties --------------------------------------------------
 
 def _classified_necks(t, chi, net, R):
+    """``(center, class)`` of every neck of the survey of ``net`` at R."""
     survey = find_necks(t, net, R)
     masks = TraceMasks(t, chi)
-    return [(n, classify_neck(n, masks))
-            for n in necks_of(survey)]
+    return [(x, classify_neck(survey, i, masks))
+            for i, x in enumerate(survey.centers.tolist())]
 
 
 @pytest.mark.parametrize("spec", [
@@ -439,24 +460,24 @@ def test_overlapping_regular_necks_share_theta(t_f2_r6, spec):
     net = build_net(t_f2_r6, 1)
     classified = _classified_necks(t_f2_r6, chi, net, R)
     regular = [(n, c) for n, c in classified if c.kind == "regular"]
-    for i, (n1, c1) in enumerate(regular):
-        for n2, c2 in regular[i + 1:]:
+    for i, (x1, c1) in enumerate(regular):
+        for x2, c2 in regular[i + 1:]:
             # overlapping necks: their interiors meet
-            if t_f2_r6.word_distance(n1.center, n2.center) <= 2 * R - 1:
+            if t_f2_r6.word_distance(x1, x2) <= 2 * R - 1:
                 assert c1.theta == c2.theta, (
-                    t_f2_r6.word(n1.center), t_f2_r6.word(n2.center))
+                    t_f2_r6.word(x1), t_f2_r6.word(x2))
 
 
 def test_far_necks_are_regular_matching_their_cluster(t_f2_r8, net1_f2_r8):
     chi = make_end_function(t_f2_r8, 1, rule="first_letter:a")
     classified = _classified_necks(t_f2_r8, chi, net1_f2_r8, 1)
     cls_of = oracles.class_of_vertex(t_f2_r8, chi)
-    special = [n.center for n, c in classified if c.kind.startswith("special")]
-    for n, c in classified:
-        far = all(t_f2_r8.word_distance(n.center, s) > 2 for s in special)
-        if far and t_f2_r8.dist[n.center] >= 1:
+    special = [x for x, c in classified if c.kind.startswith("special")]
+    for x, c in classified:
+        far = all(t_f2_r8.word_distance(x, s) > 2 for s in special)
+        if far and t_f2_r8.dist[x] >= 1:
             assert c.kind == "regular"
-            own = cls_of[n.center]
+            own = cls_of[x]
             if own >= 0:
                 assert c.theta == chi.values[int(own)]
 
@@ -466,12 +487,12 @@ def test_saturated_type1_forces_disjoint_necks_regular(t_f2_r8, net1_f2_r8):
     # cluster, so every neck with disjoint ball must be regular
     chi = make_end_function(t_f2_r8, 1, rule="first_letter:a")
     classified = _classified_necks(t_f2_r8, chi, net1_f2_r8, 1)
-    sat = [n for n, c in classified
-           if n.center == 0 and c.kind == "special_type_1"
+    sat = [x for x, c in classified
+           if x == 0 and c.kind == "special_type_1"
            and all(v is not None for v in c.verdicts)]
     assert sat
-    for n, c in classified:
-        if t_f2_r8.word_distance(0, n.center) > 2:
+    for x, c in classified:
+        if t_f2_r8.word_distance(0, x) > 2:
             assert c.kind == "regular"
 
 
@@ -485,18 +506,17 @@ def test_type2_windows_contain_type1_centers(t_f2_r8, net1_f2_r8):
     assert report.K_II
     masks = TraceMasks(t, chi)
     survey = report.survey
-    by_center = {n.center: n for n in necks_of(survey)}
     k1 = set(report.center_ids["K_I"])
     assert k1
     for c2 in report.center_ids["K_II"]:
-        neck = by_center[c2]
-        cls = classify_neck(neck, masks)
-        removed_mask = neck.removed_mask(t)
-        for comp, verdict in zip(neck.components, cls.verdicts):
+        i = row_of(survey, c2)
+        cls = classify_neck(survey, i, masks)
+        removed = removed_mask(t, survey, i)
+        for comp, verdict in zip(flood_members(t, survey, i), cls.verdicts):
             if verdict is not None:
                 continue
-            members = set(map(int, comp.materialize(t, removed_mask)))
-            window = members | set(map(int, np.flatnonzero(removed_mask)))
+            members = set(map(int, comp))
+            window = members | set(map(int, np.flatnonzero(removed)))
             hits = [y for y in k1
                     if set(map(int, t.word_ball([y], 1))) <= window]
             assert hits, (t.word(c2), "no type-1 center in the component")
@@ -631,8 +651,7 @@ def test_certificate_on_identity_neck(h_first_letter_r8, net2_f2_r8):
     t = h.truncation
     chi = h.boundary_spec
     survey = find_necks(t, net2_f2_r8, 1)
-    neck = [n for n in necks_of(survey) if n.center == 0][0]
-    cert = gap_certificate(h, neck, TraceMasks(t, chi))
+    cert = gap_certificate(h, survey, row_of(survey, 0), TraceMasks(t, chi))
     assert cert.mu > 0
     assert cert.drop >= 0.8
     assert cert.mu <= cert.region_energy + 1e-12
@@ -651,9 +670,9 @@ def test_flat_field_yields_degenerate_drop(t_f2_r8, net2_f2_r8):
                          values=np.full(t_f2_r8.n, 0.5),
                          boundary_spec=chi, residual=0.0, iterations=0)
     survey = find_necks(t_f2_r8, net2_f2_r8, 1)
-    neck = [n for n in necks_of(survey) if n.center == 0][0]
     with pytest.raises(DegenerateDrop):
-        gap_certificate(flat, neck, TraceMasks(t_f2_r8, chi))
+        gap_certificate(flat, survey, row_of(survey, 0),
+                        TraceMasks(t_f2_r8, chi))
 
 
 def test_certificate_rejects_regular_neck(h_first_letter_r8, net1_f2_r8):
@@ -661,9 +680,9 @@ def test_certificate_rejects_regular_neck(h_first_letter_r8, net1_f2_r8):
     t = h.truncation
     survey = find_necks(t, net1_f2_r8, 1)
     b_id = vertex_by_word(t, "b")
-    neck = [n for n in necks_of(survey) if n.center == b_id][0]
     with pytest.raises(EndsSplitterError):
-        gap_certificate(h, neck, TraceMasks(t, h.boundary_spec))
+        gap_certificate(h, survey, row_of(survey, b_id),
+                        TraceMasks(t, h.boundary_spec))
 
 
 def test_disjoint_type1_certificates_have_disjoint_regions(t_f2_r8,
@@ -678,10 +697,8 @@ def test_disjoint_type1_certificates_have_disjoint_regions(t_f2_r8,
     a, b = k1
     assert t.word_distance(a, b) > 2
     survey = report.survey
-    certs = []
-    for center in k1:
-        neck = [n for n in necks_of(survey) if n.center == center][0]
-        certs.append(gap_certificate(h, neck, report.masks))
+    certs = [gap_certificate(h, survey, row_of(survey, x), report.masks)
+             for x in k1]
     overlap = certs[0].region_edges & certs[1].region_edges
     assert not overlap.any()
     assert certs[0].mu + certs[1].mu <= energy(h).total + 1e-12
@@ -758,9 +775,10 @@ def test_energy_gap_surveys_once_and_matches_per_chi_runs(t_f2_r6,
         h = solve_dirichlet(t_f2_r6, chi)
         report = special(t_f2_r6, net, 1, chi)
         masks = TraceMasks(t_f2_r6, chi)
-        mus = [gap_certificate(h, neck, masks).mu
-               for neck in necks_of(report.survey)
-               if neck.center in report.center_ids["K_I"]]
+        survey = report.survey
+        mus = [gap_certificate(h, survey, i, masks).mu
+               for i, x in enumerate(survey.centers.tolist())
+               if x in report.center_ids["K_I"]]
         assert row["energy"] == energy(h).total
         assert row["k1_size"] == len(report.K_I)
         assert row["mu"] == max(mus)
@@ -833,19 +851,58 @@ def test_special_sets_floods_independently_of_the_centers(monkeypatch):
     assert passes == [1, 1]
 
 
-def test_necks_command_builds_no_neck_component(tmp_path, monkeypatch):
-    # the survey and its classification read arrays alone: a neck's
-    # components are built only when a caller asks the survey for it
+def test_necks_command_floods_no_component(tmp_path, monkeypatch):
+    # the survey and its classification read arrays alone: a component is
+    # flooded only when a gap certificate asks the survey for it
     from ends_splitter import cli
 
-    built = []
-    monkeypatch.setattr(necks, "NeckComponent",
-                        lambda seed: built.append(seed))
+    surveys = []
+
+    def kept_find_necks(*args, **kwargs):
+        surveys.append(find_necks(*args, **kwargs))
+        return surveys[-1]
+
+    monkeypatch.setattr(cli, "find_necks", kept_find_necks)
     scenario = os.path.join(os.path.dirname(__file__), "data", "golden",
                             "necks-z12z-r8.json")
     assert cli.main(["necks", "--scenario", scenario,
                      "--out", str(tmp_path)]) == 0
-    assert built == []
-    t = build_truncation(Presentation.free_product_of_cyclics([12, 0]), 8)
-    neck = find_necks(t, build_net(t, 2), 1).neck(0)
-    assert len(built) == len(neck.components) == 3
+    assert len(surveys) == 1 and len(surveys[0].centers)
+    assert surveys[0]._floods == {}
+
+
+def test_gap_floods_each_component_once_over_all_end_functions(
+        monkeypatch):
+    # F2 r8, all 14 end functions: the BFS runs are the cover check, one
+    # witness path per certificate, one per flooded component and one per
+    # component whose layers a certificate read, so no (row, component)
+    # is flooded twice
+    from ends_splitter.groups import Truncation
+
+    t = build_truncation(Presentation.free(2), 8)
+    calls, certs, surveys = [], [], []
+    distances = Truncation.graph_distances_from
+
+    def counted_distances(self, *args, **kwargs):
+        calls.append(1)
+        return distances(self, *args, **kwargs)
+
+    def kept_find_necks(*args, **kwargs):
+        surveys.append(find_necks(*args, **kwargs))
+        return surveys[-1]
+
+    def counted_certificate(h, survey, i, masks):
+        certs.append(i)
+        return gap_certificate(h, survey, i, masks)
+
+    monkeypatch.setattr(Truncation, "graph_distances_from",
+                        counted_distances)
+    monkeypatch.setattr(necks, "find_necks", kept_find_necks)
+    monkeypatch.setattr(necks, "gap_certificate", counted_certificate)
+    chis = all_nonconstant_end_functions(t, 1)
+    assert len(chis) == 14
+    energy_gap_estimate(t, build_net(t, 2), 1, chis)
+    floods = surveys[0]._floods.values()
+    layered = sum(layers is not None for _, layers in floods)
+    assert len(certs) >= len(chis) and layered
+    assert len(calls) == 1 + len(certs) + len(floods) + layered
