@@ -228,7 +228,7 @@ def _base_report(scn, t, command):
         "scenario": scn.echo(),
         "truncation": {
             "vertices": int(t.n),
-            "edges": int((t.nbr >= 0).sum()) // 2,    # seen from both ends
+            "edges": t.n_edges(),
             "shell": int(t.shell_mask.sum()),
         },
         "warnings": [],

@@ -399,23 +399,41 @@ class Truncation:
 
     # -- edges ---------------------------------------------------------------
 
+    def forward_slots(self, block):
+        """``(a, rows, forward)`` for each block of ``block`` rows of
+        ``nbr``, from id a: the rows, and the mask of their slots whose
+        neighbour is above the row's id.  Those slots, row-major, are the
+        edges in ``edges()``'s order."""
+        for a in range(0, self.n, block):
+            nb = self.nbr[a:a + block]
+            ids = np.arange(a, a + len(nb), dtype=np.int32)
+            yield a, nb, nb > ids[:, None]
+
     def edges(self):
         """Undirected edge arrays (eu, ev, eletter), eu < ev, sorted by
         (eu, eletter), as int32, int32 and int8.  The fixed order makes
-        energy sums reproducible."""
+        energy sums reproducible.  They are filled a block of rows at a
+        time, so no index array spans the n * L slots."""
         if "edges" not in self._caches:
-            L = self.n_letters
-            # flat (u, letter) slots in order, int64 as they pass 2**31 when
-            # n * L does; v > u >= 0 also drops the -1s
-            at = np.flatnonzero(
-                self.nbr > np.arange(self.n, dtype=np.int32)[:, None])
-            self._caches["edges"] = ((at // L).astype(np.int32),
-                                     self.nbr.ravel()[at],
-                                     (at % L).astype(np.int8))
+            m, at = self.n_edges(), 0
+            eu, ev = np.empty(m, dtype=np.int32), np.empty(m, dtype=np.int32)
+            el = np.empty(m, dtype=np.int8)
+            for a, nb, forward in self.forward_slots(_WORD_BLOCK):
+                slot = np.flatnonzero(forward)      # (u - a) * L + letter
+                end = at + len(slot)
+                ev[at:end] = nb.ravel()[slot]
+                eu[at:end], el[at:end] = np.divmod(slot, self.n_letters)
+                eu[at:end] += a
+                at = end
+            self._caches["edges"] = (eu, ev, el)
         return self._caches["edges"]
 
     def n_edges(self):
-        return len(self.edges()[0])
+        """The number of edges, counted once as an int without building
+        ``edges()``: each is seen from both ends."""
+        if "n_edges" not in self._caches:
+            self._caches["n_edges"] = int((self.nbr >= 0).sum()) // 2
+        return self._caches["n_edges"]
 
     def csr_adjacency(self):
         """The adjacency matrix in CSR form, each row's columns ascending,

@@ -24,8 +24,8 @@ from .errors import (
 from .ends import end_classes
 from .groups import _first_fit, unique_sorted
 
-# ids whose neighbour rows the partition sorts at once, which keeps them in
-# cache and its temporaries small
+# ids whose neighbour rows the partition sorts, or the energy streams, at
+# once, which keeps them in cache and their temporaries small
 _BLOCK = 1 << 14
 
 
@@ -367,33 +367,86 @@ class EnergyReport:
     total: float
 
 
+def _pairwise_sum(chunks, n, leaf):
+    """``np.sum``'s bits for the ``n`` float64 terms that the arrays
+    ``chunks`` yield in order, holding about a leaf and a chunk of them at
+    a time.
+
+    numpy sums a contiguous float64 array by one pairwise tree, whose
+    nodes of more than 128 terms split at n // 2 rounded down to a
+    multiple of 8.  Each node of at most ``leaf`` (>= 128) terms is summed
+    with ``.sum()``, which walks the same subtree, and the nodes above are
+    added up that tree as numpy adds them.
+    """
+    chunks, rest = iter(chunks), np.empty(0)
+
+    def node(k):
+        nonlocal rest
+        if k > leaf:
+            half = k // 2 - k // 2 % 8
+            return node(half) + node(k - half)
+        parts, have = [rest], len(rest)
+        while have < k:
+            parts.append(next(chunks))
+            have += len(parts[-1])
+        if len(parts) > 1:
+            rest = np.concatenate(parts)
+        terms, rest = rest[:k], rest[k:]
+        return terms.sum()
+
+    return float(node(n))
+
+
+def _edge_sum(u, v, dom=None, edge_filter=None):
+    """The sum over kept edges ab of (u(a) - u(b)) * (v(a) - v(b)), with
+    the bits of ``np.sum`` over those terms in ``edges()`` order, streamed
+    from ``nbr`` row blocks: no edge table is built.
+
+    A block's terms are its forward slots in row-major order, which is
+    ``edges()``'s order.  An edge is kept when ``edge_filter`` (a mask in
+    that order, or None) keeps it and ``dom`` (a vertex mask, or None)
+    holds both its ends.  A first pass counts the kept edges, which fixes
+    the summation tree.
+    """
+    t = u.truncation
+
+    def kept():
+        seen = 0
+        for a, nb, keep in t.forward_slots(_BLOCK):
+            if edge_filter is not None:
+                m = int(np.count_nonzero(keep))
+                keep[keep] = edge_filter[seen:seen + m]
+                seen += m
+            if dom is not None:
+                keep &= dom[a:a + len(nb), None] & dom[nb]
+            yield a, nb, keep
+
+    def terms():
+        for a, nb, keep in kept():
+            du = (u.values[a:a + len(nb), None] - u.values[nb])[keep]
+            yield du * (du if v is u else
+                        (v.values[a:a + len(nb), None] - v.values[nb])[keep])
+
+    count = (t.n_edges() if dom is None and edge_filter is None else
+             sum(int(np.count_nonzero(keep)) for _, _, keep in kept()))
+    return _pairwise_sum(terms(), count, _BLOCK)
+
+
 def energy(f, edge_filter=None):
     """Dirichlet energy: sum over edges of the squared difference.
 
-    ``edge_filter`` restricts to a boolean edge mask.  A ``HarmonicField``
-    lives on every vertex, so only a ``PartialField`` masks its domain.
+    ``edge_filter`` restricts to a boolean mask in ``edges()`` order.  A
+    ``HarmonicField`` lives on every vertex, so only a ``PartialField``
+    masks its domain.
     """
-    eu, ev, _ = f.truncation.edges()
-    keep = edge_filter
-    if isinstance(f, PartialField):
-        inside = f.domain[eu] & f.domain[ev]
-        keep = inside if keep is None else inside & keep
-    if keep is not None and not keep.all():
-        # only the kept edges, in edge order: the sum's terms are the same
-        eu, ev = eu[keep], ev[keep]
-    diffs = f.values[eu] - f.values[ev]
-    return EnergyReport(total=float((diffs * diffs).sum()))
+    dom = f.domain if isinstance(f, PartialField) else None
+    return EnergyReport(total=_edge_sum(f, f, dom, edge_filter))
 
 
 def energy_form(u, v):
     """Bilinear form: sum over common-domain edges of the product of edge
     differences.  energy_form(u, u) == energy(u).total."""
-    dom = _common_domain(u, v)
-    eu, ev, _ = u.truncation.edges()
-    keep = dom[eu] & dom[ev]
-    du = u.values[eu] - u.values[ev]
-    dv = v.values[eu] - v.values[ev]
-    return float((du * dv)[keep].sum())
+    return _edge_sum(u, v, _common_domain(u, v))
 
 
 def field_difference(u, v):

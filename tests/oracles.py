@@ -18,7 +18,7 @@ from ends_splitter.errors import (
     NoRegularValue,
 )
 from ends_splitter.groups import Truncation, build_truncation, group_ball
-from ends_splitter.harmonic import boundary_values, pullback
+from ends_splitter.harmonic import PartialField, boundary_values, pullback
 from ends_splitter.walls import (RELATIONS, ActionReport, IndecomposableRegion,
                                   TrichotomyVerdict)
 
@@ -662,6 +662,33 @@ def dirichlet_energy(t, values):
                 d = values[v] - values[w]
                 total += d * d
     return total
+
+
+def edge_energy(f, edge_filter=None):
+    """``harmonic.energy``'s total as the edge table gives it: the squared
+    differences over ``t.edges()``, kept by ``edge_filter`` and a
+    ``PartialField``'s domain at both ends, summed whole by ``np.sum``."""
+    eu, ev, _ = f.truncation.edges()
+    keep = np.ones(len(eu), dtype=bool) if edge_filter is None \
+        else edge_filter.copy()
+    if isinstance(f, PartialField):
+        keep &= f.domain[eu] & f.domain[ev]
+    diffs = (f.values[eu] - f.values[ev])[keep]
+    return float((diffs * diffs).sum())
+
+
+def edge_energy_form(u, v):
+    """``harmonic.energy_form`` as the edge table gives it: the products of
+    edge differences over the edges of the common domain, summed whole."""
+    dom = np.ones(u.truncation.n, dtype=bool)
+    for f in (u, v):
+        if isinstance(f, PartialField):
+            dom &= f.domain
+    eu, ev, _ = u.truncation.edges()
+    keep = dom[eu] & dom[ev]
+    du = u.values[eu] - u.values[ev]
+    dv = v.values[eu] - v.values[ev]
+    return float((du * dv)[keep].sum())
 
 
 # -- per-vertex loops the package has vectorised ------------------------------

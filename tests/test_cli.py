@@ -57,6 +57,20 @@ def test_solve_writes_report_and_field(tmp_path, capsys):
     assert (tmp_path / "out/scn/timings.json").exists()
 
 
+def test_solve_builds_no_edge_table(tmp_path, monkeypatch):
+    # the energy streams from the neighbour rows and the report counts the
+    # edges from them: no edge table of the whole ball is left behind
+    balls, prepare = [], cli._prepare
+    monkeypatch.setattr(
+        cli, "_prepare",
+        lambda scn, stages: balls.append(prepare(scn, stages)) or balls[-1])
+    assert run("solve", write_scenario(tmp_path), tmp_path / "out") == 0
+    rep = json.loads((tmp_path / "out/scn/report.json").read_text())
+    (t,) = balls
+    assert "edges" not in t._caches
+    assert rep["truncation"]["edges"] == t.n_edges() == len(t.edges()[0])
+
+
 def test_constant_chi_is_config_error(tmp_path, capsys):
     path = write_scenario(tmp_path, chi={"map": {}, "default": 1})
     assert run("solve", path, tmp_path / "out") == 1

@@ -442,6 +442,15 @@ def test_edges_are_every_neighbour_pair_once_in_slot_order(case):
     assert list(zip(eu.tolist(), ev.tolist(), el.tolist())) == want
 
 
+@pytest.mark.parametrize("case", [*sorted(_LAYOUT_CASES), "path"])
+def test_edge_count_needs_no_edge_table(case):
+    t = path_truncation(9) if case == "path" else \
+        build_truncation(*_LAYOUT_CASES[case])       # a ball with no caches
+    count = t.n_edges()
+    assert type(count) is int and "edges" not in t._caches
+    assert count == len(t.edges()[0]) == t.n_edges()
+
+
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
 def test_component_labels_match_the_flood(case):
     # join_labels over the kept edges labels each component by its

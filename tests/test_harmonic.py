@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from ends_splitter import groups, harmonic
 from ends_splitter.errors import MismatchedTruncations, NonConvergence
-from ends_splitter.ends import complement_components, make_end_function
+from ends_splitter.ends import (
+    all_nonconstant_end_functions,
+    complement_components,
+    make_end_function,
+)
 from ends_splitter.groups import (
     Presentation,
     Truncation,
@@ -453,9 +457,79 @@ def test_full_field_energy_is_the_full_domain_partial_field_energy(
             energy(whole, edge_filter=keep).total
 
 
+# numpy's pairwise tree splits a node of more than 128 terms at n // 2
+# rounded down to a multiple of 8: lengths up to 20, around 128, around the
+# split points of several leaves, and past a million
+_SUM_LENGTHS = [*range(21), *range(120, 137), 255, 256, 257, 263, 264, 271,
+                272, 999, 1000, 1001, 2047, 2048, 2049, 2056, 16383, 16384,
+                16385, 16392, 32767, 32768, 32769, 32776, 65543, 1_000_003]
+
+
+@pytest.mark.parametrize("leaf", [128, 136, 1000, 1 << 14])
+def test_blocked_sum_is_np_sum_bit_for_bit(leaf):
+    # terms of wide-ranging magnitudes, so that any other order of
+    # additions shows in the bits, cut into chunks of any size
+    rng = np.random.default_rng(leaf)
+    for n in _SUM_LENGTHS:
+        terms = rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))
+        cuts = np.sort(rng.integers(0, n + 1, size=rng.integers(0, 12)))
+        got = harmonic._pairwise_sum(np.split(terms, cuts), n, leaf)
+        assert got.hex() == float(terms.sum()).hex(), (n, leaf)
+
+
+@pytest.mark.parametrize("block", [128, 1 << 14])
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+def test_streamed_energies_are_the_edge_table_sums(case, block, monkeypatch):
+    # row blocks of 128 ids make many blocks and leaves on a small ball
+    monkeypatch.setattr(harmonic, "_BLOCK", block)
+    p, rho = _LAYOUT_CASES[case]
+    t = build_truncation(p, rho)
+    rng = np.random.default_rng(7)
+    h = solve_dirichlet(t, all_nonconstant_end_functions(t, 1)[0])
+    noise = synthetic_field(t, rng.standard_normal(t.n))
+    part = PartialField(t, rng.standard_normal(t.n), rng.random(t.n) < 0.8)
+    pulled = pullback(h, group_ball(t, 2)[-1])
+    eu, ev, _ = t.edges()
+    filters = [None, rng.random(len(eu)) < 0.5, np.zeros(len(eu), dtype=bool),
+               pulled.domain[eu] & pulled.domain[ev]]
+    fields = (h, noise, part, pulled)
+    for f in fields:
+        for keep in filters:
+            assert energy(f, edge_filter=keep).total == \
+                oracles.edge_energy(f, keep)
+    for u in fields:
+        for v in fields:
+            assert energy_form(u, v) == oracles.edge_energy_form(u, v)
+
+
+def test_energy_keeps_its_bits_on_f2_r13(f2):
+    # the energy that report.json carries for tests/data/tree-f2-r13.json,
+    # as the sum over the whole edge table gave it
+    t = build_truncation(f2, 13)
+    h = solve_dirichlet(t, make_end_function(t, 1, {"a": 1}, default=0))
+    assert energy(h).total.hex() == "0x1.00000a85ea22ap-1"
+
+
+def test_energy_streams_under_10_bytes_per_vertex(f2):
+    # no edge table: the edge count's slot mask and one row block's terms,
+    # about 7.5 B per vertex on F2 r11 under tracemalloc, against 25 when
+    # the energy built edges()
+    t = build_truncation(f2, 11)
+    h = solve_dirichlet(t, make_end_function(t, 1, rule="first_letter:a"))
+    tracemalloc.start()
+    try:
+        energy(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * t.n
+    assert "edges" not in t._caches
+
+
 def test_solve_peaks_under_90_bytes_per_vertex(f2):
     # int32 ids and int8 degrees: build, chi, solve and energy on F2 r10
-    # peak at about 82 B per vertex under tracemalloc (121 with int64 ids)
+    # peak at about 63 B per vertex under tracemalloc, in the solve (121
+    # with int64 ids)
     tracemalloc.start()
     try:
         t = build_truncation(f2, 10)
