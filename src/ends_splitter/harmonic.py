@@ -376,15 +376,12 @@ def _pairwise_sum(chunks, n, leaf):
     nodes of more than 128 terms split at n // 2 rounded down to a
     multiple of 8.  Each node of at most ``leaf`` (>= 128) terms is summed
     with ``.sum()``, which walks the same subtree, and the nodes above are
-    added up that tree as numpy adds them.
+    added up that tree as numpy adds them (``_tree_sum``).
     """
     chunks, rest = iter(chunks), np.empty(0)
 
-    def node(k):
+    def leaf_sum(k):
         nonlocal rest
-        if k > leaf:
-            half = k // 2 - k // 2 % 8
-            return node(half) + node(k - half)
         parts, have = [rest], len(rest)
         while have < k:
             parts.append(next(chunks))
@@ -394,7 +391,19 @@ def _pairwise_sum(chunks, n, leaf):
         terms, rest = rest[:k], rest[k:]
         return terms.sum()
 
-    return float(node(n))
+    return float(_tree_sum(leaf_sum, n, leaf))
+
+
+def _tree_sum(leaf_sum, k, leaf):
+    """numpy's pairwise tree over k terms, whose nodes of at most ``leaf``
+    terms ``leaf_sum(size)`` sums in order.  A module function, not a
+    closure that calls itself: such a closure is a reference cycle, which
+    would keep its row blocks until the collector runs."""
+    if k <= leaf:
+        return leaf_sum(k)
+    half = k // 2 - k // 2 % 8
+    return _tree_sum(leaf_sum, half, leaf) + _tree_sum(leaf_sum, k - half,
+                                                       leaf)
 
 
 def _edge_sum(u, v, dom=None, edge_filter=None):

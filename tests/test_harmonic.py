@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -500,6 +501,23 @@ def test_streamed_energies_are_the_edge_table_sums(case, block, monkeypatch):
     for u in fields:
         for v in fields:
             assert energy_form(u, v) == oracles.edge_energy_form(u, v)
+
+
+def test_energies_leave_no_reference_cycle(h_first_letter_r8):
+    # numpy arrays do not count towards the collector's thresholds, so a
+    # cycle that held a row block would outlive many energy calls
+    h = h_first_letter_r8
+    part = PartialField(h.truncation, h.values, h.truncation.dist <= 5)
+    keep = np.arange(h.truncation.n_edges()) % 3 == 0
+    gc.collect()
+    gc.disable()
+    try:
+        energy(h)
+        energy(part, edge_filter=keep)
+        energy_form(h, part)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_energy_keeps_its_bits_on_f2_r13(f2):
