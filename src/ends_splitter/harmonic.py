@@ -396,9 +396,9 @@ def _pairwise_sum(chunks, n, leaf):
 
 def _tree_sum(leaf_sum, k, leaf):
     """numpy's pairwise tree over k terms, whose nodes of at most ``leaf``
-    terms ``leaf_sum(size)`` sums in order.  A module function, not a
-    closure that calls itself: such a closure is a reference cycle, which
-    would keep its row blocks until the collector runs."""
+    terms ``leaf_sum(size)`` sums in order.  Not a closure that calls
+    itself: that is a reference cycle, which keeps the row blocks it
+    reaches until the collector runs, and numpy arrays never trigger it."""
     if k <= leaf:
         return leaf_sum(k)
     half = k // 2 - k // 2 % 8
@@ -414,8 +414,8 @@ def _edge_sum(u, v, dom=None, edge_filter=None):
     A block's terms are its forward slots in row-major order, which is
     ``edges()``'s order.  An edge is kept when ``edge_filter`` (a mask in
     that order, or None) keeps it and ``dom`` (a vertex mask, or None)
-    holds both its ends.  A first pass counts the kept edges, which fixes
-    the summation tree.
+    holds both its ends.  The number of kept edges fixes the summation
+    tree; with a ``dom``, a first pass counts them.
     """
     t = u.truncation
 
@@ -430,14 +430,20 @@ def _edge_sum(u, v, dom=None, edge_filter=None):
                 keep &= dom[a:a + len(nb), None] & dom[nb]
             yield a, nb, keep
 
-    def terms():
-        for a, nb, keep in kept():
-            du = (u.values[a:a + len(nb), None] - u.values[nb])[keep]
-            yield du * (du if v is u else
-                        (v.values[a:a + len(nb), None] - v.values[nb])[keep])
+    def diffs(f, a, nb, keep):
+        return (f.values[a:a + len(nb), None] - f.values[nb])[keep]
 
-    count = (t.n_edges() if dom is None and edge_filter is None else
-             sum(int(np.count_nonzero(keep)) for _, _, keep in kept()))
+    def terms():
+        for block in kept():
+            du = diffs(u, *block)
+            yield du * (du if v is u else diffs(v, *block))
+
+    if dom is not None:
+        count = sum(int(np.count_nonzero(keep)) for _, _, keep in kept())
+    elif edge_filter is not None:
+        count = int(np.count_nonzero(edge_filter))
+    else:
+        count = t.n_edges()
     return _pairwise_sum(terms(), count, _BLOCK)
 
 

@@ -530,8 +530,8 @@ def test_energy_keeps_its_bits_on_f2_r13(f2):
 
 def test_energy_streams_under_10_bytes_per_vertex(f2):
     # no edge table: the edge count's slot mask and one row block's terms,
-    # about 7.5 B per vertex on F2 r11 under tracemalloc, against 25 when
-    # the energy built edges()
+    # about 6 B per vertex on F2 r11 under tracemalloc, against 25 when the
+    # energy built edges()
     t = build_truncation(f2, 11)
     h = solve_dirichlet(t, make_end_function(t, 1, rule="first_letter:a"))
     tracemalloc.start()
