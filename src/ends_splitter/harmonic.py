@@ -73,7 +73,9 @@ class HarmonicField:
 
 @dataclass
 class PartialField:
-    """A field defined on part of a truncation (pullbacks, lattice ops)."""
+    """A field defined on part of a truncation (pullbacks, lattice ops,
+    certificate regions); its energy keeps the edges with both ends in
+    ``domain``."""
 
     truncation: object
     values: np.ndarray
@@ -406,62 +408,55 @@ def _tree_sum(leaf_sum, k, leaf):
                                                        leaf)
 
 
-def _edge_sum(u, v, dom=None, edge_filter=None):
+def _edge_sum(u, v, dom=None):
     """The sum over kept edges ab of (u(a) - u(b)) * (v(a) - v(b)), with
     the bits of ``np.sum`` over those terms in ``edges()`` order, streamed
-    from ``nbr`` row blocks: no edge table is built.
+    from ``nbr`` row blocks in one pass.
 
     A block's terms are its forward slots in row-major order, which is
-    ``edges()``'s order.  An edge is kept when ``edge_filter`` (a mask in
-    that order, or None) keeps it and ``dom`` (a vertex mask, or None)
-    holds both its ends.  The number of kept edges fixes the summation
-    tree; with a ``dom``, a first pass counts them.
+    ``edges()``'s order.  With no ``dom`` every edge is kept and no edge
+    table is built.  A ``dom`` (a vertex mask) keeps the edges with both
+    ends in it, read as one mask over the cached ``edges()``, whose count
+    fixes the summation tree.
     """
     t = u.truncation
-
-    def kept():
-        seen = 0
-        for a, nb, keep in t.forward_slots(_BLOCK):
-            if edge_filter is not None:
-                m = int(np.count_nonzero(keep))
-                keep[keep] = edge_filter[seen:seen + m]
-                seen += m
-            if dom is not None:
-                keep &= dom[a:a + len(nb), None] & dom[nb]
-            yield a, nb, keep
-
-    def diffs(f, a, nb, keep):
-        return (f.values[a:a + len(nb), None] - f.values[nb])[keep]
+    if dom is None:
+        count = t.n_edges()
+    else:
+        eu, ev, _ = t.edges()
+        mask = dom[eu] & dom[ev]
+        count = int(np.count_nonzero(mask))
 
     def terms():
-        for block in kept():
-            du = diffs(u, *block)
-            yield du * (du if v is u else diffs(v, *block))
+        seen = 0
+        for a, nb, keep in t.forward_slots(_BLOCK):
+            if dom is not None:
+                m = int(np.count_nonzero(keep))
+                keep[keep] = mask[seen:seen + m]
+                seen += m
+            rows = slice(a, a + len(nb))
+            du = (u.values[rows, None] - u.values[nb])[keep]
+            yield du * (du if v is u else
+                        (v.values[rows, None] - v.values[nb])[keep])
 
-    if dom is not None:
-        count = sum(int(np.count_nonzero(keep)) for _, _, keep in kept())
-    elif edge_filter is not None:
-        count = int(np.count_nonzero(edge_filter))
-    else:
-        count = t.n_edges()
     return _pairwise_sum(terms(), count, _BLOCK)
 
 
-def energy(f, edge_filter=None):
-    """Dirichlet energy: sum over edges of the squared difference.
-
-    ``edge_filter`` restricts to a boolean mask in ``edges()`` order.  A
-    ``HarmonicField`` lives on every vertex, so only a ``PartialField``
-    masks its domain.
+def energy(f):
+    """Dirichlet energy: sum over edges of the squared difference.  A
+    ``PartialField`` keeps the edges with both ends in its domain; a
+    ``HarmonicField`` lives on every vertex and builds no edge table.
     """
     dom = f.domain if isinstance(f, PartialField) else None
-    return EnergyReport(total=_edge_sum(f, f, dom, edge_filter))
+    return EnergyReport(total=_edge_sum(f, f, dom))
 
 
 def energy_form(u, v):
     """Bilinear form: sum over common-domain edges of the product of edge
-    differences.  energy_form(u, u) == energy(u).total."""
-    return _edge_sum(u, v, _common_domain(u, v))
+    differences.  energy_form(u, u) == energy(u).total.  A common domain
+    of every vertex keeps every edge, so it streams with no edge table."""
+    dom = _common_domain(u, v)
+    return _edge_sum(u, v, None if dom.all() else dom)
 
 
 def field_difference(u, v):
@@ -496,9 +491,9 @@ class CrossingSet:
         return int(self.edge_mask.sum())
 
 
-def lattice_ops(h, k, equality_tol=1e-9):
+def lattice_ops(h, k):
     """Pointwise max/min of two fields on their common domain, with the
-    crossing locus."""
+    crossing locus; values within 1e-9 count as equal."""
     t, dom = h.truncation, _common_domain(h, k)
     g_plus = PartialField(t, np.maximum(h.values, k.values), dom)
     g_minus = PartialField(t, np.minimum(h.values, k.values), dom)
@@ -508,7 +503,7 @@ def lattice_ops(h, k, equality_tol=1e-9):
     du = h.values[eu] - k.values[eu]
     dv = h.values[ev] - k.values[ev]
     crossing = keep & (du * dv < 0)
-    equal = np.flatnonzero(dom & (np.abs(h.values - k.values) <= equality_tol))
+    equal = np.flatnonzero(dom & (np.abs(h.values - k.values) <= 1e-9))
     return g_plus, g_minus, CrossingSet(edge_mask=crossing, equal_vertices=equal)
 
 

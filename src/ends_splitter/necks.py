@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateDrop, EndsSplitterError, NeckCoverageError
 from .ends import complement_labels
 from .groups import join_labels, unique_sorted
-from .harmonic import energy, solve_dirichlet
+from .harmonic import PartialField, energy, solve_dirichlet
 
 _VERDICT = (None, 0, 1, None)     # by the chi-values a trace meets
 
@@ -548,7 +548,7 @@ class GapCertificate:
     witness_path: list
     drop: float
     mu: float
-    region_edges: np.ndarray       # boolean edge mask
+    region: np.ndarray             # boolean vertex mask
     region_energy: float
 
 
@@ -561,7 +561,8 @@ def gap_certificate(h, survey, i, masks):
 
     Finds low/high witnesses (h <= 1/10 and h >= 9/10 when visible, else
     the extremal vertices), connects them through the neck, and charges
-    the mean-value drop against the edges near the path.
+    the mean-value drop against h's energy on ``region``: the two clusters
+    and the path, with their neighbours.
     """
     t = h.truncation
     cls = classify_neck(survey, i, masks)
@@ -593,18 +594,13 @@ def gap_certificate(h, survey, i, masks):
     path = _shortest_path(t, x0, x1, allowed)
     mu = (drop / (len(path) - 1)) ** 2
 
-    union = np.zeros(t.n, dtype=bool)
-    union[m0] = union[m1] = union[path] = True
-    hood = union.copy()
-    ids = np.flatnonzero(union)
-    nb = t.nbr[ids].ravel()
+    hood = np.zeros(t.n, dtype=bool)
+    hood[m0] = hood[m1] = hood[path] = True
+    nb = t.nbr[hood]
     hood[nb[nb >= 0]] = True
-    eu, ev, _ = t.edges()
-    region = hood[eu] & hood[ev]
-    region_energy = energy(h, edge_filter=region).total
     cert = GapCertificate(
-        witness_path=[int(v) for v in path], drop=drop, mu=mu,
-        region_edges=region, region_energy=region_energy,
+        witness_path=[int(v) for v in path], drop=drop, mu=mu, region=hood,
+        region_energy=energy(PartialField(t, h.values, hood)).total,
     )
     if cert.mu > cert.region_energy + 1e-12:
         raise EndsSplitterError("certificate failed its own soundness check")

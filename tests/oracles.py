@@ -664,16 +664,14 @@ def dirichlet_energy(t, values):
     return total
 
 
-def edge_energy(f, edge_filter=None):
+def edge_energy(f):
     """``harmonic.energy``'s total as the edge table gives it: the squared
-    differences over ``t.edges()``, kept by ``edge_filter`` and a
-    ``PartialField``'s domain at both ends, summed whole by ``np.sum``."""
+    differences over ``t.edges()``, kept by a ``PartialField``'s domain at
+    both ends, summed whole by ``np.sum``."""
     eu, ev, _ = f.truncation.edges()
-    keep = np.ones(len(eu), dtype=bool) if edge_filter is None \
-        else edge_filter.copy()
+    diffs = f.values[eu] - f.values[ev]
     if isinstance(f, PartialField):
-        keep &= f.domain[eu] & f.domain[ev]
-    diffs = (f.values[eu] - f.values[ev])[keep]
+        diffs = diffs[f.domain[eu] & f.domain[ev]]
     return float((diffs * diffs).sum())
 
 

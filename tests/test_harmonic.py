@@ -418,9 +418,8 @@ def test_window_energies_converge_across_radii(f2):
         t = build_truncation(f2, rho)
         chi = make_end_function(t, 1, rule="first_letter:a")
         h = solve_dirichlet(t, chi)
-        eu, ev, _ = t.edges()
-        window = (t.dist[eu] <= 3) & (t.dist[ev] <= 3)
-        energies.append(energy(h, edge_filter=window).total)
+        window = PartialField(t, h.values, t.dist <= 3)
+        energies.append(energy(window).total)
     increments = [abs(b - a) for a, b in zip(energies, energies[1:])]
     assert increments == sorted(increments, reverse=True)
     assert increments[-1] < 1e-3
@@ -435,11 +434,11 @@ def test_energy_of_single_edge():
 
 
 def test_energy_per_region_partitions_total(h_first_letter_r8):
+    # on F2 each edge joins two adjacent spheres, so the edges inside
+    # dist <= 4 and inside dist >= 4 are all the edges, once each
     t = h_first_letter_r8.truncation
-    eu, ev, _ = t.edges()
-    inner = (t.dist[eu] <= 4) & (t.dist[ev] <= 4)
-    parts = [energy(h_first_letter_r8, edge_filter=m).total
-             for m in (inner, ~inner)]
+    parts = [energy(PartialField(t, h_first_letter_r8.values, dom)).total
+             for dom in (t.dist <= 4, t.dist >= 4)]
     assert sum(parts) == pytest.approx(energy(h_first_letter_r8).total,
                                        abs=1e-12)
 
@@ -447,15 +446,15 @@ def test_energy_per_region_partitions_total(h_first_letter_r8):
 def test_full_field_energy_is_the_full_domain_partial_field_energy(
         h_first_letter_r8):
     # a HarmonicField skips the domain mask; the sums are the same, bit
-    # for bit, with and without an edge filter
+    # for bit, and smaller domains keep the edge table's sums
     h = h_first_letter_r8
     t = h.truncation
     whole = PartialField(truncation=t, values=h.values,
                          domain=np.ones(t.n, dtype=bool))
-    eu, ev, _ = t.edges()
-    for keep in (None, t.dist[eu] <= 4, np.zeros(len(eu), dtype=bool)):
-        assert energy(h, edge_filter=keep).total == \
-            energy(whole, edge_filter=keep).total
+    assert energy(h).total == energy(whole).total
+    for dom in (t.dist <= 4, np.zeros(t.n, dtype=bool)):
+        part = PartialField(t, h.values, dom)
+        assert energy(part).total == oracles.edge_energy(part)
 
 
 # numpy's pairwise tree splits a node of more than 128 terms at n // 2
@@ -490,14 +489,17 @@ def test_streamed_energies_are_the_edge_table_sums(case, block, monkeypatch):
     noise = synthetic_field(t, rng.standard_normal(t.n))
     part = PartialField(t, rng.standard_normal(t.n), rng.random(t.n) < 0.8)
     pulled = pullback(h, group_ball(t, 2)[-1])
-    eu, ev, _ = t.edges()
-    filters = [None, rng.random(len(eu)) < 0.5, np.zeros(len(eu), dtype=bool),
-               pulled.domain[eu] & pulled.domain[ev]]
+    # about half the vertices, none (the zero-term sum) and the pullback's
+    # domain, each cut to the field's own domain
+    domains = [rng.random(t.n) < 0.5, np.zeros(t.n, dtype=bool),
+               pulled.domain]
     fields = (h, noise, part, pulled)
     for f in fields:
-        for keep in filters:
-            assert energy(f, edge_filter=keep).total == \
-                oracles.edge_energy(f, keep)
+        assert energy(f).total == oracles.edge_energy(f)
+        own = f.domain if isinstance(f, PartialField) else True
+        for dom in domains:
+            cut = PartialField(t, f.values, dom & own)
+            assert energy(cut).total == oracles.edge_energy(cut)
     for u in fields:
         for v in fields:
             assert energy_form(u, v) == oracles.edge_energy_form(u, v)
@@ -508,16 +510,26 @@ def test_energies_leave_no_reference_cycle(h_first_letter_r8):
     # cycle that held a row block would outlive many energy calls
     h = h_first_letter_r8
     part = PartialField(h.truncation, h.values, h.truncation.dist <= 5)
-    keep = np.arange(h.truncation.n_edges()) % 3 == 0
     gc.collect()
     gc.disable()
     try:
         energy(h)
-        energy(part, edge_filter=keep)
+        energy(part)
         energy_form(h, part)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_forms_on_every_vertex_build_no_edge_table(f2):
+    # a common domain of every vertex keeps every edge, so the form
+    # streams from the rows as a HarmonicField's energy does
+    t = build_truncation(f2, 6)
+    h = solve_dirichlet(t, make_end_function(t, 1, rule="first_letter:a"))
+    whole = PartialField(t, 1 - h.values, np.ones(t.n, dtype=bool))
+    for u, v in ((h, h), (h, whole), (whole, whole)):
+        energy_form(u, v)
+    assert "edges" not in t._caches
 
 
 def test_energy_keeps_its_bits_on_f2_r13(f2):
@@ -697,7 +709,7 @@ def test_lattice_energy_inequality_on_sampled_elements(h_first_letter_r8):
         k = pullback(h, g)
         gp, gm, cross = lattice_ops(h, k)
         edom = k.domain[eu] & k.domain[ev]
-        e_h = energy(h, edge_filter=edom).total
+        e_h = energy(PartialField(t, h.values, k.domain)).total
         e_k = energy(k).total
         e_p = energy(gp).total
         e_m = energy(gm).total

@@ -19,7 +19,7 @@ from ends_splitter.groups import (
     build_net,
     build_truncation,
 )
-from ends_splitter.harmonic import energy, solve_dirichlet
+from ends_splitter.harmonic import PartialField, energy, solve_dirichlet
 from ends_splitter import groups, necks
 from ends_splitter.necks import (
     NeckSurvey,
@@ -699,9 +699,40 @@ def test_disjoint_type1_certificates_have_disjoint_regions(t_f2_r8,
     survey = report.survey
     certs = [gap_certificate(h, survey, row_of(survey, x), report.masks)
              for x in k1]
-    overlap = certs[0].region_edges & certs[1].region_edges
-    assert not overlap.any()
+    eu, ev, _ = t.edges()
+    edges0, edges1 = (c.region[eu] & c.region[ev] for c in certs)
+    assert not (edges0 & edges1).any()
     assert certs[0].mu + certs[1].mu <= energy(h).total + 1e-12
+
+
+def test_certificate_regions_are_charged_through_energy(t_f2_r8,
+                                                      net1_f2_r8):
+    # the two-K_I F2 r8 case, and Z/12*Z r8, whose ball cuts cycles: each
+    # region holds the witness path and its neighbours, and its energy is
+    # the edge table's sum over the region's PartialField, bit for bit
+    from ends_splitter import cli
+
+    scn = cli.load_scenario(os.path.join(os.path.dirname(__file__), "data",
+                                         "golden", "necks-z12z-r8.json"))
+    t = build_truncation(scn.presentation, scn.truncation_radius)
+    cases = [(t_f2_r8, net1_f2_r8, 1,
+              make_end_function(t_f2_r8, 3, default=0,
+                                values_by_word={"aaa": 1, "bbb": 1})),
+             (t, build_net(t, scn.net_delta), scn.neck_R,
+              scn.resolve_chi(t))]
+    for t, net, R, chi in cases:
+        h = solve_dirichlet(t, chi)
+        report = special(t, net, R, chi)
+        survey = report.survey
+        certs = [gap_certificate(h, survey, row_of(survey, x), report.masks)
+                 for x in report.center_ids["K_I"]]
+        assert certs
+        for cert in certs:
+            nb = t.nbr[cert.witness_path]
+            assert cert.region[cert.witness_path].all()
+            assert cert.region[nb[nb >= 0]].all()
+            region = PartialField(t, h.values, cert.region)
+            assert cert.region_energy == oracles.edge_energy(region)
 
 
 def test_energy_gap_bracket_singleton(t_f2_r6):
