@@ -12,17 +12,18 @@ shadow of minimality.
 
 The sample's full-ball id maps are read in one pass (``sample_images``),
 block by block, into running extremes and arrays on the common domain
-only; no array of pulled values spans the ball.  Each stage after it
-takes what the stage before returned: the threshold and the walls read
-the images, the tree reads the walls, which hold the images, and the
-action reads the tree.  Regions flood on the common domain's own ids.
+only; no array of pulled values spans the ball.  The common domain is the
+ball B_{R-s}, s the longest sampled length: ids are breadth-first, so it
+is the ids below its size, and every stage reads it on vertex ids
+directly.  Each stage after the pass takes what the stage before
+returned: the threshold and the walls read the images, the tree reads
+the walls, which hold the images, and the action reads the tree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -124,19 +125,17 @@ def check_wall_settings(step, equality_tol):
 class SampleImages:
     """What walls, regions and the action read of the sample's right
     action, taken in one pass over its full-ball id maps
-    (``sample_images``).  Only ``images`` has one array per element, and
-    each has the domain's length."""
+    (``sample_images``).  The common domain is the ids below
+    ``domain_size``: the ball B_{R-s}, where every sampled map is defined.
+    Only ``images`` has one array per element, and each has the domain's
+    length."""
     equality_tol: float
     sample: list                # the elements, in the order of the lists below
     verdicts: list              # trichotomy verdict per element
     near: np.ndarray            # distinct values that can block a threshold
     shell_traces: list          # per element: {min, max} constancy or None
-    domain: np.ndarray          # vertex mask the images are kept on
-    images: list                # per element: int32 id map on the domain's ids
-
-    @cached_property
-    def domain_ids(self):
-        return np.flatnonzero(self.domain)
+    domain_size: int            # the domain is the ids below it
+    images: list                # per element: int32 id map on the domain
 
 
 def sample_images(h, sample, equality_tol=1e-9):
@@ -145,36 +144,37 @@ def sample_images(h, sample, equality_tol=1e-9):
     in blocks of ``_BLOCK`` ids, so no temporary spans the ball.  A block
     folds the element's trichotomy diffs and shell trace into running
     extremes, and gives its pulled values near [0.5, 0.6] for the
-    threshold and its share of the joint domain.  Max and min are exact
-    in any order, so the verdicts are those of ``trichotomy``; a
-    violation's witness takes a second pass over the blocks.
+    threshold.  Max and min are exact in any order, so the verdicts are
+    those of ``trichotomy``; a violation's witness takes a second pass
+    over the blocks.
 
-    The images are kept on the common domain of the sample.  That domain
-    is known only after the pass, but it lies inside the joint domain of
-    the maps seen so far, so each image is kept on that joint domain and
-    cut down as it shrinks.
+    The images are kept on the common domain B_{R-s}, R the radius and s
+    the longest sampled length: for v in it and |g| <= s every prefix
+    product v * l1 ... lj has length <= R, so every map is defined there.
+    For the ball sample B_s it is exactly the joint domain of the maps: a
+    longer v leaves the map of some g of length s whose first syllable
+    lies in another factor than v's last.  For any other sample it lies
+    inside the joint domain.  EndsSplitterError if s exceeds R.
     """
     t = h.truncation
+    s = max((g.length() for g in sample), default=0)
+    if s > t.radius:
+        raise EndsSplitterError(
+            f"a sampled element has length {s}, past the truncation radius "
+            f"{t.radius}")
+    m = t.spheres()[t.radius - s].stop
     lo, hi = 0.5 - equality_tol, 0.6 + equality_tol
     verdicts, traces = [None] * len(sample), [None] * len(sample)
     images, near = [None] * len(sample), [np.zeros(0)]
-    joint = np.ones(t.n, dtype=bool)
     for i, img in t.right_action_stream(sample):
         # [max, min] of the two diffs, then of min(h, pulled) and
         # max(h, pulled) on the shell
         extremes = [[-np.inf, np.inf] for _ in range(4)]
-        keep, kept = [], []
         for a, inside, vals, base in _pulled(h, img):
             near.append(vals[(vals >= lo) & (vals <= hi)])
             shell = t.shell_mask[a:a + _BLOCK][inside]
             _fold(extremes, *_diffs(vals, base),
                   np.minimum(base, vals)[shell], np.maximum(base, vals)[shell])
-            part = joint[a:a + _BLOCK]
-            keep.append(inside[part])
-            part &= inside
-            kept.append(img[a:a + _BLOCK][part])
-        if math.isinf(extremes[0][0]):
-            raise EndsSplitterError(f"pullback domain of {sample[i]} is empty")
         verdicts[i] = _verdict(sample[i], equality_tol, extremes[:2],
                                _pulled(h, img))
         mn, mx = extremes[2:]
@@ -182,19 +182,11 @@ def sample_images(h, sample, equality_tol=1e-9):
             "min": bool(mn[0] - mn[1] <= 2 * equality_tol),
             "max": bool(mx[0] - mx[1] <= 2 * equality_tol)}
         near = [unique_sorted(np.concatenate(near))]    # distinct values
-        keep = np.concatenate(keep)
-        images = [k if k is None else k[keep] for k in images]
-        images[i] = np.concatenate(kept)
-    if not joint[0]:
-        raise EndsSplitterError("the basepoint fell out of the sample domain")
-    # the common domain: the basepoint's component of the joint domain
-    domain = t.graph_distances_from([0], allowed_mask=joint) >= 0
-    keep = domain[joint]
+        images[i] = img[:m].copy()
     return SampleImages(equality_tol=equality_tol, sample=list(sample),
                         verdicts=verdicts,
                         near=near[0],
-                        shell_traces=traces, domain=domain,
-                        images=[k[keep] for k in images])
+                        shell_traces=traces, domain_size=m, images=images)
 
 
 def _pulled(h, img):
@@ -273,10 +265,9 @@ class WallSystem:
 
     def side_at(self, wall, v):
         """``wall``'s side at the vertices ``v``, 0 off the domain."""
-        inside = self.images.domain[v]
+        inside = v < self.images.domain_size
         out = np.zeros(len(v), dtype=np.int8)
-        out[inside] = wall.side[np.searchsorted(self.images.domain_ids,
-                                                v[inside])]
+        out[inside] = wall.side[v[inside]]
         return out
 
     def wall_edge_mask(self, t):
@@ -290,11 +281,11 @@ def build_walls(h, images, threshold):
     """One wall per distinct crossing edge set over the pulled fields of
     the sample ``images``, on their common domain."""
     t = h.truncation
-    dom, ids = images.domain, images.domain_ids
     eu, ev, _ = t.edges()
-    inner = np.flatnonzero(dom[eu] & dom[ev])
-    # the common domain lies in every pullback domain: images are >= 0
-    pu, pv = np.searchsorted(ids, eu[inner]), np.searchsorted(ids, ev[inner])
+    # eu < ev: an edge lies on the domain when ev does.  The domain lies
+    # in every pullback domain, so images are >= 0 there
+    inner = np.flatnonzero(ev < images.domain_size)
+    pu, pv = eu[inner], ev[inner]
 
     by_key = {}
     order = []
@@ -378,13 +369,13 @@ def indecomposable_regions(t, system):
     the region label per vertex (-1 off the domain) and the regions.
     """
     eu, ev, _ = t.edges()
-    dom, ids = system.images.domain, system.images.domain_ids
-    keep = dom[eu] & dom[ev] & ~system.wall_edge_mask(t)
+    m = system.images.domain_size
+    keep = (ev < m) & ~system.wall_edge_mask(t)
 
     # side signature folded in one wall at a time in base 3, renumbered
-    # after every 20 walls: codes below len(ids) < 2**31 then grow by at
-    # most 3**20 < 2**32 before the next renumbering, so int64 never wraps
-    sig = np.zeros(len(ids), dtype=np.int64)
+    # after every 20 walls: codes below m < 2**31 then grow by at most
+    # 3**20 < 2**32 before the next renumbering, so int64 never wraps
+    sig = np.zeros(m, dtype=np.int64)
     for k, w in enumerate(system.walls, 1):
         sig = 3 * sig + (w.side + 1)
         if k % 20 == 0:
@@ -393,14 +384,12 @@ def indecomposable_regions(t, system):
     _, first, sig = np.unique(sig, return_index=True, return_inverse=True)
     region = np.argsort(np.argsort(first))[sig]
     labels = np.full(t.n, -1, dtype=np.int32)
-    labels[ids] = region
+    labels[:m] = region
     n_regions = len(first)
 
-    # each flood component must sit inside one signature class.  The flood
-    # runs on positions in ids; the pair code flood * n_regions + region
-    # can pass 2**31, so it is int64
-    flood = join_labels(np.arange(len(ids)), np.searchsorted(ids, eu[keep]),
-                        np.searchsorted(ids, ev[keep]))
+    # each flood component must sit inside one signature class.  The pair
+    # code flood * n_regions + region can pass 2**31, so it is int64
+    flood = join_labels(np.arange(m), eu[keep], ev[keep])
     pairs = unique_sorted(flood * n_regions + region)
     if len(pairs) != len(unique_sorted(flood)):
         raise CrossingWalls(
@@ -409,7 +398,7 @@ def indecomposable_regions(t, system):
 
     pieces = np.bincount(pairs % n_regions, minlength=n_regions)
     sizes = np.bincount(region, minlength=n_regions)
-    members = np.split(ids[np.argsort(region, kind="stable")],
+    members = np.split(np.argsort(region, kind="stable"),
                        np.cumsum(sizes)[:-1])
     regions = [IndecomposableRegion(id=lab, members=members[lab],
                                     n_pieces=int(pieces[lab]))
@@ -444,9 +433,8 @@ def build_wall_tree(t, system):
     labels, regions = indecomposable_regions(t, system)
     eu, ev, _ = t.edges()
     assert_noncrossing(t, system)
-    dom = system.images.domain
     for w in system.walls:
-        if not (dom[eu[w.edge_ids]] & dom[ev[w.edge_ids]]).all():
+        if not (ev[w.edge_ids] < system.images.domain_size).all():
             raise NotATree(f"wall {w.label} has edges leaving the domain")
     incidence = []
     for w in system.walls:
@@ -562,10 +550,8 @@ def action_on_tree(t, tree):
     code_edge = np.tile(edges, 2)[by_code]
     code_owner = np.tile(owner, 2)[by_code]
 
-    ids = images.domain_ids
     # int64 region labels: the pair code below can pass 2**31
-    source = labels[ids].astype(np.int64)
-    pu = np.searchsorted(ids, wu)
+    source = labels[:images.domain_size].astype(np.int64)
 
     region_maps = {}
     wall_images = {}
@@ -594,7 +580,7 @@ def action_on_tree(t, tree):
         region_splits[gname] = int((counts > 1).sum())
 
         # wall images: the image of the edge (u, l*u) is (ug, l*ug)
-        query = img[pu].astype(np.int64) * L + wl
+        query = img[wu].astype(np.int64) * L + wl
         at = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
         found = codes[at] == query
         keys = np.where(found, code_edge[at], -1)

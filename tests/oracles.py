@@ -888,7 +888,7 @@ def indecomposable_regions(t, system):
     the region label per vertex (-1 off the domain) and the regions.
     """
     eu, ev, _ = t.edges()
-    dom = system.images.domain
+    dom = np.arange(t.n) < system.images.domain_size
     wall_mask = system.wall_edge_mask(t)
     keep = dom[eu] & dom[ev] & ~wall_mask
 

@@ -288,6 +288,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
     ("tree", "tree-f2-r8", ("tree.dot", "action.json")),
     ("tree", "tree-z3z-r8", ("tree.dot", "action.json")),
     ("tree", "tree-z2z3-r14", ("tree.dot", "action.json")),
+    # Z/12*Z r9: off the common domain the maps of s2 and S2 send 54
+    # vertices to -1 whose products lie in the ball
+    ("tree", "tree-z12z-r9", ("tree.dot", "action.json")),
     ("necks", "necks-z3z-r8", ("necks.json", "dual.dot")),
     # F2 r7 at base radius 3: the dual graph has a bounded component
     ("necks", "necks-f2-r7-bounded", ("necks.json", "dual.dot")),
@@ -653,16 +656,16 @@ def test_tree_holds_full_ball_maps_of_one_chain_only(tmp_path, monkeypatch):
         gc.enable()
 
     # every per-element array the walls keep has the common domain's length
+    t = kept["solve_dirichlet"].truncation
     images, system = kept["sample_images"], kept["build_walls"]
-    size = int(images.domain.sum())
-    assert system.images is images and size < images.domain.size
+    size = images.domain_size
+    assert system.images is images and size < t.n
     assert [len(img) for img in images.images] == [size] * 17
     assert [len(w.side) for w in system.walls] == [size] * len(system.walls)
 
     # the solver keeps one int32 class map and tables over its interior
     # classes, which are fewer than the interior vertices, and no adjacency
     # of the whole ball
-    t = kept["solve_dirichlet"].truncation
     quotient = t._caches[("quotient", 1)]
     assert quotient.cls.dtype == np.int32 and len(quotient.cls) == t.n + 1
     tables = [r.cols for r in quotient.rows]

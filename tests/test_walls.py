@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 
 from ends_splitter.errors import (
     CrossingWalls,
+    EndsSplitterError,
     NoRegularValue,
     NotATree,
     ScenarioError,
 )
 from ends_splitter.ends import make_end_function
-from ends_splitter.groups import Presentation, build_truncation, group_ball
+from ends_splitter.groups import (
+    Presentation,
+    Truncation,
+    build_truncation,
+    group_ball,
+)
 from ends_splitter.harmonic import HarmonicField, pullback, solve_dirichlet
 from ends_splitter.walls import (
     IndecomposableRegion,
@@ -33,6 +39,7 @@ from ends_splitter.walls import (
 )
 
 import oracles
+from test_groups import _LAYOUT_CASES
 
 
 def element(t, word):
@@ -62,11 +69,11 @@ def walls_of(h, sample):
     return build_walls(h, images, choose_threshold(images))
 
 
-def hand_made(walls, domain):
-    """A system of hand-made walls on ``domain``, whose images hold no
-    sample."""
+def hand_made(walls, size):
+    """A system of hand-made walls on the domain of the ids below
+    ``size``, whose images hold no sample."""
     images = SampleImages(equality_tol=1e-9, sample=[], verdicts=[],
-                          near=np.zeros(0), shell_traces=[], domain=domain,
+                          near=np.zeros(0), shell_traces=[], domain_size=size,
                           images=[])
     return WallSystem(images=images, walls=walls, empty_pullbacks=[])
 
@@ -220,7 +227,7 @@ def test_each_wall_separates_its_sides(h_first_letter_r8):
     for w in system.walls:
         cut = {(int(eu[e]), int(ev[e])) for e in w.edge_ids}
         cut |= {(b, a) for a, b in cut}
-        dom = np.flatnonzero(system.images.domain)
+        dom = np.arange(system.images.domain_size)
         allowed = set(map(int, dom))
         # sides are kept per domain vertex, in id order
         plus = [int(v) for v in dom[w.side > 0]]
@@ -242,7 +249,7 @@ def test_each_wall_separates_its_sides(h_first_letter_r8):
 def test_no_walls_one_region(t_f2_r4):
     chi = make_end_function(t_f2_r4, 1, rule="first_letter:a")
     h = solve_dirichlet(t_f2_r4, chi)
-    system = hand_made([], np.ones(t_f2_r4.n, dtype=bool))
+    system = hand_made([], t_f2_r4.n)
     _, regions = indecomposable_regions(t_f2_r4, system)
     assert len(regions) == 1
     assert regions[0].size == t_f2_r4.n
@@ -261,7 +268,7 @@ def test_one_wall_two_regions(h_first_letter_r8):
 def test_region_count_matches_separation_closure(f2_small_system):
     t, system = f2_small_system
     # oracle: union-find over unseparated pairs
-    dom = [int(v) for v in np.flatnonzero(system.images.domain)]
+    dom = list(range(system.images.domain_size))
     parent = {v: v for v in dom}
 
     def find(v):
@@ -322,7 +329,7 @@ def test_crossing_walls_detected(t_f2_r4):
     side_b = np.array([-1, 1, 1, -1], dtype=np.int8)
     wall_a = Wall(labels=["a"], edge_ids=np.array([1]), side=side_a)
     wall_b = Wall(labels=["b"], edge_ids=np.array([0, 2]), side=side_b)
-    system = hand_made([wall_a, wall_b], np.ones(4, dtype=bool))
+    system = hand_made([wall_a, wall_b], 4)
     with pytest.raises(CrossingWalls):
         assert_noncrossing(t, system)
     with pytest.raises((CrossingWalls, NotATree)):
@@ -342,7 +349,7 @@ def test_tree_refuses_a_cycle_or_an_isolated_region(monkeypatch, labels):
     walls = [Wall(labels=[f"w{e}"], edge_ids=np.array([e]),
                   side=np.where(np.arange(t.n) <= e, -1, 1).astype(np.int8))
              for e in (1, 2, 3)]
-    system = hand_made(walls, np.ones(t.n, dtype=bool))
+    system = hand_made(walls, t.n)
     labels = np.array(labels, dtype=np.int32)
     regions = [IndecomposableRegion(id=k, members=np.flatnonzero(labels == k))
                for k in range(labels.max() + 1)]
@@ -485,7 +492,7 @@ def test_threshold_and_walls_match_oracle(oracle_case):
     system = build_walls(h, images, level)
     assert system.images is images
     want, domain, empty = oracles.build_walls(h, level, sample)
-    assert np.array_equal(system.images.domain, domain)
+    assert np.array_equal(np.arange(t.n) < images.domain_size, domain)
     assert system.empty_pullbacks == empty
     assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
             for w in system.walls] == want
@@ -534,16 +541,16 @@ def test_streamed_pass_matches_oracles_and_full_maps(solved_case,
     pulled = np.concatenate([h.values[m[m >= 0]] for m in maps])
     assert np.array_equal(images.near, np.unique(
         pulled[(pulled >= 0.5 - tol) & (pulled <= 0.6 + tol)]))
-    ids = np.flatnonzero(images.domain)
+    size = images.domain_size
     for img, m in zip(images.images, maps):
-        assert img.dtype == np.int32 and len(img) == len(ids)
-        assert np.array_equal(img, m[ids])
+        assert img.dtype == np.int32 and len(img) == size
+        assert np.array_equal(img, m[:size])
 
     level = choose_threshold(images)
     assert level == oracles.choose_threshold(h, sample)
     system = build_walls(h, images, level)
     want, domain, empty = oracles.build_walls(h, level, sample)
-    assert np.array_equal(system.images.domain, domain)
+    assert np.array_equal(np.arange(t.n) < images.domain_size, domain)
     assert system.empty_pullbacks == empty
     assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
             for w in system.walls] == want
@@ -599,7 +606,7 @@ def test_blocks_smaller_than_the_ball_match_the_oracles(monkeypatch, case):
     assert level == oracles.choose_threshold(h, sample)
     system = build_walls(h, images, level)
     want, domain, empty = oracles.build_walls(h, level, sample)
-    assert np.array_equal(images.domain, domain)
+    assert np.array_equal(np.arange(t.n) < images.domain_size, domain)
     assert system.empty_pullbacks == empty
     assert [(w.labels, w.edge_ids.tolist(), w.side.tolist())
             for w in system.walls] == want
@@ -656,7 +663,7 @@ def test_regions_past_64_walls_match_oracle():
             side = -side
         walls.append(Wall(labels=[f"w{k}"], edge_ids=np.array([e]),
                           side=side))
-    system = hand_made(walls, np.ones(t.n, dtype=bool))
+    system = hand_made(walls, t.n)
     got = indecomposable_regions(t, system)
     assert len(got[1]) == 101
     assert_same_regions(got, oracles.indecomposable_regions(t, system))
@@ -669,7 +676,7 @@ def test_disconnected_region_counts_its_pieces():
     t = path_truncation(3)
     wall = Wall(labels=["w"], edge_ids=np.array([1, 3]),
                 side=np.array([-1, -1, 1, 1, -1], dtype=np.int8))
-    system = hand_made([wall], np.ones(t.n, dtype=bool))
+    system = hand_made([wall], t.n)
     got = indecomposable_regions(t, system)
     assert [r.members.tolist() for r in got[1]] == [[0, 1, 4], [2, 3]]
     assert [r.n_pieces for r in got[1]] == [2, 1]
@@ -677,24 +684,72 @@ def test_disconnected_region_counts_its_pieces():
 
 
 def test_walls_leaving_the_domain_read_side_0_off_it():
-    # path 0-...-7 with 4 and 7 off the domain: wall b's edge 3-4 leaves
-    # it, and wall a, whose minus side holds 5, reads side 0 at 4
+    # path 0-...-7 with the domain 0-...-5: wall b's edge 5-6 leaves it,
+    # and wall a, whose plus side holds 5, reads side 0 at 6 and 7
     from ends_splitter.groups import path_truncation
     t = path_truncation(6)
     assert t.n == 8
-    domain = np.array([1, 1, 1, 1, 0, 1, 1, 0], dtype=bool)
     wall_a = Wall(labels=["a"], edge_ids=np.array([1]),
-                  side=np.array([-1, -1, 1, 1, -1, -1], dtype=np.int8))
-    wall_b = Wall(labels=["b"], edge_ids=np.array([3]),
-                  side=np.array([-1, -1, -1, -1, 1, 1], dtype=np.int8))
-    system = hand_made([wall_a, wall_b], domain)
-    assert system.side_at(wall_a, np.array([3, 4, 5, 7])).tolist() == \
-        [1, 0, -1, 0]
+                  side=np.array([-1, -1, 1, 1, 1, 1], dtype=np.int8))
+    wall_b = Wall(labels=["b"], edge_ids=np.array([5]),
+                  side=np.array([-1, -1, -1, -1, -1, -1], dtype=np.int8))
+    system = hand_made([wall_a, wall_b], 6)
+    assert system.side_at(wall_a, np.array([1, 5, 6, 7])).tolist() == \
+        [-1, 1, 0, 0]
     assert_noncrossing(t, system)
     _, regions = indecomposable_regions(t, system)
-    assert [r.members.tolist() for r in regions] == [[0, 1], [2, 3], [5, 6]]
+    assert [r.members.tolist() for r in regions] == [[0, 1], [2, 3, 4, 5]]
     with pytest.raises(NotATree, match="wall b has edges leaving"):
         build_wall_tree(t, system)
+
+
+_DOMAIN_CASES = {
+    **_LAYOUT_CASES,
+    "Z12*Z-r8": (Presentation.free_product_of_cyclics([12, 0]), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DOMAIN_CASES))
+def test_a_ball_sample_is_defined_exactly_on_b_r_minus_s(case):
+    # the maps of B_s meet in B_{R-s}, which is connected, and the pass
+    # keeps its images on it
+    p, radius = _DOMAIN_CASES[case]
+    t = build_truncation(p, radius)
+    h = HarmonicField(truncation=t, values=np.linspace(0.0, 1.0, t.n),
+                      boundary_spec=None, residual=0.0, iterations=0)
+    adj = oracles.adjacency_dict(t)
+    for s in range(min(3, radius) + 1):
+        sample = group_ball(t, s)
+        maps = oracles.right_action_maps(t, sample)
+        joint = np.logical_and.reduce([m >= 0 for m in maps])
+        size = t.spheres()[radius - s].stop
+        assert np.array_equal(joint, np.arange(t.n) < size)
+        assert len(oracles.bfs_distances(adj, [0], set(range(size)))) == size
+        assert sample_images(h, sample).domain_size == size
+    if case == "Z12*Z-r8":
+        # off B_{R-s} a map's domain is irregular: the map of s2 sends 18
+        # vertices v to -1 although v * s2 lies in the ball, since v * s
+        # leaves it
+        g = element(t, "s2")
+        off = np.flatnonzero(t.rmul_ids(np.arange(t.n), g) < 0)
+        back = [v for v in off.tolist()
+                if (t.element(v) * g).length() <= radius]
+        assert len(back) == 18
+
+
+def test_an_element_longer_than_the_radius_is_refused(monkeypatch, t_f2_r4):
+    t = t_f2_r4
+    g = group_ball(t, t.radius)[-1]
+    assert (g * g).length() > t.radius
+    h = HarmonicField(truncation=t, values=np.linspace(0.0, 1.0, t.n),
+                      boundary_spec=None, residual=0.0, iterations=0)
+
+    def no_maps(self, elements):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(Truncation, "right_action_stream", no_maps)
+    with pytest.raises(EndsSplitterError, match="past the truncation radius"):
+        sample_images(h, [element(t, "e"), g * g])
 
 
 @pytest.fixture(scope="module")
@@ -715,7 +770,7 @@ def overlap_case(t_f2_r6):
     ]
     system = dataclasses.replace(real, walls=[
         Wall(labels=[f"w{i}"], edge_ids=np.array(sorted(e)),
-             side=np.zeros(len(real.images.domain_ids), dtype=np.int8))
+             side=np.zeros(real.images.domain_size, dtype=np.int8))
         for i, e in enumerate(walls)])
     return t, h, WallTree(system=system, regions=regions,
                           incidence=[(0, 1)] * len(walls),
