@@ -182,7 +182,7 @@ def sample_images(h, sample, equality_tol=1e-9):
             "min": bool(mn[0] - mn[1] <= 2 * equality_tol),
             "max": bool(mx[0] - mx[1] <= 2 * equality_tol)}
         near = [unique_sorted(np.concatenate(near))]    # distinct values
-        images[i] = img[:m].copy()
+        images[i] = img[:m].copy()     # not a view that holds the map
     return SampleImages(equality_tol=equality_tol, sample=list(sample),
                         verdicts=verdicts,
                         near=near[0],
